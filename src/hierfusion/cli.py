@@ -20,6 +20,7 @@ the exit code is 0 exactly when no error occurred.
 import argparse
 import copy
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -104,6 +105,17 @@ _TOP_LEVEL_KEYS = {
 }
 
 
+def _config_int(value, field: str) -> int:
+    """An integer config value; an integral float such as 2.0 also counts."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise InvalidConfig(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate the config document and resolve derived section seeds.
 
@@ -165,15 +177,23 @@ def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
     extra = set(section) - {"k", "delta", "seed"}
     if extra:
         raise InvalidConfig(f"unknown builder fields: {sorted(extra)}")
-    delta = float(section.get("delta", 1.0))
-    if delta <= 0.0:
-        raise InvalidConfig("builder delta must be > 0")
+    delta = section.get("delta", 1.0)
+    if (
+        isinstance(delta, bool)
+        or not isinstance(delta, (int, float))
+        or not math.isfinite(delta)
+        or delta <= 0
+    ):
+        raise InvalidConfig(
+            f"builder delta must be a finite number > 0, got {delta!r}"
+        )
+    k = section.get("k")
     builder = BuilderParams(
-        k=None if section.get("k") is None else int(section["k"]),
-        delta=delta,
+        k=None if k is None else _config_int(k, "builder k"),
+        delta=float(delta),
         seed=derive_seed(master, STREAM_BUILDER)
         if section.get("seed") is None
-        else int(section["seed"]),
+        else _config_int(section["seed"], "builder seed"),
     )
 
     section = dict(raw.get("model") or {})

@@ -9,9 +9,11 @@ vectors plus scalar trace variances), i.e. the expected squared distance
 between independent samples of the two classes. The affinity is
 exp(-dis / delta) with the distance, not its square, and a zero diagonal.
 
-Every stage is deterministic given its seed. The eigensolver is a cyclic
-Jacobi rotation scheme with a declared convergence threshold, so results
-are reproducible across platforms and reimplementations.
+Every stage is deterministic given its seed. The eigensolver is a Jacobi
+rotation scheme in the round-robin (Brent-Luk) pair ordering, which
+applies each round's disjoint rotations as one array update, with a
+declared convergence threshold, so results are reproducible across
+platforms and reimplementations.
 """
 
 from dataclasses import dataclass
@@ -24,6 +26,7 @@ from .exceptions import (
     EigensolverFailure,
     EmptyCluster,
     IsolatedClass,
+    NonFiniteValue,
 )
 from .features import ClassStats, FeatureTable, class_statistics
 from .rng import derive_seed, rng_from_seed
@@ -87,15 +90,20 @@ def class_distance(mean_i, var_i: float, mean_j, var_j: float) -> float:
 
 
 def class_distance_matrix(stats: ClassStats) -> np.ndarray:
-    """All pairwise class distances, exactly symmetric with zero diagonal."""
+    """All pairwise class distances, exactly symmetric with zero diagonal.
+
+    One batched step per row: each squared mean gap is a per-pair dot
+    product, as in class_distance, and only O(C * d) memory is live.
+    """
     n = stats.class_count
+    means, variances = stats.means, stats.variances
     dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = class_distance(
-                stats.means[i], stats.variances[i], stats.means[j], stats.variances[j]
-            )
-            dist[i, j] = dist[j, i] = d
+    for i in range(n - 1):
+        diff = means[i + 1:] - means[i]
+        gap = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+        dist[i, i + 1:] = dist[i + 1:, i] = np.sqrt(
+            gap + variances[i] + variances[i + 1:]
+        )
     return dist
 
 
@@ -113,25 +121,97 @@ def affinity_matrix(stats: ClassStats, delta: float = 1.0) -> AffinityMatrix:
     return AffinityMatrix(values=values)
 
 
+def _round_robin_schedule(n: int) -> np.ndarray:
+    """Slot layout of each round of one round-robin (Brent-Luk) sweep.
+
+    Row r is a permutation of range(m), m = n rounded up to even, whose
+    slots 2k and 2k+1 hold the k-th pair (p, q), p < q, of round r. The
+    pairing is the circle method: index m-1 stays put and meets r, while
+    (r + i) mod (m-1) meets (r - i) mod (m-1) for i = 1..m/2-1, so each
+    unordered pair meets exactly once in the m-1 rounds. For odd n, index
+    m-1 = n is a dummy and whoever it meets sits the round out; n = 0 has
+    one empty round.
+    """
+    m = n + n % 2
+    if m == 0:
+        return np.zeros((1, 0), dtype=np.intp)
+    r = np.arange(m - 1)[:, None]
+    i = np.arange(1, m // 2)[None, :]
+    first = np.hstack([r, (r + i) % (m - 1)])
+    second = np.hstack([np.full_like(r, m - 1), (r - i) % (m - 1)])
+    order = np.empty((m - 1, m), dtype=np.intp)
+    order[:, 0::2] = np.minimum(first, second)
+    order[:, 1::2] = np.maximum(first, second)
+    return order
+
+
+def _rotation_phases(app, aqq, apq) -> np.ndarray:
+    """c + i*s of the Jacobi rotation that zeroes each pair's apq.
+
+    t is the smaller root of t^2 + 2*theta*t - 1 = 0, theta =
+    (aqq - app) / (2 apq); theta == 0 takes t = 1 and apq == 0 skips the
+    rotation (c = 1, s = 0).
+    """
+    skip = apq == 0.0
+    theta = (aqq - app) / np.where(skip, 1.0, 2.0 * apq)
+    t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+    np.negative(t, out=t, where=theta < 0.0)
+    t[skip] = 0.0
+    c = 1.0 / np.sqrt(t * t + 1.0)
+    return c + 1j * (t * c)
+
+
+def _rotate_column_pairs(x: np.ndarray, phase: np.ndarray) -> None:
+    """Rotate columns (2k, 2k+1) of a C-contiguous x in place by phase[k].
+
+    Each row's pair (u, v) read as u + i*v makes the rotation
+    (c*u - s*v, s*u + c*v) the complex product with c + i*s, so every
+    pair of every row turns in one multiply.
+    """
+    pairs = x.view(np.complex128)
+    pairs *= phase
+
+
 def symmetric_eigen(
     matrix, *, tol: float = 1e-10, max_sweeps: int = 100
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
+    """Full eigendecomposition of a symmetric matrix by round-robin Jacobi.
 
-    Returns (eigenvalues, eigenvectors) with eigenvalues descending
-    (stable order on ties) and eigenvectors as matching columns, each
-    sign-fixed so its largest-magnitude component is positive. Converges
-    when the off-diagonal Frobenius norm falls below `tol` times the
-    matrix scale; exceeding `max_sweeps` raises EigensolverFailure.
+    Each sweep visits every index pair once, in the round-robin order of
+    Brent & Luk (1985): n-1 rounds (n for odd n) of disjoint pairs, and
+    the rotations of one round are applied together. Returns (eigenvalues,
+    eigenvectors) with eigenvalues descending (stable order on ties) and
+    eigenvectors as matching columns, each sign-fixed so its
+    largest-magnitude component is positive. Converges when the
+    off-diagonal Frobenius norm falls below `tol` times the matrix scale;
+    exceeding `max_sweeps` raises EigensolverFailure. NaN or infinite
+    entries raise NonFiniteValue.
     """
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("matrix must be square")
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteValue("matrix contains NaN or infinite entries")
     a = (a + a.T) / 2.0
     n = a.shape[0]
-    vectors = np.eye(n)
     scale = np.sqrt((a * a).sum())
     threshold = tol * max(scale, 1e-300)
+
+    layout = _round_robin_schedule(n)
+    rounds, m = layout.shape
+    slot = np.argsort(layout, axis=1)  # slot[r, i]: where round r seats index i
+    next_slot = np.roll(slot, -1, axis=0)  # the last round hands over to round 0
+    # step[r, j]: round r's slot of the index that the next round seats at j
+    step = np.take_along_axis(slot, np.roll(layout, -1, axis=0), axis=1)
+    p_next = np.take_along_axis(next_slot, layout[:, 0::2], axis=1)
+    q_next = np.take_along_axis(next_slot, layout[:, 1::2], axis=1)
+    # The matrix is kept in the current round's layout on both axes, the
+    # eigenvectors on their columns; an odd n adds a zero dummy row and
+    # column, whose rotations (apq == 0) are exact identities.
+    padded = np.zeros((m, m))
+    padded[:n, :n] = a
+    a = np.ascontiguousarray(padded[layout[0]][:, layout[0]])
+    vectors = np.eye(m).take(layout[0], axis=1)
 
     converged = False
     for _ in range(max_sweeps):
@@ -139,28 +219,20 @@ def symmetric_eigen(
         if np.sqrt((off * off).sum()) <= threshold:
             converged = True
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vec_p, vec_q = vectors[:, p].copy(), vectors[:, q].copy()
-                vectors[:, p] = c * vec_p - s * vec_q
-                vectors[:, q] = s * vec_p + c * vec_q
+        for r in range(rounds):
+            diag = a.diagonal()
+            phase = _rotation_phases(diag[0::2], diag[1::2], a.diagonal(1)[0::2])
+            # Column update, then the row update as a column update of the
+            # transpose; each transposing copy also moves one axis to the
+            # next round's layout.
+            _rotate_column_pairs(a, phase)
+            _rotate_column_pairs(vectors, phase)
+            a = np.ascontiguousarray(a.T[step[r]])
+            _rotate_column_pairs(a, phase)
+            a = np.ascontiguousarray(a.T[step[r]])
+            a[p_next[r], q_next[r]] = 0.0
+            a[q_next[r], p_next[r]] = 0.0
+            vectors = vectors.take(step[r], axis=1)
     if not converged:
         off = a - np.diag(np.diagonal(a))
         if np.sqrt((off * off).sum()) > threshold:
@@ -168,7 +240,9 @@ def symmetric_eigen(
                 f"no convergence within {max_sweeps} sweeps (n={n})"
             )
 
-    eigenvalues = np.diagonal(a).copy()
+    back = slot[0, :n]  # from round 0's layout to index order, dummy dropped
+    eigenvalues = np.diagonal(a)[back]
+    vectors = vectors[:n][:, back]
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     vectors = vectors[:, order]

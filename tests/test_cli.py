@@ -101,6 +101,40 @@ def test_build_structure_k_out_of_range(tmp_path, capsys):
     assert "[1, 4]" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("k", "abc"), ("k", "2.5"), ("k", "true"),
+    ("seed", "x"), ("seed", "1.7"), ("seed", "false"),
+    ("delta", "abc"), ("delta", "nan"), ("delta", "NaN"), ("delta", "Infinity"),
+    ("delta", "0"), ("delta", "true"),
+])
+def test_build_structure_rejects_bad_builder_values(tmp_path, capsys, flag, value):
+    data = gen_dataset(tmp_path)
+    out = tmp_path / "built"
+    config = write_config(tmp_path / "build.json", {
+        "features": str(data / "features.csv"),
+        "builder": {"k": 2},
+        "out": str(out),
+    })
+    capsys.readouterr()
+    assert run("build-structure", "--config", config, f"--builder.{flag}", value) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: builder {flag} must be")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_build_structure_accepts_integral_float_k(tmp_path):
+    data = gen_dataset(tmp_path)
+    out = tmp_path / "built"
+    config = write_config(tmp_path / "build.json", {
+        "features": str(data / "features.csv"),
+        "builder": {"k": 2.0, "delta": 2},
+        "out": str(out),
+    })
+    assert run("build-structure", "--config", config) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["H_A_k2.json"]
+
+
 def train_config(tmp_path, data, out, with_structure=True, **model_extra):
     raw = {
         "seed": 1,

@@ -11,6 +11,7 @@ from hierfusion.exceptions import (
     DimensionMismatch,
     EigensolverFailure,
     IsolatedClass,
+    NonFiniteValue,
 )
 from hierfusion.features import (
     FeatureTable,
@@ -20,6 +21,7 @@ from hierfusion.features import (
 )
 from hierfusion.structure_builder import (
     AffinityMatrix,
+    _round_robin_schedule,
     adjusted_rand_index,
     affinity_matrix,
     build_visual_structure,
@@ -87,6 +89,20 @@ def test_class_distance_matrix_layout():
     expected = class_distance(stats.means[0], stats.variances[0],
                               stats.means[2], stats.variances[2])
     assert dist[0, 2] == expected
+
+
+def test_class_distance_matrix_matches_pairwise_loop():
+    # the batched rows do the same arithmetic as class_distance(i, j),
+    # i < j, so both triangles equal the scalar function bit for bit
+    rng = np.random.default_rng(8)
+    for d in (1, 3, 64):
+        stats = stats_for(rng.normal(size=(9, d)) * 4.0, rng.uniform(0.0, 2.0, 9))
+        dist = class_distance_matrix(stats)
+        for i in range(9):
+            for j in range(i + 1, 9):
+                expected = class_distance(stats.means[i], stats.variances[i],
+                                          stats.means[j], stats.variances[j])
+                assert dist[i, j] == dist[j, i] == expected
 
 
 # -- affinity -----------------------------------------------------------------
@@ -219,6 +235,59 @@ def test_eigen_failure_and_shape_errors():
         symmetric_eigen(m, max_sweeps=1)
     with pytest.raises(DimensionMismatch):
         symmetric_eigen(np.zeros((2, 3)))
+
+
+def test_eigen_rejects_non_finite_input():
+    with pytest.raises(NonFiniteValue):
+        symmetric_eigen(np.full((3, 3), np.nan))
+    with pytest.raises(NonFiniteValue):
+        symmetric_eigen([[1.0, np.inf], [np.inf, 1.0]])
+
+
+@pytest.mark.parametrize("n", list(range(10)) + [200])
+def test_round_robin_schedule_meets_every_pair_once(n):
+    order = _round_robin_schedule(n)
+    m = n + n % 2
+    assert order.shape == (max(m - 1, 1), m)
+    for layout in order:
+        # every round seats each index (and the odd-n dummy) exactly once
+        assert sorted(layout.tolist()) == list(range(m))
+    pairs = [
+        (int(p), int(q))
+        for p, q in zip(order[:, 0::2].ravel(), order[:, 1::2].ravel())
+        if q < n
+    ]
+    assert all(p < q for p, q in pairs)
+    assert sorted(pairs) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+def test_eigen_of_size_zero_and_one():
+    values, vectors = symmetric_eigen(np.zeros((0, 0)))
+    assert values.shape == (0,) and vectors.shape == (0, 0)
+    values, vectors = symmetric_eigen([[-2.5]])
+    assert values.tolist() == [-2.5]
+    assert vectors.tolist() == [[1.0]]
+
+
+@pytest.mark.parametrize("n", [31, 64, 101])
+def test_eigen_matches_numpy_reference_mid_size(n):
+    m = random_symmetric(np.random.default_rng(n), n)
+    values, vectors = symmetric_eigen(m)
+    np.testing.assert_allclose(values, np.linalg.eigvalsh(m)[::-1], atol=1e-10)
+    np.testing.assert_allclose(vectors.T @ vectors, np.eye(n), atol=1e-10)
+    np.testing.assert_allclose(vectors @ np.diag(values) @ vectors.T, m, atol=1e-10)
+
+
+def test_eigen_on_200_class_normalized_affinity():
+    spec = SyntheticSpec(superclass_count=10, subclasses_per_superclass=20,
+                         samples_per_subclass=20, dim=64, seed=11)
+    table, _ = generate_synthetic(spec)
+    affinity = affinity_matrix(class_statistics(table)).values
+    inv_sqrt = 1.0 / np.sqrt(affinity.sum(axis=1))
+    normalized = affinity * inv_sqrt[:, None] * inv_sqrt[None, :]
+    values, vectors = symmetric_eigen(normalized)
+    assert np.abs(normalized @ vectors - vectors * values).max() <= 1e-9
+    np.testing.assert_allclose(vectors.T @ vectors, np.eye(200), atol=1e-10)
 
 
 # -- spectral embedding ---------------------------------------------------------
