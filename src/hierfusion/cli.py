@@ -21,6 +21,7 @@ import argparse
 import copy
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -116,6 +117,25 @@ def _config_int(value, field: str) -> int:
     return int(value)
 
 
+def _config_seed(value, field: str) -> int:
+    """A seed: an integer >= 0, the range numpy's SeedSequence accepts."""
+    seed = _config_int(value, field)
+    if seed < 0:
+        raise InvalidConfig(f"{field} must be a non-negative integer, got {seed}")
+    return seed
+
+
+def _config_real(value, field: str) -> float:
+    """A finite real config value; bools, strings and NaN/inf are refused."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise InvalidConfig(f"{field} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate the config document and resolve derived section seeds.
 
@@ -127,7 +147,7 @@ def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - _TOP_LEVEL_KEYS
     if unknown:
         raise InvalidConfig(f"unknown config fields: {sorted(unknown)}")
-    master = int(raw.get("seed", 0))
+    master = _config_seed(raw.get("seed", 0), "seed")
 
     synthetic = None
     if raw.get("synthetic") is not None:
@@ -162,13 +182,15 @@ def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
         extra = set(section) - {"fraction", "seed"}
         if extra:
             raise InvalidConfig(f"unknown split fields: {sorted(extra)}")
-        fraction = float(section["fraction"])
+        fraction = _config_real(section["fraction"], "split fraction")
         if not 0.0 < fraction < 1.0:
             raise InvalidConfig("split fraction must lie in (0, 1)")
         seed = section.get("seed")
         split = SplitParams(
             fraction=fraction,
-            seed=derive_seed(master, STREAM_SPLIT) if seed is None else int(seed),
+            seed=derive_seed(master, STREAM_SPLIT)
+            if seed is None
+            else _config_seed(seed, "split seed"),
         )
 
     section = raw.get("builder") or {}
@@ -177,23 +199,16 @@ def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
     extra = set(section) - {"k", "delta", "seed"}
     if extra:
         raise InvalidConfig(f"unknown builder fields: {sorted(extra)}")
-    delta = section.get("delta", 1.0)
-    if (
-        isinstance(delta, bool)
-        or not isinstance(delta, (int, float))
-        or not math.isfinite(delta)
-        or delta <= 0
-    ):
-        raise InvalidConfig(
-            f"builder delta must be a finite number > 0, got {delta!r}"
-        )
+    delta = _config_real(section.get("delta", 1.0), "builder delta")
+    if delta <= 0:
+        raise InvalidConfig(f"builder delta must be > 0, got {delta!r}")
     k = section.get("k")
     builder = BuilderParams(
         k=None if k is None else _config_int(k, "builder k"),
-        delta=float(delta),
+        delta=delta,
         seed=derive_seed(master, STREAM_BUILDER)
         if section.get("seed") is None
-        else _config_int(section["seed"], "builder seed"),
+        else _config_seed(section["seed"], "builder seed"),
     )
 
     section = dict(raw.get("model") or {})
@@ -281,13 +296,11 @@ def _load_table(config: ExperimentConfig, names_hint=None):
     return load_feature_table(config.features, names), names, None
 
 
-def _split_side(config: ExperimentConfig, table, side: str):
+def _split(config: ExperimentConfig, table):
+    """(training side, held-out side); the whole table twice without a split."""
     if config.split is None:
-        return table
-    train_part, test_part = train_test_split(
-        table, config.split.fraction, config.split.seed
-    )
-    return train_part if side == "train" else test_part
+        return table, table
+    return train_test_split(table, config.split.fraction, config.split.seed)
 
 
 def _load_structures(config: ExperimentConfig) -> StructureSet:
@@ -320,7 +333,7 @@ def cmd_build_structure(config: ExperimentConfig) -> None:
         raise InvalidConfig("build-structure needs 'builder.k'")
     out = _out_dir(config)
     table, names, _ = _load_table(config)
-    table = _split_side(config, table, "train")
+    table = _split(config, table)[0]
     structure = build_visual_structure(
         table,
         config.builder.k,
@@ -340,7 +353,7 @@ def cmd_train(config: ExperimentConfig) -> None:
     structures = _load_structures(config)
     names_hint = structures.subclass_names if len(structures) else None
     table, names, _ = _load_table(config, names_hint)
-    table = _split_side(config, table, "train")
+    table = _split(config, table)[0]
     model, history = train(config.model, table, structures, subclass_names=names)
     checkpoint_path = out / "model.ckpt"
     save_checkpoint(model, config.model, checkpoint_path)
@@ -368,11 +381,8 @@ def cmd_evaluate(config: ExperimentConfig) -> None:
             "structure files and checkpoint disagree on the subclass space"
         )
     table, _, _ = _load_table(config, model.subclass_names)
-    table = _split_side(config, table, "test")
-    batch = PredictionBatch(
-        predicted=predict(model, table.features), truth=table.labels
-    )
-    report = evaluate(structures, batch)
+    table = _split(config, table)[1]
+    batch, report = _score(model, structures, table)
     report_path = out / "report.json"
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dump_json(report.to_dict()))
@@ -380,6 +390,14 @@ def cmd_evaluate(config: ExperimentConfig) -> None:
     save_predictions(batch, model.subclass_names, predictions_path)
     _note(f"wrote {report_path}")
     _note(f"wrote {predictions_path}")
+
+
+def _score(model, structures: StructureSet, table):
+    """Predict the table's subclasses; return (batch, evaluation report)."""
+    batch = PredictionBatch(
+        predicted=predict(model, table.features), truth=table.labels
+    )
+    return batch, evaluate(structures, batch)
 
 
 _AXIS_COLUMNS = {"lambda": "lambda", "attach_stage": "stage", "k": "k"}
@@ -390,9 +408,16 @@ def cmd_sweep(config: ExperimentConfig, raw: dict, axis, values, seeds) -> None:
     """Train and evaluate per (value, seed); write sweep_{axis}.csv.
 
     Each run re-resolves the whole config under its own master seed, so
-    null section seeds vary across runs while pinned ones stay put. Rows
-    appear sorted by (value, seed) and are flushed as they finish; each
-    value closes with a seed="mean" row averaging its runs.
+    null section seeds vary across runs while pinned ones stay put. All
+    runs are typed and resolved before the first one starts: lambda
+    values must be finite numbers, k and attach_stage values and seeds
+    integers, else InvalidConfig and no file. Each distinct data source
+    (the resolved synthetic spec, or the feature file with its name
+    table) is parsed or generated once per sweep, and each run splits it
+    once. Rows appear sorted by (value, seed), each value closing with a
+    seed="mean" row averaging its runs. They stream to a hidden partial
+    file that is renamed onto sweep_{axis}.csv after the last row and
+    deleted if any run fails, so a failed sweep leaves no CSV behind.
     """
     section = config.sweep or {}
     axis = axis if axis is not None else section.get("axis")
@@ -402,33 +427,56 @@ def cmd_sweep(config: ExperimentConfig, raw: dict, axis, values, seeds) -> None:
         raise InvalidConfig(
             f"sweep axis must be one of {sorted(_AXIS_COLUMNS)}, got {axis!r}"
         )
-    if not values:
+    if not isinstance(values, (list, tuple)) or not values:
         raise InvalidConfig("sweep needs a non-empty list of values")
-    seeds = list(seeds) if seeds else [config.seed]
-    values = sorted(values)
-    seeds = sorted(int(s) for s in seeds)
+    if not seeds:
+        seeds = [config.seed]
+    elif not isinstance(seeds, (list, tuple)):
+        raise InvalidConfig("sweep seeds must be a list of integers")
+    if axis == "lambda":
+        values = sorted(_config_real(v, "sweep lambda value") for v in values)
+    else:
+        values = sorted(_config_int(v, f"sweep {axis} value") for v in values)
+    seeds = sorted(_config_seed(s, "sweep seed") for s in seeds)
+    runs = [
+        [(seed, _sweep_config(raw, axis, value, seed)) for seed in seeds]
+        for value in values
+    ]
 
     out = _out_dir(config)
     path = out / f"sweep_{axis}.csv"
+    partial = out / f".{path.name}.partial"
     header = [_AXIS_COLUMNS[axis], "seed"] + list(_METRIC_COLUMNS)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.flush()
-        mean_by_value = []
-        for value in values:
-            reports = []
-            for seed in seeds:
-                report = _sweep_run(raw, axis, value, seed)
-                reports.append(report)
-                fh.write(_sweep_row(value, str(seed), report.to_dict()) + "\n")
-                fh.flush()
-            mean = {
-                column: sum(r.to_dict()[column] for r in reports) / len(reports)
-                for column in _METRIC_COLUMNS
-            }
-            mean_by_value.append((value, mean))
-            fh.write(_sweep_row(value, "mean", mean) + "\n")
-            fh.flush()
+    # Axes never touch the structure files, so every run shares them and
+    # their name table; a data source is then keyed by its resolved spec.
+    structures = _load_structures(config)
+    names_hint = structures.subclass_names if len(structures) else None
+    sources = {}
+    mean_by_value = []
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for value, value_runs in zip(values, runs):
+                reports = []
+                for seed, cfg in value_runs:
+                    key = (cfg.synthetic, cfg.features, cfg.names_from)
+                    if key not in sources:
+                        sources[key] = _load_table(cfg, names_hint)
+                    table, names, _ = sources[key]
+                    report = _sweep_run(axis, cfg, structures, table, names)
+                    reports.append(report.to_dict())
+                    fh.write(_sweep_row(value, str(seed), reports[-1]) + "\n")
+                    fh.flush()
+                mean = {
+                    column: sum(r[column] for r in reports) / len(reports)
+                    for column in _METRIC_COLUMNS
+                }
+                mean_by_value.append((value, mean))
+                fh.write(_sweep_row(value, "mean", mean) + "\n")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     _note(f"wrote {path}")
     if axis == "k":
         best = max(mean_by_value, key=lambda pair: pair[1]["accuracy"])
@@ -447,28 +495,27 @@ def _sweep_row(value, seed: str, metrics: dict) -> str:
     return ",".join(cells)
 
 
-def _sweep_run(raw: dict, axis, value, seed: int):
-    """One sweep run: reconfigure, train, evaluate the held-out side."""
+def _sweep_config(raw: dict, axis, value, seed: int) -> ExperimentConfig:
+    """The resolved config of one sweep run: master seed and axis field set."""
     run_raw = copy.deepcopy(raw)
-    run_raw["seed"] = int(seed)
+    run_raw["seed"] = seed
     run_raw.pop("sweep", None)
     if axis == "lambda":
-        run_raw.setdefault("model", {})["lambda_total"] = float(value)
+        run_raw.setdefault("model", {})["lambda_total"] = value
         run_raw["model"]["lambda_split"] = None
     elif axis == "attach_stage":
         heads = len(run_raw.get("structures") or [])
         if heads == 0:
             raise InvalidConfig("attach_stage sweep needs structure files")
-        run_raw.setdefault("model", {})["attach_stages"] = [int(value)] * heads
+        run_raw.setdefault("model", {})["attach_stages"] = [value] * heads
     else:
-        run_raw.setdefault("builder", {})["k"] = int(value)
-    cfg = experiment_config_from_dict(run_raw)
+        run_raw.setdefault("builder", {})["k"] = value
+    return experiment_config_from_dict(run_raw)
 
-    structures = _load_structures(cfg)
-    names_hint = structures.subclass_names if len(structures) else None
-    table, names, _ = _load_table(cfg, names_hint)
-    train_side = _split_side(cfg, table, "train")
-    test_side = _split_side(cfg, table, "test")
+
+def _sweep_run(axis, cfg: ExperimentConfig, structures, table, names):
+    """One sweep run on a loaded table: split, train, score the held-out side."""
+    train_side, test_side = _split(cfg, table)
     if axis == "k":
         built = build_visual_structure(
             train_side,
@@ -480,10 +527,7 @@ def _sweep_run(raw: dict, axis, value, seed: int):
         )
         structures = StructureSet((built,))
     model, _ = train(cfg.model, train_side, structures, subclass_names=names)
-    batch = PredictionBatch(
-        predicted=predict(model, test_side.features), truth=test_side.labels
-    )
-    return evaluate(structures, batch)
+    return _score(model, structures, test_side)[1]
 
 
 # -- argument handling --------------------------------------------------------

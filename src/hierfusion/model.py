@@ -311,122 +311,157 @@ def init_model(
 
 
 class _Params:
-    """Mutable copies of the model parameters, in one canonical order."""
+    """Mutable copies of the model parameters, in one canonical order.
+
+    Trunk (W, b) pairs, the subclass head, then superclass heads, laid out
+    back to back in one flat buffer, `values`; the named attributes are
+    views into it. `grads` holds the same views into a second buffer,
+    `grad`, so a gradient step is one array update.
+    """
 
     def __init__(self, model: FusionModel):
-        self.trunk_w = [np.array(w) for w in model.trunk_weights]
-        self.trunk_b = [np.array(b) for b in model.trunk_biases]
-        self.sub_w = np.array(model.subclass_weight)
-        self.sub_b = np.array(model.subclass_bias)
-        self.sup_w = [np.array(w) for w in model.super_weights]
-        self.sup_b = [np.array(b) for b in model.super_biases]
+        source = []
+        for w, b in zip(model.trunk_weights, model.trunk_biases):
+            source += [w, b]
+        source += [model.subclass_weight, model.subclass_bias]
+        for w, b in zip(model.super_weights, model.super_biases):
+            source += [w, b]
+        self.values = np.concatenate([a.ravel() for a in source])
+        self.grad = np.empty_like(self.values)
+        self.grads = _views(self.grad, source)
+        arrays = _views(self.values, source)
+        top = 2 * model.stage_count
+        self.trunk_w = arrays[0:top:2]
+        self.trunk_b = arrays[1:top:2]
+        self.sub_w, self.sub_b = arrays[top : top + 2]
+        self.sup_w = arrays[top + 2 :: 2]
+        self.sup_b = arrays[top + 3 :: 2]
 
-    def flat(self) -> list[np.ndarray]:
-        """Trunk (W, b) pairs, subclass head, then superclass heads."""
-        out = []
-        for w, b in zip(self.trunk_w, self.trunk_b):
-            out += [w, b]
-        out += [self.sub_w, self.sub_b]
-        for w, b in zip(self.sup_w, self.sup_b):
-            out += [w, b]
-        return out
+
+def _views(buffer, shaped) -> list[np.ndarray]:
+    """Consecutive views of `buffer` with the shapes of `shaped`."""
+    views, start = [], 0
+    for a in shaped:
+        views.append(buffer[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return views
 
 
 def _trunk_acts(trunk_w, trunk_b, x) -> list[np.ndarray]:
     acts = []
     h = x
     for w, b in zip(trunk_w, trunk_b):
-        h = np.tanh(h @ w + b)
+        h = h @ w
+        h += b
+        np.tanh(h, out=h)
         acts.append(h)
     return acts
+
+
+def _check_labels(labels, k: int) -> None:
+    if labels.min() < 0 or labels.max() >= k:
+        raise LabelOutOfRange(f"labels must lie in [0, {k})")
 
 
 def _cross_entropy_grad(logits, labels):
     """Mean cross-entropy of the softmax and its gradient in the logits.
 
     Uses the max-shift log-sum-exp form, so adding a constant to all
-    logits of a sample changes nothing (up to rounding).
+    logits of a sample changes nothing (up to rounding). Labels must be
+    pre-validated to lie in [0, k) (see _check_labels): they are gathered
+    by flat index, so an out-of-range label would silently read a logit
+    of another sample instead of failing.
     """
     n, k = logits.shape
-    if labels.min() < 0 or labels.max() >= k:
-        raise LabelOutOfRange(f"labels must lie in [0, {k})")
     shift = logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits - shift)
+    exp = logits - shift
+    np.exp(exp, out=exp)
     denom = exp.sum(axis=1, keepdims=True)
-    lse = (shift + np.log(denom)).ravel()
-    rows = np.arange(n)
-    loss = float((lse - logits[rows, labels]).mean())
-    grad = exp / denom
-    grad[rows, labels] -= 1.0
-    return loss, grad / n
+    picked = np.arange(0, n * k, k) + labels
+    lse = np.log(denom).ravel()
+    lse += shift.ravel()
+    lse -= logits.ravel()[picked]
+    loss = float(lse.sum() / n)
+    exp /= denom
+    exp.ravel()[picked] -= 1.0
+    exp /= n
+    return loss, exp
 
 
 def _head_losses(params, attach_stages, acts, y_sub, y_supers, lambdas, lam):
-    sub_logits = acts[-1] @ params.sub_w + params.sub_b
+    """(total, subclass, per-structure) losses, the subclass logits, and
+    the unweighted logit gradients of every head."""
+    sub_logits = acts[-1] @ params.sub_w
+    sub_logits += params.sub_b
     sub_loss, sub_grad = _cross_entropy_grad(sub_logits, y_sub)
     per, grads = [], []
     for m, stage in enumerate(attach_stages):
-        logits = acts[stage] @ params.sup_w[m] + params.sup_b[m]
+        logits = acts[stage] @ params.sup_w[m]
+        logits += params.sup_b[m]
         loss_m, grad_m = _cross_entropy_grad(logits, y_supers[m])
         per.append(loss_m)
         grads.append(grad_m)
     total = (1.0 - lam) * sub_loss + sum(
         w * loss_m for w, loss_m in zip(lambdas, per)
     )
-    breakdown = LossBreakdown(total=total, subclass=sub_loss, per_structure=tuple(per))
-    return breakdown, sub_logits, sub_grad, grads
+    return (total, sub_loss, per), sub_logits, sub_grad, grads
 
 
 def _total_loss(params, attach_stages, x, y_sub, y_supers, lambdas, lam) -> float:
     acts = _trunk_acts(params.trunk_w, params.trunk_b, x)
-    breakdown, _, _, _ = _head_losses(
+    losses, _, _, _ = _head_losses(
         params, attach_stages, acts, y_sub, y_supers, lambdas, lam
     )
-    return breakdown.total
+    return losses[0]
 
 
 def _loss_and_grads(params, attach_stages, x, y_sub, y_supers, lambdas, lam):
-    """One forward/backward pass; returns (breakdown, grads, sub_logits).
+    """One forward/backward pass; returns (losses, sub_logits).
 
-    `grads` aligns with params.flat(). Head gradients enter the trunk at
-    their attach stage scaled by their loss weight, so a zero-weight head
+    `losses` is (total, subclass, per-structure list); the gradient is
+    written into params.grads. Head gradients enter the trunk at their
+    attach stage scaled by their loss weight, so a zero-weight head
     contributes exactly zero. `lam` is the total weight taken from the
-    subclass term.
+    subclass term. Each stage's activation gradient starts from its first
+    contribution and adds the rest in the fixed order subclass head,
+    superclass heads, stage above.
     """
     acts = _trunk_acts(params.trunk_w, params.trunk_b, x)
-    breakdown, sub_logits, sub_grad, super_grads = _head_losses(
+    losses, sub_logits, sub_grad, super_grads = _head_losses(
         params, attach_stages, acts, y_sub, y_supers, lambdas, lam
     )
 
-    d_acts = [np.zeros_like(a) for a in acts]
-    sub_scaled = (1.0 - lam) * sub_grad
-    g_sub_w = acts[-1].T @ sub_scaled
-    g_sub_b = sub_scaled.sum(axis=0)
-    d_acts[-1] += sub_scaled @ params.sub_w.T
-    g_sup_w, g_sup_b = [], []
+    d_acts = [None] * len(acts)
+
+    def add_back(stage, back):
+        if d_acts[stage] is None:
+            d_acts[stage] = back
+        else:
+            d_acts[stage] += back
+
+    g = params.grads
+    head = 2 * len(acts)  # where the subclass head's gradients start
+    sub_grad *= 1.0 - lam
+    np.matmul(acts[-1].T, sub_grad, out=g[head])
+    np.add.reduce(sub_grad, axis=0, out=g[head + 1])
+    d_acts[-1] = sub_grad @ params.sub_w.T
     for m, stage in enumerate(attach_stages):
-        scaled = lambdas[m] * super_grads[m]
-        g_sup_w.append(acts[stage].T @ scaled)
-        g_sup_b.append(scaled.sum(axis=0))
-        d_acts[stage] += scaled @ params.sup_w[m].T
+        scaled = super_grads[m]
+        scaled *= lambdas[m]
+        np.matmul(acts[stage].T, scaled, out=g[head + 2 + 2 * m])
+        np.add.reduce(scaled, axis=0, out=g[head + 3 + 2 * m])
+        add_back(stage, scaled @ params.sup_w[m].T)
 
-    g_trunk_w = [None] * len(acts)
-    g_trunk_b = [None] * len(acts)
     for s in range(len(acts) - 1, -1, -1):
-        d_pre = d_acts[s] * (1.0 - acts[s] * acts[s])
+        d_pre = acts[s] * acts[s]
+        np.subtract(1.0, d_pre, out=d_pre)
+        d_pre *= d_acts[s]
         below = acts[s - 1] if s > 0 else x
-        g_trunk_w[s] = below.T @ d_pre
-        g_trunk_b[s] = d_pre.sum(axis=0)
+        np.matmul(below.T, d_pre, out=g[2 * s])
+        np.add.reduce(d_pre, axis=0, out=g[2 * s + 1])
         if s > 0:
-            d_acts[s - 1] += d_pre @ params.trunk_w[s].T
-
-    grads = []
-    for gw, gb in zip(g_trunk_w, g_trunk_b):
-        grads += [gw, gb]
-    grads += [g_sub_w, g_sub_b]
-    for gw, gb in zip(g_sup_w, g_sup_b):
-        grads += [gw, gb]
-    return breakdown, grads, sub_logits
+            add_back(s - 1, d_pre @ params.trunk_w[s].T)
+    return losses, sub_logits
 
 
 def forward(model: FusionModel, x):
@@ -474,11 +509,13 @@ def multi_task_loss(outputs, subclass_labels, superclass_labels, config) -> Loss
             f"{len(super_logits)} head outputs"
         )
     y_sub = np.atleast_1d(np.asarray(subclass_labels, dtype=np.int64))
+    _check_labels(y_sub, sub_logits.shape[1])
     sub_loss, _ = _cross_entropy_grad(sub_logits, y_sub)
     per = []
     for logits, labels in zip(super_logits, superclass_labels):
         logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
         labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+        _check_labels(labels, logits.shape[1])
         loss_m, _ = _cross_entropy_grad(logits, labels)
         per.append(loss_m)
     total = (1.0 - config.lambda_total) * sub_loss + sum(
@@ -500,6 +537,8 @@ def train(
     comes from a dedicated shuffle stream, updates apply in a fixed
     parameter order. History rows are per-epoch sample means of the batch
     losses (measured before each update) and the running train accuracy.
+    Labels are range-checked once here, not per batch; each epoch gathers
+    its shuffled rows once and every batch is a slice of that copy.
     """
     if len(structures) != config.structure_count:
         raise InvalidConfig(
@@ -523,45 +562,52 @@ def train(
         subclass_names=subclass_names,
     )
     params = _Params(model)
-    m_count = len(structures)
     y_sub = table.labels
-    y_supers = [np.asarray(s.parent_index)[y_sub] for s in structures]
+    y_supers = np.array(
+        [np.asarray(s.parent_index)[y_sub] for s in structures], dtype=np.int64
+    ).reshape(len(structures), table.count)
     lambdas = config.lambdas
+    lam = config.lambda_total
+    step = config.learning_rate
+    batch = config.batch_size
     shuffle = rng_from_seed(derive_seed(config.seed, _STREAM_SHUFFLE))
     n = table.count
 
     hist_total = np.zeros(config.epochs)
     hist_sub = np.zeros(config.epochs)
-    hist_super = np.zeros((config.epochs, m_count))
+    hist_super = np.zeros((config.epochs, len(structures)))
     hist_acc = np.zeros(config.epochs)
+    predicted = np.empty(n, dtype=np.int64)
     for epoch in range(config.epochs):
         order = shuffle.permutation(n)
+        xs = table.features[order]
+        ys = y_sub[order]
+        yss = y_supers[:, order]
         total_sum = sub_sum = 0.0
-        super_sum = np.zeros(m_count)
-        correct = 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            bx = table.features[idx]
-            by = y_sub[idx]
-            bys = [labels[idx] for labels in y_supers]
-            breakdown, grads, sub_logits = _loss_and_grads(
-                params, config.attach_stages, bx, by, bys, lambdas,
-                config.lambda_total,
+        super_sums = [0.0] * len(structures)
+        for start in range(0, n, batch):
+            stop = start + batch
+            by = ys[start:stop]
+            size = by.size
+            (total, sub_loss, per), sub_logits = _loss_and_grads(
+                params, config.attach_stages, xs[start:stop], by,
+                yss[:, start:stop], lambdas, lam,
             )
-            if not math.isfinite(breakdown.total):
+            if not math.isfinite(total):
                 raise DivergedLoss(
                     f"non-finite loss at epoch {epoch}, sample {start}"
                 )
-            correct += int(np.count_nonzero(sub_logits.argmax(axis=1) == by))
-            total_sum += breakdown.total * idx.size
-            sub_sum += breakdown.subclass * idx.size
-            super_sum += np.asarray(breakdown.per_structure) * idx.size
-            for arr, grad in zip(params.flat(), grads):
-                arr -= config.learning_rate * grad
+            predicted[start:stop] = sub_logits.argmax(axis=1)
+            total_sum += total * size
+            sub_sum += sub_loss * size
+            for m, loss_m in enumerate(per):
+                super_sums[m] += loss_m * size
+            params.grad *= step
+            params.values -= params.grad
         hist_total[epoch] = total_sum / n
         hist_sub[epoch] = sub_sum / n
-        hist_super[epoch] = super_sum / n
-        hist_acc[epoch] = correct / n
+        hist_super[epoch] = [v / n for v in super_sums]
+        hist_acc[epoch] = np.count_nonzero(predicted == ys) / n
 
     trained = FusionModel(
         trunk_weights=tuple(params.trunk_w),
@@ -622,18 +668,18 @@ def gradient_check(
     y_sub = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     if x.shape[1] != model.input_dim or x.shape[0] != y_sub.size:
         raise DimensionMismatch("features/labels disagree with the model")
+    _check_labels(y_sub, model.subclass_count)
     y_supers = [np.asarray(s.parent_index)[y_sub] for s in structures]
+    for labels, count in zip(y_supers, model.superclass_counts):
+        _check_labels(labels, count)
     lambdas = config.lambdas
     params = _Params(model)
-    _, grads, _ = _loss_and_grads(
+    _loss_and_grads(
         params, config.attach_stages, x, y_sub, y_supers, lambdas,
         config.lambda_total,
     )
 
-    arrays = params.flat()
-    sizes = [a.size for a in arrays]
-    offsets = np.cumsum([0] + sizes)
-    total = int(offsets[-1])
+    total = params.values.size
     if total <= sample_size:
         chosen = np.arange(total)
     else:
@@ -641,24 +687,21 @@ def gradient_check(
         chosen = np.sort(rng.choice(total, size=sample_size, replace=False))
 
     max_err = 0.0
-    for flat_index in chosen:
-        which = int(np.searchsorted(offsets, flat_index, side="right")) - 1
-        inner = int(flat_index - offsets[which])
-        arr = arrays[which]
-        original = arr.flat[inner]
-        arr.flat[inner] = original + epsilon
+    for i in chosen:
+        original = params.values[i]
+        params.values[i] = original + epsilon
         above = _total_loss(
             params, config.attach_stages, x, y_sub, y_supers, lambdas,
             config.lambda_total,
         )
-        arr.flat[inner] = original - epsilon
+        params.values[i] = original - epsilon
         below = _total_loss(
             params, config.attach_stages, x, y_sub, y_supers, lambdas,
             config.lambda_total,
         )
-        arr.flat[inner] = original
+        params.values[i] = original
         numeric = (above - below) / (2.0 * epsilon)
-        analytic = grads[which].flat[inner]
+        analytic = params.grad[i]
         err = abs(analytic - numeric) / max(1.0, abs(analytic) + abs(numeric))
         max_err = max(max_err, err)
     return max_err

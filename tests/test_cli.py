@@ -103,7 +103,7 @@ def test_build_structure_k_out_of_range(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("k", "abc"), ("k", "2.5"), ("k", "true"),
-    ("seed", "x"), ("seed", "1.7"), ("seed", "false"),
+    ("seed", "x"), ("seed", "1.7"), ("seed", "false"), ("seed", "-2"),
     ("delta", "abc"), ("delta", "nan"), ("delta", "NaN"), ("delta", "Infinity"),
     ("delta", "0"), ("delta", "true"),
 ])
@@ -401,3 +401,171 @@ def test_section_seed_derivation():
     assert pinned.synthetic.seed == 7
     with pytest.raises(Exception):
         experiment_config_from_dict({"split": {"fraction": 2.0}})
+
+
+# -- sweep: up-front typing, one parse per source, no stale artifact ----------
+
+@pytest.mark.parametrize("axis, values, seeds", [
+    ("lambda", '0.1,"a"', "1"),
+    ("lambda", "NaN", "1"),
+    ("lambda", "true", "1"),
+    ("lambda", "0.2", '"x"'),
+    ("lambda", "0.2", "1.7"),
+    ("lambda", "0.2", "false"),
+    ("lambda", "0.2", "-1"),
+    ("k", "2.5", "1"),
+    ("attach_stage", "0.5", "1"),
+])
+def test_sweep_rejects_bad_values_and_seeds(tmp_path, capsys, axis, values, seeds):
+    data = gen_dataset(tmp_path)
+    out = tmp_path / "bad"
+    raw = sweep_base(tmp_path, data, out)
+    if axis == "k":
+        del raw["structures"]
+    config = write_config(tmp_path / "bad.json", raw)
+    capsys.readouterr()
+    assert run("sweep", "--config", config, "--axis", axis,
+               "--values", values, "--seeds", seeds) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep ")
+    assert "must be" in err
+    assert err.count("\n") == 1
+    assert not list(out.glob("sweep_*.csv"))
+    assert not out.exists()
+
+
+def test_failed_sweep_leaves_no_csv(tmp_path, capsys):
+    data = gen_dataset(tmp_path)
+    out = tmp_path / "failed"
+    raw = sweep_base(tmp_path, data, out)
+    del raw["structures"]
+    raw["model"] = dict(MODEL, attach_stages=[], epochs=1)
+    config = write_config(tmp_path / "failed.json", raw)
+    capsys.readouterr()
+    assert run("sweep", "--config", config, "--axis", "k", "--values", "2") == 1
+    assert "config expects 0 structures, got 1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_sweep_failing_after_written_rows_leaves_no_file(tmp_path, capsys):
+    data = gen_dataset(tmp_path)
+    out = tmp_path / "late"
+    raw = sweep_base(tmp_path, data, out)
+    del raw["structures"]
+    config = write_config(tmp_path / "late.json", raw)
+    capsys.readouterr()
+    # k=2 runs and streams its rows; k=9 exceeds the 4 classes and fails
+    assert run("sweep", "--config", config, "--axis", "k", "--values", "2,9") == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(out.iterdir()) == []
+
+
+def sweep_rows(path):
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    return {
+        tuple(cells[:2]): dict(zip(header[2:], map(float, cells[2:])))
+        for cells in (line.split(",") for line in lines[1:])
+    }
+
+
+def train_evaluate_report(tmp_path, raw, seed, lam, tag):
+    """report.json of `train` then `evaluate` under one sweep run's config."""
+    fit, scored = tmp_path / f"{tag}_fit", tmp_path / f"{tag}_eval"
+    config = write_config(tmp_path / f"{tag}.json", dict(
+        raw,
+        seed=seed,
+        model=dict(raw["model"], lambda_total=lam, lambda_split=None),
+        checkpoint=str(fit / "model.ckpt"),
+    ))
+    assert run("train", "--config", config, "--out", str(fit)) == 0
+    assert run("evaluate", "--config", config, "--out", str(scored)) == 0
+    return json.loads((scored / "report.json").read_text())
+
+
+HARD_SYNTH = dict(SYNTH, samples_per_subclass=20, superclass_separation=3.0,
+                  subclass_separation=1.0, noise_scale=1.5)
+
+
+@pytest.mark.parametrize("source", ["features", "synthetic"])
+def test_sweep_rows_match_train_then_evaluate(tmp_path, source):
+    data = gen_dataset(tmp_path)
+    out = tmp_path / "swept"
+    raw = sweep_base(tmp_path, data, out)
+    if source == "synthetic":
+        # no pinned synthetic seed: each run's master seed draws new data
+        del raw["features"], raw["names_from"]
+        raw["synthetic"] = HARD_SYNTH
+    raw.pop("out")
+    config = write_config(tmp_path / "sweep.json", raw)
+    assert run("sweep", "--config", config, "--out", str(out), "--axis",
+               "lambda", "--values", "0.0,0.3", "--seeds", "1,2") == 0
+    rows = sweep_rows(out / "sweep_lambda.csv")
+    for value, lam in (("0", 0.0), ("0.29999999999999999", 0.3)):
+        for seed in (1, 2):
+            report = train_evaluate_report(
+                tmp_path, raw, seed, lam, f"{source}_{seed}_{value}"
+            )
+            row = rows[(value, str(seed))]
+            assert row == {column: report[column] for column in row}
+    if source == "synthetic":
+        assert rows[("0", "1")] != rows[("0", "2")]
+
+
+def test_features_sweep_parses_the_file_once(tmp_path, monkeypatch):
+    import hierfusion.cli as cli
+
+    calls = {"load": 0, "split": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "load_feature_table",
+                        counted("load", cli.load_feature_table))
+    monkeypatch.setattr(cli, "train_test_split",
+                        counted("split", cli.train_test_split))
+    data = gen_dataset(tmp_path)
+    out = tmp_path / "once"
+    config = write_config(tmp_path / "once.json", sweep_base(tmp_path, data, out))
+    assert run("sweep", "--config", config, "--axis", "lambda",
+               "--values", "0.0,0.2,0.4", "--seeds", "1,2") == 0
+    assert calls == {"load": 1, "split": 6}
+    assert len((out / "sweep_lambda.csv").read_text().splitlines()) == 1 + 3 * 3
+
+
+@pytest.mark.parametrize("config_patch, flag, value, message", [
+    ({}, "--split.seed", "1.7", "split seed must be an integer"),
+    ({}, "--split.seed", "x", "split seed must be an integer"),
+    ({}, "--split.seed", "true", "split seed must be an integer"),
+    ({}, "--split.seed", "-3", "split seed must be a non-negative integer"),
+    ({}, "--split.fraction", "abc", "split fraction must be a finite number"),
+    ({}, "--split.fraction", "NaN", "split fraction must be a finite number"),
+    ({}, "--split.fraction", "true", "split fraction must be a finite number"),
+    ({"seed": "x"}, None, None, "seed must be an integer"),
+    ({"seed": 1.5}, None, None, "seed must be an integer"),
+    ({"seed": True}, None, None, "seed must be an integer"),
+    ({"seed": -1}, None, None, "seed must be a non-negative integer"),
+])
+def test_master_and_split_seeds_are_typed(tmp_path, capsys, config_patch, flag,
+                                          value, message):
+    data = gen_dataset(tmp_path)
+    out = tmp_path / "built"
+    config = write_config(tmp_path / "build.json", {
+        "features": str(data / "features.csv"),
+        "split": {"fraction": 0.5},
+        "builder": {"k": 2},
+        "out": str(out),
+        **config_patch,
+    })
+    argv = ["build-structure", "--config", config]
+    if flag is not None:
+        argv += [flag, value]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()

@@ -545,3 +545,21 @@ def test_history_csv_format(tmp_path):
     assert first[0] == "0"
     assert float(first[1]) == history.total_loss[0]
     assert float(first[4]) == history.train_accuracy[0]
+
+
+@pytest.mark.parametrize("bad", [N_SUB, -1])
+def test_gradient_check_rejects_out_of_range_labels(bad):
+    # Labels are checked once on entry, not per batch; a label of N_SUB
+    # must not read the next sample's logit through the flat gather.
+    config = FusionConfig(stage_dims=(5, 4), attach_stages=(0,),
+                          lambda_total=0.2, seed=3)
+    model = init_model(config, N_SUB, ONE, input_dim=3)
+    x = np.ones((3, 3))
+    y = np.array([0, bad, 1])
+    with pytest.raises(LabelOutOfRange):
+        gradient_check(model, x, y, ONE, config)
+    headless = FusionConfig(stage_dims=(5, 4), seed=3)
+    model = init_model(headless, N_SUB, NONE, input_dim=3,
+                       subclass_names=SUB_NAMES)
+    with pytest.raises(LabelOutOfRange):
+        gradient_check(model, x, y, NONE, headless)
