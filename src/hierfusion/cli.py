@@ -21,7 +21,6 @@ import argparse
 import copy
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,7 +55,7 @@ from .rng import (
     STREAM_SYNTHETIC,
     derive_seed,
 )
-from .serialization import dump_json, format_float
+from .serialization import atomic_text_writer, dump_json, format_float
 from .structure_builder import build_visual_structure
 from .taxonomy import StructureSet, load_structure, save_structure
 
@@ -136,6 +135,56 @@ def _config_real(value, field: str) -> float:
     return float(value)
 
 
+def _config_list(convert):
+    """The config type of a list whose entries each pass `convert`."""
+
+    def typed(value, field: str) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise InvalidConfig(f"{field} must be a list, got {value!r}")
+        return tuple(convert(v, f"{field} entry") for v in value)
+
+    return typed
+
+
+_SYNTHETIC_TYPES = {
+    "superclass_count": _config_int,
+    "subclasses_per_superclass": _config_int,
+    "samples_per_subclass": _config_int,
+    "dim": _config_int,
+    "superclass_separation": _config_real,
+    "subclass_separation": _config_real,
+    "noise_scale": _config_real,
+    "seed": _config_seed,
+}
+_MODEL_TYPES = {
+    "stage_dims": _config_list(_config_int),
+    "attach_stages": _config_list(_config_int),
+    "lambda_total": _config_real,
+    "lambda_split": _config_list(_config_real),
+    "learning_rate": _config_real,
+    "epochs": _config_int,
+    "batch_size": _config_int,
+    "seed": _config_seed,
+}
+
+
+def _typed_section(section, name: str, types: dict) -> dict:
+    """A copy of a config section with every known field typed.
+
+    Only a seed (derived from the master seed) and `model.lambda_split`
+    (an equal split) may be null; fields the table does not know are left
+    for the section's own unknown-field check.
+    """
+    if not isinstance(section, dict):
+        raise InvalidConfig(f"'{name}' must be an object")
+    return {
+        key: value
+        if key not in types or (value is None and key in ("seed", "lambda_split"))
+        else types[key](value, f"{name} {key}")
+        for key, value in section.items()
+    }
+
+
 def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate the config document and resolve derived section seeds.
 
@@ -151,10 +200,7 @@ def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
 
     synthetic = None
     if raw.get("synthetic") is not None:
-        section = raw["synthetic"]
-        if not isinstance(section, dict):
-            raise InvalidConfig("'synthetic' must be an object")
-        section = dict(section)
+        section = _typed_section(raw["synthetic"], "synthetic", _SYNTHETIC_TYPES)
         if section.get("seed") is None:
             section["seed"] = derive_seed(master, STREAM_SYNTHETIC)
         try:
@@ -211,7 +257,7 @@ def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
         else _config_seed(section["seed"], "builder seed"),
     )
 
-    section = dict(raw.get("model") or {})
+    section = _typed_section(raw.get("model") or {}, "model", _MODEL_TYPES)
     if section.get("seed") is None:
         section["seed"] = derive_seed(master, STREAM_MODEL)
     model = config_from_dict(section)
@@ -443,9 +489,7 @@ def cmd_sweep(config: ExperimentConfig, raw: dict, axis, values, seeds) -> None:
         for value in values
     ]
 
-    out = _out_dir(config)
-    path = out / f"sweep_{axis}.csv"
-    partial = out / f".{path.name}.partial"
+    path = _out_dir(config) / f"sweep_{axis}.csv"
     header = [_AXIS_COLUMNS[axis], "seed"] + list(_METRIC_COLUMNS)
     # Axes never touch the structure files, so every run shares them and
     # their name table; a data source is then keyed by its resolved spec.
@@ -453,30 +497,25 @@ def cmd_sweep(config: ExperimentConfig, raw: dict, axis, values, seeds) -> None:
     names_hint = structures.subclass_names if len(structures) else None
     sources = {}
     mean_by_value = []
-    try:
-        with open(partial, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for value, value_runs in zip(values, runs):
-                reports = []
-                for seed, cfg in value_runs:
-                    key = (cfg.synthetic, cfg.features, cfg.names_from)
-                    if key not in sources:
-                        sources[key] = _load_table(cfg, names_hint)
-                    table, names, _ = sources[key]
-                    report = _sweep_run(axis, cfg, structures, table, names)
-                    reports.append(report.to_dict())
-                    fh.write(_sweep_row(value, str(seed), reports[-1]) + "\n")
-                    fh.flush()
-                mean = {
-                    column: sum(r[column] for r in reports) / len(reports)
-                    for column in _METRIC_COLUMNS
-                }
-                mean_by_value.append((value, mean))
-                fh.write(_sweep_row(value, "mean", mean) + "\n")
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    with atomic_text_writer(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for value, value_runs in zip(values, runs):
+            reports = []
+            for seed, cfg in value_runs:
+                key = (cfg.synthetic, cfg.features, cfg.names_from)
+                if key not in sources:
+                    sources[key] = _load_table(cfg, names_hint)
+                table, names, _ = sources[key]
+                report = _sweep_run(axis, cfg, structures, table, names)
+                reports.append(report.to_dict())
+                fh.write(_sweep_row(value, str(seed), reports[-1]) + "\n")
+                fh.flush()
+            mean = {
+                column: sum(r[column] for r in reports) / len(reports)
+                for column in _METRIC_COLUMNS
+            }
+            mean_by_value.append((value, mean))
+            fh.write(_sweep_row(value, "mean", mean) + "\n")
     _note(f"wrote {path}")
     if axis == "k":
         best = max(mean_by_value, key=lambda pair: pair[1]["accuracy"])

@@ -7,7 +7,10 @@ construction; the synthetic generator plants a known 3-level hierarchy for
 desk-scale experiments.
 """
 
+import itertools
 import math
+import re
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +24,7 @@ from .exceptions import (
     UnknownLabel,
 )
 from .rng import rng_from_seed
-from .serialization import format_float
+from .serialization import atomic_text_writer
 from .taxonomy import LabelStructure, validate_structure
 
 
@@ -213,6 +216,8 @@ def train_test_split(
     """
     if not 0.0 < fraction < 1.0:
         raise InvalidSpec("fraction must lie strictly between 0 and 1")
+    if table.count == 0:
+        raise ClassTooSmall(0, "empty table has no rows to split")
     rng = rng_from_seed(seed)
     train_idx, test_idx = [], []
     for c in np.unique(table.labels):
@@ -236,27 +241,54 @@ def train_test_split(
 
 # -- feature files ----------------------------------------------------------
 
+# Rows are converted to Python floats this many at a time when writing, so
+# the writer never holds more than one block of them.
+_WRITE_BLOCK_ROWS = 1024
+
+
 def save_feature_table(table: FeatureTable, subclass_names, path) -> None:
     """Write the CSV feature format: header ``label,f0..``, one row each.
 
-    Floats carry 17 significant digits so the file round-trips bit-exactly.
+    Floats carry 17 significant digits (the ``%.17g`` text of
+    :func:`format_float`) so the file round-trips bit-exactly. The rows go
+    to a temporary file in the target directory that replaces `path` only
+    once complete; on any error it is deleted and `path` is left as it was.
     """
     names = tuple(subclass_names)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    if table.count and int(table.labels.max()) >= len(names):
+        raise UnknownLabel(
+            f"label id {int(table.labels.max())} outside the "
+            f"{len(names)}-name subclass table"
+        )
+    row_format = "%s" + ",%.17g" * table.dim + "\n"
+    with atomic_text_writer(path) as fh:
         fh.write("label," + ",".join(f"f{j}" for j in range(table.dim)) + "\n")
-        for row, label in zip(table.features, table.labels):
-            fh.write(
-                names[int(label)]
-                + ","
-                + ",".join(format_float(v) for v in row)
-                + "\n"
+        for start in range(0, table.count, _WRITE_BLOCK_ROWS):
+            stop = start + _WRITE_BLOCK_ROWS
+            fh.writelines(
+                row_format % (names[label], *values)
+                for label, values in zip(
+                    table.labels[start:stop].tolist(),
+                    table.features[start:stop].tolist(),
+                )
             )
 
 
 def load_feature_table(path, subclass_names) -> FeatureTable:
-    """Parse a feature file, resolving labels against the name table."""
+    """Parse a feature file, resolving labels against the name table.
+
+    One streaming pass: each non-blank line has its label and cell count
+    checked here, and its cells go on to a single ``np.loadtxt``. A cell
+    is an ASCII decimal float (``1.5``, ``-2e-3``, ``nan`` and ``inf``
+    parse, then fail the finiteness check); ``#`` is not a comment, and
+    digit separators (``1_0``) or non-ASCII digits are MalformedRow. Every
+    error names the offending line as ``path:line``; blank lines are
+    skipped and do not count as rows, so the line of each row is recorded
+    as it is read.
+    """
     name_to_id = {str(n): i for i, n in enumerate(subclass_names)}
-    features, labels = [], []
+    labels = array("q")
+    linenos = array("q")
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("label,"):
@@ -264,27 +296,58 @@ def load_feature_table(path, subclass_names) -> FeatureTable:
         dim = len(header.rstrip("\n").split(",")) - 1
         if dim < 1:
             raise MalformedRow(f"{path}: header declares no feature columns")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != dim + 1:
-                raise DimensionMismatch(
-                    f"{path}:{lineno}: expected {dim} features, got {len(cells) - 1}"
-                )
-            label = cells[0]
-            if label not in name_to_id:
-                raise UnknownLabel(f"{path}:{lineno}: unknown label {label!r}")
-            try:
-                values = [float(v) for v in cells[1:]]
-            except ValueError as exc:
-                raise MalformedRow(f"{path}:{lineno}: {exc}") from exc
-            if not all(math.isfinite(v) for v in values):
-                raise NonFiniteValue(f"{path}:{lineno}: non-finite feature value")
-            labels.append(name_to_id[label])
-            features.append(values)
-    return FeatureTable(
-        features=np.array(features, dtype=np.float64).reshape(len(labels), dim),
-        labels=np.array(labels, dtype=np.int64),
+
+        def cells():
+            for lineno, line in enumerate(fh, start=2):
+                if line == "\n":
+                    continue
+                label, sep, rest = line.partition(",")
+                got = rest.count(",") + 1 if sep else 0
+                if got != dim:
+                    raise DimensionMismatch(
+                        f"{path}:{lineno}: expected {dim} features, got {got}"
+                    )
+                if rest in ("", "\n"):  # loadtxt would skip it as a blank line
+                    raise MalformedRow(f"{path}:{lineno}: empty feature cell")
+                label_id = name_to_id.get(label)
+                if label_id is None:
+                    raise UnknownLabel(f"{path}:{lineno}: unknown label {label!r}")
+                labels.append(label_id)
+                linenos.append(lineno)
+                yield rest
+
+        rows = cells()
+        first = next(rows, None)
+        if first is None:
+            return FeatureTable(np.empty((0, dim)), np.empty(0, dtype=np.int64))
+        try:
+            features = np.loadtxt(
+                itertools.chain((first,), rows),
+                delimiter=",",
+                comments=None,
+                dtype=np.float64,
+                ndmin=2,
+            )
+        except ValueError as exc:
+            # loadtxt converts each line as it is pulled from `rows`, so the
+            # line that failed is the last one recorded.
+            reason = _loadtxt_reason(exc)
+            raise MalformedRow(f"{path}:{linenos[-1]}: {reason}") from exc
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise NonFiniteValue(f"{path}:{linenos[row]}: non-finite feature value")
+    return FeatureTable(features=features, labels=np.frombuffer(labels, np.int64))
+
+
+def _loadtxt_reason(exc: ValueError) -> str:
+    """loadtxt's message with its position given as the feature column.
+
+    loadtxt counts rows rather than file lines, and counts columns from 1
+    after the label, so ``at row 7, column 1`` becomes ``in column f0``.
+    """
+    return re.sub(
+        r" at row \d+, column (\d+)\.?$",
+        lambda m: f" in column f{int(m[1]) - 1}",
+        str(exc),
     )

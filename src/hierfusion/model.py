@@ -27,6 +27,7 @@ import numpy as np
 
 from .exceptions import (
     CheckpointError,
+    ClassTooSmall,
     DimensionMismatch,
     DivergedLoss,
     InvalidConfig,
@@ -544,6 +545,8 @@ def train(
         raise InvalidConfig(
             f"config expects {config.structure_count} structures, got {len(structures)}"
         )
+    if table.count == 0:
+        raise ClassTooSmall(0, "empty table has no rows to train on")
     if len(structures):
         subclass_count = structures.subclass_count
     elif subclass_names is not None:

@@ -5,7 +5,10 @@ digits, which round-trips float64 exactly and makes files byte-identical
 across runs and comparable across implementations.
 """
 
+import contextlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -13,6 +16,26 @@ import numpy as np
 def format_float(x: float) -> str:
     """Shortest-faithful decimal: 17 significant digits."""
     return format(float(x), ".17g")
+
+
+@contextlib.contextmanager
+def atomic_text_writer(path):
+    """Yield a UTF-8 text handle whose content replaces `path` on success.
+
+    Writes go to the hidden ``.<name>.partial`` beside `path`, which
+    ``os.replace`` moves onto `path` once the block exits cleanly and which
+    is deleted on any error, so an interrupted write never leaves a
+    truncated file under the final name.
+    """
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def dump_json(value, *, indent: int = 2) -> str:

@@ -135,10 +135,18 @@ def validate_structure(
 
     `parent_of` maps subclass name -> superclass name. Every subclass must
     appear exactly once, every referenced superclass must be declared, and
-    every declared superclass must have at least one child.
+    every declared superclass must have at least one child. Names must be
+    writable as CSV cells that read back unchanged: no ``,``, ``\n`` or
+    ``\r``, and no leading or trailing whitespace.
     """
     superclasses = tuple(str(s) for s in superclasses)
     subclass_names = tuple(str(s) for s in subclass_names)
+    for n in subclass_names + superclasses:
+        if n != n.strip() or any(c in n for c in ",\n\r"):
+            raise StructureError(
+                f"structure {name!r}: name {n!r} has a ',', a line break, "
+                "or leading or trailing whitespace"
+            )
 
     if len(set(subclass_names)) != len(subclass_names):
         seen = set()

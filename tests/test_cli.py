@@ -569,3 +569,86 @@ def test_master_and_split_seeds_are_typed(tmp_path, capsys, config_patch, flag,
     assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("gen-synthetic", "--synthetic.seed", "-1",
+     "synthetic seed must be a non-negative integer"),
+    ("gen-synthetic", "--synthetic.seed", "1.5", "synthetic seed must be an integer"),
+    ("gen-synthetic", "--synthetic.dim", "2.5", "synthetic dim must be an integer"),
+    ("gen-synthetic", "--synthetic.superclass_count", "true",
+     "synthetic superclass_count must be an integer"),
+    ("gen-synthetic", "--synthetic.noise_scale", "abc",
+     "synthetic noise_scale must be a finite number"),
+    ("gen-synthetic", "--synthetic.subclass_separation", "NaN",
+     "synthetic subclass_separation must be a finite number"),
+    ("gen-synthetic", "--synthetic", "3", "'synthetic' must be an object"),
+    ("train", "--model.seed", "-1", "model seed must be a non-negative integer"),
+    ("train", "--model.seed", "1.5", "model seed must be an integer"),
+    ("train", "--model.lambda_total", "abc",
+     "model lambda_total must be a finite number"),
+    ("train", "--model.stage_dims", "3", "model stage_dims must be a list"),
+    ("train", "--model.stage_dims", "[8, 2.5]",
+     "model stage_dims entry must be an integer"),
+    ("train", "--model.attach_stages", "[true]",
+     "model attach_stages entry must be an integer"),
+    ("train", "--model.lambda_split", "[\"x\"]",
+     "model lambda_split entry must be a finite number"),
+    ("train", "--model.learning_rate", "Infinity",
+     "model learning_rate must be a finite number"),
+    ("train", "--model.epochs", "null", "model epochs must be an integer"),
+    ("train", "--model.batch_size", "\"8\"", "model batch_size must be an integer"),
+    ("train", "--model", "[1]", "'model' must be an object"),
+])
+def test_synthetic_and_model_fields_are_typed(tmp_path, capsys, command, flag,
+                                              value, message):
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "c.json", {
+        "synthetic": SYNTH,
+        "model": MODEL,
+        "out": str(out),
+    })
+    capsys.readouterr()
+    assert run(command, "--config", config, flag, value) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_integral_float_model_fields_keep_checkpoint_bytes(tmp_path):
+    data = gen_dataset(tmp_path)
+    ckpts = []
+    for tag, model in (("int", MODEL), ("float", dict(MODEL, epochs=3.0,
+                                                       stage_dims=[8.0, 4]))):
+        out = tmp_path / tag
+        config = write_config(tmp_path / f"{tag}.json", {
+            "features": str(data / "features.csv"),
+            "model": model,
+            "out": str(out),
+        })
+        assert run("train", "--config", config) == 0
+        ckpts.append((out / "model.ckpt").read_bytes())
+    assert ckpts[0] == ckpts[1]
+
+
+@pytest.mark.parametrize("split, message", [
+    ({"fraction": 0.5}, "empty table has no rows to split"),
+    (None, "empty table has no rows to train on"),
+])
+def test_train_on_a_header_only_csv_is_a_typed_error(tmp_path, capsys, split,
+                                                     message):
+    data = gen_dataset(tmp_path)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("label,f0,f1,f2,f3,f4,f5\n")
+    config = write_config(tmp_path / "c.json", {
+        "features": str(empty),
+        "names_from": str(data / "structure_planted.json"),
+        "split": split,
+        "model": MODEL,
+        "out": str(tmp_path / "out"),
+    })
+    capsys.readouterr()
+    assert run("train", "--config", config) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"

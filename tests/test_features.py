@@ -1,7 +1,13 @@
 """Feature tables, class statistics, synthetic data, splits, and CSV I/O."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hierfusion.exceptions import (
     ClassTooSmall,
@@ -20,6 +26,7 @@ from hierfusion.features import (
     save_feature_table,
     train_test_split,
 )
+from hierfusion.serialization import atomic_text_writer, format_float
 
 
 def table_of(features, labels):
@@ -237,6 +244,11 @@ def test_split_rejects_empty_sides():
         train_test_split(t, 1.0, seed=0)
 
 
+def test_split_rejects_an_empty_table():
+    with pytest.raises(ClassTooSmall, match="empty table"):
+        train_test_split(table_of(np.zeros((0, 3)), []), 0.5, seed=0)
+
+
 # -- CSV round trip -----------------------------------------------------------
 
 NAMES = ("cat", "dog", "car")
@@ -276,4 +288,151 @@ def test_csv_load_reports_line_numbers(tmp_path):
 
     path.write_text("f0,f1\n1.0,2.0\n")
     with pytest.raises(MalformedRow):
+        load_feature_table(path, NAMES)
+
+
+def test_csv_header_only_file_is_an_empty_table(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("label,f0,f1\n\n")
+    table = load_feature_table(path, NAMES)
+    assert table.features.shape == (0, 2)
+    assert table.labels.shape == (0,)
+
+
+def test_csv_write_leaves_no_partial_file(tmp_path):
+    path = tmp_path / "feats.csv"
+    save_feature_table(table_of(np.ones((3, 2)), [0, 1, 2]), NAMES, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["feats.csv"]
+
+
+def test_csv_write_refuses_a_label_outside_the_name_table(tmp_path):
+    path = tmp_path / "feats.csv"
+    path.write_text("previous contents\n")
+    with pytest.raises(UnknownLabel, match="label id 3"):
+        save_feature_table(table_of(np.ones((2, 1)), [0, 3]), NAMES, path)
+    assert path.read_text() == "previous contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["feats.csv"]
+
+
+def test_atomic_writer_keeps_the_old_file_on_error(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_text_writer(path) as fh:
+            fh.write("half written")
+            raise RuntimeError("interrupted")
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    with atomic_text_writer(path) as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+
+
+# Every finite float64 bit pattern class: normals, subnormals, +-0.0 and
+# +-max finite. Raw 64-bit patterns cover the exponent range evenly; the
+# edge values are mixed in because raw bits rarely hit them.
+_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 0.1, 1.0 / 3.0)
+
+
+@st.composite
+def _tables(draw):
+    dim = draw(st.integers(1, 300))
+    rows = draw(st.integers(1, 4))
+    bits = draw(hnp.arrays(np.uint64, (rows, dim)))
+    edges = draw(hnp.arrays(np.float64, (rows, dim),
+                            elements=st.sampled_from(_EDGE_VALUES)))
+    use_edge = draw(hnp.arrays(np.bool_, (rows, dim)))
+    values = bits.view(np.float64)
+    values = np.where(use_edge | ~np.isfinite(values), edges, values)
+    labels = draw(hnp.arrays(np.int64, rows,
+                             elements=st.integers(0, len(NAMES) - 1)))
+    return table_of(values, labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tables())
+def test_csv_round_trip_is_bit_exact_for_any_finite_bits(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "feats.csv"
+        save_feature_table(table, NAMES, path)
+        back = load_feature_table(path, NAMES)
+    assert back.features.view(np.uint64).tobytes() == \
+        table.features.view(np.uint64).tobytes()
+    assert np.array_equal(back.labels, table.labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tables())
+def test_csv_row_text_is_format_float_of_every_value(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "feats.csv"
+        save_feature_table(table, NAMES, path)
+        lines = path.read_bytes().decode("utf-8").split("\n")
+    assert lines[-1] == ""
+    for line, values, label in zip(lines[1:-1], table.features, table.labels):
+        assert line.split(",") == [NAMES[label]] + [format_float(v) for v in values]
+
+
+# Rows past numpy's 50 000-row loadtxt chunk, behind blank lines, so a row
+# index can never pass for a line number.
+_LEAD_ROWS = 50_003
+
+
+def _long_file(tmp_path, bad_row):
+    """Header, 3 blank lines, 50 003 good rows with a blank line every
+    10 000, then `bad_row`; returns (path, line number of `bad_row`)."""
+    lines = ["label,f0,f1", "", "", ""]
+    for i in range(_LEAD_ROWS):
+        if i % 10_000 == 0:
+            lines.append("")
+        lines.append(f"{NAMES[i % 3]},{i}.5,-{i}")
+    lines.append(bad_row)
+    lines += ["dog,1,2", ""]
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(lines))
+    return path, lines.index(bad_row) + 1
+
+
+@pytest.mark.parametrize("bad_row, error", [
+    ("cat,1.0", DimensionMismatch),
+    ("cat,1.0,2.0,3.0", DimensionMismatch),
+    ("zebra,1.0,2.0", UnknownLabel),
+    ("cat,1.0,oops", MalformedRow),
+    ("cat,,2.0", MalformedRow),
+    ("cat,1.0,nan", NonFiniteValue),
+    ("cat,-inf,2.0", NonFiniteValue),
+    ("cat,1e999,2.0", NonFiniteValue),
+])
+def test_csv_errors_name_the_exact_line_past_a_loadtxt_chunk(tmp_path, bad_row,
+                                                            error):
+    path, lineno = _long_file(tmp_path, bad_row)
+    assert lineno == 1 + 3 + 6 + _LEAD_ROWS + 1
+    with pytest.raises(error, match=rf"long\.csv:{lineno}: "):
+        load_feature_table(path, NAMES)
+
+
+@pytest.mark.parametrize("cell", [
+    "1#2",     # '#' is data, never a comment
+    "#1",
+    "1_0",     # float() accepts digit separators; the format does not
+    "١٢",  # Arabic-Indic digits, also accepted by float()
+    "１",  # fullwidth digit one
+    "0x10",
+    "",
+])
+def test_csv_cells_are_ascii_decimal_floats(tmp_path, cell):
+    path = tmp_path / "cells.csv"
+    path.write_text(f"label,f0,f1\n\ncat,1.0,2.0\ndog,3.0,{cell}\n")
+    with pytest.raises(MalformedRow, match=r"cells\.csv:4: .*column f1"):
+        load_feature_table(path, NAMES)
+
+
+def test_csv_single_column_empty_cell_is_malformed(tmp_path):
+    # With one feature the cell text is empty, which loadtxt alone would
+    # skip as a blank line and so drop the row.
+    path = tmp_path / "one.csv"
+    path.write_text("label,f0\ncat,1.0\ndog,\ncat,2.0\n")
+    with pytest.raises(MalformedRow, match=r"one\.csv:3: "):
         load_feature_table(path, NAMES)

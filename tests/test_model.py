@@ -8,6 +8,7 @@ import pytest
 
 from hierfusion.exceptions import (
     CheckpointError,
+    ClassTooSmall,
     DimensionMismatch,
     DivergedLoss,
     InvalidConfig,
@@ -407,6 +408,9 @@ def test_train_validates_inputs():
     three_names = ("c0", "c1", "c2")
     with pytest.raises(LabelOutOfRange):
         train(FusionConfig(epochs=1), table, NONE, subclass_names=three_names)
+    empty = FeatureTable(np.zeros((0, table.dim)), np.zeros(0, dtype=np.int64))
+    with pytest.raises(ClassTooSmall, match="empty table"):
+        train(FusionConfig(epochs=1), empty, NONE, subclass_names=three_names)
 
 
 # -- prediction -------------------------------------------------------------------

@@ -114,6 +114,31 @@ def test_validate_duplicate_names():
         )
 
 
+@pytest.mark.parametrize("bad", ["a,b", "a\nb", "a\rb", " a", "a ", "a\t"])
+@pytest.mark.parametrize("role", ["subclass", "superclass"])
+def test_validate_rejects_names_that_break_csv_cells(bad, role):
+    # a subclass name is a feature-CSV label cell; one that does not read
+    # back as itself would make a written file unloadable
+    sub, sup = (bad, "animal") if role == "subclass" else ("cat", bad)
+    with pytest.raises(StructureError, match="name"):
+        validate_structure(
+            name="t",
+            superclasses=[sup],
+            subclass_names=[sub, "dog"],
+            parent_of={sub: sup, "dog": sup},
+        )
+
+
+def test_validate_accepts_inner_spaces_and_unicode():
+    s = validate_structure(
+        name="t",
+        superclasses=["big animal"],
+        subclass_names=["house cat", "chien"],
+        parent_of={"house cat": "big animal", "chien": "big animal"},
+    )
+    assert s.subclass_names == ("house cat", "chien")
+
+
 def test_tie_distance_three_cases():
     s = small_structure()
     assert tie_distance(s, 0, 0) == 0
