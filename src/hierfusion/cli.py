@@ -20,11 +20,11 @@ the exit code is 0 exactly when no error occurred.
 import argparse
 import copy
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from .config import config_int, config_real, config_seed, typed_section
 from .exceptions import (
     HierFusionError,
     InvalidConfig,
@@ -105,84 +105,23 @@ _TOP_LEVEL_KEYS = {
 }
 
 
-def _config_int(value, field: str) -> int:
-    """An integer config value; an integral float such as 2.0 also counts."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (isinstance(value, float) and not value.is_integer())
-    ):
-        raise InvalidConfig(f"{field} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _config_seed(value, field: str) -> int:
-    """A seed: an integer >= 0, the range numpy's SeedSequence accepts."""
-    seed = _config_int(value, field)
-    if seed < 0:
-        raise InvalidConfig(f"{field} must be a non-negative integer, got {seed}")
-    return seed
-
-
-def _config_real(value, field: str) -> float:
-    """A finite real config value; bools, strings and NaN/inf are refused."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-    ):
-        raise InvalidConfig(f"{field} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _config_list(convert):
-    """The config type of a list whose entries each pass `convert`."""
-
-    def typed(value, field: str) -> tuple:
-        if not isinstance(value, (list, tuple)):
-            raise InvalidConfig(f"{field} must be a list, got {value!r}")
-        return tuple(convert(v, f"{field} entry") for v in value)
-
-    return typed
-
-
 _SYNTHETIC_TYPES = {
-    "superclass_count": _config_int,
-    "subclasses_per_superclass": _config_int,
-    "samples_per_subclass": _config_int,
-    "dim": _config_int,
-    "superclass_separation": _config_real,
-    "subclass_separation": _config_real,
-    "noise_scale": _config_real,
-    "seed": _config_seed,
-}
-_MODEL_TYPES = {
-    "stage_dims": _config_list(_config_int),
-    "attach_stages": _config_list(_config_int),
-    "lambda_total": _config_real,
-    "lambda_split": _config_list(_config_real),
-    "learning_rate": _config_real,
-    "epochs": _config_int,
-    "batch_size": _config_int,
-    "seed": _config_seed,
+    "superclass_count": config_int,
+    "subclasses_per_superclass": config_int,
+    "samples_per_subclass": config_int,
+    "dim": config_int,
+    "superclass_separation": config_real,
+    "subclass_separation": config_real,
+    "noise_scale": config_real,
+    "seed": config_seed,
 }
 
 
-def _typed_section(section, name: str, types: dict) -> dict:
-    """A copy of a config section with every known field typed.
-
-    Only a seed (derived from the master seed) and `model.lambda_split`
-    (an equal split) may be null; fields the table does not know are left
-    for the section's own unknown-field check.
-    """
-    if not isinstance(section, dict):
-        raise InvalidConfig(f"'{name}' must be an object")
-    return {
-        key: value
-        if key not in types or (value is None and key in ("seed", "lambda_split"))
-        else types[key](value, f"{name} {key}")
-        for key, value in section.items()
-    }
+def _seeded(section, master: int, stream: int):
+    """`section` with a null or absent seed derived from the master seed."""
+    if isinstance(section, dict) and section.get("seed") is None:
+        return dict(section, seed=derive_seed(master, stream))
+    return section
 
 
 def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
@@ -196,21 +135,19 @@ def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - _TOP_LEVEL_KEYS
     if unknown:
         raise InvalidConfig(f"unknown config fields: {sorted(unknown)}")
-    master = _config_seed(raw.get("seed", 0), "seed")
+    master = config_seed(raw.get("seed", 0), "seed")
 
     synthetic = None
     if raw.get("synthetic") is not None:
-        section = _typed_section(raw["synthetic"], "synthetic", _SYNTHETIC_TYPES)
-        if section.get("seed") is None:
-            section["seed"] = derive_seed(master, STREAM_SYNTHETIC)
-        try:
-            synthetic = SyntheticSpec(**section)
-        except TypeError as exc:
-            raise InvalidConfig(f"'synthetic': {exc}") from exc
+        section = _seeded(raw["synthetic"], master, STREAM_SYNTHETIC)
+        synthetic = SyntheticSpec(
+            **typed_section(section, "synthetic", _SYNTHETIC_TYPES)
+        )
 
+    for key in ("features", "names_from", "checkpoint"):
+        if raw.get(key) is not None and not isinstance(raw[key], str):
+            raise InvalidConfig(f"'{key}' must be a file path, got {raw[key]!r}")
     features = raw.get("features")
-    if features is not None and not isinstance(features, str):
-        raise InvalidConfig("'features' must be a file path")
     if synthetic is not None and features is not None:
         raise InvalidConfig("configure exactly one data source, not both")
 
@@ -228,7 +165,7 @@ def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
         extra = set(section) - {"fraction", "seed"}
         if extra:
             raise InvalidConfig(f"unknown split fields: {sorted(extra)}")
-        fraction = _config_real(section["fraction"], "split fraction")
+        fraction = config_real(section["fraction"], "split fraction")
         if not 0.0 < fraction < 1.0:
             raise InvalidConfig("split fraction must lie in (0, 1)")
         seed = section.get("seed")
@@ -236,7 +173,7 @@ def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
             fraction=fraction,
             seed=derive_seed(master, STREAM_SPLIT)
             if seed is None
-            else _config_seed(seed, "split seed"),
+            else config_seed(seed, "split seed"),
         )
 
     section = raw.get("builder") or {}
@@ -245,22 +182,19 @@ def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
     extra = set(section) - {"k", "delta", "seed"}
     if extra:
         raise InvalidConfig(f"unknown builder fields: {sorted(extra)}")
-    delta = _config_real(section.get("delta", 1.0), "builder delta")
+    delta = config_real(section.get("delta", 1.0), "builder delta")
     if delta <= 0:
         raise InvalidConfig(f"builder delta must be > 0, got {delta!r}")
     k = section.get("k")
     builder = BuilderParams(
-        k=None if k is None else _config_int(k, "builder k"),
+        k=None if k is None else config_int(k, "builder k"),
         delta=delta,
         seed=derive_seed(master, STREAM_BUILDER)
         if section.get("seed") is None
-        else _config_seed(section["seed"], "builder seed"),
+        else config_seed(section["seed"], "builder seed"),
     )
 
-    section = _typed_section(raw.get("model") or {}, "model", _MODEL_TYPES)
-    if section.get("seed") is None:
-        section["seed"] = derive_seed(master, STREAM_MODEL)
-    model = config_from_dict(section)
+    model = config_from_dict(_seeded(raw.get("model") or {}, master, STREAM_MODEL))
 
     sweep = raw.get("sweep")
     if sweep is not None and not isinstance(sweep, dict):
@@ -270,15 +204,13 @@ def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
     if out is not None and not isinstance(out, str):
         raise InvalidConfig("'out' must be a directory path")
 
-    names_from = raw.get("names_from")
-    checkpoint = raw.get("checkpoint")
     return ExperimentConfig(
         seed=master,
         synthetic=synthetic,
         features=features,
         structures=tuple(structures),
-        names_from=names_from,
-        checkpoint=checkpoint,
+        names_from=raw.get("names_from"),
+        checkpoint=raw.get("checkpoint"),
         split=split,
         builder=builder,
         model=model,
@@ -430,7 +362,7 @@ def cmd_evaluate(config: ExperimentConfig) -> None:
     table = _split(config, table)[1]
     batch, report = _score(model, structures, table)
     report_path = out / "report.json"
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_text_writer(report_path) as fh:
         fh.write(dump_json(report.to_dict()))
     predictions_path = out / "predictions.csv"
     save_predictions(batch, model.subclass_names, predictions_path)
@@ -480,10 +412,10 @@ def cmd_sweep(config: ExperimentConfig, raw: dict, axis, values, seeds) -> None:
     elif not isinstance(seeds, (list, tuple)):
         raise InvalidConfig("sweep seeds must be a list of integers")
     if axis == "lambda":
-        values = sorted(_config_real(v, "sweep lambda value") for v in values)
+        values = sorted(config_real(v, "sweep lambda value") for v in values)
     else:
-        values = sorted(_config_int(v, f"sweep {axis} value") for v in values)
-    seeds = sorted(_config_seed(s, "sweep seed") for s in seeds)
+        values = sorted(config_int(v, f"sweep {axis} value") for v in values)
+    seeds = sorted(config_seed(s, "sweep seed") for s in seeds)
     runs = [
         [(seed, _sweep_config(raw, axis, value, seed)) for seed in seeds]
         for value in values
@@ -671,8 +603,10 @@ def main(argv=None) -> int:
             with open(args.config, "r", encoding="utf-8") as fh:
                 try:
                     raw = json.load(fh)
-                except json.JSONDecodeError as exc:
+                except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
                     raise InvalidConfig(f"{args.config}: {exc}") from exc
+            if not isinstance(raw, dict):
+                raise InvalidConfig(f"{args.config}: the config must be a JSON object")
         else:
             raw = {}
         if args.seed is not None:

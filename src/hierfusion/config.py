@@ -1,0 +1,75 @@
+"""Typed values of JSON config documents.
+
+The CLI's config sections and the model config stored in a checkpoint
+header are read through these converters, so a field is checked the same
+way wherever it comes from. Each converter returns the typed value or
+raises InvalidConfig naming the field.
+"""
+
+import contextlib
+import math
+
+from .exceptions import InvalidConfig
+
+
+def config_int(value, field: str) -> int:
+    """An integer config value; an integral float such as 2.0 also counts."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise InvalidConfig(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
+def config_seed(value, field: str) -> int:
+    """A seed: an integer >= 0, the range numpy's SeedSequence accepts."""
+    seed = config_int(value, field)
+    if seed < 0:
+        raise InvalidConfig(f"{field} must be a non-negative integer, got {seed}")
+    return seed
+
+
+def config_real(value, field: str) -> float:
+    """A finite real config value; bools, strings, NaN/inf and integers
+    beyond the float range are refused."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        with contextlib.suppress(OverflowError):
+            if math.isfinite(value):
+                return float(value)
+    raise InvalidConfig(f"{field} must be a finite number, got {value!r}")
+
+
+def config_list(convert):
+    """The config type of a list whose entries each pass `convert`."""
+
+    def typed(value, field: str) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise InvalidConfig(f"{field} must be a list, got {value!r}")
+        return tuple(convert(v, f"{field} entry") for v in value)
+
+    return typed
+
+
+def config_optional(convert):
+    """The config type of a value that is null or passes `convert`."""
+
+    def typed(value, field: str):
+        return None if value is None else convert(value, field)
+
+    return typed
+
+
+def typed_section(section, name: str, types: dict) -> dict:
+    """A copy of the config object `section` with every field typed.
+
+    `types` maps each field the section may hold to its converter; any
+    other field, or a section that is not an object, is InvalidConfig.
+    """
+    if not isinstance(section, dict):
+        raise InvalidConfig(f"'{name}' must be an object")
+    unknown = set(section) - set(types)
+    if unknown:
+        raise InvalidConfig(f"unknown {name} config fields: {sorted(unknown)}")
+    return {key: types[key](value, f"{name} {key}") for key, value in section.items()}

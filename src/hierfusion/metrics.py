@@ -17,7 +17,7 @@ All sample reductions are exact integer sums followed by one division,
 so results do not depend on accumulation order.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .exceptions import (
     MalformedRow,
     UnknownLabel,
 )
+from .serialization import atomic_text_writer
 from .taxonomy import LabelStructure, StructureSet, lca_heights
 
 PATH_NODES = 3
@@ -75,14 +76,7 @@ class StructureScores:
     lca: float
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "p_h": self.p_h,
-            "r_h": self.r_h,
-            "f_h": self.f_h,
-            "tie": self.tie,
-            "lca": self.lca,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -98,15 +92,8 @@ class EvalReport:
     per_structure: tuple[StructureScores, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "p_ha": self.p_ha,
-            "r_ha": self.r_ha,
-            "f_ha": self.f_ha,
-            "tie_a": self.tie_a,
-            "lca_a": self.lca_a,
-            "per_structure": [s.to_dict() for s in self.per_structure],
-        }
+        per_structure = [s.to_dict() for s in self.per_structure]
+        return dict(asdict(self), per_structure=per_structure)
 
 
 def top1_accuracy(batch: PredictionBatch) -> float:
@@ -142,38 +129,33 @@ def structure_scores(structure: LabelStructure, batch: PredictionBatch) -> Struc
     )
 
 
-def _all_scores(structures: StructureSet, batch: PredictionBatch) -> list[StructureScores]:
-    if len(structures) == 0:
-        raise EmptyBatch("metrics need at least one structure to average over")
-    return [structure_scores(s, batch) for s in structures]
-
-
 def hierarchical_prf(
     structures: StructureSet, batch: PredictionBatch
 ) -> tuple[float, float, float]:
-    """(P_Ha, R_Ha, F_Ha): per-structure P/R averaged, then F from the averages."""
-    scores = _all_scores(structures, batch)
-    p_ha = sum(s.p_h for s in scores) / len(scores)
-    r_ha = sum(s.r_h for s in scores) / len(scores)
-    f_ha = 2.0 * p_ha * r_ha / (p_ha + r_ha)
-    return p_ha, r_ha, f_ha
+    """(P_Ha, R_Ha, F_Ha) of :func:`evaluate`."""
+    report = evaluate(structures, batch)
+    return report.p_ha, report.r_ha, report.f_ha
 
 
 def tie_a(structures: StructureSet, batch: PredictionBatch) -> float:
     """Mean over structures of the mean predicted-to-true edge count."""
-    scores = _all_scores(structures, batch)
-    return sum(s.tie for s in scores) / len(scores)
+    return evaluate(structures, batch).tie_a
 
 
 def lca_a(structures: StructureSet, batch: PredictionBatch) -> float:
     """Mean over structures of the mean lowest-common-ancestor height."""
-    scores = _all_scores(structures, batch)
-    return sum(s.lca for s in scores) / len(scores)
+    return evaluate(structures, batch).lca_a
 
 
 def evaluate(structures: StructureSet, batch: PredictionBatch) -> EvalReport:
-    """Full report: accuracy plus all structure-averaged measures."""
-    scores = _all_scores(structures, batch)
+    """Full report: accuracy plus all structure-averaged measures.
+
+    P_Ha and R_Ha average the per-structure P and R, and F_Ha is the F of
+    those averages. An empty structure set raises EmptyBatch.
+    """
+    if len(structures) == 0:
+        raise EmptyBatch("metrics need at least one structure to average over")
+    scores = [structure_scores(s, batch) for s in structures]
     m = len(scores)
     p_ha = sum(s.p_h for s in scores) / m
     r_ha = sum(s.r_h for s in scores) / m
@@ -193,7 +175,7 @@ def evaluate(structures: StructureSet, batch: PredictionBatch) -> EvalReport:
 def save_predictions(batch: PredictionBatch, subclass_names, path) -> None:
     """Write the two-column prediction CSV ``predicted,truth`` by name."""
     names = tuple(subclass_names)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_text_writer(path) as fh:
         fh.write("predicted,truth\n")
         for pred, true in zip(batch.predicted, batch.truth):
             fh.write(f"{names[int(pred)]},{names[int(true)]}\n")
@@ -203,22 +185,27 @@ def load_predictions(path, subclass_names) -> PredictionBatch:
     """Parse a prediction CSV, resolving names against the name table."""
     name_to_id = {str(n): i for i, n in enumerate(subclass_names)}
     predicted, truth = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "predicted,truth":
-            raise MalformedRow(f"{path}: missing 'predicted,truth' header")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != 2:
-                raise MalformedRow(f"{path}:{lineno}: expected 2 columns")
-            for cell in cells:
-                if cell not in name_to_id:
-                    raise UnknownLabel(f"{path}:{lineno}: unknown label {cell!r}")
-            predicted.append(name_to_id[cells[0]])
-            truth.append(name_to_id[cells[1]])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+            if header != "predicted,truth":
+                raise MalformedRow(f"{path}: missing 'predicted,truth' header")
+            for lineno, line in enumerate(fh, start=2):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                cells = line.split(",")
+                if len(cells) != 2:
+                    raise MalformedRow(f"{path}:{lineno}: expected 2 columns")
+                for cell in cells:
+                    if cell not in name_to_id:
+                        raise UnknownLabel(
+                            f"{path}:{lineno}: unknown label {cell!r}"
+                        )
+                predicted.append(name_to_id[cells[0]])
+                truth.append(name_to_id[cells[1]])
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not predicted:
         raise EmptyBatch(f"{path}: no prediction rows")
     return PredictionBatch(

@@ -11,6 +11,13 @@ Superclass labels are derived from the subclass label through each
 structure on the fly, never stored, so they can't drift out of sync.
 Inference reads the subclass head only.
 
+One forward pass, `_logits`, serves forward(), training and
+gradient_check, on a FusionModel or on its mutable training copy with the
+same field names. One function, `_weighted_loss`, composes the loss above
+for multi_task_loss, training and gradient_check. One canonical parameter
+order, `_layout` (trunk stages, the subclass head, then superclass heads),
+fixes checkpoint tensors, the flat training buffer and its gradients.
+
 All parameters are float64 arrays; backpropagation is written out by
 hand and validated against central finite differences (gradient_check).
 Weight init and batch shuffling use independent streams derived from the
@@ -21,10 +28,18 @@ subclass-head trajectory as one trained with no structures at all.
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .config import (
+    config_int,
+    config_list,
+    config_optional,
+    config_real,
+    config_seed,
+    typed_section,
+)
 from .exceptions import (
     CheckpointError,
     ClassTooSmall,
@@ -37,7 +52,7 @@ from .exceptions import (
 )
 from .features import FeatureTable
 from .rng import derive_seed, rng_from_seed
-from .serialization import dump_json, format_float
+from .serialization import atomic_text_writer, dump_json, format_float
 from .taxonomy import StructureSet
 
 CHECKPOINT_MAGIC = b"hierfusion-checkpoint-v1\n"
@@ -311,32 +326,75 @@ def init_model(
     )
 
 
-class _Params:
-    """Mutable copies of the model parameters, in one canonical order.
+def _layout(stage_count: int, head_count: int) -> list[tuple[str, str, int | None]]:
+    """The canonical parameter order, the only place it is spelled out.
 
-    Trunk (W, b) pairs, the subclass head, then superclass heads, laid out
-    back to back in one flat buffer, `values`; the named attributes are
-    views into it. `grads` holds the same views into a second buffer,
-    `grad`, so a gradient step is one array update.
+    Trunk (weight, bias) pairs by stage, the subclass head, then the
+    superclass heads by structure. Each slot is (checkpoint tensor name,
+    FusionModel field, index into that field or None for a single tensor).
+    """
+    slots = []
+    for i in range(stage_count):
+        slots += [(f"trunk.{i}.weight", "trunk_weights", i),
+                  (f"trunk.{i}.bias", "trunk_biases", i)]
+    slots += [("subclass_head.weight", "subclass_weight", None),
+              ("subclass_head.bias", "subclass_bias", None)]
+    for m in range(head_count):
+        slots += [(f"super_head.{m}.weight", "super_weights", m),
+                  (f"super_head.{m}.bias", "super_biases", m)]
+    return slots
+
+
+def _parameters(model: FusionModel) -> list[tuple[str, np.ndarray]]:
+    """(tensor name, array) for every parameter, in the canonical order."""
+    return [
+        (name, getattr(model, field) if i is None else getattr(model, field)[i])
+        for name, field, i in _layout(model.stage_count, len(model.attach_stages))
+    ]
+
+
+def _parameter_fields(layout, arrays) -> dict:
+    """The FusionModel parameter fields holding `arrays`, given in `layout` order."""
+    fields = dict.fromkeys(
+        ("trunk_weights", "trunk_biases", "super_weights", "super_biases"), ()
+    )
+    for (_, field, i), arr in zip(layout, arrays):
+        fields[field] = arr if i is None else fields[field] + (arr,)
+    return fields
+
+
+class _Fields:
+    """A dict of FusionModel parameter fields as plain attributes.
+
+    They are set one at a time rather than through vars(), which keeps
+    CPython's fast attribute reads; the training step makes some twenty
+    of them per batch.
+    """
+
+    def __init__(self, fields: dict):
+        for name, value in fields.items():
+            setattr(self, name, value)
+
+
+class _Params(_Fields):
+    """Mutable parameters with FusionModel's field names, in one flat buffer.
+
+    `values` holds every parameter back to back in the canonical layout and
+    the fields (`trunk_weights`, ..., `super_biases`) are views into it;
+    `fields` maps their names to those views. `grads` carries the same
+    fields as views into a second buffer, `grad`, so a gradient step is
+    one array update and gradient_check indexes both buffers alike.
     """
 
     def __init__(self, model: FusionModel):
-        source = []
-        for w, b in zip(model.trunk_weights, model.trunk_biases):
-            source += [w, b]
-        source += [model.subclass_weight, model.subclass_bias]
-        for w, b in zip(model.super_weights, model.super_biases):
-            source += [w, b]
-        self.values = np.concatenate([a.ravel() for a in source])
+        layout = _layout(model.stage_count, len(model.attach_stages))
+        arrays = [arr for _, arr in _parameters(model)]
+        self.values = np.concatenate([arr.ravel() for arr in arrays])
         self.grad = np.empty_like(self.values)
-        self.grads = _views(self.grad, source)
-        arrays = _views(self.values, source)
-        top = 2 * model.stage_count
-        self.trunk_w = arrays[0:top:2]
-        self.trunk_b = arrays[1:top:2]
-        self.sub_w, self.sub_b = arrays[top : top + 2]
-        self.sup_w = arrays[top + 2 :: 2]
-        self.sup_b = arrays[top + 3 :: 2]
+        self.fields = _parameter_fields(layout, _views(self.values, arrays))
+        self.grads = _Fields(_parameter_fields(layout, _views(self.grad, arrays)))
+        self.attach_stages = model.attach_stages
+        super().__init__(self.fields)
 
 
 def _views(buffer, shaped) -> list[np.ndarray]:
@@ -348,15 +406,29 @@ def _views(buffer, shaped) -> list[np.ndarray]:
     return views
 
 
-def _trunk_acts(trunk_w, trunk_b, x) -> list[np.ndarray]:
+def _logits(params, x):
+    """(trunk activations, subclass logits, list of superclass logits) of
+    the (n, d) batch `x`; the one forward pass.
+
+    `params` is a FusionModel or a _Params: both carry the parameter
+    fields and `attach_stages`.
+    """
     acts = []
     h = x
-    for w, b in zip(trunk_w, trunk_b):
+    for w, b in zip(params.trunk_weights, params.trunk_biases):
         h = h @ w
         h += b
         np.tanh(h, out=h)
         acts.append(h)
-    return acts
+    sub = acts[-1] @ params.subclass_weight
+    sub += params.subclass_bias
+    supers = []
+    for stage, w, b in zip(params.attach_stages, params.super_weights,
+                           params.super_biases):
+        logits = acts[stage] @ w
+        logits += b
+        supers.append(logits)
+    return acts, sub, supers
 
 
 def _check_labels(labels, k: int) -> None:
@@ -389,34 +461,25 @@ def _cross_entropy_grad(logits, labels):
     return loss, exp
 
 
-def _head_losses(params, attach_stages, acts, y_sub, y_supers, lambdas, lam):
-    """(total, subclass, per-structure) losses, the subclass logits, and
-    the unweighted logit gradients of every head."""
-    sub_logits = acts[-1] @ params.sub_w
-    sub_logits += params.sub_b
+def _weighted_loss(sub_logits, super_logits, y_sub, y_supers, lambdas, lam):
+    """The multi-task loss of a batch and the unweighted logit gradients.
+
+    Returns ((total, subclass loss, per-structure losses), subclass logit
+    gradient, superclass logit gradients), where total is
+    (1 - lam) * subclass + sum_m lambdas[m] * per-structure[m]. Labels must
+    be pre-validated (see _cross_entropy_grad).
+    """
     sub_loss, sub_grad = _cross_entropy_grad(sub_logits, y_sub)
     per, grads = [], []
-    for m, stage in enumerate(attach_stages):
-        logits = acts[stage] @ params.sup_w[m]
-        logits += params.sup_b[m]
-        loss_m, grad_m = _cross_entropy_grad(logits, y_supers[m])
+    for logits, labels in zip(super_logits, y_supers):
+        loss_m, grad_m = _cross_entropy_grad(logits, labels)
         per.append(loss_m)
         grads.append(grad_m)
-    total = (1.0 - lam) * sub_loss + sum(
-        w * loss_m for w, loss_m in zip(lambdas, per)
-    )
-    return (total, sub_loss, per), sub_logits, sub_grad, grads
+    total = (1.0 - lam) * sub_loss + sum(w * v for w, v in zip(lambdas, per))
+    return (total, sub_loss, per), sub_grad, grads
 
 
-def _total_loss(params, attach_stages, x, y_sub, y_supers, lambdas, lam) -> float:
-    acts = _trunk_acts(params.trunk_w, params.trunk_b, x)
-    losses, _, _, _ = _head_losses(
-        params, attach_stages, acts, y_sub, y_supers, lambdas, lam
-    )
-    return losses[0]
-
-
-def _loss_and_grads(params, attach_stages, x, y_sub, y_supers, lambdas, lam):
+def _loss_and_grads(params, x, y_sub, y_supers, lambdas, lam):
     """One forward/backward pass; returns (losses, sub_logits).
 
     `losses` is (total, subclass, per-structure list); the gradient is
@@ -427,9 +490,9 @@ def _loss_and_grads(params, attach_stages, x, y_sub, y_supers, lambdas, lam):
     contribution and adds the rest in the fixed order subclass head,
     superclass heads, stage above.
     """
-    acts = _trunk_acts(params.trunk_w, params.trunk_b, x)
-    losses, sub_logits, sub_grad, super_grads = _head_losses(
-        params, attach_stages, acts, y_sub, y_supers, lambdas, lam
+    acts, sub_logits, super_logits = _logits(params, x)
+    losses, sub_grad, super_grads = _weighted_loss(
+        sub_logits, super_logits, y_sub, y_supers, lambdas, lam
     )
 
     d_acts = [None] * len(acts)
@@ -441,27 +504,26 @@ def _loss_and_grads(params, attach_stages, x, y_sub, y_supers, lambdas, lam):
             d_acts[stage] += back
 
     g = params.grads
-    head = 2 * len(acts)  # where the subclass head's gradients start
     sub_grad *= 1.0 - lam
-    np.matmul(acts[-1].T, sub_grad, out=g[head])
-    np.add.reduce(sub_grad, axis=0, out=g[head + 1])
-    d_acts[-1] = sub_grad @ params.sub_w.T
-    for m, stage in enumerate(attach_stages):
+    np.matmul(acts[-1].T, sub_grad, out=g.subclass_weight)
+    np.add.reduce(sub_grad, axis=0, out=g.subclass_bias)
+    d_acts[-1] = sub_grad @ params.subclass_weight.T
+    for m, stage in enumerate(params.attach_stages):
         scaled = super_grads[m]
         scaled *= lambdas[m]
-        np.matmul(acts[stage].T, scaled, out=g[head + 2 + 2 * m])
-        np.add.reduce(scaled, axis=0, out=g[head + 3 + 2 * m])
-        add_back(stage, scaled @ params.sup_w[m].T)
+        np.matmul(acts[stage].T, scaled, out=g.super_weights[m])
+        np.add.reduce(scaled, axis=0, out=g.super_biases[m])
+        add_back(stage, scaled @ params.super_weights[m].T)
 
     for s in range(len(acts) - 1, -1, -1):
         d_pre = acts[s] * acts[s]
         np.subtract(1.0, d_pre, out=d_pre)
         d_pre *= d_acts[s]
         below = acts[s - 1] if s > 0 else x
-        np.matmul(below.T, d_pre, out=g[2 * s])
-        np.add.reduce(d_pre, axis=0, out=g[2 * s + 1])
+        np.matmul(below.T, d_pre, out=g.trunk_weights[s])
+        np.add.reduce(d_pre, axis=0, out=g.trunk_biases[s])
         if s > 0:
-            add_back(s - 1, d_pre @ params.trunk_w[s].T)
+            add_back(s - 1, d_pre @ params.trunk_weights[s].T)
     return losses, sub_logits
 
 
@@ -477,17 +539,10 @@ def forward(model: FusionModel, x):
         raise DimensionMismatch(
             f"expected inputs of dimension {model.input_dim}"
         )
-    acts = _trunk_acts(model.trunk_weights, model.trunk_biases, arr)
-    sub = acts[-1] @ model.subclass_weight + model.subclass_bias
-    supers = tuple(
-        acts[stage] @ w + b
-        for stage, w, b in zip(
-            model.attach_stages, model.super_weights, model.super_biases
-        )
-    )
+    _, sub, supers = _logits(model, arr)
     if single:
         return sub[0], tuple(s[0] for s in supers)
-    return sub, supers
+    return sub, tuple(supers)
 
 
 def multi_task_loss(outputs, subclass_labels, superclass_labels, config) -> LossBreakdown:
@@ -498,29 +553,26 @@ def multi_task_loss(outputs, subclass_labels, superclass_labels, config) -> Loss
     total = (1 - lambda_total) * subclass + sum_m lambda_m * per_structure[m].
     """
     sub_logits, super_logits = outputs
-    sub_logits = np.atleast_2d(np.asarray(sub_logits, dtype=np.float64))
-    lambdas = config.lambdas
-    if len(super_logits) != len(lambdas):
+    if len(super_logits) != len(config.lambdas):
         raise InvalidConfig(
-            f"{len(super_logits)} head outputs for {len(lambdas)} loss weights"
+            f"{len(super_logits)} head outputs for {len(config.lambdas)} loss weights"
         )
     if len(superclass_labels) != len(super_logits):
         raise DimensionMismatch(
             f"{len(superclass_labels)} label vectors for "
             f"{len(super_logits)} head outputs"
         )
-    y_sub = np.atleast_1d(np.asarray(subclass_labels, dtype=np.int64))
-    _check_labels(y_sub, sub_logits.shape[1])
-    sub_loss, _ = _cross_entropy_grad(sub_logits, y_sub)
-    per = []
-    for logits, labels in zip(super_logits, superclass_labels):
-        logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-        labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-        _check_labels(labels, logits.shape[1])
-        loss_m, _ = _cross_entropy_grad(logits, labels)
-        per.append(loss_m)
-    total = (1.0 - config.lambda_total) * sub_loss + sum(
-        w * v for w, v in zip(lambdas, per)
+    logits = [np.atleast_2d(np.asarray(a, dtype=np.float64))
+              for a in (sub_logits, *super_logits)]
+    labels = [np.atleast_1d(np.asarray(y, dtype=np.int64))
+              for y in (subclass_labels, *superclass_labels)]
+    for head_logits, head_labels in zip(logits, labels):
+        if head_labels.shape != head_logits.shape[:1]:
+            raise DimensionMismatch("one label per row of head logits")
+        _check_labels(head_labels, head_logits.shape[1])
+    (total, sub_loss, per), _, _ = _weighted_loss(
+        logits[0], logits[1:], labels[0], labels[1:], config.lambdas,
+        config.lambda_total,
     )
     return LossBreakdown(total=total, subclass=sub_loss, per_structure=tuple(per))
 
@@ -541,10 +593,6 @@ def train(
     Labels are range-checked once here, not per batch; each epoch gathers
     its shuffled rows once and every batch is a slice of that copy.
     """
-    if len(structures) != config.structure_count:
-        raise InvalidConfig(
-            f"config expects {config.structure_count} structures, got {len(structures)}"
-        )
     if table.count == 0:
         raise ClassTooSmall(0, "empty table has no rows to train on")
     if len(structures):
@@ -553,10 +601,7 @@ def train(
         subclass_count = len(tuple(subclass_names))
     else:
         subclass_count = int(table.labels.max()) + 1
-    if int(table.labels.max()) >= subclass_count:
-        raise LabelOutOfRange(
-            f"label {int(table.labels.max())} outside [0, {subclass_count})"
-        )
+    _check_labels(table.labels, subclass_count)
     model = init_model(
         config,
         subclass_count,
@@ -593,8 +638,7 @@ def train(
             by = ys[start:stop]
             size = by.size
             (total, sub_loss, per), sub_logits = _loss_and_grads(
-                params, config.attach_stages, xs[start:stop], by,
-                yss[:, start:stop], lambdas, lam,
+                params, xs[start:stop], by, yss[:, start:stop], lambdas, lam
             )
             if not math.isfinite(total):
                 raise DivergedLoss(
@@ -612,17 +656,7 @@ def train(
         hist_super[epoch] = [v / n for v in super_sums]
         hist_acc[epoch] = np.count_nonzero(predicted == ys) / n
 
-    trained = FusionModel(
-        trunk_weights=tuple(params.trunk_w),
-        trunk_biases=tuple(params.trunk_b),
-        subclass_weight=params.sub_w,
-        subclass_bias=params.sub_b,
-        super_weights=tuple(params.sup_w),
-        super_biases=tuple(params.sup_b),
-        attach_stages=model.attach_stages,
-        subclass_names=model.subclass_names,
-        structure_names=model.structure_names,
-    )
+    trained = replace(model, **params.fields)
     history = TrainHistory(
         total_loss=hist_total,
         subclass_loss=hist_sub,
@@ -675,12 +709,13 @@ def gradient_check(
     y_supers = [np.asarray(s.parent_index)[y_sub] for s in structures]
     for labels, count in zip(y_supers, model.superclass_counts):
         _check_labels(labels, count)
-    lambdas = config.lambdas
+    lambdas, lam = config.lambdas, config.lambda_total
     params = _Params(model)
-    _loss_and_grads(
-        params, config.attach_stages, x, y_sub, y_supers, lambdas,
-        config.lambda_total,
-    )
+    _loss_and_grads(params, x, y_sub, y_supers, lambdas, lam)
+
+    def total_loss() -> float:
+        _, sub, supers = _logits(params, x)
+        return _weighted_loss(sub, supers, y_sub, y_supers, lambdas, lam)[0][0]
 
     total = params.values.size
     if total <= sample_size:
@@ -693,15 +728,9 @@ def gradient_check(
     for i in chosen:
         original = params.values[i]
         params.values[i] = original + epsilon
-        above = _total_loss(
-            params, config.attach_stages, x, y_sub, y_supers, lambdas,
-            config.lambda_total,
-        )
+        above = total_loss()
         params.values[i] = original - epsilon
-        below = _total_loss(
-            params, config.attach_stages, x, y_sub, y_supers, lambdas,
-            config.lambda_total,
-        )
+        below = total_loss()
         params.values[i] = original
         numeric = (above - below) / (2.0 * epsilon)
         analytic = params.grad[i]
@@ -712,58 +741,34 @@ def gradient_check(
 
 # -- checkpoint files --------------------------------------------------------
 
+# The model config schema, for the CLI's `model` section and the checkpoint
+# header alike: field -> converter, in FusionConfig's field order.
+_CONFIG_TYPES = {
+    "stage_dims": config_list(config_int),
+    "attach_stages": config_list(config_int),
+    "lambda_total": config_real,
+    "lambda_split": config_optional(config_list(config_real)),
+    "learning_rate": config_real,
+    "epochs": config_int,
+    "batch_size": config_int,
+    "seed": config_seed,
+}
+
+
 def config_to_dict(config: FusionConfig) -> dict:
     return {
-        "stage_dims": list(config.stage_dims),
-        "attach_stages": list(config.attach_stages),
-        "lambda_total": config.lambda_total,
-        "lambda_split": None
-        if config.lambda_split is None
-        else list(config.lambda_split),
-        "learning_rate": config.learning_rate,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "seed": config.seed,
+        field: list(value) if isinstance(value, tuple) else value
+        for field, value in asdict(config).items()
     }
 
 
 def config_from_dict(raw: dict) -> FusionConfig:
-    """Build a config from a (possibly partial) JSON dict; defaults fill gaps."""
-    if not isinstance(raw, dict):
-        raise InvalidConfig("model config must be a JSON object")
-    known = {
-        "stage_dims",
-        "attach_stages",
-        "lambda_total",
-        "lambda_split",
-        "learning_rate",
-        "epochs",
-        "batch_size",
-        "seed",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise InvalidConfig(f"unknown model config fields: {sorted(unknown)}")
-    kwargs = dict(raw)
-    for field in ("stage_dims", "attach_stages"):
-        if field in kwargs:
-            kwargs[field] = tuple(kwargs[field])
-    if kwargs.get("lambda_split") is not None:
-        kwargs["lambda_split"] = tuple(kwargs["lambda_split"])
-    return FusionConfig(**kwargs)
+    """Build a config from a (possibly partial) JSON dict; defaults fill gaps.
 
-
-def _tensor_manifest(model: FusionModel) -> list[tuple[str, np.ndarray]]:
-    tensors = []
-    for i, (w, b) in enumerate(zip(model.trunk_weights, model.trunk_biases)):
-        tensors.append((f"trunk.{i}.weight", w))
-        tensors.append((f"trunk.{i}.bias", b))
-    tensors.append(("subclass_head.weight", model.subclass_weight))
-    tensors.append(("subclass_head.bias", model.subclass_bias))
-    for m, (w, b) in enumerate(zip(model.super_weights, model.super_biases)):
-        tensors.append((f"super_head.{m}.weight", w))
-        tensors.append((f"super_head.{m}.bias", b))
-    return tensors
+    Every field is typed first, so an unknown field or a value of the
+    wrong type is InvalidConfig naming the field (`model epochs`, ...).
+    """
+    return FusionConfig(**typed_section(raw, "model", _CONFIG_TYPES))
 
 
 def save_checkpoint(model: FusionModel, config: FusionConfig, path) -> None:
@@ -771,9 +776,10 @@ def save_checkpoint(model: FusionModel, config: FusionConfig, path) -> None:
 
     Layout: magic line, uint32 header length (little-endian), the header
     JSON (config, name tables, tensor manifest), then each tensor's bytes
-    in manifest order. Parameters round-trip bit-exactly.
+    in manifest order, which is the canonical parameter order. Parameters
+    round-trip bit-exactly.
     """
-    tensors = _tensor_manifest(model)
+    tensors = _parameters(model)
     header = {
         "config": config_to_dict(config),
         "input_dim": model.input_dim,
@@ -787,7 +793,7 @@ def save_checkpoint(model: FusionModel, config: FusionConfig, path) -> None:
         ],
     }
     blob = dump_json(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_text_writer(path, binary=True) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
@@ -796,66 +802,68 @@ def save_checkpoint(model: FusionModel, config: FusionConfig, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[FusionModel, FusionConfig]:
-    """Read a checkpoint back; inverse of :func:`save_checkpoint`."""
+    """Read a checkpoint back; inverse of :func:`save_checkpoint`.
+
+    A file save_checkpoint could not have written is a CheckpointError
+    naming `path`: a bad magic line or length, a header that is not the
+    JSON object it writes or holds a field of the wrong type, tensors out
+    of the canonical order, or too few or too many tensor bytes. Tensors
+    that do not fit together are the model's own DimensionMismatch.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        raw_len = fh.read(4)
-        if len(raw_len) != 4:
-            raise CheckpointError(f"{path}: truncated header length")
-        (header_len,) = struct.unpack("<I", raw_len)
-        blob = fh.read(header_len)
-        if len(blob) != header_len:
-            raise CheckpointError(f"{path}: truncated header")
-        try:
-            header = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"{path}: malformed header: {exc}") from exc
-        try:
-            config = config_from_dict(header["config"])
-            manifest = header["tensors"]
-            names = {}
-            for entry in manifest:
-                shape = tuple(int(v) for v in entry["shape"])
-                count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-                data = fh.read(count * 8)
-                if len(data) != count * 8:
-                    raise CheckpointError(f"{path}: truncated tensor data")
-                names[entry["name"]] = np.frombuffer(data, dtype="<f8").reshape(shape)
-            if fh.read(1):
-                raise CheckpointError(f"{path}: trailing bytes after tensors")
-            trunk_w, trunk_b = [], []
-            i = 0
-            while f"trunk.{i}.weight" in names:
-                trunk_w.append(names.pop(f"trunk.{i}.weight"))
-                trunk_b.append(names.pop(f"trunk.{i}.bias"))
-                i += 1
-            sub_w = names.pop("subclass_head.weight")
-            sub_b = names.pop("subclass_head.bias")
-            sup_w, sup_b = [], []
-            m = 0
-            while f"super_head.{m}.weight" in names:
-                sup_w.append(names.pop(f"super_head.{m}.weight"))
-                sup_b.append(names.pop(f"super_head.{m}.bias"))
-                m += 1
-            if names:
-                raise CheckpointError(
-                    f"{path}: unexpected tensors {sorted(names)}"
-                )
-            model = FusionModel(
-                trunk_weights=tuple(trunk_w),
-                trunk_biases=tuple(trunk_b),
-                subclass_weight=sub_w,
-                subclass_bias=sub_b,
-                super_weights=tuple(sup_w),
-                super_biases=tuple(sup_b),
-                attach_stages=tuple(header["attach_stages"]),
-                subclass_names=tuple(header["subclass_names"]),
-                structure_names=tuple(header["structure_names"]),
-            )
-        except KeyError as exc:
-            raise CheckpointError(f"{path}: missing header field {exc}") from exc
+        blob = fh.read()
+    if not blob.startswith(CHECKPOINT_MAGIC):
+        raise CheckpointError(f"{path}: not a checkpoint file")
+    start = len(CHECKPOINT_MAGIC) + 4
+    if len(blob) < start:
+        raise CheckpointError(f"{path}: truncated header length")
+    (header_len,) = struct.unpack_from("<I", blob, len(CHECKPOINT_MAGIC))
+    end = start + header_len
+    if len(blob) < end:
+        raise CheckpointError(f"{path}: truncated header")
+    try:
+        header = json.loads(blob[start:end].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise CheckpointError(f"{path}: malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: the header is not a JSON object")
+    try:
+        config = config_from_dict(header["config"])
+        attach = config_list(config_int)(header["attach_stages"], "attach_stages")
+        names = [header["subclass_names"], header["structure_names"]]
+        if not all(isinstance(v, list) and all(isinstance(n, str) for n in v)
+                   for v in names):
+            raise CheckpointError(f"{path}: name tables must be lists of strings")
+        manifest = header["tensors"]
+        if not isinstance(manifest, list) or not all(
+            isinstance(entry, dict) for entry in manifest
+        ):
+            raise CheckpointError(f"{path}: tensors must be a list of objects")
+        layout = _layout(len(manifest) // 2 - 1 - len(attach), len(attach))
+        if [entry["name"] for entry in manifest] != [name for name, _, _ in layout]:
+            raise CheckpointError(f"{path}: tensors are not in the canonical order")
+        shapes = [config_list(config_int)(e["shape"], "tensor shape") for e in manifest]
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: missing header field {exc}") from exc
+    except InvalidConfig as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+    if any(len(shape) not in (1, 2) or min(shape) < 0 for shape in shapes):
+        raise CheckpointError(f"{path}: tensor shapes must be 1 or 2 sizes >= 0")
+    counts = [math.prod(shape) for shape in shapes]
+    if len(blob) - end != 8 * sum(counts):
+        raise CheckpointError(
+            f"{path}: {len(blob) - end} tensor bytes, header needs {8 * sum(counts)}"
+        )
+    arrays = []
+    for shape, count in zip(shapes, counts):
+        arrays.append(np.frombuffer(blob, "<f8", count, end).reshape(shape))
+        end += 8 * count
+    model = FusionModel(
+        **_parameter_fields(layout, arrays),
+        attach_stages=attach,
+        subclass_names=tuple(names[0]),
+        structure_names=tuple(names[1]),
+    )
     return model, config
 
 
@@ -865,7 +873,7 @@ def save_history(history: TrainHistory, path) -> None:
     columns = ["epoch", "total_loss", "subclass_loss"]
     columns += [f"super_loss_{name}" for name in history.structure_names]
     columns += ["train_accuracy"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_text_writer(path) as fh:
         fh.write(",".join(columns) + "\n")
         for e in range(history.epochs):
             cells = [str(e)]

@@ -19,18 +19,21 @@ def format_float(x: float) -> str:
 
 
 @contextlib.contextmanager
-def atomic_text_writer(path):
-    """Yield a UTF-8 text handle whose content replaces `path` on success.
+def atomic_text_writer(path, *, binary: bool = False):
+    """Yield a file handle whose content replaces `path` on success.
 
-    Writes go to the hidden ``.<name>.partial`` beside `path`, which
-    ``os.replace`` moves onto `path` once the block exits cleanly and which
-    is deleted on any error, so an interrupted write never leaves a
-    truncated file under the final name.
+    The handle is UTF-8 text with ``\n`` line ends, or a byte stream with
+    `binary`. Writes go to the hidden ``.<name>.partial`` beside `path`,
+    which ``os.replace`` moves onto `path` once the block exits cleanly and
+    which is deleted on any error, so an interrupted write never leaves a
+    truncated file under the final name. Every artifact the toolkit
+    writes goes through here.
     """
     path = Path(path)
     partial = path.with_name(f".{path.name}.partial")
+    text = {} if binary else {"encoding": "utf-8", "newline": "\n"}
     try:
-        with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+        with open(partial, "wb" if binary else "w", **text) as fh:
             yield fh
         os.replace(partial, path)
     except BaseException:

@@ -25,6 +25,7 @@ from .exceptions import (
     UnknownSubclass,
     UnknownSuperclass,
 )
+from .serialization import atomic_text_writer
 
 #: Identifier of the (implicit, shared) root node.
 ROOT = "<root>"
@@ -260,12 +261,34 @@ def structure_to_dict(structure: LabelStructure) -> dict:
 
 
 def structure_from_dict(raw: dict) -> LabelStructure:
+    """Inverse of :func:`structure_to_dict`.
+
+    The fields must have their file types: `name` a string,
+    `superclasses` and `subclasses` lists of strings, and `parent_of` an
+    object of strings; anything else is StructureError.
+    """
+    if not isinstance(raw, dict):
+        raise StructureError("a structure file must hold a JSON object")
     try:
-        return validate_structure(
+        name, superclasses, subclasses, parent_of = (
             raw["name"], raw["superclasses"], raw["subclasses"], raw["parent_of"]
         )
     except KeyError as exc:
         raise StructureError(f"structure file missing field {exc}") from exc
+    if not isinstance(name, str):
+        raise StructureError(f"structure name must be a string, got {name!r}")
+    for field, names in (("superclasses", superclasses), ("subclasses", subclasses)):
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise StructureError(
+                f"structure {name!r}: {field} must be a list of strings"
+            )
+    if not isinstance(parent_of, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in parent_of.items()
+    ):
+        raise StructureError(
+            f"structure {name!r}: parent_of must map strings to strings"
+        )
+    return validate_structure(name, superclasses, subclasses, parent_of)
 
 
 def save_structure(structure: LabelStructure, path) -> None:
@@ -274,7 +297,7 @@ def save_structure(structure: LabelStructure, path) -> None:
     Fields: name, superclasses, subclasses (order defines the id space),
     parent_of (subclass name -> superclass name).
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text_writer(path) as fh:
         json.dump(structure_to_dict(structure), fh, indent=2)
         fh.write("\n")
 
@@ -283,7 +306,7 @@ def load_structure(path) -> LabelStructure:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
             raise StructureError(f"{path}: not valid JSON ({exc})") from exc
     return structure_from_dict(raw)
 

@@ -1,16 +1,35 @@
 """End-to-end command-line pipeline: artifacts, determinism, and errors."""
 
 import json
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from hierfusion import model as model_module
 from hierfusion.cli import experiment_config_from_dict, infer_subclass_names, main
+from hierfusion.exceptions import CheckpointError, StructureError
 from hierfusion.features import load_feature_table
-from hierfusion.model import load_checkpoint
+from hierfusion.metrics import PredictionBatch, save_predictions
+from hierfusion.model import (
+    CHECKPOINT_MAGIC,
+    FusionConfig,
+    TrainHistory,
+    init_model,
+    load_checkpoint,
+    save_checkpoint,
+    save_history,
+)
 from hierfusion.rng import STREAM_SYNTHETIC, derive_seed
 from hierfusion.structure_builder import adjusted_rand_index
-from hierfusion.taxonomy import load_structure
+from hierfusion.taxonomy import (
+    LabelStructure,
+    StructureSet,
+    load_structure,
+    save_structure,
+    validate_structure,
+)
 
 SYNTH = {
     "superclass_count": 2,
@@ -379,6 +398,17 @@ def test_config_error_paths(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [b'{"seed": "\xff"}', b"[1]", b"[" * 100_000],
+                         ids=["not-utf8", "list", "deep"])
+def test_config_file_must_be_a_json_object(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    capsys.readouterr()
+    assert run("train", "--config", str(path), "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
 def test_unexpected_positional_argument(tmp_path, capsys):
     assert run("train", "oops") == 1
     assert "unexpected argument" in capsys.readouterr().err
@@ -599,6 +629,11 @@ def test_master_and_split_seeds_are_typed(tmp_path, capsys, config_patch, flag,
     ("train", "--model.epochs", "null", "model epochs must be an integer"),
     ("train", "--model.batch_size", "\"8\"", "model batch_size must be an integer"),
     ("train", "--model", "[1]", "'model' must be an object"),
+    ("evaluate", "--checkpoint", "7", "'checkpoint' must be a file path"),
+    ("evaluate", "--checkpoint", "0", "'checkpoint' must be a file path"),
+    ("evaluate", "--checkpoint", "[\"a.ckpt\"]", "'checkpoint' must be a file path"),
+    ("train", "--names_from", "5", "'names_from' must be a file path"),
+    ("train", "--names_from", "[\"s.json\"]", "'names_from' must be a file path"),
 ])
 def test_synthetic_and_model_fields_are_typed(tmp_path, capsys, command, flag,
                                               value, message):
@@ -652,3 +687,125 @@ def test_train_on_a_header_only_csv_is_a_typed_error(tmp_path, capsys, split,
     assert run("train", "--config", config) == 1
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+
+
+# -- malformed checkpoints and structure files are typed errors ---------------
+
+def _with_header(blob: bytes, edit) -> bytes:
+    """`blob`, a checkpoint, with its JSON header replaced by edit(header)."""
+    start = len(CHECKPOINT_MAGIC) + 4
+    (length,) = struct.unpack("<I", blob[len(CHECKPOINT_MAGIC):start])
+    header = edit(json.loads(blob[start:start + length]))
+    text = json.dumps(header).encode("utf-8")
+    return (CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text
+            + blob[start + length:])
+
+
+def _set(path, value):
+    """A header edit that sets the field at `path` (keys and indices)."""
+    def edit(header):
+        node = header
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return header
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda header: list(header),
+    _set(("tensors", 0, "shape"), ["a", 2]),
+    _set(("tensors", 0, "shape"), 5),
+    _set(("tensors", 0, "shape"), [-6, -4]),
+    _set(("tensors",), {"name": "trunk.0.weight"}),
+    _set(("attach_stages",), 3),
+    _set(("subclass_names",), "abcd"),
+    _set(("config", "epochs"), "x"),
+    _set(("config", "stage_dims"), 5),
+    _set(("config", "lambda_total"), "a"),
+    _set(("config",), [1]),
+], ids=["list", "shape-strings", "shape-int", "shape-negative",
+        "tensors-object", "attach-int", "names-string", "epochs-string",
+        "stage-dims-int", "lambda-string", "config-list"])
+def test_malformed_checkpoint_headers_are_typed_errors(tmp_path, capsys, edit):
+    config = FusionConfig(stage_dims=(4, 3), attach_stages=(0,),
+                          lambda_total=0.1, epochs=1)
+    structure = validate_structure("s", ["u", "v"], ["a", "b", "c", "d"],
+                                   {"a": "u", "b": "u", "c": "v", "d": "v"})
+    model = init_model(config, 4, StructureSet((structure,)), input_dim=3)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, config, path)
+    path.write_bytes(_with_header(path.read_bytes(), edit))
+    with pytest.raises(CheckpointError, match=r"model\.ckpt: "):
+        load_checkpoint(path)
+    capsys.readouterr()
+    assert run("evaluate", "--checkpoint", str(path),
+               "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("raw", [
+    ["name", "superclasses"],
+    {"name": "s", "superclasses": 3, "subclasses": ["x", "y"],
+     "parent_of": {"x": "u", "y": "u"}},
+    {"name": "s", "superclasses": ["u"], "subclasses": "xy",
+     "parent_of": {"x": "u", "y": "u"}},
+    {"name": 5, "superclasses": ["u"], "subclasses": ["x", "y"],
+     "parent_of": {"x": "u", "y": "u"}},
+    {"name": "s", "superclasses": ["u", 1], "subclasses": ["x", "y"],
+     "parent_of": {"x": "u", "y": 1}},
+    {"name": "s", "superclasses": ["u"], "subclasses": ["x", "y"],
+     "parent_of": [["x", "u"], ["y", "u"]]},
+], ids=["list", "superclasses-int", "subclasses-string", "name-int",
+        "superclass-int-entry", "parent-of-list"])
+def test_malformed_structure_files_are_typed_errors(tmp_path, capsys, raw):
+    path = write_config(tmp_path / "structure.json", raw)
+    with pytest.raises(StructureError, match="structure"):
+        load_structure(path)
+    capsys.readouterr()
+    assert run("train", "--synthetic.dim", "3", "--structures", f'["{path}"]',
+               "--model.attach_stages", "[0]", "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- every artifact is written atomically ---------------------------------------
+
+def _fail(*args, **kwargs):
+    raise OSError("no space left on device")
+
+
+def _write_checkpoint(path, monkeypatch):
+    config = FusionConfig(stage_dims=(4, 3), epochs=1)
+    model = init_model(config, 2, StructureSet(()), input_dim=2)
+    monkeypatch.setattr(model_module, "struct", SimpleNamespace(pack=_fail))
+    save_checkpoint(model, config, path)
+
+
+def _write_history(path, monkeypatch):
+    history = TrainHistory(total_loss=[1.0], subclass_loss=[1.0],
+                           super_losses=np.zeros((1, 0)), train_accuracy=[0.5],
+                           structure_names=())
+    monkeypatch.setattr(model_module, "format_float", _fail)
+    save_history(history, path)
+
+
+def _write_predictions(path, monkeypatch):
+    # id 2 has no name in a two-name table
+    save_predictions(PredictionBatch([0, 1, 2], [0, 1, 1]), ("a", "b"), path)
+
+
+def _write_structure(path, monkeypatch):
+    unserializable = LabelStructure(name=object(), superclasses=("u",),
+                                    subclass_names=("x",),
+                                    parent_index=np.zeros(1, dtype=np.int64))
+    save_structure(unserializable, path)
+
+
+@pytest.mark.parametrize("write", [_write_checkpoint, _write_history,
+                                   _write_predictions, _write_structure])
+def test_failed_artifact_write_leaves_no_file(tmp_path, monkeypatch, write):
+    with pytest.raises(Exception):
+        write(tmp_path / "artifact", monkeypatch)
+    assert list(tmp_path.iterdir()) == []

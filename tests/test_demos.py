@@ -1,0 +1,22 @@
+"""Every script in demos/ runs to completion against the library."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_demo_exits_zero(tmp_path, demo):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
+        text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0, result.stderr

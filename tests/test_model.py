@@ -329,6 +329,19 @@ def test_loss_label_and_shape_errors():
                         FusionConfig(stage_dims=(4, 3)))
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+def test_loss_needs_one_label_per_logit_row(rows):
+    config = FusionConfig(stage_dims=(4, 3), attach_stages=(0,),
+                          lambda_total=0.1)
+    outputs = forward(zero_model(), np.ones((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        multi_task_loss(outputs, np.zeros(rows, dtype=int), [np.array([0, 1])],
+                        config)
+    with pytest.raises(DimensionMismatch):
+        multi_task_loss(outputs, np.array([0, 1]), [np.zeros(rows, dtype=int)],
+                        config)
+
+
 # -- training ---------------------------------------------------------------------
 
 def separable_table():
