@@ -6,11 +6,16 @@ structure), ``build-structure`` (induce a visual structure from features),
 ``evaluate`` (score a checkpoint, write the report), and ``sweep`` (train
 and evaluate across one axis of values and several seeds).
 
-One JSON config document drives everything; any field can be overridden
-on the command line by a flag of the same dotted name, e.g.
-``--model.lambda_total 0.3`` or ``--builder.k 5``. Section seeds left
-null derive deterministically from the master seed, one fixed stream per
-section, so a single ``--seed`` reseeds the whole pipeline coherently.
+One JSON config document drives everything. Its top-level fields and each
+of its sections (``synthetic``, ``split``, ``builder``, ``model``,
+``sweep``) are typed by one schema table apiece, so an unknown field or a
+value of the wrong type anywhere is InvalidConfig naming the field. Any
+field can be overridden on the command line by a flag of the same dotted
+name, e.g. ``--model.lambda_total 0.3`` or ``--builder.k 5``; ``--seed``,
+``--out`` and the sweep's ``--axis``, ``--values`` and ``--seeds`` set
+their fields the same way. Section seeds left null derive
+deterministically from the master seed, one fixed stream per section, so a
+single ``--seed`` reseeds the whole pipeline coherently.
 
 Every command is deterministic given its config: rerunning writes
 byte-identical artifacts. Diagnostics go to stderr; files carry the data;
@@ -24,7 +29,16 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import config_int, config_real, config_seed, typed_section
+from .config import (
+    config_choice,
+    config_int,
+    config_list,
+    config_optional,
+    config_path,
+    config_real,
+    config_seed,
+    typed_section,
+)
 from .exceptions import (
     HierFusionError,
     InvalidConfig,
@@ -55,9 +69,11 @@ from .rng import (
     STREAM_SYNTHETIC,
     derive_seed,
 )
-from .serialization import atomic_text_writer, dump_json, format_float
+from .serialization import atomic_text_writer, dump_json, format_float, text_reader
 from .structure_builder import build_visual_structure
-from .taxonomy import StructureSet, load_structure, save_structure
+from .taxonomy import StructureSet, load_structure, load_structure_set, save_structure
+
+_AXIS_COLUMNS = {"lambda": "lambda", "attach_stage": "stage", "k": "k"}
 
 
 @dataclass(frozen=True)
@@ -65,12 +81,41 @@ class SplitParams:
     fraction: float
     seed: int
 
+    def __post_init__(self):
+        if not 0.0 < self.fraction < 1.0:
+            raise InvalidConfig("split fraction must lie in (0, 1)")
+
 
 @dataclass(frozen=True)
 class BuilderParams:
-    k: int | None
-    delta: float
-    seed: int
+    k: int | None = None
+    delta: float = 1.0
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.delta <= 0:
+            raise InvalidConfig(f"builder delta must be > 0, got {self.delta!r}")
+
+
+@dataclass(frozen=True)
+class SweepParams:
+    """The axis a sweep varies, its values and its run seeds, each sorted.
+
+    lambda values are finite numbers, k and attach_stage values integers.
+    No seeds means one run per value under the master seed.
+    """
+
+    axis: str
+    values: tuple
+    seeds: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if not self.values:
+            raise InvalidConfig("sweep needs a non-empty list of values")
+        convert = config_real if self.axis == "lambda" else config_int
+        values = sorted(convert(v, f"sweep {self.axis} value") for v in self.values)
+        object.__setattr__(self, "values", tuple(values))
+        object.__setattr__(self, "seeds", tuple(sorted(self.seeds or ())))
 
 
 @dataclass(frozen=True)
@@ -78,31 +123,26 @@ class ExperimentConfig:
     """A fully resolved experiment: all section seeds are concrete."""
 
     seed: int
-    synthetic: SyntheticSpec | None
-    features: str | None
-    structures: tuple[str, ...]
-    names_from: str | None
-    checkpoint: str | None
-    split: SplitParams | None
     builder: BuilderParams
     model: FusionConfig
-    sweep: dict | None
-    out: str | None
+    synthetic: SyntheticSpec | None = None
+    features: str | None = None
+    structures: tuple[str, ...] = ()
+    names_from: str | None = None
+    checkpoint: str | None = None
+    split: SplitParams | None = None
+    sweep: SweepParams | None = None
+    out: str | None = None
 
 
-_TOP_LEVEL_KEYS = {
-    "seed",
-    "synthetic",
-    "features",
-    "structures",
-    "names_from",
-    "checkpoint",
-    "split",
-    "builder",
-    "model",
-    "sweep",
-    "out",
-}
+def _untyped(value, field: str):
+    """A value typed later: a section by its own table, sweep values by axis."""
+    return value
+
+
+def _schema(cls, name: str, types: dict, required=()):
+    """The reader of section `name`: type its fields, then build a `cls`."""
+    return lambda section: cls(**typed_section(section, name, types, required))
 
 
 _SYNTHETIC_TYPES = {
@@ -115,114 +155,74 @@ _SYNTHETIC_TYPES = {
     "noise_scale": config_real,
     "seed": config_seed,
 }
+_SPLIT_TYPES = {"fraction": config_real, "seed": config_seed}
+_BUILDER_TYPES = {
+    "k": config_optional(config_int),
+    "delta": config_real,
+    "seed": config_seed,
+}
+_SWEEP_TYPES = {
+    "axis": config_choice(_AXIS_COLUMNS),
+    "values": config_list(_untyped),
+    "seeds": config_optional(config_list(config_seed)),
+}
 
+# Each section: its reader, and the stream a null seed in it derives from
+# (None for the sweep, whose runs each take their own master seed).
+_SECTIONS = {
+    "synthetic": (
+        _schema(SyntheticSpec, "synthetic", _SYNTHETIC_TYPES), STREAM_SYNTHETIC
+    ),
+    "split": (_schema(SplitParams, "split", _SPLIT_TYPES, ("fraction",)), STREAM_SPLIT),
+    "builder": (_schema(BuilderParams, "builder", _BUILDER_TYPES), STREAM_BUILDER),
+    "model": (config_from_dict, STREAM_MODEL),
+    "sweep": (_schema(SweepParams, "sweep", _SWEEP_TYPES, ("axis", "values")), None),
+}
 
-def _seeded(section, master: int, stream: int):
-    """`section` with a null or absent seed derived from the master seed."""
-    if isinstance(section, dict) and section.get("seed") is None:
-        return dict(section, seed=derive_seed(master, stream))
-    return section
+_FILE_PATH = config_optional(config_path("file"))
+_DOCUMENT_TYPES = {
+    "seed": config_seed,
+    "features": _FILE_PATH,
+    "names_from": _FILE_PATH,
+    "checkpoint": _FILE_PATH,
+    "structures": config_optional(config_list(config_path("file"))),
+    "out": config_optional(config_path("directory")),
+    **dict.fromkeys(_SECTIONS, _untyped),
+}
 
 
 def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
-    """Validate the config document and resolve derived section seeds.
+    """Type the config document and resolve derived section seeds.
 
-    A section seed that is absent or null derives from the master seed
-    through that section's fixed stream; an explicit integer wins.
+    A null path field or section is left at its default: a null section
+    is off, except `builder` and `model`, which are always on. A section
+    seed that is absent or null derives from the master seed through that
+    section's fixed stream; an explicit integer wins.
     """
     if not isinstance(raw, dict):
         raise InvalidConfig("the config must be a JSON object")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise InvalidConfig(f"unknown config fields: {sorted(unknown)}")
-    master = config_seed(raw.get("seed", 0), "seed")
-
-    synthetic = None
-    if raw.get("synthetic") is not None:
-        section = _seeded(raw["synthetic"], master, STREAM_SYNTHETIC)
-        synthetic = SyntheticSpec(
-            **typed_section(section, "synthetic", _SYNTHETIC_TYPES)
-        )
-
-    for key in ("features", "names_from", "checkpoint"):
-        if raw.get(key) is not None and not isinstance(raw[key], str):
-            raise InvalidConfig(f"'{key}' must be a file path, got {raw[key]!r}")
-    features = raw.get("features")
-    if synthetic is not None and features is not None:
+    fields = {"builder": {}, "model": {}}
+    for key, value in typed_section(raw, "", _DOCUMENT_TYPES).items():
+        if value is not None:
+            fields[key] = value
+    master = fields.setdefault("seed", 0)
+    for name, (read, stream) in _SECTIONS.items():
+        section = fields.get(name)
+        if section is None:
+            continue
+        seeded = stream is not None and isinstance(section, dict)
+        if seeded and section.get("seed") is None:
+            section = dict(section, seed=derive_seed(master, stream))
+        fields[name] = read(section)
+    if "synthetic" in fields and "features" in fields:
         raise InvalidConfig("configure exactly one data source, not both")
-
-    structures = raw.get("structures") or []
-    if not isinstance(structures, (list, tuple)) or not all(
-        isinstance(p, str) for p in structures
-    ):
-        raise InvalidConfig("'structures' must be a list of file paths")
-
-    split = None
-    if raw.get("split") is not None:
-        section = raw["split"]
-        if not isinstance(section, dict) or "fraction" not in section:
-            raise InvalidConfig("'split' needs a 'fraction' field")
-        extra = set(section) - {"fraction", "seed"}
-        if extra:
-            raise InvalidConfig(f"unknown split fields: {sorted(extra)}")
-        fraction = config_real(section["fraction"], "split fraction")
-        if not 0.0 < fraction < 1.0:
-            raise InvalidConfig("split fraction must lie in (0, 1)")
-        seed = section.get("seed")
-        split = SplitParams(
-            fraction=fraction,
-            seed=derive_seed(master, STREAM_SPLIT)
-            if seed is None
-            else config_seed(seed, "split seed"),
-        )
-
-    section = raw.get("builder") or {}
-    if not isinstance(section, dict):
-        raise InvalidConfig("'builder' must be an object")
-    extra = set(section) - {"k", "delta", "seed"}
-    if extra:
-        raise InvalidConfig(f"unknown builder fields: {sorted(extra)}")
-    delta = config_real(section.get("delta", 1.0), "builder delta")
-    if delta <= 0:
-        raise InvalidConfig(f"builder delta must be > 0, got {delta!r}")
-    k = section.get("k")
-    builder = BuilderParams(
-        k=None if k is None else config_int(k, "builder k"),
-        delta=delta,
-        seed=derive_seed(master, STREAM_BUILDER)
-        if section.get("seed") is None
-        else config_seed(section["seed"], "builder seed"),
-    )
-
-    model = config_from_dict(_seeded(raw.get("model") or {}, master, STREAM_MODEL))
-
-    sweep = raw.get("sweep")
-    if sweep is not None and not isinstance(sweep, dict):
-        raise InvalidConfig("'sweep' must be an object")
-
-    out = raw.get("out")
-    if out is not None and not isinstance(out, str):
-        raise InvalidConfig("'out' must be a directory path")
-
-    return ExperimentConfig(
-        seed=master,
-        synthetic=synthetic,
-        features=features,
-        structures=tuple(structures),
-        names_from=raw.get("names_from"),
-        checkpoint=raw.get("checkpoint"),
-        split=split,
-        builder=builder,
-        model=model,
-        sweep=sweep,
-        out=out,
-    )
+    return ExperimentConfig(**fields)
 
 
 def infer_subclass_names(path) -> tuple[str, ...]:
     """Subclass name table of a feature file, in first-appearance order."""
     names = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with text_reader(path) as fh:
         header = fh.readline()
         if not header.startswith("label,"):
             raise MalformedRow(f"{path}: missing 'label,f0,...' header")
@@ -281,8 +281,16 @@ def _split(config: ExperimentConfig, table):
     return train_test_split(table, config.split.fraction, config.split.seed)
 
 
-def _load_structures(config: ExperimentConfig) -> StructureSet:
-    return StructureSet(tuple(load_structure(p) for p in config.structures))
+def _induce(config: ExperimentConfig, table, names):
+    """The visual structure the builder section induces from `table`."""
+    return build_visual_structure(
+        table,
+        config.builder.k,
+        config.builder.delta,
+        config.builder.seed,
+        subclass_names=names,
+        class_count=len(names),
+    )
 
 
 # -- commands ----------------------------------------------------------------
@@ -311,15 +319,8 @@ def cmd_build_structure(config: ExperimentConfig) -> None:
         raise InvalidConfig("build-structure needs 'builder.k'")
     out = _out_dir(config)
     table, names, _ = _load_table(config)
-    table = _split(config, table)[0]
-    structure = build_visual_structure(
-        table,
-        config.builder.k,
-        config.builder.delta,
-        config.builder.seed,
-        subclass_names=names,
-        class_count=len(names),
-    )
+    table = _split(config, table)[0]  # lets the whole table go before the build
+    structure = _induce(config, table, names)
     path = out / f"{structure.name}.json"
     save_structure(structure, path)
     _note(f"wrote {path}")
@@ -328,7 +329,7 @@ def cmd_build_structure(config: ExperimentConfig) -> None:
 def cmd_train(config: ExperimentConfig) -> None:
     """Train on the configured data and write model.ckpt and history.csv."""
     out = _out_dir(config)
-    structures = _load_structures(config)
+    structures = load_structure_set(config.structures)
     names_hint = structures.subclass_names if len(structures) else None
     table, names, _ = _load_table(config, names_hint)
     table = _split(config, table)[0]
@@ -351,7 +352,7 @@ def cmd_evaluate(config: ExperimentConfig) -> None:
         raise InvalidConfig("evaluate needs a 'checkpoint' path")
     out = _out_dir(config)
     model, _ = load_checkpoint(config.checkpoint)
-    structures = _load_structures(config)
+    structures = load_structure_set(config.structures)
     if len(structures) == 0:
         raise InvalidConfig("evaluate needs at least one structure file")
     if structures.subclass_names != model.subclass_names:
@@ -378,18 +379,16 @@ def _score(model, structures: StructureSet, table):
     return batch, evaluate(structures, batch)
 
 
-_AXIS_COLUMNS = {"lambda": "lambda", "attach_stage": "stage", "k": "k"}
 _METRIC_COLUMNS = ("accuracy", "p_ha", "r_ha", "f_ha", "tie_a", "lca_a")
 
 
-def cmd_sweep(config: ExperimentConfig, raw: dict, axis, values, seeds) -> None:
+def cmd_sweep(config: ExperimentConfig, raw: dict) -> None:
     """Train and evaluate per (value, seed); write sweep_{axis}.csv.
 
     Each run re-resolves the whole config under its own master seed, so
     null section seeds vary across runs while pinned ones stay put. All
-    runs are typed and resolved before the first one starts: lambda
-    values must be finite numbers, k and attach_stage values and seeds
-    integers, else InvalidConfig and no file. Each distinct data source
+    runs are resolved before the first one starts, so a run config that
+    fails is InvalidConfig and no file. Each distinct data source
     (the resolved synthetic spec, or the feature file with its name
     table) is parsed or generated once per sweep, and each run splits it
     once. Rows appear sorted by (value, seed), each value closing with a
@@ -397,25 +396,10 @@ def cmd_sweep(config: ExperimentConfig, raw: dict, axis, values, seeds) -> None:
     file that is renamed onto sweep_{axis}.csv after the last row and
     deleted if any run fails, so a failed sweep leaves no CSV behind.
     """
-    section = config.sweep or {}
-    axis = axis if axis is not None else section.get("axis")
-    values = values if values is not None else section.get("values")
-    seeds = seeds if seeds is not None else section.get("seeds")
-    if axis not in _AXIS_COLUMNS:
-        raise InvalidConfig(
-            f"sweep axis must be one of {sorted(_AXIS_COLUMNS)}, got {axis!r}"
-        )
-    if not isinstance(values, (list, tuple)) or not values:
-        raise InvalidConfig("sweep needs a non-empty list of values")
-    if not seeds:
-        seeds = [config.seed]
-    elif not isinstance(seeds, (list, tuple)):
-        raise InvalidConfig("sweep seeds must be a list of integers")
-    if axis == "lambda":
-        values = sorted(config_real(v, "sweep lambda value") for v in values)
-    else:
-        values = sorted(config_int(v, f"sweep {axis} value") for v in values)
-    seeds = sorted(config_seed(s, "sweep seed") for s in seeds)
+    if config.sweep is None:
+        raise InvalidConfig("sweep needs an axis (a 'sweep' section or --axis)")
+    axis, values = config.sweep.axis, config.sweep.values
+    seeds = config.sweep.seeds or (config.seed,)
     runs = [
         [(seed, _sweep_config(raw, axis, value, seed)) for seed in seeds]
         for value in values
@@ -425,7 +409,7 @@ def cmd_sweep(config: ExperimentConfig, raw: dict, axis, values, seeds) -> None:
     header = [_AXIS_COLUMNS[axis], "seed"] + list(_METRIC_COLUMNS)
     # Axes never touch the structure files, so every run shares them and
     # their name table; a data source is then keyed by its resolved spec.
-    structures = _load_structures(config)
+    structures = load_structure_set(config.structures)
     names_hint = structures.subclass_names if len(structures) else None
     sources = {}
     mean_by_value = []
@@ -469,18 +453,18 @@ def _sweep_row(value, seed: str, metrics: dict) -> str:
 def _sweep_config(raw: dict, axis, value, seed: int) -> ExperimentConfig:
     """The resolved config of one sweep run: master seed and axis field set."""
     run_raw = copy.deepcopy(raw)
-    run_raw["seed"] = seed
     run_raw.pop("sweep", None)
+    fields = {"seed": seed}
     if axis == "lambda":
-        run_raw.setdefault("model", {})["lambda_total"] = value
-        run_raw["model"]["lambda_split"] = None
+        fields.update({"model.lambda_total": value, "model.lambda_split": None})
     elif axis == "attach_stage":
         heads = len(run_raw.get("structures") or [])
         if heads == 0:
             raise InvalidConfig("attach_stage sweep needs structure files")
-        run_raw.setdefault("model", {})["attach_stages"] = [value] * heads
+        fields["model.attach_stages"] = [value] * heads
     else:
-        run_raw.setdefault("builder", {})["k"] = value
+        fields["builder.k"] = value
+    _apply_overrides(run_raw, fields.items())
     return experiment_config_from_dict(run_raw)
 
 
@@ -488,15 +472,7 @@ def _sweep_run(axis, cfg: ExperimentConfig, structures, table, names):
     """One sweep run on a loaded table: split, train, score the held-out side."""
     train_side, test_side = _split(cfg, table)
     if axis == "k":
-        built = build_visual_structure(
-            train_side,
-            cfg.builder.k,
-            cfg.builder.delta,
-            cfg.builder.seed,
-            subclass_names=names,
-            class_count=len(names),
-        )
-        structures = StructureSet((built,))
+        structures = StructureSet((_induce(cfg, train_side, names),))
     model, _ = train(cfg.model, train_side, structures, subclass_names=names)
     return _score(model, structures, test_side)[1]
 
@@ -566,12 +542,15 @@ def _parse_overrides(tokens: list) -> list:
     return overrides
 
 
-def _apply_overrides(raw: dict, overrides: list) -> None:
+def _apply_overrides(raw: dict, overrides) -> None:
+    """Set each dotted (key, value) field; a null or absent section becomes {}."""
     for key, value in overrides:
         parts = key.split(".")
         node = raw
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
+            if node.get(part) is None:
+                node[part] = {}
+            node = node[part]
             if not isinstance(node, dict):
                 raise InvalidConfig(f"--{key} does not address an object field")
         node[parts[-1]] = value
@@ -609,20 +588,16 @@ def main(argv=None) -> int:
                 raise InvalidConfig(f"{args.config}: the config must be a JSON object")
         else:
             raw = {}
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.out is not None:
-            raw["out"] = args.out
-        _apply_overrides(raw, overrides)
+        flags = {"seed": args.seed, "out": args.out}
+        if args.command == "sweep":
+            flags["sweep.axis"] = args.axis
+            flags["sweep.values"] = _parse_value_list(args.values)
+            flags["sweep.seeds"] = _parse_value_list(args.seeds)
+        flags = [(key, value) for key, value in flags.items() if value is not None]
+        _apply_overrides(raw, flags + overrides)
         config = experiment_config_from_dict(raw)
         if args.command == "sweep":
-            cmd_sweep(
-                config,
-                raw,
-                axis=args.axis,
-                values=_parse_value_list(args.values),
-                seeds=_parse_value_list(args.seeds),
-            )
+            cmd_sweep(config, raw)
         elif args.command == "gen-synthetic":
             cmd_gen_synthetic(config)
         elif args.command == "build-structure":

@@ -61,15 +61,46 @@ def config_optional(convert):
     return typed
 
 
-def typed_section(section, name: str, types: dict) -> dict:
+def config_path(kind: str):
+    """The config type of a `kind` ("file", "directory") path: a string,
+    so that an integer is never opened as a file descriptor."""
+
+    def typed(value, field: str) -> str:
+        if not isinstance(value, str):
+            raise InvalidConfig(f"'{field}' must be a {kind} path, got {value!r}")
+        return value
+
+    return typed
+
+
+def config_choice(options):
+    """The config type of a string that is one of `options`."""
+
+    def typed(value, field: str) -> str:
+        if not isinstance(value, str) or value not in options:
+            raise InvalidConfig(
+                f"{field} must be one of {sorted(options)}, got {value!r}"
+            )
+        return value
+
+    return typed
+
+
+def typed_section(section, name: str, types: dict, required=()) -> dict:
     """A copy of the config object `section` with every field typed.
 
     `types` maps each field the section may hold to its converter; any
-    other field, or a section that is not an object, is InvalidConfig.
+    other field, a missing `required` field, or a section that is not an
+    object, is InvalidConfig. Field names in messages carry the prefix
+    `name`; the empty name types the document's top level.
     """
     if not isinstance(section, dict):
         raise InvalidConfig(f"'{name}' must be an object")
+    prefix = f"{name} " if name else ""
     unknown = set(section) - set(types)
     if unknown:
-        raise InvalidConfig(f"unknown {name} config fields: {sorted(unknown)}")
-    return {key: types[key](value, f"{name} {key}") for key, value in section.items()}
+        raise InvalidConfig(f"unknown {prefix}config fields: {sorted(unknown)}")
+    for key in required:
+        if key not in section:
+            raise InvalidConfig(f"'{name}' is missing its '{key}' field")
+    return {key: types[key](value, prefix + key) for key, value in section.items()}

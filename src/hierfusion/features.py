@@ -24,7 +24,7 @@ from .exceptions import (
     UnknownLabel,
 )
 from .rng import rng_from_seed
-from .serialization import atomic_text_writer
+from .serialization import atomic_text_writer, text_reader
 from .taxonomy import LabelStructure, validate_structure
 
 
@@ -289,7 +289,7 @@ def load_feature_table(path, subclass_names) -> FeatureTable:
     name_to_id = {str(n): i for i, n in enumerate(subclass_names)}
     labels = array("q")
     linenos = array("q")
-    with open(path, "r", encoding="utf-8") as fh:
+    with text_reader(path) as fh:
         header = fh.readline()
         if not header.startswith("label,"):
             raise MalformedRow(f"{path}: missing 'label,f0,...' header")
@@ -328,6 +328,8 @@ def load_feature_table(path, subclass_names) -> FeatureTable:
                 dtype=np.float64,
                 ndmin=2,
             )
+        except UnicodeDecodeError:
+            raise  # text_reader names the file; a line number would mislead
         except ValueError as exc:
             # loadtxt converts each line as it is pulled from `rows`, so the
             # line that failed is the last one recorded.

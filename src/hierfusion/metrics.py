@@ -28,7 +28,7 @@ from .exceptions import (
     MalformedRow,
     UnknownLabel,
 )
-from .serialization import atomic_text_writer
+from .serialization import atomic_text_writer, text_reader
 from .taxonomy import LabelStructure, StructureSet, lca_heights
 
 PATH_NODES = 3
@@ -173,8 +173,17 @@ def evaluate(structures: StructureSet, batch: PredictionBatch) -> EvalReport:
 # -- prediction files --------------------------------------------------------
 
 def save_predictions(batch: PredictionBatch, subclass_names, path) -> None:
-    """Write the two-column prediction CSV ``predicted,truth`` by name."""
+    """Write the two-column prediction CSV ``predicted,truth`` by name.
+
+    An id with no entry in `subclass_names` is UnknownLabel, raised before
+    anything is written.
+    """
     names = tuple(subclass_names)
+    top = int(max(batch.predicted.max(), batch.truth.max()))
+    if top >= len(names):
+        raise UnknownLabel(
+            f"subclass id {top} outside the {len(names)}-name subclass table"
+        )
     with atomic_text_writer(path) as fh:
         fh.write("predicted,truth\n")
         for pred, true in zip(batch.predicted, batch.truth):
@@ -185,27 +194,22 @@ def load_predictions(path, subclass_names) -> PredictionBatch:
     """Parse a prediction CSV, resolving names against the name table."""
     name_to_id = {str(n): i for i, n in enumerate(subclass_names)}
     predicted, truth = [], []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != "predicted,truth":
-                raise MalformedRow(f"{path}: missing 'predicted,truth' header")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                cells = line.split(",")
-                if len(cells) != 2:
-                    raise MalformedRow(f"{path}:{lineno}: expected 2 columns")
-                for cell in cells:
-                    if cell not in name_to_id:
-                        raise UnknownLabel(
-                            f"{path}:{lineno}: unknown label {cell!r}"
-                        )
-                predicted.append(name_to_id[cells[0]])
-                truth.append(name_to_id[cells[1]])
-    except UnicodeDecodeError as exc:
-        raise MalformedRow(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    with text_reader(path) as fh:
+        header = fh.readline().rstrip("\n")
+        if header != "predicted,truth":
+            raise MalformedRow(f"{path}: missing 'predicted,truth' header")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != 2:
+                raise MalformedRow(f"{path}:{lineno}: expected 2 columns")
+            for cell in cells:
+                if cell not in name_to_id:
+                    raise UnknownLabel(f"{path}:{lineno}: unknown label {cell!r}")
+            predicted.append(name_to_id[cells[0]])
+            truth.append(name_to_id[cells[1]])
     if not predicted:
         raise EmptyBatch(f"{path}: no prediction rows")
     return PredictionBatch(

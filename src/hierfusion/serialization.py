@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .exceptions import MalformedRow
+
 
 def format_float(x: float) -> str:
     """Shortest-faithful decimal: 17 significant digits."""
@@ -39,6 +41,20 @@ def atomic_text_writer(path, *, binary: bool = False):
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+
+
+@contextlib.contextmanager
+def text_reader(path):
+    """Yield `path` open as UTF-8 text.
+
+    Bytes that are not UTF-8 are MalformedRow naming the file but no line:
+    text is decoded in chunks, ahead of the line being read.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def dump_json(value, *, indent: int = 2) -> str:

@@ -1,7 +1,9 @@
 """End-to-end command-line pipeline: artifacts, determinism, and errors."""
 
 import json
+import re
 import struct
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,6 +32,8 @@ from hierfusion.taxonomy import (
     save_structure,
     validate_structure,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SYNTH = {
     "superclass_count": 2,
@@ -409,9 +413,94 @@ def test_config_file_must_be_a_json_object(tmp_path, capsys, text):
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
+SWEEP = {"axis": "lambda", "values": [0.1]}
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"sweep": dict(SWEEP, bogus=1)}, "unknown sweep config fields: ['bogus']"),
+    ({"sweep": dict(SWEEP, seeds=0)}, "sweep seeds must be a list, got 0"),
+    ({"sweep": dict(SWEEP, seeds="x")}, "sweep seeds must be a list, got 'x'"),
+    ({"sweep": dict(SWEEP, values="0.1")}, "sweep values must be a list, got '0.1'"),
+    ({"split": {}}, "'split' is missing its 'fraction' field"),
+    ({"split": {"seed": 1}}, "'split' is missing its 'fraction' field"),
+    ({"split": {"fraction": 0.8, "ratio": 1}}, "unknown split config fields"),
+    ({"builder": {"k": 2, "kk": 3}}, "unknown builder config fields"),
+    ({"structures": "a.json"}, "structures must be a list, got 'a.json'"),
+    ({"structures": [3]}, "'structures entry' must be a file path, got 3"),
+], ids=["sweep-unknown", "sweep-seeds-0", "sweep-seeds-x", "sweep-values-string",
+        "split-empty", "split-no-fraction", "split-unknown", "builder-unknown",
+        "structures-string", "structures-int"])
+def test_every_config_section_is_typed(tmp_path, capsys, patch, message):
+    data = gen_dataset(tmp_path)
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "c.json",
+                          {**sweep_base(tmp_path, data, out), "sweep": SWEEP, **patch})
+    capsys.readouterr()
+    assert run("sweep", "--config", config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_sweep_flags_override_the_sweep_section(tmp_path):
+    data = gen_dataset(tmp_path)
+    out = tmp_path / "swept"
+    raw = dict(sweep_base(tmp_path, data, out),
+               sweep={"axis": "lambda", "values": [0.5], "seeds": [7]})
+    config = write_config(tmp_path / "sweep.json", raw)
+
+    def firsts():
+        lines = (out / "sweep_lambda.csv").read_text().splitlines()
+        return [line.split(",")[:2] for line in lines[1:]]
+
+    assert run("sweep", "--config", config) == 0
+    assert firsts() == [["0.5", "7"], ["0.5", "mean"]]
+    assert run("sweep", "--config", config, "--values", "0.0", "--seeds", "2,1") == 0
+    assert firsts() == [["0", "1"], ["0", "2"], ["0", "mean"]]
+
+
+def test_sweep_with_a_null_model_section_takes_its_defaults(tmp_path):
+    data = gen_dataset(tmp_path)
+    out = tmp_path / "swept"
+    raw = dict(sweep_base(tmp_path, data, out), model=None)
+    config = write_config(tmp_path / "sweep.json", raw)
+    assert run("sweep", "--config", config, "--axis", "attach_stage",
+               "--values", "0") == 0
+    assert len((out / "sweep_attach_stage.csv").read_text().splitlines()) == 1 + 2
+
+
+def test_readme_example_config_resolves():
+    readme = (ROOT / "README.md").read_text()
+    document = json.loads(re.search(r"```json\n(.*?)```", readme, re.S)[1])
+    config = experiment_config_from_dict(document)
+    for field in document:
+        assert getattr(config, field) is not None
+
+
 def test_unexpected_positional_argument(tmp_path, capsys):
     assert run("train", "oops") == 1
     assert "unexpected argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("names_from", [False, True], ids=["inferred", "names-from"])
+@pytest.mark.parametrize("line", [0, 1, 5, -2],
+                         ids=["header", "first-row", "fifth-row", "last-row"])
+def test_non_utf8_feature_file_is_a_typed_error(tmp_path, capsys, line, names_from):
+    data = gen_dataset(tmp_path)
+    lines = (data / "features.csv").read_bytes().split(b"\n")
+    # the header's first cell or a row's label; the last row lies past the
+    # first block of text the reader decodes
+    lines[line] = lines[line].replace(b",", b"\xff\xfe,", 1)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\n".join(lines))
+    argv = ["train", "--features", str(bad), "--out", str(tmp_path / "out")]
+    if names_from:
+        argv += ["--names_from", str(data / "structure_planted.json")]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
 
 
 def test_infer_subclass_names_first_appearance(tmp_path):
@@ -796,6 +885,18 @@ def _write_predictions(path, monkeypatch):
     save_predictions(PredictionBatch([0, 1, 2], [0, 1, 1]), ("a", "b"), path)
 
 
+class _Unwritable(str):
+    """A name whose text cannot be formatted into a row."""
+
+    def __format__(self, spec):
+        raise OSError("no space left on device")
+
+
+def _write_predictions_midway(path, monkeypatch):
+    # the header and the first row are written; the second row fails
+    save_predictions(PredictionBatch([0, 1], [0, 0]), ("a", _Unwritable("b")), path)
+
+
 def _write_structure(path, monkeypatch):
     unserializable = LabelStructure(name=object(), superclasses=("u",),
                                     subclass_names=("x",),
@@ -804,7 +905,8 @@ def _write_structure(path, monkeypatch):
 
 
 @pytest.mark.parametrize("write", [_write_checkpoint, _write_history,
-                                   _write_predictions, _write_structure])
+                                   _write_predictions, _write_predictions_midway,
+                                   _write_structure])
 def test_failed_artifact_write_leaves_no_file(tmp_path, monkeypatch, write):
     with pytest.raises(Exception):
         write(tmp_path / "artifact", monkeypatch)

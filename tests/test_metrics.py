@@ -244,6 +244,14 @@ def test_prediction_round_trip(tmp_path):
     assert np.array_equal(back.truth, WORKED.truth)
 
 
+@pytest.mark.parametrize("predicted, truth", [([0, 3], [0, 1]), ([0, 1], [3, 1])],
+                         ids=["predicted", "truth"])
+def test_save_predictions_refuses_an_id_with_no_name(tmp_path, predicted, truth):
+    with pytest.raises(UnknownLabel, match="subclass id 3 outside the 3-name"):
+        save_predictions(batch_of(predicted, truth), NAMES, tmp_path / "preds.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_prediction_load_errors(tmp_path):
     path = tmp_path / "preds.csv"
     path.write_text("wrong,header\na,a\n")
