@@ -40,6 +40,7 @@ from .config import (
     typed_section,
 )
 from .exceptions import (
+    DivergedLoss,
     HierFusionError,
     InvalidConfig,
     MalformedRow,
@@ -60,7 +61,9 @@ from .model import (
     predict,
     save_checkpoint,
     save_history,
+    stack_key,
     train,
+    train_stacked,
 )
 from .rng import (
     STREAM_BUILDER,
@@ -102,7 +105,9 @@ class SweepParams:
     """The axis a sweep varies, its values and its run seeds, each sorted.
 
     lambda values are finite numbers, k and attach_stage values integers.
-    No seeds means one run per value under the master seed.
+    No seeds means one run per value under the master seed. A value or
+    seed listed twice (after typing, so 2 and 2.0 are one k) would train
+    identical runs under one (value, seed) row key, so it is refused.
     """
 
     axis: str
@@ -114,8 +119,13 @@ class SweepParams:
             raise InvalidConfig("sweep needs a non-empty list of values")
         convert = config_real if self.axis == "lambda" else config_int
         values = sorted(convert(v, f"sweep {self.axis} value") for v in self.values)
+        seeds = sorted(self.seeds or ())
+        for what, items in ((f"{self.axis} value", values), ("seed", seeds)):
+            for a, b in zip(items, items[1:]):
+                if a == b:
+                    raise InvalidConfig(f"sweep {what} {b!r} is listed twice")
         object.__setattr__(self, "values", tuple(values))
-        object.__setattr__(self, "seeds", tuple(sorted(self.seeds or ())))
+        object.__setattr__(self, "seeds", tuple(seeds))
 
 
 @dataclass(frozen=True)
@@ -388,21 +398,24 @@ def cmd_sweep(config: ExperimentConfig, raw: dict) -> None:
     Each run re-resolves the whole config under its own master seed, so
     null section seeds vary across runs while pinned ones stay put. All
     runs are resolved before the first one starts, so a run config that
-    fails is InvalidConfig and no file. Each distinct data source
-    (the resolved synthetic spec, or the feature file with its name
-    table) is parsed or generated once per sweep, and each run splits it
-    once. Rows appear sorted by (value, seed), each value closing with a
-    seed="mean" row averaging its runs. They stream to a hidden partial
-    file that is renamed onto sweep_{axis}.csv after the last row and
-    deleted if any run fails, so a failed sweep leaves no CSV behind.
+    fails is InvalidConfig and no file. Each distinct data source (the
+    resolved synthetic spec, or the feature file with its name table) is
+    parsed or generated once per sweep, and split once per distinct split
+    (fraction, seed). Runs that share layout shapes, training rows, batch
+    size and epochs (model.stack_key) train together in one
+    train_stacked pass, which gives each the parameters a separate run
+    would. Rows appear sorted by (value, seed), each value closing with a
+    seed="mean" row averaging its runs; the CSV is written atomically
+    after the last run, so a failed sweep leaves no CSV behind.
     """
     if config.sweep is None:
         raise InvalidConfig("sweep needs an axis (a 'sweep' section or --axis)")
     axis, values = config.sweep.axis, config.sweep.values
     seeds = config.sweep.seeds or (config.seed,)
     runs = [
-        [(seed, _sweep_config(raw, axis, value, seed)) for seed in seeds]
+        (value, seed, _sweep_config(raw, axis, value, seed))
         for value in values
+        for seed in seeds
     ]
 
     path = _out_dir(config) / f"sweep_{axis}.csv"
@@ -411,23 +424,46 @@ def cmd_sweep(config: ExperimentConfig, raw: dict) -> None:
     # their name table; a data source is then keyed by its resolved spec.
     structures = load_structure_set(config.structures)
     names_hint = structures.subclass_names if len(structures) else None
-    sources = {}
+    sources, splits, held_out = {}, {}, []
+    stacks = {}  # (names, stack key) -> [(run, model config, training side, structures)]
+    for run, (_, _, cfg) in enumerate(runs):
+        source = (cfg.synthetic, cfg.features, cfg.names_from)
+        if source not in sources:
+            sources[source] = _load_table(cfg, names_hint)
+        table, names, _ = sources[source]
+        if (source, cfg.split) not in splits:
+            splits[source, cfg.split] = _split(cfg, table)
+        train_side, test_side = splits[source, cfg.split]
+        if axis == "k":
+            run_structures = StructureSet((_induce(cfg, train_side, names),))
+        else:
+            run_structures = structures
+        held_out.append((run_structures, test_side))
+        key = (names, stack_key(cfg.model, train_side, run_structures))
+        stacks.setdefault(key, []).append((run, cfg.model, train_side, run_structures))
+    del sources, table  # the splits hold all that training and scoring read
+
+    reports = [None] * len(runs)
+    for (names, _), stack in stacks.items():
+        members, configs, tables, structure_sets = zip(*stack)
+        try:
+            trained = train_stacked(configs, tables, structure_sets, subclass_names=names)
+        except DivergedLoss as exc:
+            value, seed, _ = runs[members[exc.run or 0]]
+            label = f"{axis} {_sweep_value_str(value)}, seed {seed}"
+            raise DivergedLoss(exc.epoch, exc.sample, label) from exc
+        for run, (model, _) in zip(members, trained):
+            reports[run] = _score(model, *held_out[run])[1].to_dict()
+
     mean_by_value = []
     with atomic_text_writer(path) as fh:
         fh.write(",".join(header) + "\n")
-        for value, value_runs in zip(values, runs):
-            reports = []
-            for seed, cfg in value_runs:
-                key = (cfg.synthetic, cfg.features, cfg.names_from)
-                if key not in sources:
-                    sources[key] = _load_table(cfg, names_hint)
-                table, names, _ = sources[key]
-                report = _sweep_run(axis, cfg, structures, table, names)
-                reports.append(report.to_dict())
-                fh.write(_sweep_row(value, str(seed), reports[-1]) + "\n")
-                fh.flush()
+        for v, value in enumerate(values):
+            value_reports = reports[v * len(seeds) : (v + 1) * len(seeds)]
+            for seed, report in zip(seeds, value_reports):
+                fh.write(_sweep_row(value, str(seed), report) + "\n")
             mean = {
-                column: sum(r[column] for r in reports) / len(reports)
+                column: sum(r[column] for r in value_reports) / len(value_reports)
                 for column in _METRIC_COLUMNS
             }
             mean_by_value.append((value, mean))
@@ -466,15 +502,6 @@ def _sweep_config(raw: dict, axis, value, seed: int) -> ExperimentConfig:
         fields["builder.k"] = value
     _apply_overrides(run_raw, fields.items())
     return experiment_config_from_dict(run_raw)
-
-
-def _sweep_run(axis, cfg: ExperimentConfig, structures, table, names):
-    """One sweep run on a loaded table: split, train, score the held-out side."""
-    train_side, test_side = _split(cfg, table)
-    if axis == "k":
-        structures = StructureSet((_induce(cfg, train_side, names),))
-    model, _ = train(cfg.model, train_side, structures, subclass_names=names)
-    return _score(model, structures, test_side)[1]
 
 
 # -- argument handling --------------------------------------------------------

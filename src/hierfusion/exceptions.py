@@ -113,7 +113,17 @@ class LabelOutOfRange(HierFusionError):
 
 
 class DivergedLoss(HierFusionError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss.
+
+    `epoch` and `sample` locate the first batch whose loss was not finite.
+    `run` names the run it belongs to (its index in a stack of runs, or a
+    caller's label), or is None for a lone run.
+    """
+
+    def __init__(self, epoch: int, sample: int, run=None):
+        self.epoch, self.sample, self.run = epoch, sample, run
+        where = "" if run is None else f"run {run}: "
+        super().__init__(f"{where}non-finite loss at epoch {epoch}, sample {sample}")
 
 
 # -- checkpoint / files --------------------------------------------------

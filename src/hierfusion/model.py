@@ -23,6 +23,15 @@ hand and validated against central finite differences (gradient_check).
 Weight init and batch shuffling use independent streams derived from the
 config seed, so a model trained with lambda 0 walks the same trunk and
 subclass-head trajectory as one trained with no structures at all.
+
+Training steps a stack of R runs at once (train_stacked): the flat buffer
+gains a leading run axis, so weights are (R, a, b) views, biases (R, 1, k)
+views, a batch is (R, n, d), and lambda, the per-head lambda shares and
+the learning rate are per-run vectors. Each stacked matmul, softmax and
+bias sum does per run exactly the arithmetic of a lone run, so every run
+of a stack is bit-equal to training it alone; `train` is the R = 1 case.
+Runs stack when they share layout shapes, row count, batch size and
+epochs (stack_key); each keeps its own init and shuffle streams.
 """
 
 import json
@@ -377,40 +386,54 @@ class _Fields:
 
 
 class _Params(_Fields):
-    """Mutable parameters with FusionModel's field names, in one flat buffer.
+    """Mutable parameters of R same-shaped models, in one (R, P) buffer.
 
-    `values` holds every parameter back to back in the canonical layout and
-    the fields (`trunk_weights`, ..., `super_biases`) are views into it;
-    `fields` maps their names to those views. `grads` carries the same
-    fields as views into a second buffer, `grad`, so a gradient step is
-    one array update and gradient_check indexes both buffers alike.
+    Row r of `values` holds model r's parameters back to back in the
+    canonical layout. The fields (`trunk_weights`, ..., `super_biases`)
+    are views into it with the run axis first: weights (R, a, b), biases
+    (R, 1, k) so they broadcast over a batch's rows; `fields` maps their
+    names to those views. `grads` carries the same fields as views into a
+    second buffer, `grad`, so one gradient step for every run is one array
+    update and gradient_check indexes both buffers alike.
     """
 
-    def __init__(self, model: FusionModel):
-        layout = _layout(model.stage_count, len(model.attach_stages))
-        arrays = [arr for _, arr in _parameters(model)]
-        self.values = np.concatenate([arr.ravel() for arr in arrays])
+    def __init__(self, models):
+        first = models[0]
+        self.layout = _layout(first.stage_count, len(first.attach_stages))
+        self.shapes = [arr.shape for _, arr in _parameters(first)]
+        self.values = np.array([
+            np.concatenate([arr.ravel() for _, arr in _parameters(model)])
+            for model in models
+        ])
         self.grad = np.empty_like(self.values)
-        self.fields = _parameter_fields(layout, _views(self.values, arrays))
-        self.grads = _Fields(_parameter_fields(layout, _views(self.grad, arrays)))
-        self.attach_stages = model.attach_stages
+        stacked = [(1,) + shape if len(shape) == 1 else shape for shape in self.shapes]
+        self.fields = _parameter_fields(self.layout, _views(self.values, stacked))
+        self.grads = _Fields(_parameter_fields(self.layout, _views(self.grad, stacked)))
+        self.attach_stages = first.attach_stages
         super().__init__(self.fields)
 
+    def run_fields(self, run: int) -> dict:
+        """The FusionModel parameter fields of one run, as views of its row."""
+        return _parameter_fields(self.layout, _views(self.values[run], self.shapes))
 
-def _views(buffer, shaped) -> list[np.ndarray]:
-    """Consecutive views of `buffer` with the shapes of `shaped`."""
+
+def _views(buffer, shapes) -> list[np.ndarray]:
+    """Consecutive views of `buffer`'s last axis, each given one of `shapes`
+    after the leading axes."""
     views, start = [], 0
-    for a in shaped:
-        views.append(buffer[start : start + a.size].reshape(a.shape))
-        start += a.size
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buffer[..., start : start + size].reshape(buffer.shape[:-1] + shape))
+        start += size
     return views
 
 
 def _logits(params, x):
     """(trunk activations, subclass logits, list of superclass logits) of
-    the (n, d) batch `x`; the one forward pass.
+    the batch `x`; the one forward pass.
 
-    `params` is a FusionModel or a _Params: both carry the parameter
+    `params` is a FusionModel with an (n, d) batch, or a _Params with an
+    (R, n, d) stack of batches, one per run: both carry the parameter
     fields and `attach_stages`.
     """
     acts = []
@@ -439,22 +462,24 @@ def _check_labels(labels, k: int) -> None:
 def _cross_entropy_grad(logits, labels):
     """Mean cross-entropy of the softmax and its gradient in the logits.
 
-    Uses the max-shift log-sum-exp form, so adding a constant to all
-    logits of a sample changes nothing (up to rounding). Labels must be
-    pre-validated to lie in [0, k) (see _check_labels): they are gathered
-    by flat index, so an out-of-range label would silently read a logit
-    of another sample instead of failing.
+    `logits` is (n, k) with n labels, or (R, n, k) with (R, n) labels;
+    the loss is a number, or one per run. Uses the max-shift log-sum-exp
+    form row by row, so adding a constant to all logits of a sample
+    changes nothing (up to rounding). Labels must be pre-validated to lie
+    in [0, k) (see _check_labels): they are gathered by flat index, so an
+    out-of-range label would silently read a logit of another sample
+    instead of failing.
     """
-    n, k = logits.shape
-    shift = logits.max(axis=1, keepdims=True)
+    n, k = logits.shape[-2:]
+    shift = logits.max(axis=-1, keepdims=True)
     exp = logits - shift
     np.exp(exp, out=exp)
-    denom = exp.sum(axis=1, keepdims=True)
-    picked = np.arange(0, n * k, k) + labels
-    lse = np.log(denom).ravel()
-    lse += shift.ravel()
-    lse -= logits.ravel()[picked]
-    loss = float(lse.sum() / n)
+    denom = exp.sum(axis=-1, keepdims=True)
+    picked = np.arange(0, logits.size, k) + labels.ravel()
+    lse = np.log(denom).reshape(labels.shape)
+    lse += shift.reshape(labels.shape)
+    lse -= logits.ravel()[picked].reshape(labels.shape)
+    loss = lse.sum(axis=-1) / n
     exp /= denom
     exp.ravel()[picked] -= 1.0
     exp /= n
@@ -466,8 +491,9 @@ def _weighted_loss(sub_logits, super_logits, y_sub, y_supers, lambdas, lam):
 
     Returns ((total, subclass loss, per-structure losses), subclass logit
     gradient, superclass logit gradients), where total is
-    (1 - lam) * subclass + sum_m lambdas[m] * per-structure[m]. Labels must
-    be pre-validated (see _cross_entropy_grad).
+    (1 - lam) * subclass + sum_m lambdas[m] * per-structure[m]. For a
+    stack of R runs, `lam`, each `lambdas[m]` and every loss are (R,)
+    vectors. Labels must be pre-validated (see _cross_entropy_grad).
     """
     sub_loss, sub_grad = _cross_entropy_grad(sub_logits, y_sub)
     per, grads = [], []
@@ -479,16 +505,24 @@ def _weighted_loss(sub_logits, super_logits, y_sub, y_supers, lambdas, lam):
     return (total, sub_loss, per), sub_grad, grads
 
 
-def _loss_and_grads(params, x, y_sub, y_supers, lambdas, lam):
-    """One forward/backward pass; returns (losses, sub_logits).
+def _per_run(weight):
+    """A per-run weight (a number, or an (R,) vector) shaped to scale
+    (n, k) or (R, n, k) logit gradients run by run."""
+    return np.reshape(weight, np.shape(weight) + (1, 1))
 
-    `losses` is (total, subclass, per-structure list); the gradient is
-    written into params.grads. Head gradients enter the trunk at their
-    attach stage scaled by their loss weight, so a zero-weight head
-    contributes exactly zero. `lam` is the total weight taken from the
-    subclass term. Each stage's activation gradient starts from its first
-    contribution and adds the rest in the fixed order subclass head,
-    superclass heads, stage above.
+
+def _loss_and_grads(params, x, y_sub, y_supers, lambdas, lam):
+    """One forward/backward pass of a stack of runs; returns (losses, sub_logits).
+
+    `params` is a _Params, `x` the (R, n, d) stack of batches, `y_sub`
+    (R, n) and each `y_supers[m]` (R, n); `lam` and each `lambdas[m]`
+    hold one weight per run. `losses` is (total, subclass, per-structure
+    list), each an (R,) vector; the gradient is written into params.grads.
+    Head gradients enter the trunk at their attach stage scaled by their
+    loss weight, so a zero-weight head contributes exactly zero. `lam` is
+    the total weight taken from the subclass term. Each stage's activation
+    gradient starts from its first contribution and adds the rest in the
+    fixed order subclass head, superclass heads, stage above.
     """
     acts, sub_logits, super_logits = _logits(params, x)
     losses, sub_grad, super_grads = _weighted_loss(
@@ -504,26 +538,26 @@ def _loss_and_grads(params, x, y_sub, y_supers, lambdas, lam):
             d_acts[stage] += back
 
     g = params.grads
-    sub_grad *= 1.0 - lam
-    np.matmul(acts[-1].T, sub_grad, out=g.subclass_weight)
-    np.add.reduce(sub_grad, axis=0, out=g.subclass_bias)
-    d_acts[-1] = sub_grad @ params.subclass_weight.T
+    sub_grad *= _per_run(1.0 - lam)
+    np.matmul(acts[-1].swapaxes(-1, -2), sub_grad, out=g.subclass_weight)
+    np.add.reduce(sub_grad, axis=-2, keepdims=True, out=g.subclass_bias)
+    d_acts[-1] = sub_grad @ params.subclass_weight.swapaxes(-1, -2)
     for m, stage in enumerate(params.attach_stages):
         scaled = super_grads[m]
-        scaled *= lambdas[m]
-        np.matmul(acts[stage].T, scaled, out=g.super_weights[m])
-        np.add.reduce(scaled, axis=0, out=g.super_biases[m])
-        add_back(stage, scaled @ params.super_weights[m].T)
+        scaled *= _per_run(lambdas[m])
+        np.matmul(acts[stage].swapaxes(-1, -2), scaled, out=g.super_weights[m])
+        np.add.reduce(scaled, axis=-2, keepdims=True, out=g.super_biases[m])
+        add_back(stage, scaled @ params.super_weights[m].swapaxes(-1, -2))
 
     for s in range(len(acts) - 1, -1, -1):
         d_pre = acts[s] * acts[s]
         np.subtract(1.0, d_pre, out=d_pre)
         d_pre *= d_acts[s]
         below = acts[s - 1] if s > 0 else x
-        np.matmul(below.T, d_pre, out=g.trunk_weights[s])
-        np.add.reduce(d_pre, axis=0, out=g.trunk_biases[s])
+        np.matmul(below.swapaxes(-1, -2), d_pre, out=g.trunk_weights[s])
+        np.add.reduce(d_pre, axis=-2, keepdims=True, out=g.trunk_biases[s])
         if s > 0:
-            add_back(s - 1, d_pre @ params.trunk_weights[s].T)
+            add_back(s - 1, d_pre @ params.trunk_weights[s].swapaxes(-1, -2))
     return losses, sub_logits
 
 
@@ -574,7 +608,11 @@ def multi_task_loss(outputs, subclass_labels, superclass_labels, config) -> Loss
         logits[0], logits[1:], labels[0], labels[1:], config.lambdas,
         config.lambda_total,
     )
-    return LossBreakdown(total=total, subclass=sub_loss, per_structure=tuple(per))
+    return LossBreakdown(
+        total=float(total),
+        subclass=float(sub_loss),
+        per_structure=tuple(float(v) for v in per),
+    )
 
 
 def train(
@@ -590,9 +628,34 @@ def train(
     comes from a dedicated shuffle stream, updates apply in a fixed
     parameter order. History rows are per-epoch sample means of the batch
     losses (measured before each update) and the running train accuracy.
-    Labels are range-checked once here, not per batch; each epoch gathers
-    its shuffled rows once and every batch is a slice of that copy.
+    The one-run case of train_stacked, which does the work.
     """
+    return train_stacked(
+        [config], [table], [structures], subclass_names=subclass_names
+    )[0]
+
+
+def stack_key(config: FusionConfig, table: FeatureTable, structures: StructureSet):
+    """What runs must share to train in one train_stacked pass.
+
+    The input width, stage widths, attach stages and superclass counts
+    fix the parameter shapes; the row count, batch size and epochs fix
+    the batch grid. Runs must also agree on the subclass count, which
+    train_stacked checks once each run's names are resolved.
+    """
+    return (
+        table.count,
+        table.dim,
+        config.stage_dims,
+        config.attach_stages,
+        tuple(s.superclass_count for s in structures),
+        config.batch_size,
+        config.epochs,
+    )
+
+
+def _init_run(config, table, structures, subclass_names) -> FusionModel:
+    """A run's initial model, after checking its table and labels."""
     if table.count == 0:
         raise ClassTooSmall(0, "empty table has no rows to train on")
     if len(structures):
@@ -602,69 +665,136 @@ def train(
     else:
         subclass_count = int(table.labels.max()) + 1
     _check_labels(table.labels, subclass_count)
-    model = init_model(
-        config,
-        subclass_count,
-        structures,
-        table.dim,
-        subclass_names=subclass_names,
+    return init_model(
+        config, subclass_count, structures, table.dim, subclass_names=subclass_names
     )
-    params = _Params(model)
-    y_sub = table.labels
-    y_supers = np.array(
-        [np.asarray(s.parent_index)[y_sub] for s in structures], dtype=np.int64
-    ).reshape(len(structures), table.count)
-    lambdas = config.lambdas
-    lam = config.lambda_total
-    step = config.learning_rate
-    batch = config.batch_size
-    shuffle = rng_from_seed(derive_seed(config.seed, _STREAM_SHUFFLE))
-    n = table.count
 
-    hist_total = np.zeros(config.epochs)
-    hist_sub = np.zeros(config.epochs)
-    hist_super = np.zeros((config.epochs, len(structures)))
-    hist_acc = np.zeros(config.epochs)
-    predicted = np.empty(n, dtype=np.int64)
-    for epoch in range(config.epochs):
-        order = shuffle.permutation(n)
-        xs = table.features[order]
-        ys = y_sub[order]
-        yss = y_supers[:, order]
-        total_sum = sub_sum = 0.0
-        super_sums = [0.0] * len(structures)
-        for start in range(0, n, batch):
-            stop = start + batch
-            by = ys[start:stop]
-            size = by.size
-            (total, sub_loss, per), sub_logits = _loss_and_grads(
-                params, xs[start:stop], by, yss[:, start:stop], lambdas, lam
-            )
-            if not math.isfinite(total):
-                raise DivergedLoss(
-                    f"non-finite loss at epoch {epoch}, sample {start}"
+
+def train_stacked(
+    configs, tables, structures, *, subclass_names=None
+) -> list[tuple[FusionModel, TrainHistory]]:
+    """Train R runs in one pass; one (model, history) per run, in order.
+
+    Run r is `configs[r]` trained on `tables[r]` with `structures[r]`, and
+    comes out bit-equal to ``train(configs[r], tables[r], structures[r])``:
+    its own init, its own shuffle stream, its own lambda, lambda shares
+    and learning rate. The runs must share stack_key and the subclass
+    count, else InvalidConfig. Each batch gathers its (R, batch, d) rows
+    from the distinct tables (by identity) through a per-run row order,
+    so no epoch copy of the rows is made. Labels are range-checked once
+    per run, not per batch.
+
+    A run whose loss turns non-finite is DivergedLoss naming its epoch and
+    first sample, and its index when R > 1. The other runs keep training
+    until no run earlier in the stack can still diverge, so the error
+    names the first diverging run in stack order; floating-point warnings
+    of a diverging run are not printed.
+    """
+    runs = len(configs)
+    if runs == 0 or not runs == len(tables) == len(structures):
+        raise InvalidConfig("a stack needs one config, table and structure set per run")
+    models = [
+        _init_run(c, t, s, subclass_names)
+        for c, t, s in zip(configs, tables, structures)
+    ]
+    keys = {
+        stack_key(c, t, s) + (m.subclass_count,)
+        for c, t, s, m in zip(configs, tables, structures, models)
+    }
+    if len(keys) > 1:
+        raise InvalidConfig(
+            "stacked runs must share layout shapes, training rows, batch size and epochs"
+        )
+    params = _Params(models)
+    heads = configs[0].structure_count
+    n = tables[0].count
+    batch, epochs = configs[0].batch_size, configs[0].epochs
+    lam = np.array([c.lambda_total for c in configs])
+    lambdas = np.array([c.lambdas for c in configs]).reshape(runs, heads).T
+    step = np.array([[c.learning_rate] for c in configs])
+    shuffles = [rng_from_seed(derive_seed(c.seed, _STREAM_SHUFFLE)) for c in configs]
+    parents = [[np.asarray(s.parent_index) for s in structs] for structs in structures]
+    sides = {}  # each distinct table: its rows and the runs that read them
+    for r, table in enumerate(tables):
+        sides.setdefault(id(table), (table.features, []))[1].append(r)
+    sides = [(features, np.array(members)) for features, members in sides.values()]
+
+    hist_total = np.zeros((runs, epochs))
+    hist_sub = np.zeros((runs, epochs))
+    hist_super = np.zeros((runs, epochs, heads))
+    hist_acc = np.zeros((runs, epochs))
+    order = np.empty((runs, n), dtype=np.int64)
+    # Each run's subclass ids, then its superclass ids per head, in batch order.
+    ys = np.empty((1 + heads, runs, n), dtype=np.int64)
+    predicted = np.empty((runs, n), dtype=np.int64)
+    diverged = {}  # run -> (epoch, sample) of its first non-finite loss
+    with np.errstate(all="ignore"):
+        for epoch in range(epochs):
+            for r, (shuffle, table) in enumerate(zip(shuffles, tables)):
+                order[r] = shuffle.permutation(n)
+                ys[0, r] = table.labels[order[r]]
+                for m, parent in enumerate(parents[r]):
+                    ys[1 + m, r] = parent[ys[0, r]]
+            total_sum = np.zeros(runs)
+            sub_sum = np.zeros(runs)
+            super_sums = np.zeros((heads, runs))
+            for start in range(0, n, batch):
+                rows = order[:, start : start + batch]
+                size = rows.shape[1]
+                by = ys[:, :, start : start + batch]
+                (total, sub_loss, per), sub_logits = _loss_and_grads(
+                    params, _gather(sides, rows), by[0], by[1:], lambdas, lam
                 )
-            predicted[start:stop] = sub_logits.argmax(axis=1)
-            total_sum += total * size
-            sub_sum += sub_loss * size
-            for m, loss_m in enumerate(per):
-                super_sums[m] += loss_m * size
-            params.grad *= step
-            params.values -= params.grad
-        hist_total[epoch] = total_sum / n
-        hist_sub[epoch] = sub_sum / n
-        hist_super[epoch] = [v / n for v in super_sums]
-        hist_acc[epoch] = np.count_nonzero(predicted == ys) / n
+                if not math.isfinite(total.sum()):  # one test for every run
+                    finite = np.isfinite(total)
+                    for r in np.flatnonzero(~finite):
+                        diverged.setdefault(int(r), (epoch, start))
+                    if 0 in diverged:  # no earlier run is left to diverge
+                        raise _diverged(diverged, runs)
+                predicted[:, start : start + batch] = sub_logits.argmax(axis=-1)
+                total_sum += total * size
+                sub_sum += sub_loss * size
+                for m, loss_m in enumerate(per):
+                    super_sums[m] += loss_m * size
+                params.grad *= step
+                params.values -= params.grad
+            hist_total[:, epoch] = total_sum / n
+            hist_sub[:, epoch] = sub_sum / n
+            hist_super[:, epoch] = (super_sums / n).T
+            hist_acc[:, epoch] = np.count_nonzero(predicted == ys[0], axis=1) / n
+    if diverged:
+        raise _diverged(diverged, runs)
 
-    trained = replace(model, **params.fields)
-    history = TrainHistory(
-        total_loss=hist_total,
-        subclass_loss=hist_sub,
-        super_losses=hist_super,
-        train_accuracy=hist_acc,
-        structure_names=model.structure_names,
-    )
-    return trained, history
+    return [
+        (
+            replace(model, **params.run_fields(r)),
+            TrainHistory(
+                total_loss=hist_total[r],
+                subclass_loss=hist_sub[r],
+                super_losses=hist_super[r],
+                train_accuracy=hist_acc[r],
+                structure_names=model.structure_names,
+            ),
+        )
+        for r, model in enumerate(models)
+    ]
+
+
+def _gather(sides, rows) -> np.ndarray:
+    """The (R, b, d) batch where run r reads rows[r] of its table; `sides`
+    pairs each distinct table's features with the runs that read it."""
+    if len(sides) == 1:
+        return sides[0][0][rows]
+    batch = np.empty(rows.shape + sides[0][0].shape[1:])
+    for features, members in sides:
+        batch[members] = features[rows[members]]
+    return batch
+
+
+def _diverged(diverged: dict, runs: int) -> DivergedLoss:
+    """The error of the first run in stack order among `diverged`."""
+    run = min(diverged)
+    return DivergedLoss(*diverged[run], run if runs > 1 else None)
 
 
 def predict(model: FusionModel, x):
@@ -709,15 +839,18 @@ def gradient_check(
     y_supers = [np.asarray(s.parent_index)[y_sub] for s in structures]
     for labels, count in zip(y_supers, model.superclass_counts):
         _check_labels(labels, count)
+    # A stack of one run: the batch and its labels gain the run axis.
+    x, y_sub, y_supers = x[None], y_sub[None], [y[None] for y in y_supers]
     lambdas, lam = config.lambdas, config.lambda_total
-    params = _Params(model)
+    params = _Params([model])
     _loss_and_grads(params, x, y_sub, y_supers, lambdas, lam)
+    values, grad = params.values[0], params.grad[0]
 
     def total_loss() -> float:
         _, sub, supers = _logits(params, x)
-        return _weighted_loss(sub, supers, y_sub, y_supers, lambdas, lam)[0][0]
+        return float(_weighted_loss(sub, supers, y_sub, y_supers, lambdas, lam)[0][0][0])
 
-    total = params.values.size
+    total = values.size
     if total <= sample_size:
         chosen = np.arange(total)
     else:
@@ -726,14 +859,14 @@ def gradient_check(
 
     max_err = 0.0
     for i in chosen:
-        original = params.values[i]
-        params.values[i] = original + epsilon
+        original = values[i]
+        values[i] = original + epsilon
         above = total_loss()
-        params.values[i] = original - epsilon
+        values[i] = original - epsilon
         below = total_loss()
-        params.values[i] = original
+        values[i] = original
         numeric = (above - below) / (2.0 * epsilon)
-        analytic = params.grad[i]
+        analytic = grad[i]
         err = abs(analytic - numeric) / max(1.0, abs(analytic) + abs(numeric))
         max_err = max(max_err, err)
     return max_err

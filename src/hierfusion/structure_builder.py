@@ -79,21 +79,12 @@ class SpectralEmbedding:
         object.__setattr__(self, "coords", coords)
 
 
-def class_distance(mean_i, var_i: float, mean_j, var_j: float) -> float:
-    """sqrt(||Q_i - Q_j||^2 + var_i + var_j); symmetric and non-negative."""
-    mean_i = np.asarray(mean_i, dtype=np.float64)
-    mean_j = np.asarray(mean_j, dtype=np.float64)
-    if mean_i.shape != mean_j.shape:
-        raise DimensionMismatch("class means must share a dimension")
-    diff = mean_i - mean_j
-    return float(np.sqrt(diff @ diff + float(var_i) + float(var_j)))
-
-
 def class_distance_matrix(stats: ClassStats) -> np.ndarray:
     """All pairwise class distances, exactly symmetric with zero diagonal.
 
-    One batched step per row: each squared mean gap is a per-pair dot
-    product, as in class_distance, and only O(C * d) memory is live.
+    dis_ij = sqrt(||Q_i - Q_j||^2 + var_i + var_j). One batched step per
+    row: each squared mean gap is a per-pair dot product, and only O(C * d)
+    memory is live.
     """
     n = stats.class_count
     means, variances = stats.means, stats.variances

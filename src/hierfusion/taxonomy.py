@@ -194,34 +194,10 @@ def validate_structure(
     )
 
 
-def superclass_of(structure: LabelStructure, subclass: int) -> int:
-    """Index (within `structure.superclasses`) of the subclass's parent."""
-    structure._check_id(subclass)
-    return int(structure.parent_index[subclass])
-
-
-def tie_distance(structure: LabelStructure, c: int, c_hat: int) -> int:
-    """Edge count between two leaves: 0 same, 2 same parent, 4 otherwise.
-
-    The 3-level tree admits no other values: siblings connect through the
-    shared superclass, everything else through the root.
-    """
-    structure._check_id(c)
-    structure._check_id(c_hat)
-    if c == c_hat:
-        return 0
-    if structure.parent_index[c] == structure.parent_index[c_hat]:
-        return 2
-    return 4
-
-
-def lca_height(structure: LabelStructure, c: int, c_hat: int) -> int:
-    """Height of the lowest common ancestor above the leaf level (0/1/2)."""
-    return tie_distance(structure, c, c_hat) // 2
-
-
 def lca_heights(structure: LabelStructure, c, c_hat) -> np.ndarray:
-    """Vectorized :func:`lca_height` over id arrays of equal shape."""
+    """Height of each pair's lowest common ancestor above the leaf level:
+    0 for the same leaf, 1 for siblings, 2 otherwise; over id arrays of
+    equal shape."""
     c = np.asarray(c, dtype=np.int64)
     c_hat = np.asarray(c_hat, dtype=np.int64)
     for arr in (c, c_hat):

@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 
+from hierfusion.exceptions import DimensionMismatch, IdOutOfRange
 from hierfusion.taxonomy import structure_to_dict, validate_structure
 
 
@@ -113,6 +114,40 @@ def tree_walk_report(structures, predicted, truth):
     }
 
 
+# -- scalar tree distances, one pair of leaves at a time --------------------
+
+def _leaf(structure, subclass: int) -> int:
+    if not 0 <= int(subclass) < structure.subclass_count:
+        raise IdOutOfRange(
+            f"subclass id {subclass} outside [0, {structure.subclass_count})"
+        )
+    return int(subclass)
+
+
+def superclass_of(structure, subclass: int) -> int:
+    """Index (within `structure.superclasses`) of the subclass's parent."""
+    return int(structure.parent_index[_leaf(structure, subclass)])
+
+
+def tie_distance(structure, c: int, c_hat: int) -> int:
+    """Edge count between two leaves: 0 same, 2 same parent, 4 otherwise.
+
+    The 3-level tree admits no other values: siblings connect through the
+    shared superclass, everything else through the root.
+    """
+    c, c_hat = _leaf(structure, c), _leaf(structure, c_hat)
+    if c == c_hat:
+        return 0
+    if structure.parent_index[c] == structure.parent_index[c_hat]:
+        return 2
+    return 4
+
+
+def lca_height(structure, c: int, c_hat: int) -> int:
+    """Height of the lowest common ancestor above the leaf level (0/1/2)."""
+    return tie_distance(structure, c, c_hat) // 2
+
+
 def random_structure(rng, subclass_count, name="h"):
     """A random valid 3-level structure over subclasses c0..c{n-1}.
 
@@ -130,6 +165,22 @@ def random_structure(rng, subclass_count, name="h"):
             f"c{i}": f"{name}_s{int(parent[i])}" for i in range(subclass_count)
         },
     )
+
+
+# -- the distance of one class pair ------------------------------------------
+
+def class_distance(mean_i, var_i: float, mean_j, var_j: float) -> float:
+    """sqrt(||Q_i - Q_j||^2 + var_i + var_j); symmetric and non-negative.
+
+    The pairwise definition that structure_builder.class_distance_matrix
+    batches; its rows must match this bit for bit.
+    """
+    mean_i = np.asarray(mean_i, dtype=np.float64)
+    mean_j = np.asarray(mean_j, dtype=np.float64)
+    if mean_i.shape != mean_j.shape:
+        raise DimensionMismatch("class means must share a dimension")
+    diff = mean_i - mean_j
+    return float(np.sqrt(diff @ diff + float(var_i) + float(var_j)))
 
 
 # -- k-means by exhaustive partition enumeration -----------------------------

@@ -34,7 +34,6 @@ from hierfusion.structure_builder import (
     adjusted_rand_index,
     affinity_matrix,
     build_visual_structure,
-    class_distance,
     symmetric_eigen,
 )
 from hierfusion.taxonomy import (
@@ -43,7 +42,12 @@ from hierfusion.taxonomy import (
     load_structure,
     save_structure,
 )
-from oracles import random_structure, squaring_eigensystem, tree_walk_report
+from oracles import (
+    class_distance,
+    random_structure,
+    squaring_eigensystem,
+    tree_walk_report,
+)
 
 from test_structure_builder import stats_for
 

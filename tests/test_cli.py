@@ -12,23 +12,27 @@ import pytest
 from hierfusion import model as model_module
 from hierfusion.cli import experiment_config_from_dict, infer_subclass_names, main
 from hierfusion.exceptions import CheckpointError, StructureError
-from hierfusion.features import load_feature_table
-from hierfusion.metrics import PredictionBatch, save_predictions
+from hierfusion.features import load_feature_table, train_test_split
+from hierfusion.metrics import PredictionBatch, evaluate, save_predictions
 from hierfusion.model import (
     CHECKPOINT_MAGIC,
     FusionConfig,
     TrainHistory,
     init_model,
     load_checkpoint,
+    predict,
     save_checkpoint,
     save_history,
+    train,
 )
 from hierfusion.rng import STREAM_SYNTHETIC, derive_seed
-from hierfusion.structure_builder import adjusted_rand_index
+from hierfusion.serialization import format_float
+from hierfusion.structure_builder import adjusted_rand_index, build_visual_structure
 from hierfusion.taxonomy import (
     LabelStructure,
     StructureSet,
     load_structure,
+    load_structure_set,
     save_structure,
     validate_structure,
 )
@@ -651,8 +655,130 @@ def test_features_sweep_parses_the_file_once(tmp_path, monkeypatch):
     config = write_config(tmp_path / "once.json", sweep_base(tmp_path, data, out))
     assert run("sweep", "--config", config, "--axis", "lambda",
                "--values", "0.0,0.2,0.4", "--seeds", "1,2") == 0
-    assert calls == {"load": 1, "split": 6}
+    # one split per seed: the three lambda runs of a seed share it
+    assert calls == {"load": 1, "split": 2}
     assert len((out / "sweep_lambda.csv").read_text().splitlines()) == 1 + 3 * 3
+
+
+def per_run_sweep_csv(raw, axis, values, seeds):
+    """The sweep CSV built run by run from model.train and metrics.evaluate."""
+    column = {"lambda": "lambda", "attach_stage": "stage", "k": "k"}[axis]
+    lines = [f"{column},seed,accuracy,p_ha,r_ha,f_ha,tie_a,lca_a"]
+    metrics = ("accuracy", "p_ha", "r_ha", "f_ha", "tie_a", "lca_a")
+    names = load_structure(raw["names_from"]).subclass_names
+    table = load_feature_table(raw["features"], names)
+    for value in values:
+        reports = []
+        for seed in seeds:
+            run = dict(raw, seed=seed)
+            if axis == "lambda":
+                run["model"] = dict(raw["model"], lambda_total=value, lambda_split=None)
+            elif axis == "attach_stage":
+                run["model"] = dict(raw["model"],
+                                    attach_stages=[value] * len(raw["structures"]))
+            else:
+                run["builder"] = dict(raw.get("builder") or {}, k=value)
+            cfg = experiment_config_from_dict(run)
+            train_side, test_side = train_test_split(
+                table, cfg.split.fraction, cfg.split.seed
+            )
+            if axis == "k":
+                structures = StructureSet((build_visual_structure(
+                    train_side, value, cfg.builder.delta, cfg.builder.seed,
+                    subclass_names=names, class_count=len(names),
+                ),))
+            else:
+                structures = load_structure_set(cfg.structures)
+            model, _ = train(cfg.model, train_side, structures, subclass_names=names)
+            batch = PredictionBatch(predicted=predict(model, test_side.features),
+                                    truth=test_side.labels)
+            reports.append(evaluate(structures, batch).to_dict())
+        cell = format_float(value) if isinstance(value, float) else str(value)
+        for seed, report in zip(seeds, reports):
+            lines.append(",".join([cell, str(seed)]
+                                  + [format_float(report[m]) for m in metrics]))
+        mean = [sum(r[m] for r in reports) / len(reports) for m in metrics]
+        lines.append(",".join([cell, "mean"] + [format_float(v) for v in mean]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("axis, values, seeds, stage_dims, stacks", [
+    ("lambda", [0.0, 0.2, 0.4], [1, 2, 3], [8, 4], 1),
+    ("attach_stage", [0, 1], [1, 2], [8, 4], 2),
+    ("attach_stage", [0, 1], [1, 2], [8, 8], 2),  # equal shapes, other stage
+    ("k", [2, 3], [1, 2], [8, 4], 2),
+])
+def test_sweep_csv_is_byte_identical_to_separate_runs(
+    tmp_path, monkeypatch, axis, values, seeds, stage_dims, stacks
+):
+    import hierfusion.cli as cli
+
+    calls = {"stacked": [], "train": 0}
+
+    def stacked(configs, *args, **kwargs):
+        calls["stacked"].append(len(configs))
+        return train_stacked(configs, *args, **kwargs)
+
+    def lone(*args, **kwargs):
+        calls["train"] += 1
+        return train(*args, **kwargs)
+
+    train_stacked = cli.train_stacked
+    monkeypatch.setattr(cli, "train_stacked", stacked)
+    monkeypatch.setattr(cli, "train", lone)
+    data = gen_dataset(tmp_path)
+    out = tmp_path / "stacked"
+    raw = sweep_base(tmp_path, data, out)
+    raw["model"] = dict(raw["model"], stage_dims=stage_dims, epochs=3)
+    if axis == "k":
+        del raw["structures"]  # the k sweep builds its own structure per run
+    config = write_config(tmp_path / "stacked.json", raw)
+    assert run("sweep", "--config", config, "--axis", axis,
+               "--values", ",".join(map(str, values)),
+               "--seeds", ",".join(map(str, seeds))) == 0
+    assert calls == {"stacked": [len(seeds) * len(values) // stacks] * stacks,
+                     "train": 0}
+    expected = per_run_sweep_csv(raw, axis, values, seeds)
+    assert (out / f"sweep_{axis}.csv").read_text() == expected
+
+
+@pytest.mark.parametrize("axis, values, seeds, message", [
+    ("lambda", "0.1,0.1", "1", "sweep lambda value 0.1 is listed twice"),
+    ("lambda", "0.2,0.1,0.20", "1,2", "sweep lambda value 0.2 is listed twice"),
+    ("k", "2,2.0", "1", "sweep k value 2 is listed twice"),
+    ("attach_stage", "1,0,1", "1", "sweep attach_stage value 1 is listed twice"),
+    ("lambda", "0.1", "1,1", "sweep seed 1 is listed twice"),
+    ("lambda", "0.1,0.1", "3,2,3", "sweep lambda value 0.1 is listed twice"),
+    ("k", "2", "5,1,5", "sweep seed 5 is listed twice"),
+])
+def test_sweep_refuses_a_repeated_value_or_seed(tmp_path, capsys, axis, values,
+                                                 seeds, message):
+    data = gen_dataset(tmp_path)
+    out = tmp_path / "repeat"
+    raw = sweep_base(tmp_path, data, out)
+    if axis == "k":
+        del raw["structures"]
+    config = write_config(tmp_path / "repeat.json", raw)
+    capsys.readouterr()
+    assert run("sweep", "--config", config, "--axis", axis,
+               "--values", values, "--seeds", seeds) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_sweep_names_the_run_that_diverged(tmp_path, capsys):
+    data = gen_dataset(tmp_path)
+    out = tmp_path / "diverged"
+    raw = sweep_base(tmp_path, data, out)
+    raw["model"] = dict(raw["model"], learning_rate=1e308)
+    config = write_config(tmp_path / "diverged.json", raw)
+    capsys.readouterr()
+    assert run("sweep", "--config", config, "--axis", "lambda",
+               "--values", "0.0,0.2", "--seeds", "1,2") == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: run lambda 0, seed 1: non-finite loss at epoch "
+                        r"\d+, sample \d+\n", err), err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("config_patch, flag, value, message", [

@@ -2,6 +2,8 @@
 training, prediction, the finite-difference gradient check, and checkpoints."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +31,9 @@ from hierfusion.model import (
     predict,
     save_checkpoint,
     save_history,
+    stack_key,
     train,
+    train_stacked,
 )
 from hierfusion.taxonomy import StructureSet, validate_structure
 
@@ -424,6 +428,148 @@ def test_train_validates_inputs():
     empty = FeatureTable(np.zeros((0, table.dim)), np.zeros(0, dtype=np.int64))
     with pytest.raises(ClassTooSmall, match="empty table"):
         train(FusionConfig(epochs=1), empty, NONE, subclass_names=three_names)
+
+
+# -- stacked training ---------------------------------------------------------------
+
+def structure_crossed(name="crossed"):
+    # as many superclasses as structure_pairwise, another grouping
+    return validate_structure(
+        name=name,
+        superclasses=["x0", "x1"],
+        subclass_names=SUB_NAMES,
+        parent_of={"c0": "x0", "c1": "x1", "c2": "x1", "c3": "x0"},
+    )
+
+
+def assert_same_run(stacked, alone):
+    (model, history), (ref, ref_history) = stacked, alone
+    for field in ("trunk_weights", "trunk_biases", "super_weights", "super_biases"):
+        assert len(getattr(model, field)) == len(getattr(ref, field))
+        for a, b in zip(getattr(model, field), getattr(ref, field)):
+            assert np.array_equal(a, b), field
+    assert np.array_equal(model.subclass_weight, ref.subclass_weight)
+    assert np.array_equal(model.subclass_bias, ref.subclass_bias)
+    assert model.structure_names == ref.structure_names
+    for field in ("total_loss", "subclass_loss", "super_losses", "train_accuracy"):
+        assert np.array_equal(getattr(history, field), getattr(ref_history, field)), field
+
+
+def test_stacked_runs_match_separate_training_bit_for_bit():
+    rng = np.random.default_rng(80)
+    table_a, table_b = toy_table(rng, n=45), toy_table(rng, n=45)
+    base = dict(stage_dims=(6, 4), attach_stages=(0, 1), epochs=4, batch_size=8)
+    pairs_skewed = TWO
+    crossed_skewed = StructureSet((structure_crossed(), structure_skewed()))
+    runs = [
+        (FusionConfig(**base, lambda_total=0.3, seed=1), table_a, pairs_skewed),
+        (FusionConfig(**base, lambda_total=0.0, seed=1), table_a, pairs_skewed),
+        (FusionConfig(**base, lambda_total=0.3, lambda_split=(0.25, 0.05), seed=1),
+         table_a, pairs_skewed),
+        (FusionConfig(**base, lambda_total=0.3, learning_rate=0.4, seed=1),
+         table_a, pairs_skewed),
+        (FusionConfig(**base, lambda_total=0.3, seed=2), table_a, pairs_skewed),
+        (FusionConfig(**base, lambda_total=0.3, seed=1), table_b, pairs_skewed),
+        (FusionConfig(**base, lambda_total=0.3, seed=1), table_a, crossed_skewed),
+        (FusionConfig(**base, lambda_total=0.1, seed=3), table_b, crossed_skewed),
+    ]
+    stacked = train_stacked(*zip(*runs))
+    assert len(stacked) == len(runs)
+    for result, run in zip(stacked, runs):
+        assert_same_run(result, train(*run))
+    # no two runs came out alike, so each really used its own settings
+    weights = {model.trunk_weights[0].tobytes() for model, _ in stacked}
+    assert len(weights) == len(runs)
+
+
+def test_train_is_the_one_run_stack():
+    rng = np.random.default_rng(81)
+    run = (FusionConfig(stage_dims=(5, 4), attach_stages=(1,), lambda_total=0.2,
+                        epochs=3, batch_size=10, seed=4), toy_table(rng), ONE)
+    (stacked,) = train_stacked(*([part] for part in run))
+    assert_same_run(stacked, train(*run))
+
+
+def mixed_stacks():
+    """Two-run stacks whose second run differs in one shape-setting input."""
+    rng = np.random.default_rng(82)
+    config = FusionConfig(stage_dims=(6, 4), attach_stages=(0, 1),
+                          lambda_total=0.2, epochs=2, batch_size=8)
+    table = toy_table(rng)
+    headless = replace(config, attach_stages=(), lambda_total=0.0)
+    five_labels = FeatureTable(table.features, np.arange(table.count) % 5)
+    first = (config, table, TWO)
+    return {
+        "stage widths": [first, (replace(config, stage_dims=(6, 5)), table, TWO)],
+        "attach stages": [first, (replace(config, attach_stages=(1, 0)), table, TWO)],
+        "batch size": [first, (replace(config, batch_size=16), table, TWO)],
+        "epochs": [first, (replace(config, epochs=3), table, TWO)],
+        "rows": [first, (config, toy_table(rng, n=40), TWO)],
+        "input width": [first, (config, FeatureTable(
+            np.hstack([table.features, table.features]), table.labels), TWO)],
+        "superclass counts": [first, (config, table, StructureSet(
+            (structure_skewed(), structure_pairwise())))],
+        "subclass count": [(headless, table, NONE), (headless, five_labels, NONE)],
+    }
+
+
+@pytest.mark.parametrize("change", list(mixed_stacks()))
+def test_mixed_shape_stack_is_invalid_config(change):
+    runs = mixed_stacks()[change]
+    if change != "subclass count":  # known only once names are resolved
+        assert stack_key(*runs[0]) != stack_key(*runs[1])
+    with pytest.raises(InvalidConfig, match="stacked runs must share"):
+        train_stacked(*zip(*runs))
+
+
+def test_stack_needs_one_table_and_structure_set_per_config():
+    config, table, structures = mixed_stacks()["epochs"][0]
+    with pytest.raises(InvalidConfig):
+        train_stacked([], [], [])
+    with pytest.raises(InvalidConfig):
+        train_stacked([config, config], [table, table], [structures])
+
+
+def diverging_stack_runs():
+    """A fine run, one that diverges late (epoch 6) and one that diverges
+    at once (epoch 0); lone training names each one's own batch."""
+    table = toy_table(np.random.default_rng(44))
+    base = dict(stage_dims=(6, 4), epochs=10, batch_size=8)
+    fine = FusionConfig(**base, seed=0)
+    late = FusionConfig(**base, learning_rate=1e307, seed=0)
+    early = FusionConfig(**base, learning_rate=1e308, seed=1)
+    return table, fine, late, early
+
+
+def lone_error(config, table):
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergedLoss) as lone:
+            train(config, table, NONE, subclass_names=SUB_NAMES)
+    return lone.value
+
+
+@pytest.mark.parametrize("order, first", [
+    (("fine", "late", "early"), 1),
+    (("fine", "early", "late"), 1),
+    (("fine", "fine", "early"), 2),
+    (("early", "fine", "late"), 0),
+])
+def test_stack_names_its_first_diverging_run(capfd, order, first):
+    table, *configs = diverging_stack_runs()
+    by_name = dict(zip(("fine", "late", "early"), configs))
+    stack = [by_name[name] for name in order]
+    alone = lone_error(stack[first], table)
+    assert alone.run is None
+    assert (alone.epoch, alone.sample) == {"late": (6, 8), "early": (0, 8)}[order[first]]
+    capfd.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would fail the call
+        with pytest.raises(DivergedLoss) as stacked:
+            train_stacked(stack, [table] * 3, [NONE] * 3, subclass_names=SUB_NAMES)
+    assert capfd.readouterr().err == ""
+    assert stacked.value.run == first
+    assert (stacked.value.epoch, stacked.value.sample) == (alone.epoch, alone.sample)
+    assert str(stacked.value) == f"run {first}: {alone}"
 
 
 # -- prediction -------------------------------------------------------------------

@@ -25,13 +25,17 @@ from hierfusion.structure_builder import (
     adjusted_rand_index,
     affinity_matrix,
     build_visual_structure,
-    class_distance,
     class_distance_matrix,
     kmeans,
     spectral_embedding,
     symmetric_eigen,
 )
-from oracles import inertia_of, min_partition_inertia, squaring_eigensystem
+from oracles import (
+    class_distance,
+    inertia_of,
+    min_partition_inertia,
+    squaring_eigensystem,
+)
 
 
 def random_symmetric(rng, n):

@@ -17,18 +17,15 @@ from hierfusion.taxonomy import (
     ROOT,
     StructureSet,
     augmented_set,
-    lca_height,
     lca_heights,
     load_structure,
     load_structure_set,
     save_structure,
     structure_from_dict,
     structure_to_dict,
-    superclass_of,
-    tie_distance,
     validate_structure,
 )
-from oracles import random_structure
+from oracles import lca_height, random_structure, superclass_of, tie_distance
 
 
 def small_structure(name="t"):
