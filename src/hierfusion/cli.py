@@ -8,14 +8,16 @@ and evaluate across one axis of values and several seeds).
 
 One JSON config document drives everything. Its top-level fields and each
 of its sections (``synthetic``, ``split``, ``builder``, ``model``,
-``sweep``) are typed by one schema table apiece, so an unknown field or a
-value of the wrong type anywhere is InvalidConfig naming the field. Any
+``sweep``) are typed by the converters their dataclasses declare on each
+field (see config.py), so an unknown field or a value of the wrong type
+anywhere is InvalidConfig naming the field. Any
 field can be overridden on the command line by a flag of the same dotted
 name, e.g. ``--model.lambda_total 0.3`` or ``--builder.k 5``; ``--seed``,
 ``--out`` and the sweep's ``--axis``, ``--values`` and ``--seeds`` set
 their fields the same way. Section seeds left null derive
 deterministically from the master seed, one fixed stream per section, so a
-single ``--seed`` reseeds the whole pipeline coherently.
+single ``--seed`` reseeds the whole pipeline coherently. A malformed
+command line is InvalidConfig too, one ``error:`` line like any bad input.
 
 Every command is deterministic given its config: rerunning writes
 byte-identical artifacts. Diagnostics go to stderr; files carry the data;
@@ -28,6 +30,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated
 
 from .config import (
     config_choice,
@@ -56,7 +59,6 @@ from .features import (
 from .metrics import PredictionBatch, evaluate, save_predictions
 from .model import (
     FusionConfig,
-    config_from_dict,
     load_checkpoint,
     predict,
     save_checkpoint,
@@ -79,10 +81,15 @@ from .taxonomy import StructureSet, load_structure, load_structure_set, save_str
 _AXIS_COLUMNS = {"lambda": "lambda", "attach_stage": "stage", "k": "k"}
 
 
+def _untyped(value, field: str):
+    """A value typed later: a section by its own class, sweep values by axis."""
+    return value
+
+
 @dataclass(frozen=True)
 class SplitParams:
-    fraction: float
-    seed: int
+    fraction: Annotated[float, config_real]
+    seed: Annotated[int, config_seed] = 0
 
     def __post_init__(self):
         if not 0.0 < self.fraction < 1.0:
@@ -91,9 +98,9 @@ class SplitParams:
 
 @dataclass(frozen=True)
 class BuilderParams:
-    k: int | None = None
-    delta: float = 1.0
-    seed: int = 0
+    k: Annotated[int | None, config_optional(config_int)] = None
+    delta: Annotated[float, config_real] = 1.0
+    seed: Annotated[int, config_seed] = 0
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -110,9 +117,9 @@ class SweepParams:
     identical runs under one (value, seed) row key, so it is refused.
     """
 
-    axis: str
-    values: tuple
-    seeds: tuple[int, ...] = ()
+    axis: Annotated[str, config_choice(_AXIS_COLUMNS)]
+    values: Annotated[tuple, config_list(_untyped)]
+    seeds: Annotated[tuple[int, ...], config_optional(config_list(config_seed))] = ()
 
     def __post_init__(self):
         if not self.values:
@@ -128,76 +135,39 @@ class SweepParams:
         object.__setattr__(self, "seeds", tuple(seeds))
 
 
+_FILE_PATH = config_optional(config_path("file"))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A fully resolved experiment: all section seeds are concrete."""
+    """A fully resolved experiment: all section seeds are concrete.
 
-    seed: int
-    builder: BuilderParams
-    model: FusionConfig
-    synthetic: SyntheticSpec | None = None
-    features: str | None = None
-    structures: tuple[str, ...] = ()
-    names_from: str | None = None
-    checkpoint: str | None = None
-    split: SplitParams | None = None
-    sweep: SweepParams | None = None
-    out: str | None = None
+    Sections are typed by their own classes once the master seed is known.
+    """
 
-
-def _untyped(value, field: str):
-    """A value typed later: a section by its own table, sweep values by axis."""
-    return value
-
-
-def _schema(cls, name: str, types: dict, required=()):
-    """The reader of section `name`: type its fields, then build a `cls`."""
-    return lambda section: cls(**typed_section(section, name, types, required))
+    seed: Annotated[int, config_seed] = 0
+    builder: Annotated[BuilderParams, _untyped] = BuilderParams()
+    model: Annotated[FusionConfig, _untyped] = FusionConfig()
+    synthetic: Annotated[SyntheticSpec | None, _untyped] = None
+    features: Annotated[str | None, _FILE_PATH] = None
+    structures: Annotated[
+        tuple[str, ...], config_optional(config_list(config_path("file")))
+    ] = ()
+    names_from: Annotated[str | None, _FILE_PATH] = None
+    checkpoint: Annotated[str | None, _FILE_PATH] = None
+    split: Annotated[SplitParams | None, _untyped] = None
+    sweep: Annotated[SweepParams | None, _untyped] = None
+    out: Annotated[str | None, config_optional(config_path("directory"))] = None
 
 
-_SYNTHETIC_TYPES = {
-    "superclass_count": config_int,
-    "subclasses_per_superclass": config_int,
-    "samples_per_subclass": config_int,
-    "dim": config_int,
-    "superclass_separation": config_real,
-    "subclass_separation": config_real,
-    "noise_scale": config_real,
-    "seed": config_seed,
-}
-_SPLIT_TYPES = {"fraction": config_real, "seed": config_seed}
-_BUILDER_TYPES = {
-    "k": config_optional(config_int),
-    "delta": config_real,
-    "seed": config_seed,
-}
-_SWEEP_TYPES = {
-    "axis": config_choice(_AXIS_COLUMNS),
-    "values": config_list(_untyped),
-    "seeds": config_optional(config_list(config_seed)),
-}
-
-# Each section: its reader, and the stream a null seed in it derives from
+# Each section: its class, and the stream a null seed in it derives from
 # (None for the sweep, whose runs each take their own master seed).
 _SECTIONS = {
-    "synthetic": (
-        _schema(SyntheticSpec, "synthetic", _SYNTHETIC_TYPES), STREAM_SYNTHETIC
-    ),
-    "split": (_schema(SplitParams, "split", _SPLIT_TYPES, ("fraction",)), STREAM_SPLIT),
-    "builder": (_schema(BuilderParams, "builder", _BUILDER_TYPES), STREAM_BUILDER),
-    "model": (config_from_dict, STREAM_MODEL),
-    "sweep": (_schema(SweepParams, "sweep", _SWEEP_TYPES, ("axis", "values")), None),
-}
-
-_FILE_PATH = config_optional(config_path("file"))
-_DOCUMENT_TYPES = {
-    "seed": config_seed,
-    "features": _FILE_PATH,
-    "names_from": _FILE_PATH,
-    "checkpoint": _FILE_PATH,
-    "structures": config_optional(config_list(config_path("file"))),
-    "out": config_optional(config_path("directory")),
-    **dict.fromkeys(_SECTIONS, _untyped),
+    "synthetic": (SyntheticSpec, STREAM_SYNTHETIC),
+    "split": (SplitParams, STREAM_SPLIT),
+    "builder": (BuilderParams, STREAM_BUILDER),
+    "model": (FusionConfig, STREAM_MODEL),
+    "sweep": (SweepParams, None),
 }
 
 
@@ -212,18 +182,18 @@ def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise InvalidConfig("the config must be a JSON object")
     fields = {"builder": {}, "model": {}}
-    for key, value in typed_section(raw, "", _DOCUMENT_TYPES).items():
+    for key, value in typed_section(raw, "", ExperimentConfig).items():
         if value is not None:
             fields[key] = value
     master = fields.setdefault("seed", 0)
-    for name, (read, stream) in _SECTIONS.items():
+    for name, (cls, stream) in _SECTIONS.items():
         section = fields.get(name)
         if section is None:
             continue
         seeded = stream is not None and isinstance(section, dict)
         if seeded and section.get("seed") is None:
             section = dict(section, seed=derive_seed(master, stream))
-        fields[name] = read(section)
+        fields[name] = cls(**typed_section(section, name, cls))
     if "synthetic" in fields and "features" in fields:
         raise InvalidConfig("configure exactly one data source, not both")
     return ExperimentConfig(**fields)
@@ -260,10 +230,10 @@ def _out_dir(config: ExperimentConfig) -> Path:
 def _load_table(config: ExperimentConfig, names_hint=None):
     """Materialize the configured data source.
 
-    Returns (table, subclass_names, planted structure or None). The name
-    table comes from, in order: the hint (usually the training
-    structures), the planted structure for synthetic data, `names_from`,
-    or the feature file's own first-appearance order.
+    Returns (table, subclass_names). The name table comes from, in order:
+    the hint (usually the training structures), the planted structure for
+    synthetic data, `names_from`, or the feature file's own
+    first-appearance order.
     """
     if config.synthetic is not None:
         table, planted = generate_synthetic(config.synthetic)
@@ -272,7 +242,7 @@ def _load_table(config: ExperimentConfig, names_hint=None):
             raise SubclassSpaceMismatch(
                 "synthetic subclass names disagree with the requested table"
             )
-        return table, names, planted
+        return table, names
     if config.features is None:
         raise InvalidConfig("no data source (set 'synthetic' or 'features')")
     if names_hint is not None:
@@ -281,7 +251,7 @@ def _load_table(config: ExperimentConfig, names_hint=None):
         names = load_structure(config.names_from).subclass_names
     else:
         names = infer_subclass_names(config.features)
-    return load_feature_table(config.features, names), names, None
+    return load_feature_table(config.features, names), names
 
 
 def _split(config: ExperimentConfig, table):
@@ -328,7 +298,7 @@ def cmd_build_structure(config: ExperimentConfig) -> None:
     if config.builder.k is None:
         raise InvalidConfig("build-structure needs 'builder.k'")
     out = _out_dir(config)
-    table, names, _ = _load_table(config)
+    table, names = _load_table(config)
     table = _split(config, table)[0]  # lets the whole table go before the build
     structure = _induce(config, table, names)
     path = out / f"{structure.name}.json"
@@ -341,7 +311,7 @@ def cmd_train(config: ExperimentConfig) -> None:
     out = _out_dir(config)
     structures = load_structure_set(config.structures)
     names_hint = structures.subclass_names if len(structures) else None
-    table, names, _ = _load_table(config, names_hint)
+    table, names = _load_table(config, names_hint)
     table = _split(config, table)[0]
     model, history = train(config.model, table, structures, subclass_names=names)
     checkpoint_path = out / "model.ckpt"
@@ -369,7 +339,7 @@ def cmd_evaluate(config: ExperimentConfig) -> None:
         raise SubclassSpaceMismatch(
             "structure files and checkpoint disagree on the subclass space"
         )
-    table, _, _ = _load_table(config, model.subclass_names)
+    table = _load_table(config, model.subclass_names)[0]
     table = _split(config, table)[1]
     batch, report = _score(model, structures, table)
     report_path = out / "report.json"
@@ -430,7 +400,7 @@ def cmd_sweep(config: ExperimentConfig, raw: dict) -> None:
         source = (cfg.synthetic, cfg.features, cfg.names_from)
         if source not in sources:
             sources[source] = _load_table(cfg, names_hint)
-        table, names, _ = sources[source]
+        table, names = sources[source]
         if (source, cfg.split) not in splits:
             splits[source, cfg.split] = _split(cfg, table)
         train_side, test_side = splits[source, cfg.split]
@@ -506,8 +476,16 @@ def _sweep_config(raw: dict, axis, value, seed: int) -> ExperimentConfig:
 
 # -- argument handling --------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are InvalidConfig, so a bad
+    flag ends in one `error:` line and exit code 1 like any bad input."""
+
+    def error(self, message):
+        raise InvalidConfig(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hierfusion",
         description="Hierarchical classification pipeline: synthesize data, "
         "build label structures, train, evaluate, sweep.",
@@ -524,15 +502,13 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--config", metavar="PATH", help="JSON experiment config")
         sub.add_argument(
-            "--seed", type=int, metavar="N", help="override the master seed"
+            "--seed", type=_flag_value, metavar="N", help="override the master seed"
         )
-        sub.add_argument(
-            "--out", metavar="DIR", help="override the output directory"
-        )
+        sub.add_argument("--out", metavar="DIR", help="override the output directory")
         if name == "sweep":
             sub.add_argument(
                 "--axis",
-                choices=sorted(_AXIS_COLUMNS),
+                metavar="{" + ",".join(sorted(_AXIS_COLUMNS)) + "}",
                 help="which config field the sweep varies",
             )
             sub.add_argument(
@@ -561,12 +537,16 @@ def _parse_overrides(tokens: list) -> list:
                 raise InvalidConfig(f"flag --{key} needs a value")
             text = tokens[i + 1]
             i += 2
-        try:
-            value = json.loads(text)
-        except json.JSONDecodeError:
-            value = text
-        overrides.append((key, value))
+        overrides.append((key, _flag_value(text)))
     return overrides
+
+
+def _flag_value(text: str):
+    """A flag's text as JSON, or the text itself when it is not JSON."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError):  # not JSON, or nested too deep
+        return text
 
 
 def _apply_overrides(raw: dict, overrides) -> None:
@@ -593,7 +573,7 @@ def _parse_value_list(text):
             continue
         try:
             values.append(json.loads(cell))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InvalidConfig(f"cannot parse list item {cell!r}") from exc
     if not values:
         raise InvalidConfig("empty value list")
@@ -601,9 +581,8 @@ def _parse_value_list(text):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
     try:
+        args, extra = build_parser().parse_known_args(argv)
         overrides = _parse_overrides(extra)
         if args.config is not None:
             with open(args.config, "r", encoding="utf-8") as fh:

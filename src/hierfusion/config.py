@@ -1,13 +1,19 @@
 """Typed values of JSON config documents.
 
-The CLI's config sections and the model config stored in a checkpoint
-header are read through these converters, so a field is checked the same
-way wherever it comes from. Each converter returns the typed value or
-raises InvalidConfig naming the field.
+Each config dataclass is its own schema: every field is declared as
+``Annotated[type, converter]``, its converter one of those below, and a
+field with no default is required. `typed_section` reads a JSON object
+through that declaration, so the CLI's config sections and the model
+config stored in a checkpoint header are checked the same way wherever
+they come from. Each converter returns the typed value or raises
+InvalidConfig naming the field.
 """
 
 import contextlib
+import dataclasses
+import functools
 import math
+import typing
 
 from .exceptions import InvalidConfig
 
@@ -86,16 +92,27 @@ def config_choice(options):
     return typed
 
 
-def typed_section(section, name: str, types: dict, required=()) -> dict:
+@functools.cache
+def _schema(cls) -> tuple[dict, tuple]:
+    """(field -> converter, required fields) of the config dataclass `cls`."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    fields = dataclasses.fields(cls)
+    types = {f.name: hints[f.name].__metadata__[0] for f in fields}
+    return types, tuple(f.name for f in fields if f.default is dataclasses.MISSING)
+
+
+def typed_section(section, name: str, cls) -> dict:
     """A copy of the config object `section` with every field typed.
 
-    `types` maps each field the section may hold to its converter; any
-    other field, a missing `required` field, or a section that is not an
-    object, is InvalidConfig. Field names in messages carry the prefix
-    `name`; the empty name types the document's top level.
+    The fields of the config dataclass `cls` are the fields the section may
+    hold, each typed by its annotated converter; any other field, a missing
+    field that has no default, or a section that is not an object, is
+    InvalidConfig. Field names in messages carry the prefix `name`; the
+    empty name types the document's top level.
     """
     if not isinstance(section, dict):
         raise InvalidConfig(f"'{name}' must be an object")
+    types, required = _schema(cls)
     prefix = f"{name} " if name else ""
     unknown = set(section) - set(types)
     if unknown:

@@ -12,9 +12,11 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
+from .config import config_int, config_real, config_seed
 from .exceptions import (
     ClassTooSmall,
     DimensionMismatch,
@@ -136,14 +138,14 @@ class SyntheticSpec:
     noise of scale `noise_scale` around subclass centers.
     """
 
-    superclass_count: int = 4
-    subclasses_per_superclass: int = 5
-    samples_per_subclass: int = 100
-    dim: int = 16
-    superclass_separation: float = 10.0
-    subclass_separation: float = 3.0
-    noise_scale: float = 1.0
-    seed: int = 0
+    superclass_count: Annotated[int, config_int] = 4
+    subclasses_per_superclass: Annotated[int, config_int] = 5
+    samples_per_subclass: Annotated[int, config_int] = 100
+    dim: Annotated[int, config_int] = 16
+    superclass_separation: Annotated[float, config_real] = 10.0
+    subclass_separation: Annotated[float, config_real] = 3.0
+    noise_scale: Annotated[float, config_real] = 1.0
+    seed: Annotated[int, config_seed] = 0
 
     def __post_init__(self):
         counts = (

@@ -38,6 +38,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, replace
+from typing import Annotated
 
 import numpy as np
 
@@ -83,14 +84,16 @@ class FusionConfig:
     `lambda_total` across structures; None means an equal split.
     """
 
-    stage_dims: tuple[int, ...] = (32, 16)
-    attach_stages: tuple[int, ...] = ()
-    lambda_total: float = 0.0
-    lambda_split: tuple[float, ...] | None = None
-    learning_rate: float = 0.1
-    epochs: int = 50
-    batch_size: int = 32
-    seed: int = 0
+    stage_dims: Annotated[tuple[int, ...], config_list(config_int)] = (32, 16)
+    attach_stages: Annotated[tuple[int, ...], config_list(config_int)] = ()
+    lambda_total: Annotated[float, config_real] = 0.0
+    lambda_split: Annotated[
+        tuple[float, ...] | None, config_optional(config_list(config_real))
+    ] = None
+    learning_rate: Annotated[float, config_real] = 0.1
+    epochs: Annotated[int, config_int] = 50
+    batch_size: Annotated[int, config_int] = 32
+    seed: Annotated[int, config_seed] = 0
 
     def __post_init__(self):
         stage_dims = tuple(int(d) for d in self.stage_dims)
@@ -874,20 +877,6 @@ def gradient_check(
 
 # -- checkpoint files --------------------------------------------------------
 
-# The model config schema, for the CLI's `model` section and the checkpoint
-# header alike: field -> converter, in FusionConfig's field order.
-_CONFIG_TYPES = {
-    "stage_dims": config_list(config_int),
-    "attach_stages": config_list(config_int),
-    "lambda_total": config_real,
-    "lambda_split": config_optional(config_list(config_real)),
-    "learning_rate": config_real,
-    "epochs": config_int,
-    "batch_size": config_int,
-    "seed": config_seed,
-}
-
-
 def config_to_dict(config: FusionConfig) -> dict:
     return {
         field: list(value) if isinstance(value, tuple) else value
@@ -901,7 +890,7 @@ def config_from_dict(raw: dict) -> FusionConfig:
     Every field is typed first, so an unknown field or a value of the
     wrong type is InvalidConfig naming the field (`model epochs`, ...).
     """
-    return FusionConfig(**typed_section(raw, "model", _CONFIG_TYPES))
+    return FusionConfig(**typed_section(raw, "model", FusionConfig))
 
 
 def save_checkpoint(model: FusionModel, config: FusionConfig, path) -> None:

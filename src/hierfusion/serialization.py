@@ -57,31 +57,31 @@ def text_reader(path):
         raise MalformedRow(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def dump_json(value, *, indent: int = 2) -> str:
-    """JSON text with floats rendered by :func:`format_float`.
+def dump_json(value) -> str:
+    """JSON text, indented by 2, with floats rendered by :func:`format_float`.
 
     The stdlib encoder offers no hook for float formatting, so this walks
     the value itself. Dict insertion order is preserved (construction order
     is the canonical order).
     """
-    return _render(value, indent, 0) + "\n"
+    return _render(value, 0) + "\n"
 
 
-def _render(value, indent, level) -> str:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _render(value, level) -> str:
+    pad = "  " * (level + 1)
+    close_pad = "  " * level
     if isinstance(value, dict):
         if not value:
             return "{}"
         items = (
-            f"{pad}{json.dumps(str(key))}: {_render(v, indent, level + 1)}"
+            f"{pad}{json.dumps(str(key))}: {_render(v, level + 1)}"
             for key, v in value.items()
         )
         return "{\n" + ",\n".join(items) + "\n" + close_pad + "}"
     if isinstance(value, (list, tuple)):
         if not len(value):
             return "[]"
-        items = (f"{pad}{_render(v, indent, level + 1)}" for v in value)
+        items = (f"{pad}{_render(v, level + 1)}" for v in value)
         return "[\n" + ",\n".join(items) + "\n" + close_pad + "]"
     if isinstance(value, bool) or value is None:
         return json.dumps(value)

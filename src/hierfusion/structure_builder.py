@@ -263,14 +263,13 @@ def spectral_embedding(affinity: AffinityMatrix, k: int) -> SpectralEmbedding:
     return SpectralEmbedding(coords=coords / norms[:, None], k=k)
 
 
-def kmeans(
-    points,
-    k: int,
-    seed: int = 0,
-    max_iter: int = 300,
-    restarts: int = 10,
-) -> np.ndarray:
-    """Lloyd's algorithm, best of `restarts` seeded greedy initializations.
+_KMEANS_RESTARTS = 10
+_KMEANS_MAX_ITER = 300  # Lloyd steps per restart
+
+
+def kmeans(points, k: int, seed: int = 0) -> np.ndarray:
+    """Lloyd's algorithm, best of `_KMEANS_RESTARTS` seeded greedy
+    initializations.
 
     Each restart picks a random first center, then greedily adds the point
     farthest from the chosen centers. Iteration stops when assignments
@@ -282,15 +281,13 @@ def kmeans(
     if pts.ndim == 1:
         pts = pts[:, None]
     n = pts.shape[0]
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     if k < 1 or k > n:
         raise DegeneratePoints(f"need 1 <= k <= {n} points, got k={k}")
     if np.unique(pts, axis=0).shape[0] < k:
         raise DegeneratePoints(f"fewer than k={k} distinct points")
 
     best_assign, best_inertia = None, np.inf
-    for restart in range(restarts):
+    for restart in range(_KMEANS_RESTARTS):
         rng = rng_from_seed(derive_seed(seed, restart))
         first = int(rng.integers(n))
         center_ids = [first]
@@ -302,7 +299,7 @@ def kmeans(
         centers = pts[center_ids].copy()
 
         assign = None
-        for _ in range(max_iter):
+        for _ in range(_KMEANS_MAX_ITER):
             dist2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             new_assign = dist2.argmin(axis=1)
             new_assign = _repair_empty(new_assign, dist2, k)
@@ -355,9 +352,6 @@ def build_visual_structure(
     affinity = affinity_matrix(stats, delta)
     embedding = spectral_embedding(affinity, k)
     assign = kmeans(embedding.coords, k, seed=seed)
-    for j in range(k):
-        if not np.any(assign == j):
-            raise EmptyCluster(f"cluster {j} received no classes")
     if subclass_names is None:
         subclass_names = [f"c{i}" for i in range(stats.class_count)]
     subclass_names = tuple(subclass_names)

@@ -487,6 +487,34 @@ def test_unexpected_positional_argument(tmp_path, capsys):
     assert "unexpected argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--seed", "x"],
+    ["train", "--seed", "1.5"],
+    ["train", "--seed", "-1"],
+    ["sweep", "--axis", "foo"],
+    ["sweep", "--axis", "foo", "--values", "1"],
+    ["train", "--out"],
+    ["bogus"],
+    [],
+    ["train", "--seed", "[" * 100_000],
+    ["train", "--model.epochs", "[" * 100_000],
+    ["sweep", "--axis", "k", "--values", "[" * 100_000],
+], ids=["seed-text", "seed-float", "seed-negative", "axis-unknown",
+        "axis-unknown-with-values", "out-no-value", "bad-command", "no-command",
+        "seed-deep-json", "override-deep-json", "values-deep-json"])
+def test_bad_flags_are_one_error_line(tmp_path, capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_exits_zero_and_names_the_seed_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--help"])
+    assert exc.value.code == 0
+    assert "--seed" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("names_from", [False, True], ids=["inferred", "names-from"])
 @pytest.mark.parametrize("line", [0, 1, 5, -2],
                          ids=["header", "first-row", "fifth-row", "last-row"])
