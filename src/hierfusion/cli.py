@@ -487,6 +487,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hierfusion",
+        allow_abbrev=False,
         description="Hierarchical classification pipeline: synthesize data, "
         "build label structures, train, evaluate, sweep.",
     )
@@ -499,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep": "train and evaluate across one axis of values and seeds",
     }
     for name, help_text in commands.items():
-        sub = subparsers.add_parser(name, help=help_text)
+        sub = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
         sub.add_argument("--config", metavar="PATH", help="JSON experiment config")
         sub.add_argument(
             "--seed", type=_flag_value, metavar="N", help="override the master seed"

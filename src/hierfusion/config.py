@@ -1,12 +1,14 @@
-"""Typed values of JSON config documents.
+"""Typed fields of config documents and frozen value types.
 
-Each config dataclass is its own schema: every field is declared as
-``Annotated[type, converter]``, its converter one of those below, and a
-field with no default is required. `typed_section` reads a JSON object
-through that declaration, so the CLI's config sections and the model
-config stored in a checkpoint header are checked the same way wherever
-they come from. Each converter returns the typed value or raises
-InvalidConfig naming the field.
+Each frozen dataclass declares its fields as ``Annotated[type, converter]``
+with a converter below: a config dataclass every field (one with no
+default is required), a value type its arrays, as `frozen_array`s.
+`type_fields`, called first in each ``__post_init__``, applies them when
+the value is constructed, so one built in Python is typed like one read
+from a file; `typed_section` reads a JSON config object through them,
+adding the field-path prefix and the unknown and required field checks.
+A config converter returns the typed value or raises InvalidConfig
+naming the field; numpy scalars and 1-D arrays pass as numbers and lists.
 """
 
 import contextlib
@@ -15,16 +17,18 @@ import functools
 import math
 import typing
 
-from .exceptions import InvalidConfig
+import numpy as np
+
+from .exceptions import DimensionMismatch, InvalidConfig
+
+_REALS = (int, float, np.integer, np.floating)
 
 
 def config_int(value, field: str) -> int:
     """An integer config value; an integral float such as 2.0 also counts."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (isinstance(value, float) and not value.is_integer())
-    ):
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidConfig(f"{field} must be an integer, got {value!r}")
     return int(value)
 
@@ -40,18 +44,26 @@ def config_seed(value, field: str) -> int:
 def config_real(value, field: str) -> float:
     """A finite real config value; bools, strings, NaN/inf and integers
     beyond the float range are refused."""
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
+    if not isinstance(value, bool) and isinstance(value, _REALS):
         with contextlib.suppress(OverflowError):
             if math.isfinite(value):
                 return float(value)
     raise InvalidConfig(f"{field} must be a finite number, got {value!r}")
 
 
+def config_str(value, field: str) -> str:
+    """A string config value."""
+    if not isinstance(value, str):
+        raise InvalidConfig(f"{field} must be a string, got {value!r}")
+    return value
+
+
 def config_list(convert):
     """The config type of a list whose entries each pass `convert`."""
 
     def typed(value, field: str) -> tuple:
-        if not isinstance(value, (list, tuple)):
+        vector = isinstance(value, np.ndarray) and value.ndim == 1
+        if not (vector or isinstance(value, (list, tuple))):
             raise InvalidConfig(f"{field} must be a list, got {value!r}")
         return tuple(convert(v, f"{field} entry") for v in value)
 
@@ -92,13 +104,34 @@ def config_choice(options):
     return typed
 
 
+def frozen_array(dtype, ndim: int):
+    """The type of an array field: the value's own C-ordered, read-only
+    `dtype` copy, which must have `ndim` axes (else DimensionMismatch)."""
+
+    def typed(value, field: str) -> np.ndarray:
+        array = np.array(value, dtype=dtype, order="C")
+        if array.ndim != ndim:
+            raise DimensionMismatch(f"{field} must be {ndim}-D, got {array.ndim}-D")
+        array.setflags(write=False)
+        return array
+
+    return typed
+
+
 @functools.cache
 def _schema(cls) -> tuple[dict, tuple]:
-    """(field -> converter, required fields) of the config dataclass `cls`."""
+    """(field -> declared converter, required fields) of the dataclass `cls`."""
     hints = typing.get_type_hints(cls, include_extras=True)
     fields = dataclasses.fields(cls)
-    types = {f.name: hints[f.name].__metadata__[0] for f in fields}
+    types = {f.name: hints[f.name].__metadata__[0] for f in fields
+             if hasattr(hints[f.name], "__metadata__")}
     return types, tuple(f.name for f in fields if f.default is dataclasses.MISSING)
+
+
+def type_fields(obj) -> None:
+    """Type each field of the frozen dataclass `obj` that declares a converter."""
+    for name, convert in _schema(type(obj))[0].items():
+        object.__setattr__(obj, name, convert(getattr(obj, name), name))
 
 
 def typed_section(section, name: str, cls) -> dict:

@@ -16,7 +16,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .config import config_int, config_real, config_seed
+from .config import config_int, config_real, config_seed, frozen_array, type_fields
 from .exceptions import (
     ClassTooSmall,
     DimensionMismatch,
@@ -37,24 +37,17 @@ class FeatureTable:
     Immutable after construction; all arrays are float64/int64 and finite.
     """
 
-    features: np.ndarray
-    labels: np.ndarray
+    features: Annotated[np.ndarray, frozen_array(np.float64, 2)]
+    labels: Annotated[np.ndarray, frozen_array(np.int64, 1)]
 
     def __post_init__(self):
-        features = np.array(self.features, dtype=np.float64, order="C")
-        labels = np.array(self.labels, dtype=np.int64, order="C")
-        if features.ndim != 2:
-            raise DimensionMismatch("features must be a 2-D (n, d) array")
-        if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
+        type_fields(self)
+        if self.labels.shape[0] != self.features.shape[0]:
             raise DimensionMismatch("labels must be a length-n vector")
-        if not np.all(np.isfinite(features)):
+        if not np.all(np.isfinite(self.features)):
             raise NonFiniteValue("feature table contains NaN or infinity")
-        if labels.size and labels.min() < 0:
+        if self.labels.size and self.labels.min() < 0:
             raise UnknownLabel("labels must be non-negative subclass ids")
-        features.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def count(self) -> int:
@@ -76,22 +69,15 @@ class ClassStats:
     independent samples of the two classes.
     """
 
-    means: np.ndarray
-    variances: np.ndarray
+    means: Annotated[np.ndarray, frozen_array(np.float64, 2)]
+    variances: Annotated[np.ndarray, frozen_array(np.float64, 1)]
 
     def __post_init__(self):
-        means = np.array(self.means, dtype=np.float64)
-        variances = np.array(self.variances, dtype=np.float64)
-        if means.ndim != 2 or variances.ndim != 1:
-            raise DimensionMismatch("means must be (C, d), variances (C,)")
-        if means.shape[0] != variances.shape[0]:
+        type_fields(self)
+        if self.means.shape[0] != self.variances.shape[0]:
             raise DimensionMismatch("means and variances disagree on class count")
-        if variances.size and variances.min() < 0:
+        if self.variances.size and self.variances.min() < 0:
             raise ValueError("variances must be non-negative")
-        means.setflags(write=False)
-        variances.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "variances", variances)
 
     @property
     def class_count(self) -> int:
@@ -148,13 +134,10 @@ class SyntheticSpec:
     seed: Annotated[int, config_seed] = 0
 
     def __post_init__(self):
-        counts = (
-            self.superclass_count,
-            self.subclasses_per_superclass,
-            self.samples_per_subclass,
-            self.dim,
-        )
-        if any(int(c) < 1 for c in counts):
+        type_fields(self)
+        counts = (self.superclass_count, self.subclasses_per_superclass,
+                  self.samples_per_subclass, self.dim)
+        if min(counts) < 1:
             raise InvalidSpec("all counts must be >= 1")
         if self.superclass_separation <= 0 or self.subclass_separation <= 0:
             raise InvalidSpec("separations must be > 0")

@@ -18,9 +18,11 @@ so results do not depend on accumulation order.
 """
 
 from dataclasses import asdict, dataclass
+from typing import Annotated
 
 import numpy as np
 
+from .config import frozen_array, type_fields
 from .exceptions import (
     DimensionMismatch,
     EmptyBatch,
@@ -38,26 +40,19 @@ PATH_NODES = 3
 class PredictionBatch:
     """Paired predicted and true subclass ids for n samples."""
 
-    predicted: np.ndarray
-    truth: np.ndarray
+    predicted: Annotated[np.ndarray, frozen_array(np.int64, 1)]
+    truth: Annotated[np.ndarray, frozen_array(np.int64, 1)]
 
     def __post_init__(self):
-        predicted = np.array(self.predicted, dtype=np.int64)
-        truth = np.array(self.truth, dtype=np.int64)
-        if predicted.ndim != 1 or truth.ndim != 1:
-            raise DimensionMismatch("prediction vectors must be 1-D")
-        if predicted.shape != truth.shape:
+        type_fields(self)
+        if self.predicted.shape != self.truth.shape:
             raise DimensionMismatch(
-                f"{predicted.size} predictions vs {truth.size} truths"
+                f"{self.predicted.size} predictions vs {self.truth.size} truths"
             )
-        if predicted.size == 0:
+        if self.predicted.size == 0:
             raise EmptyBatch("a prediction batch needs at least one sample")
-        if min(predicted.min(), truth.min()) < 0:
+        if min(self.predicted.min(), self.truth.min()) < 0:
             raise IdOutOfRange("subclass ids must be non-negative")
-        predicted.setflags(write=False)
-        truth.setflags(write=False)
-        object.__setattr__(self, "predicted", predicted)
-        object.__setattr__(self, "truth", truth)
 
     @property
     def count(self) -> int:

@@ -48,6 +48,9 @@ from .config import (
     config_optional,
     config_real,
     config_seed,
+    config_str,
+    frozen_array,
+    type_fields,
     typed_section,
 )
 from .exceptions import (
@@ -96,10 +99,8 @@ class FusionConfig:
     seed: Annotated[int, config_seed] = 0
 
     def __post_init__(self):
-        stage_dims = tuple(int(d) for d in self.stage_dims)
-        attach_stages = tuple(int(s) for s in self.attach_stages)
-        object.__setattr__(self, "stage_dims", stage_dims)
-        object.__setattr__(self, "attach_stages", attach_stages)
+        type_fields(self)
+        stage_dims, attach_stages = self.stage_dims, self.attach_stages
         if len(stage_dims) < 2:
             raise InvalidConfig("the trunk needs at least 2 stages")
         if min(stage_dims) < 1:
@@ -113,9 +114,8 @@ class FusionConfig:
                 raise InvalidConfig(
                     f"attach stage {s} outside [0, {len(stage_dims)})"
                 )
-        if self.lambda_split is not None:
-            split = tuple(float(v) for v in self.lambda_split)
-            object.__setattr__(self, "lambda_split", split)
+        split = self.lambda_split
+        if split is not None:
             if len(split) != len(attach_stages):
                 raise InvalidConfig(
                     f"{len(split)} lambda shares for {len(attach_stages)} heads"
@@ -148,32 +148,27 @@ class FusionConfig:
         return (self.lambda_total / m,) * m
 
 
+_VECTOR = frozen_array(np.float64, 1)
+_MATRIX = frozen_array(np.float64, 2)
+
+
 @dataclass(frozen=True)
 class FusionModel:
     """An immutable parameter snapshot plus the name tables to apply it."""
 
-    trunk_weights: tuple[np.ndarray, ...]
-    trunk_biases: tuple[np.ndarray, ...]
-    subclass_weight: np.ndarray
-    subclass_bias: np.ndarray
-    super_weights: tuple[np.ndarray, ...]
-    super_biases: tuple[np.ndarray, ...]
-    attach_stages: tuple[int, ...]
-    subclass_names: tuple[str, ...]
-    structure_names: tuple[str, ...]
+    trunk_weights: Annotated[tuple[np.ndarray, ...], config_list(_MATRIX)]
+    trunk_biases: Annotated[tuple[np.ndarray, ...], config_list(_VECTOR)]
+    subclass_weight: Annotated[np.ndarray, _MATRIX]
+    subclass_bias: Annotated[np.ndarray, _VECTOR]
+    super_weights: Annotated[tuple[np.ndarray, ...], config_list(_MATRIX)]
+    super_biases: Annotated[tuple[np.ndarray, ...], config_list(_VECTOR)]
+    attach_stages: Annotated[tuple[int, ...], config_list(config_int)]
+    subclass_names: Annotated[tuple[str, ...], config_list(config_str)]
+    structure_names: Annotated[tuple[str, ...], config_list(config_str)]
 
     def __post_init__(self):
-        def freeze(arr, dims):
-            arr = np.array(arr, dtype=np.float64)
-            if arr.ndim != dims:
-                raise DimensionMismatch(f"expected a {dims}-D parameter tensor")
-            if not np.all(np.isfinite(arr)):
-                raise NonFiniteValue("model parameters must be finite")
-            arr.setflags(write=False)
-            return arr
-
-        trunk_w = tuple(freeze(w, 2) for w in self.trunk_weights)
-        trunk_b = tuple(freeze(b, 1) for b in self.trunk_biases)
+        type_fields(self)
+        trunk_w, trunk_b = self.trunk_weights, self.trunk_biases
         if not trunk_w or len(trunk_w) != len(trunk_b):
             raise DimensionMismatch("trunk weights and biases must pair up")
         for i, (w, b) in enumerate(zip(trunk_w, trunk_b)):
@@ -181,33 +176,21 @@ class FusionModel:
                 raise DimensionMismatch(f"stage {i} bias width mismatch")
             if i and trunk_w[i - 1].shape[1] != w.shape[0]:
                 raise DimensionMismatch(f"stage {i} input width mismatch")
-        sub_w = freeze(self.subclass_weight, 2)
-        sub_b = freeze(self.subclass_bias, 1)
+        sub_w, sub_b = self.subclass_weight, self.subclass_bias
         if sub_w.shape[0] != trunk_w[-1].shape[1] or sub_w.shape[1] != sub_b.shape[0]:
             raise DimensionMismatch("subclass head dimensions mismatch")
-        sup_w = tuple(freeze(w, 2) for w in self.super_weights)
-        sup_b = tuple(freeze(b, 1) for b in self.super_biases)
-        attach = tuple(int(s) for s in self.attach_stages)
-        names = tuple(str(n) for n in self.subclass_names)
-        struct_names = tuple(str(n) for n in self.structure_names)
-        if not len(sup_w) == len(sup_b) == len(attach) == len(struct_names):
+        sup_w, sup_b, attach = self.super_weights, self.super_biases, self.attach_stages
+        if not len(sup_w) == len(sup_b) == len(attach) == len(self.structure_names):
             raise DimensionMismatch("one head, stage, and name per structure")
         for m, (w, b, s) in enumerate(zip(sup_w, sup_b, attach)):
             if not 0 <= s < len(trunk_w):
                 raise DimensionMismatch(f"head {m} attach stage {s} out of range")
             if w.shape[0] != trunk_w[s].shape[1] or w.shape[1] != b.shape[0]:
                 raise DimensionMismatch(f"head {m} dimensions mismatch")
-        if sub_w.shape[1] != len(names):
+        if sub_w.shape[1] != len(self.subclass_names):
             raise DimensionMismatch("one subclass name per output column")
-        object.__setattr__(self, "trunk_weights", trunk_w)
-        object.__setattr__(self, "trunk_biases", trunk_b)
-        object.__setattr__(self, "subclass_weight", sub_w)
-        object.__setattr__(self, "subclass_bias", sub_b)
-        object.__setattr__(self, "super_weights", sup_w)
-        object.__setattr__(self, "super_biases", sup_b)
-        object.__setattr__(self, "attach_stages", attach)
-        object.__setattr__(self, "subclass_names", names)
-        object.__setattr__(self, "structure_names", struct_names)
+        if not all(np.isfinite(arr).all() for _, arr in _parameters(self)):
+            raise NonFiniteValue("model parameters must be finite")
 
     @property
     def input_dim(self) -> int:
@@ -230,34 +213,20 @@ class FusionModel:
 class TrainHistory:
     """Per-epoch loss components and training accuracy."""
 
-    total_loss: np.ndarray
-    subclass_loss: np.ndarray
-    super_losses: np.ndarray
-    train_accuracy: np.ndarray
-    structure_names: tuple[str, ...]
+    total_loss: Annotated[np.ndarray, _VECTOR]
+    subclass_loss: Annotated[np.ndarray, _VECTOR]
+    super_losses: Annotated[np.ndarray, _MATRIX]
+    train_accuracy: Annotated[np.ndarray, _VECTOR]
+    structure_names: Annotated[tuple[str, ...], config_list(config_str)]
 
     def __post_init__(self):
-        def freeze(arr, dims):
-            arr = np.array(arr, dtype=np.float64)
-            if arr.ndim != dims:
-                raise DimensionMismatch(f"expected a {dims}-D history array")
-            arr.setflags(write=False)
-            return arr
-
-        total = freeze(self.total_loss, 1)
-        sub = freeze(self.subclass_loss, 1)
-        supers = freeze(self.super_losses, 2)
-        acc = freeze(self.train_accuracy, 1)
-        epochs = total.shape[0]
-        if sub.shape[0] != epochs or acc.shape[0] != epochs or supers.shape[0] != epochs:
+        type_fields(self)
+        epochs = {len(a) for a in (self.total_loss, self.subclass_loss,
+                                   self.super_losses, self.train_accuracy)}
+        if len(epochs) != 1:
             raise DimensionMismatch("history arrays must share the epoch count")
-        if supers.shape[1] != len(self.structure_names):
+        if self.super_losses.shape[1] != len(self.structure_names):
             raise DimensionMismatch("one loss column per structure")
-        object.__setattr__(self, "total_loss", total)
-        object.__setattr__(self, "subclass_loss", sub)
-        object.__setattr__(self, "super_losses", supers)
-        object.__setattr__(self, "train_accuracy", acc)
-        object.__setattr__(self, "structure_names", tuple(self.structure_names))
 
     @property
     def epochs(self) -> int:
@@ -305,7 +274,7 @@ def init_model(
             subclass_names = structures.subclass_names
         else:
             subclass_names = tuple(f"c{i}" for i in range(subclass_count))
-    subclass_names = tuple(str(n) for n in subclass_names)
+    subclass_names = tuple(subclass_names)
     if len(structures) and subclass_names != structures.subclass_names:
         raise SubclassSpaceMismatch("subclass_names disagree with the structures")
 
@@ -893,16 +862,15 @@ def config_from_dict(raw: dict) -> FusionConfig:
     return FusionConfig(**typed_section(raw, "model", FusionConfig))
 
 
-def save_checkpoint(model: FusionModel, config: FusionConfig, path) -> None:
-    """Single-file checkpoint: JSON header plus raw little-endian float64.
-
-    Layout: magic line, uint32 header length (little-endian), the header
-    JSON (config, name tables, tensor manifest), then each tensor's bytes
-    in manifest order, which is the canonical parameter order. Parameters
-    round-trip bit-exactly.
-    """
-    tensors = _parameters(model)
-    header = {
+def _checkpoint_header(model: FusionModel, config: FusionConfig) -> dict:
+    """The JSON header of a checkpoint of `model` under `config`: the
+    config, name tables and tensor manifest. A config whose stage_dims or
+    attach_stages do not describe the model is InvalidConfig."""
+    stage_dims = tuple(b.shape[0] for b in model.trunk_biases)
+    if (config.stage_dims, config.attach_stages) != (stage_dims, model.attach_stages):
+        raise InvalidConfig(f"the config does not describe stage_dims {stage_dims} "
+                            f"and attach_stages {model.attach_stages} of the model")
+    return {
         "config": config_to_dict(config),
         "input_dim": model.input_dim,
         "subclass_count": model.subclass_count,
@@ -911,15 +879,25 @@ def save_checkpoint(model: FusionModel, config: FusionConfig, path) -> None:
         "superclass_counts": list(model.superclass_counts),
         "attach_stages": list(model.attach_stages),
         "tensors": [
-            {"name": name, "shape": list(arr.shape)} for name, arr in tensors
+            {"name": name, "shape": list(arr.shape)} for name, arr in _parameters(model)
         ],
     }
-    blob = dump_json(header).encode("utf-8")
+
+
+def save_checkpoint(model: FusionModel, config: FusionConfig, path) -> None:
+    """Single-file checkpoint: JSON header plus raw little-endian float64.
+
+    Layout: magic line, uint32 header length (little-endian), the header
+    JSON (config, name tables, tensor manifest), then each tensor's bytes
+    in manifest order, which is the canonical parameter order. Parameters
+    round-trip bit-exactly.
+    """
+    blob = dump_json(_checkpoint_header(model, config)).encode("utf-8")
     with atomic_text_writer(path, binary=True) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for _, arr in tensors:
+        for _, arr in _parameters(model):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -928,9 +906,10 @@ def load_checkpoint(path) -> tuple[FusionModel, FusionConfig]:
 
     A file save_checkpoint could not have written is a CheckpointError
     naming `path`: a bad magic line or length, a header that is not the
-    JSON object it writes or holds a field of the wrong type, tensors out
-    of the canonical order, or too few or too many tensor bytes. Tensors
-    that do not fit together are the model's own DimensionMismatch.
+    JSON object it writes, holds a field of the wrong type or differs from
+    the header of the model and config it holds, tensors out of the
+    canonical order, or too few or too many tensor bytes. Tensors that do
+    not fit together are the model's own DimensionMismatch.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -952,10 +931,6 @@ def load_checkpoint(path) -> tuple[FusionModel, FusionConfig]:
     try:
         config = config_from_dict(header["config"])
         attach = config_list(config_int)(header["attach_stages"], "attach_stages")
-        names = [header["subclass_names"], header["structure_names"]]
-        if not all(isinstance(v, list) and all(isinstance(n, str) for n in v)
-                   for v in names):
-            raise CheckpointError(f"{path}: name tables must be lists of strings")
         manifest = header["tensors"]
         if not isinstance(manifest, list) or not all(
             isinstance(entry, dict) for entry in manifest
@@ -965,27 +940,31 @@ def load_checkpoint(path) -> tuple[FusionModel, FusionConfig]:
         if [entry["name"] for entry in manifest] != [name for name, _, _ in layout]:
             raise CheckpointError(f"{path}: tensors are not in the canonical order")
         shapes = [config_list(config_int)(e["shape"], "tensor shape") for e in manifest]
+        if any(len(shape) not in (1, 2) or min(shape) < 0 for shape in shapes):
+            raise CheckpointError(f"{path}: tensor shapes must be 1 or 2 sizes >= 0")
+        counts = [math.prod(shape) for shape in shapes]
+        if len(blob) - end != 8 * sum(counts):
+            raise CheckpointError(
+                f"{path}: {len(blob) - end} tensor bytes, header needs {8 * sum(counts)}"
+            )
+        arrays = []
+        for shape, count in zip(shapes, counts):
+            arrays.append(np.frombuffer(blob, "<f8", count, end).reshape(shape))
+            end += 8 * count
+        model = FusionModel(
+            **_parameter_fields(layout, arrays),
+            attach_stages=attach,
+            subclass_names=header["subclass_names"],
+            structure_names=header["structure_names"],
+        )
+        rebuilt = _checkpoint_header(model, config)
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing header field {exc}") from exc
     except InvalidConfig as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    if any(len(shape) not in (1, 2) or min(shape) < 0 for shape in shapes):
-        raise CheckpointError(f"{path}: tensor shapes must be 1 or 2 sizes >= 0")
-    counts = [math.prod(shape) for shape in shapes]
-    if len(blob) - end != 8 * sum(counts):
-        raise CheckpointError(
-            f"{path}: {len(blob) - end} tensor bytes, header needs {8 * sum(counts)}"
-        )
-    arrays = []
-    for shape, count in zip(shapes, counts):
-        arrays.append(np.frombuffer(blob, "<f8", count, end).reshape(shape))
-        end += 8 * count
-    model = FusionModel(
-        **_parameter_fields(layout, arrays),
-        attach_stages=attach,
-        subclass_names=tuple(names[0]),
-        structure_names=tuple(names[1]),
-    )
+    wrong = sorted(k for k in {**header, **rebuilt} if header.get(k) != rebuilt.get(k))
+    if wrong:
+        raise CheckpointError(f"{path}: header fields {wrong} disagree with its tensors")
     return model, config
 
 

@@ -17,9 +17,11 @@ platforms and reimplementations.
 """
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
+from .config import frozen_array, type_fields
 from .exceptions import (
     DegeneratePoints,
     DimensionMismatch,
@@ -37,11 +39,12 @@ from .taxonomy import LabelStructure, validate_structure
 class AffinityMatrix:
     """Symmetric class-pair similarities in [0, 1] with a zero diagonal."""
 
-    values: np.ndarray
+    values: Annotated[np.ndarray, frozen_array(np.float64, 2)]
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        type_fields(self)
+        values = self.values
+        if values.shape[0] != values.shape[1]:
             raise DimensionMismatch("affinity matrix must be square")
         if not np.all(np.isfinite(values)):
             raise ValueError("affinity matrix contains non-finite entries")
@@ -51,8 +54,6 @@ class AffinityMatrix:
             raise ValueError("affinity entries must lie in [0, 1]")
         if np.any(np.diagonal(values) != 0.0):
             raise ValueError("affinity diagonal must be zero")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
     @property
     def class_count(self) -> int:
@@ -63,20 +64,18 @@ class AffinityMatrix:
 class SpectralEmbedding:
     """Unit-norm rows of the top-k eigenvectors of the normalized affinity."""
 
-    coords: np.ndarray
+    coords: Annotated[np.ndarray, frozen_array(np.float64, 2)]
     k: int
 
     def __post_init__(self):
-        coords = np.array(self.coords, dtype=np.float64)
-        if coords.ndim != 2 or coords.shape[1] != self.k:
+        type_fields(self)
+        if self.coords.shape[1] != self.k:
             raise DimensionMismatch("coords must be an (N, k) matrix")
-        if self.k > coords.shape[0]:
+        if self.k > self.coords.shape[0]:
             raise DimensionMismatch("k cannot exceed the class count")
-        norms = np.sqrt((coords * coords).sum(axis=1))
+        norms = np.sqrt((self.coords * self.coords).sum(axis=1))
         if norms.size and (norms.min() <= 0.0 or np.abs(norms - 1.0).max() > 1e-9):
             raise IsolatedClass("embedding rows must have unit norm")
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
 
 
 def class_distance_matrix(stats: ClassStats) -> np.ndarray:

@@ -12,9 +12,11 @@ workers.
 
 import json
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
+from .config import frozen_array, type_fields
 from .exceptions import (
     DuplicateSubclass,
     EmptySuperclass,
@@ -25,7 +27,7 @@ from .exceptions import (
     UnknownSubclass,
     UnknownSuperclass,
 )
-from .serialization import atomic_text_writer
+from .serialization import atomic_text_writer, dump_json
 
 #: Identifier of the (implicit, shared) root node.
 ROOT = "<root>"
@@ -43,7 +45,10 @@ class LabelStructure:
     name: str
     superclasses: tuple[str, ...]
     subclass_names: tuple[str, ...]
-    parent_index: np.ndarray = field(repr=False)
+    parent_index: Annotated[np.ndarray, frozen_array(np.int64, 1)] = field(repr=False)
+
+    def __post_init__(self):
+        type_fields(self)
 
     @property
     def subclass_count(self) -> int:
@@ -185,7 +190,6 @@ def validate_structure(
     if empty:
         raise EmptySuperclass(f"superclasses without children: {empty}")
 
-    parent.setflags(write=False)
     return LabelStructure(
         name=str(name),
         superclasses=superclasses,
@@ -274,8 +278,7 @@ def save_structure(structure: LabelStructure, path) -> None:
     parent_of (subclass name -> superclass name).
     """
     with atomic_text_writer(path) as fh:
-        json.dump(structure_to_dict(structure), fh, indent=2)
-        fh.write("\n")
+        fh.write(dump_json(structure_to_dict(structure)))
 
 
 def load_structure(path) -> LabelStructure:

@@ -499,13 +499,29 @@ def test_unexpected_positional_argument(tmp_path, capsys):
     ["train", "--seed", "[" * 100_000],
     ["train", "--model.epochs", "[" * 100_000],
     ["sweep", "--axis", "k", "--values", "[" * 100_000],
+    ["train", "--se", "3", "--o", "d"],
+    ["sweep", "--ax", "lambda", "--val", "0.1"],
 ], ids=["seed-text", "seed-float", "seed-negative", "axis-unknown",
         "axis-unknown-with-values", "out-no-value", "bad-command", "no-command",
-        "seed-deep-json", "override-deep-json", "values-deep-json"])
+        "seed-deep-json", "override-deep-json", "values-deep-json",
+        "train-abbreviations", "sweep-abbreviations"])
 def test_bad_flags_are_one_error_line(tmp_path, capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (["train", "--se", "3", "--o", "d"], "['o', 'se']"),
+    (["sweep", "--ax", "lambda", "--val", "0.1"], "['ax', 'val']"),
+], ids=["train", "sweep"])
+def test_abbreviated_flags_are_unknown_fields(tmp_path, capsys, monkeypatch,
+                                              argv, fields):
+    # a flag names a field only in full, as a dotted override does
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: unknown config fields: {fields}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_help_exits_zero_and_names_the_seed_flag(capsys):
@@ -967,9 +983,16 @@ def _set(path, value):
     _set(("config", "stage_dims"), 5),
     _set(("config", "lambda_total"), "a"),
     _set(("config",), [1]),
+    _set(("input_dim",), 4),
+    _set(("subclass_count",), 5),
+    _set(("superclass_counts",), [3]),
+    _set(("config", "attach_stages"), [1]),
+    _set(("config", "stage_dims"), [5, 3]),
 ], ids=["list", "shape-strings", "shape-int", "shape-negative",
         "tensors-object", "attach-int", "names-string", "epochs-string",
-        "stage-dims-int", "lambda-string", "config-list"])
+        "stage-dims-int", "lambda-string", "config-list", "input-dim",
+        "subclass-count", "superclass-counts", "config-attach-stages",
+        "config-stage-dims"])
 def test_malformed_checkpoint_headers_are_typed_errors(tmp_path, capsys, edit):
     config = FusionConfig(stage_dims=(4, 3), attach_stages=(0,),
                           lambda_total=0.1, epochs=1)

@@ -1,8 +1,9 @@
 """Frozen values hold read-only arrays that no caller can change.
 
-Every array a value type stores is its own read-only copy: writing to it
-raises, and changing the array the caller passed in afterwards leaves the
-stored value as it was.
+Every array a value type stores is its own C-ordered, read-only copy with
+the number of axes its field declares: writing to it raises, and changing
+the array the caller passed in afterwards leaves the stored value as it
+was.
 """
 
 import dataclasses
@@ -10,6 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hierfusion.exceptions import DimensionMismatch
 from hierfusion.features import FeatureTable, class_statistics
 from hierfusion.metrics import PredictionBatch
 from hierfusion.model import FusionConfig, train
@@ -62,12 +64,17 @@ def _held(obj):
     return [a for f in dataclasses.fields(obj) for a in _arrays(getattr(obj, f.name))]
 
 
-def _writable(value):
+def _mapped(value, change):
+    """`value` with `change` applied to each array in it."""
     if isinstance(value, np.ndarray):
-        return value.copy()
+        return change(value)
     if isinstance(value, tuple):
-        return tuple(_writable(item) for item in value)
+        return tuple(_mapped(item, change) for item in value)
     return value
+
+
+def _writable(value):
+    return _mapped(value, np.copy)
 
 
 @pytest.mark.parametrize("make", VALUES.values(), ids=VALUES.keys())
@@ -80,9 +87,7 @@ def test_held_arrays_are_read_only(make):
             arr.fill(0)
 
 
-# LabelStructure is built only through validate_structure, which owns the
-# parent_index it passes in.
-@pytest.mark.parametrize("name", [name for name in VALUES if name != "LabelStructure"])
+@pytest.mark.parametrize("name", VALUES)
 def test_changing_the_callers_arrays_leaves_the_value_unchanged(name):
     original = VALUES[name]()
     fields = {f.name: _writable(getattr(original, f.name))
@@ -96,3 +101,27 @@ def test_changing_the_callers_arrays_leaves_the_value_unchanged(name):
     for arr, before in zip(held, _held(original)):
         assert not arr.flags.writeable
         np.testing.assert_array_equal(arr, before)
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_held_arrays_are_c_ordered(name):
+    original = VALUES[name]()
+    rebuilt = type(original)(**{f.name: _mapped(getattr(original, f.name),
+                                                np.asfortranarray)
+                                for f in dataclasses.fields(original)})
+    for arr, before in zip(_held(rebuilt), _held(original)):
+        assert arr.flags.c_contiguous
+        np.testing.assert_array_equal(arr, before)
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_an_array_with_an_extra_axis_is_a_dimension_mismatch(name):
+    original = VALUES[name]()
+    for field in dataclasses.fields(original):
+        value = getattr(original, field.name)
+        if not _arrays(value):
+            continue
+        fields = {f.name: getattr(original, f.name) for f in dataclasses.fields(original)}
+        fields[field.name] = _mapped(value, lambda arr: arr[None])
+        with pytest.raises(DimensionMismatch, match=f"{field.name}.* got"):
+            type(original)(**fields)
