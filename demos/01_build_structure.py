@@ -2,7 +2,8 @@
 
 Generates a synthetic feature table with a planted two-level grouping,
 then rebuilds that grouping from the features alone and checks the two
-partitions agree exactly.
+partitions agree exactly. The table carries the planted subclass names,
+so the statistics and the rebuilt structure cover the same id space.
 """
 
 import numpy as np
@@ -32,7 +33,7 @@ grouping = {name: int(parent) for name, parent
             in zip(planted.subclass_names, planted.parent_index)}
 print(f"planted grouping: {grouping}")
 
-stats = class_statistics(table, class_count=planted.subclass_count)
+stats = class_statistics(table)
 distances = class_distance_matrix(stats)
 print("\nclass distances (same-group pairs should be the small entries):")
 with np.printoptions(precision=1, suppress=True):
@@ -43,13 +44,7 @@ print("\naffinity row for subclass c0 (high = similar):")
 with np.printoptions(precision=4, suppress=True):
     print(affinity.values[0])
 
-built = build_visual_structure(
-    table,
-    k=3,
-    seed=0,
-    subclass_names=planted.subclass_names,
-    class_count=planted.subclass_count,
-)
+built = build_visual_structure(table, k=3, seed=0)
 print(f"\nrecovered structure {built.name!r}:")
 for j, super_name in enumerate(built.superclasses):
     members = [name for name, parent in

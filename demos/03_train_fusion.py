@@ -24,7 +24,6 @@ spec = SyntheticSpec(
 )
 table, planted = generate_synthetic(spec)
 train_side, test_side = train_test_split(table, 0.8, seed=0)
-names = planted.subclass_names
 
 
 def fit(structures, lambda_total, attach_stages):
@@ -37,7 +36,7 @@ def fit(structures, lambda_total, attach_stages):
         batch_size=960,
         seed=0,
     )
-    model, history = train(config, train_side, structures, subclass_names=names)
+    model, history = train(config, train_side, structures)
     batch = PredictionBatch(
         predicted=predict(model, test_side.features), truth=test_side.labels
     )

@@ -46,7 +46,6 @@ from .exceptions import (
     DivergedLoss,
     HierFusionError,
     InvalidConfig,
-    MalformedRow,
     SubclassSpaceMismatch,
 )
 from .features import (
@@ -74,7 +73,7 @@ from .rng import (
     STREAM_SYNTHETIC,
     derive_seed,
 )
-from .serialization import atomic_text_writer, dump_json, format_float, text_reader
+from .serialization import atomic_text_writer, dump_json, format_float
 from .structure_builder import build_visual_structure
 from .taxonomy import StructureSet, load_structure, load_structure_set, save_structure
 
@@ -199,22 +198,6 @@ def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(**fields)
 
 
-def infer_subclass_names(path) -> tuple[str, ...]:
-    """Subclass name table of a feature file, in first-appearance order."""
-    names = {}
-    with text_reader(path) as fh:
-        header = fh.readline()
-        if not header.startswith("label,"):
-            raise MalformedRow(f"{path}: missing 'label,f0,...' header")
-        for line in fh:
-            line = line.rstrip("\n")
-            if line:
-                names.setdefault(line.split(",", 1)[0], None)
-    if not names:
-        raise MalformedRow(f"{path}: no data rows")
-    return tuple(names)
-
-
 def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -228,30 +211,25 @@ def _out_dir(config: ExperimentConfig) -> Path:
 
 
 def _load_table(config: ExperimentConfig, names_hint=None):
-    """Materialize the configured data source.
+    """Materialize the configured data source as a table, which owns its
+    subclass name table.
 
-    Returns (table, subclass_names). The name table comes from, in order:
-    the hint (usually the training structures), the planted structure for
-    synthetic data, `names_from`, or the feature file's own
-    first-appearance order.
+    The name table comes from, in order: the hint (usually the training
+    structures), the planted structure for synthetic data, `names_from`,
+    or the feature file's own first-appearance order.
     """
     if config.synthetic is not None:
-        table, planted = generate_synthetic(config.synthetic)
-        names = planted.subclass_names
-        if names_hint is not None and tuple(names_hint) != names:
+        table = generate_synthetic(config.synthetic)[0]
+        if names_hint is not None and tuple(names_hint) != table.subclass_names:
             raise SubclassSpaceMismatch(
                 "synthetic subclass names disagree with the requested table"
             )
-        return table, names
+        return table
     if config.features is None:
         raise InvalidConfig("no data source (set 'synthetic' or 'features')")
-    if names_hint is not None:
-        names = tuple(names_hint)
-    elif config.names_from is not None:
-        names = load_structure(config.names_from).subclass_names
-    else:
-        names = infer_subclass_names(config.features)
-    return load_feature_table(config.features, names), names
+    if names_hint is None and config.names_from is not None:
+        names_hint = load_structure(config.names_from).subclass_names
+    return load_feature_table(config.features, names_hint)
 
 
 def _split(config: ExperimentConfig, table):
@@ -261,16 +239,10 @@ def _split(config: ExperimentConfig, table):
     return train_test_split(table, config.split.fraction, config.split.seed)
 
 
-def _induce(config: ExperimentConfig, table, names):
+def _induce(config: ExperimentConfig, table):
     """The visual structure the builder section induces from `table`."""
-    return build_visual_structure(
-        table,
-        config.builder.k,
-        config.builder.delta,
-        config.builder.seed,
-        subclass_names=names,
-        class_count=len(names),
-    )
+    builder = config.builder
+    return build_visual_structure(table, builder.k, builder.delta, builder.seed)
 
 
 # -- commands ----------------------------------------------------------------
@@ -282,7 +254,7 @@ def cmd_gen_synthetic(config: ExperimentConfig) -> None:
     out = _out_dir(config)
     table, planted = generate_synthetic(config.synthetic)
     features_path = out / "features.csv"
-    save_feature_table(table, planted.subclass_names, features_path)
+    save_feature_table(table, features_path)
     structure_path = out / "structure_planted.json"
     save_structure(planted, structure_path)
     _note(f"wrote {features_path}")
@@ -298,9 +270,8 @@ def cmd_build_structure(config: ExperimentConfig) -> None:
     if config.builder.k is None:
         raise InvalidConfig("build-structure needs 'builder.k'")
     out = _out_dir(config)
-    table, names = _load_table(config)
-    table = _split(config, table)[0]  # lets the whole table go before the build
-    structure = _induce(config, table, names)
+    table = _split(config, _load_table(config))[0]  # only the training side stays
+    structure = _induce(config, table)
     path = out / f"{structure.name}.json"
     save_structure(structure, path)
     _note(f"wrote {path}")
@@ -311,9 +282,8 @@ def cmd_train(config: ExperimentConfig) -> None:
     out = _out_dir(config)
     structures = load_structure_set(config.structures)
     names_hint = structures.subclass_names if len(structures) else None
-    table, names = _load_table(config, names_hint)
-    table = _split(config, table)[0]
-    model, history = train(config.model, table, structures, subclass_names=names)
+    table = _split(config, _load_table(config, names_hint))[0]
+    model, history = train(config.model, table, structures)
     checkpoint_path = out / "model.ckpt"
     save_checkpoint(model, config.model, checkpoint_path)
     history_path = out / "history.csv"
@@ -339,8 +309,7 @@ def cmd_evaluate(config: ExperimentConfig) -> None:
         raise SubclassSpaceMismatch(
             "structure files and checkpoint disagree on the subclass space"
         )
-    table = _load_table(config, model.subclass_names)[0]
-    table = _split(config, table)[1]
+    table = _split(config, _load_table(config, model.subclass_names))[1]
     batch, report = _score(model, structures, table)
     report_path = out / "report.json"
     with atomic_text_writer(report_path) as fh:
@@ -395,29 +364,29 @@ def cmd_sweep(config: ExperimentConfig, raw: dict) -> None:
     structures = load_structure_set(config.structures)
     names_hint = structures.subclass_names if len(structures) else None
     sources, splits, held_out = {}, {}, []
-    stacks = {}  # (names, stack key) -> [(run, model config, training side, structures)]
+    stacks = {}  # stack key -> [(run, model config, training side, structures)]
     for run, (_, _, cfg) in enumerate(runs):
         source = (cfg.synthetic, cfg.features, cfg.names_from)
         if source not in sources:
             sources[source] = _load_table(cfg, names_hint)
-        table, names = sources[source]
+        table = sources[source]
         if (source, cfg.split) not in splits:
             splits[source, cfg.split] = _split(cfg, table)
         train_side, test_side = splits[source, cfg.split]
         if axis == "k":
-            run_structures = StructureSet((_induce(cfg, train_side, names),))
+            run_structures = StructureSet((_induce(cfg, train_side),))
         else:
             run_structures = structures
         held_out.append((run_structures, test_side))
-        key = (names, stack_key(cfg.model, train_side, run_structures))
+        key = stack_key(cfg.model, train_side, run_structures)
         stacks.setdefault(key, []).append((run, cfg.model, train_side, run_structures))
     del sources, table  # the splits hold all that training and scoring read
 
     reports = [None] * len(runs)
-    for (names, _), stack in stacks.items():
+    for stack in stacks.values():
         members, configs, tables, structure_sets = zip(*stack)
         try:
-            trained = train_stacked(configs, tables, structure_sets, subclass_names=names)
+            trained = train_stacked(configs, tables, structure_sets)
         except DivergedLoss as exc:
             value, seed, _ = runs[members[exc.run or 0]]
             label = f"{axis} {_sweep_value_str(value)}, seed {seed}"

@@ -1,10 +1,12 @@
 """Feature tables, per-class statistics, and synthetic dataset generation.
 
 Feature vectors arrive from any upstream extractor through a plain CSV
-format (header ``label,f0,...,f{d-1}``, one sample per row, labels resolved
-against a subclass name table). Per-class statistics feed the affinity
-construction; the synthetic generator plants a known 3-level hierarchy for
-desk-scale experiments.
+format (header ``label,f0,...,f{d-1}``, one sample per row, labelled by
+subclass name). A FeatureTable owns the ordered subclass name table that
+defines its id space: label id i is `subclass_names[i]`, and every table
+the library makes carries one, so no layer passes names beside a table.
+Per-class statistics feed the affinity construction; the synthetic
+generator plants a known 3-level hierarchy for desk-scale experiments.
 """
 
 import itertools
@@ -16,7 +18,15 @@ from typing import Annotated
 
 import numpy as np
 
-from .config import config_int, config_real, config_seed, frozen_array, type_fields
+from .config import (
+    config_int,
+    config_list,
+    config_real,
+    config_seed,
+    config_str,
+    frozen_array,
+    type_fields,
+)
 from .exceptions import (
     ClassTooSmall,
     DimensionMismatch,
@@ -30,15 +40,18 @@ from .serialization import atomic_text_writer, text_reader
 from .taxonomy import LabelStructure, validate_structure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureTable:
     """n samples of d-dimensional features with subclass-id labels.
 
-    Immutable after construction; all arrays are float64/int64 and finite.
+    `subclass_names` is the name table of the id space: every label is an
+    id in [0, len(subclass_names)). Immutable after construction; all
+    arrays are float64/int64 and finite.
     """
 
     features: Annotated[np.ndarray, frozen_array(np.float64, 2)]
     labels: Annotated[np.ndarray, frozen_array(np.int64, 1)]
+    subclass_names: Annotated[tuple[str, ...], config_list(config_str)]
 
     def __post_init__(self):
         type_fields(self)
@@ -48,6 +61,11 @@ class FeatureTable:
             raise NonFiniteValue("feature table contains NaN or infinity")
         if self.labels.size and self.labels.min() < 0:
             raise UnknownLabel("labels must be non-negative subclass ids")
+        if self.labels.size and self.labels.max() >= len(self.subclass_names):
+            raise UnknownLabel(
+                f"label id {int(self.labels.max())} outside the "
+                f"{len(self.subclass_names)}-name subclass table"
+            )
 
     @property
     def count(self) -> int:
@@ -58,7 +76,7 @@ class FeatureTable:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassStats:
     """Per-class mean vector and scalar variance.
 
@@ -88,17 +106,16 @@ class ClassStats:
         return self.means.shape[1]
 
 
-def class_statistics(table: FeatureTable, class_count: int | None = None) -> ClassStats:
+def class_statistics(table: FeatureTable) -> ClassStats:
     """Mean vector and trace-of-covariance variance for every class.
 
-    Every class in [0, class_count) needs at least 2 samples. Rows are
-    reduced in a canonical (lexicographically sorted) order, so the result
-    is bit-for-bit invariant to sample order in the table.
+    Every class of the table's name table needs at least 2 samples. Rows
+    are reduced in a canonical (lexicographically sorted) order, so the
+    result is bit-for-bit invariant to sample order in the table.
     """
-    if class_count is None:
-        if table.count == 0:
-            raise ClassTooSmall(0, "empty table has no classes")
-        class_count = int(table.labels.max()) + 1
+    class_count = len(table.subclass_names)
+    if class_count == 0:
+        raise ClassTooSmall(0, "empty table has no classes")
     means = np.empty((class_count, table.dim))
     variances = np.empty(class_count)
     for c in range(class_count):
@@ -186,7 +203,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[FeatureTable, LabelStructur
         subclass_names=[f"c{i}" for i in range(n_sub)],
         parent_of={f"c{i}": f"s{i // per}" for i in range(n_sub)},
     )
-    return FeatureTable(features=features, labels=labels), structure
+    table = FeatureTable(features, labels, structure.subclass_names)
+    return table, structure
 
 
 def train_test_split(
@@ -197,7 +215,7 @@ def train_test_split(
     Each class contributes floor(n_c * fraction) training samples and the
     remainder to test; a class that would land on 0 either side raises
     ClassTooSmall. Deterministic for a fixed seed; row order within each
-    side follows the original table.
+    side follows the original table, and both sides keep its name table.
     """
     if not 0.0 < fraction < 1.0:
         raise InvalidSpec("fraction must lie strictly between 0 and 1")
@@ -218,9 +236,9 @@ def train_test_split(
         test_idx.append(perm[n_train:])
     train_idx = np.sort(np.concatenate(train_idx))
     test_idx = np.sort(np.concatenate(test_idx))
-    return (
-        FeatureTable(table.features[train_idx], table.labels[train_idx]),
-        FeatureTable(table.features[test_idx], table.labels[test_idx]),
+    return tuple(
+        FeatureTable(table.features[idx], table.labels[idx], table.subclass_names)
+        for idx in (train_idx, test_idx)
     )
 
 
@@ -231,20 +249,16 @@ def train_test_split(
 _WRITE_BLOCK_ROWS = 1024
 
 
-def save_feature_table(table: FeatureTable, subclass_names, path) -> None:
-    """Write the CSV feature format: header ``label,f0..``, one row each.
+def save_feature_table(table: FeatureTable, path) -> None:
+    """Write the CSV feature format: header ``label,f0..``, one row each,
+    labelled by the table's own subclass names.
 
     Floats carry 17 significant digits (the ``%.17g`` text of
     :func:`format_float`) so the file round-trips bit-exactly. The rows go
     to a temporary file in the target directory that replaces `path` only
     once complete; on any error it is deleted and `path` is left as it was.
     """
-    names = tuple(subclass_names)
-    if table.count and int(table.labels.max()) >= len(names):
-        raise UnknownLabel(
-            f"label id {int(table.labels.max())} outside the "
-            f"{len(names)}-name subclass table"
-        )
+    names = table.subclass_names
     row_format = "%s" + ",%.17g" * table.dim + "\n"
     with atomic_text_writer(path) as fh:
         fh.write("label," + ",".join(f"f{j}" for j in range(table.dim)) + "\n")
@@ -259,19 +273,22 @@ def save_feature_table(table: FeatureTable, subclass_names, path) -> None:
             )
 
 
-def load_feature_table(path, subclass_names) -> FeatureTable:
-    """Parse a feature file, resolving labels against the name table.
+def load_feature_table(path, subclass_names=None) -> FeatureTable:
+    """Parse a feature file into a table that owns its name table.
 
-    One streaming pass: each non-blank line has its label and cell count
-    checked here, and its cells go on to a single ``np.loadtxt``. A cell
-    is an ASCII decimal float (``1.5``, ``-2e-3``, ``nan`` and ``inf``
-    parse, then fail the finiteness check); ``#`` is not a comment, and
-    digit separators (``1_0``) or non-ASCII digits are MalformedRow. Every
-    error names the offending line as ``path:line``; blank lines are
-    skipped and do not count as rows, so the line of each row is recorded
-    as it is read.
+    Labels resolve against `subclass_names` (UnknownLabel for any other
+    name); with None, the table's names are the file's labels in
+    first-appearance order. One streaming pass: each non-blank line has
+    its label and cell count checked here, and its cells go on to a
+    single ``np.loadtxt``. A cell is an ASCII decimal float (``1.5``,
+    ``-2e-3``, ``nan`` and ``inf`` parse, then fail the finiteness
+    check); ``#`` is not a comment, and digit separators (``1_0``) or
+    non-ASCII digits are MalformedRow. Every error names the offending
+    line as ``path:line``; blank lines are skipped and do not count as
+    rows, so the line of each row is recorded as it is read.
     """
-    name_to_id = {str(n): i for i, n in enumerate(subclass_names)}
+    names = None if subclass_names is None else tuple(subclass_names)
+    name_to_id = {n: i for i, n in enumerate(names or ())}
     labels = array("q")
     linenos = array("q")
     with text_reader(path) as fh:
@@ -296,7 +313,9 @@ def load_feature_table(path, subclass_names) -> FeatureTable:
                     raise MalformedRow(f"{path}:{lineno}: empty feature cell")
                 label_id = name_to_id.get(label)
                 if label_id is None:
-                    raise UnknownLabel(f"{path}:{lineno}: unknown label {label!r}")
+                    if names is not None:
+                        raise UnknownLabel(f"{path}:{lineno}: unknown label {label!r}")
+                    label_id = name_to_id[label] = len(name_to_id)
                 labels.append(label_id)
                 linenos.append(lineno)
                 yield rest
@@ -304,27 +323,30 @@ def load_feature_table(path, subclass_names) -> FeatureTable:
         rows = cells()
         first = next(rows, None)
         if first is None:
-            return FeatureTable(np.empty((0, dim)), np.empty(0, dtype=np.int64))
-        try:
-            features = np.loadtxt(
-                itertools.chain((first,), rows),
-                delimiter=",",
-                comments=None,
-                dtype=np.float64,
-                ndmin=2,
-            )
-        except UnicodeDecodeError:
-            raise  # text_reader names the file; a line number would mislead
-        except ValueError as exc:
-            # loadtxt converts each line as it is pulled from `rows`, so the
-            # line that failed is the last one recorded.
-            reason = _loadtxt_reason(exc)
-            raise MalformedRow(f"{path}:{linenos[-1]}: {reason}") from exc
+            features = np.empty((0, dim))
+        else:
+            try:
+                features = np.loadtxt(
+                    itertools.chain((first,), rows),
+                    delimiter=",",
+                    comments=None,
+                    dtype=np.float64,
+                    ndmin=2,
+                )
+            except UnicodeDecodeError:
+                raise  # text_reader names the file; a line number would mislead
+            except ValueError as exc:
+                # loadtxt converts each line as it is pulled from `rows`, so
+                # the line that failed is the last one recorded.
+                reason = _loadtxt_reason(exc)
+                raise MalformedRow(f"{path}:{linenos[-1]}: {reason}") from exc
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))
         raise NonFiniteValue(f"{path}:{linenos[row]}: non-finite feature value")
-    return FeatureTable(features=features, labels=np.frombuffer(labels, np.int64))
+    if names is None:
+        names = tuple(name_to_id)
+    return FeatureTable(features, np.frombuffer(labels, np.int64), names)
 
 
 def _loadtxt_reason(exc: ValueError) -> str:

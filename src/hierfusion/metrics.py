@@ -36,7 +36,7 @@ from .taxonomy import LabelStructure, StructureSet, lca_heights
 PATH_NODES = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionBatch:
     """Paired predicted and true subclass ids for n samples."""
 

@@ -65,7 +65,7 @@ from .exceptions import (
 )
 from .features import FeatureTable
 from .rng import derive_seed, rng_from_seed
-from .serialization import atomic_text_writer, dump_json, format_float
+from .serialization import atomic_text_writer, dump_json
 from .taxonomy import StructureSet
 
 CHECKPOINT_MAGIC = b"hierfusion-checkpoint-v1\n"
@@ -152,7 +152,7 @@ _VECTOR = frozen_array(np.float64, 1)
 _MATRIX = frozen_array(np.float64, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionModel:
     """An immutable parameter snapshot plus the name tables to apply it."""
 
@@ -209,7 +209,7 @@ class FusionModel:
         return tuple(w.shape[1] for w in self.super_weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainHistory:
     """Per-epoch loss components and training accuracy."""
 
@@ -588,11 +588,7 @@ def multi_task_loss(outputs, subclass_labels, superclass_labels, config) -> Loss
 
 
 def train(
-    config: FusionConfig,
-    table: FeatureTable,
-    structures: StructureSet,
-    *,
-    subclass_names=None,
+    config: FusionConfig, table: FeatureTable, structures: StructureSet
 ) -> tuple[FusionModel, TrainHistory]:
     """Mini-batch gradient descent on the multi-task loss.
 
@@ -600,24 +596,23 @@ def train(
     comes from a dedicated shuffle stream, updates apply in a fixed
     parameter order. History rows are per-epoch sample means of the batch
     losses (measured before each update) and the running train accuracy.
-    The one-run case of train_stacked, which does the work.
+    The model's subclass head covers the table's name table. The one-run
+    case of train_stacked, which does the work.
     """
-    return train_stacked(
-        [config], [table], [structures], subclass_names=subclass_names
-    )[0]
+    return train_stacked([config], [table], [structures])[0]
 
 
 def stack_key(config: FusionConfig, table: FeatureTable, structures: StructureSet):
     """What runs must share to train in one train_stacked pass.
 
-    The input width, stage widths, attach stages and superclass counts
-    fix the parameter shapes; the row count, batch size and epochs fix
-    the batch grid. Runs must also agree on the subclass count, which
-    train_stacked checks once each run's names are resolved.
+    The input width, subclass count, stage widths, attach stages and
+    superclass counts fix the parameter shapes; the row count, batch size
+    and epochs fix the batch grid.
     """
     return (
         table.count,
         table.dim,
+        len(table.subclass_names),
         config.stage_dims,
         config.attach_stages,
         tuple(s.superclass_count for s in structures),
@@ -626,35 +621,31 @@ def stack_key(config: FusionConfig, table: FeatureTable, structures: StructureSe
     )
 
 
-def _init_run(config, table, structures, subclass_names) -> FusionModel:
-    """A run's initial model, after checking its table and labels."""
+def _init_run(config, table, structures) -> FusionModel:
+    """A run's initial model over its table's subclass name table."""
     if table.count == 0:
         raise ClassTooSmall(0, "empty table has no rows to train on")
-    if len(structures):
-        subclass_count = structures.subclass_count
-    elif subclass_names is not None:
-        subclass_count = len(tuple(subclass_names))
-    else:
-        subclass_count = int(table.labels.max()) + 1
-    _check_labels(table.labels, subclass_count)
     return init_model(
-        config, subclass_count, structures, table.dim, subclass_names=subclass_names
+        config,
+        len(table.subclass_names),
+        structures,
+        table.dim,
+        subclass_names=table.subclass_names,
     )
 
 
-def train_stacked(
-    configs, tables, structures, *, subclass_names=None
-) -> list[tuple[FusionModel, TrainHistory]]:
+def train_stacked(configs, tables, structures) -> list[tuple[FusionModel, TrainHistory]]:
     """Train R runs in one pass; one (model, history) per run, in order.
 
     Run r is `configs[r]` trained on `tables[r]` with `structures[r]`, and
     comes out bit-equal to ``train(configs[r], tables[r], structures[r])``:
-    its own init, its own shuffle stream, its own lambda, lambda shares
-    and learning rate. The runs must share stack_key and the subclass
-    count, else InvalidConfig. Each batch gathers its (R, batch, d) rows
-    from the distinct tables (by identity) through a per-run row order,
-    so no epoch copy of the rows is made. Labels are range-checked once
-    per run, not per batch.
+    its own init, its own shuffle stream, its own lambda, lambda shares,
+    learning rate and its table's subclass names. The runs must share
+    stack_key, else InvalidConfig. Each batch gathers its (R, batch, d)
+    rows from the distinct tables (by identity) through a per-run row
+    order, so no epoch copy of the rows is made. Labels need no check:
+    each table's ids lie inside its name table, which init_model matches
+    to the run's structures.
 
     A run whose loss turns non-finite is DivergedLoss naming its epoch and
     first sample, and its index when R > 1. The other runs keep training
@@ -665,15 +656,8 @@ def train_stacked(
     runs = len(configs)
     if runs == 0 or not runs == len(tables) == len(structures):
         raise InvalidConfig("a stack needs one config, table and structure set per run")
-    models = [
-        _init_run(c, t, s, subclass_names)
-        for c, t, s in zip(configs, tables, structures)
-    ]
-    keys = {
-        stack_key(c, t, s) + (m.subclass_count,)
-        for c, t, s, m in zip(configs, tables, structures, models)
-    }
-    if len(keys) > 1:
+    models = [_init_run(c, t, s) for c, t, s in zip(configs, tables, structures)]
+    if len({stack_key(c, t, s) for c, t, s in zip(configs, tables, structures)}) > 1:
         raise InvalidConfig(
             "stacked runs must share layout shapes, training rows, batch size and epochs"
         )
@@ -974,12 +958,9 @@ def save_history(history: TrainHistory, path) -> None:
     columns = ["epoch", "total_loss", "subclass_loss"]
     columns += [f"super_loss_{name}" for name in history.structure_names]
     columns += ["train_accuracy"]
+    rows = np.column_stack((history.total_loss, history.subclass_loss,
+                            history.super_losses, history.train_accuracy))
+    row_format = "%d" + ",%.17g" * rows.shape[1] + "\n"
     with atomic_text_writer(path) as fh:
         fh.write(",".join(columns) + "\n")
-        for e in range(history.epochs):
-            cells = [str(e)]
-            cells.append(format_float(history.total_loss[e]))
-            cells.append(format_float(history.subclass_loss[e]))
-            cells += [format_float(v) for v in history.super_losses[e]]
-            cells.append(format_float(history.train_accuracy[e]))
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(row_format % (e, *row) for e, row in enumerate(rows.tolist()))

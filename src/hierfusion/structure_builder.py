@@ -35,7 +35,7 @@ from .rng import derive_seed, rng_from_seed
 from .taxonomy import LabelStructure, validate_structure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffinityMatrix:
     """Symmetric class-pair similarities in [0, 1] with a zero diagonal."""
 
@@ -60,7 +60,7 @@ class AffinityMatrix:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralEmbedding:
     """Unit-norm rows of the top-k eigenvectors of the normalized affinity."""
 
@@ -336,34 +336,26 @@ def build_visual_structure(
     delta: float = 1.0,
     seed: int = 0,
     *,
-    subclass_names=None,
     name: str | None = None,
-    class_count: int | None = None,
 ) -> LabelStructure:
     """Cluster classes by feature affinity into a 3-level structure.
 
     Composes class_statistics -> affinity_matrix -> spectral_embedding ->
-    kmeans; superclass m (named "s{m}") holds exactly the classes of
-    cluster m. Subclass names default to "c{id}"; the structure name
+    kmeans over the table's subclass name table; superclass m (named
+    "s{m}") holds exactly the classes of cluster m. The structure name
     defaults to "H_A_k{k}".
     """
-    stats = class_statistics(table, class_count)
+    stats = class_statistics(table)
     affinity = affinity_matrix(stats, delta)
     embedding = spectral_embedding(affinity, k)
     assign = kmeans(embedding.coords, k, seed=seed)
-    if subclass_names is None:
-        subclass_names = [f"c{i}" for i in range(stats.class_count)]
-    subclass_names = tuple(subclass_names)
-    if len(subclass_names) != stats.class_count:
-        raise DimensionMismatch(
-            f"{len(subclass_names)} names for {stats.class_count} classes"
-        )
     return validate_structure(
         name=name if name is not None else f"H_A_k{k}",
         superclasses=[f"s{j}" for j in range(k)],
-        subclass_names=subclass_names,
+        subclass_names=table.subclass_names,
         parent_of={
-            subclass_names[i]: f"s{int(assign[i])}" for i in range(stats.class_count)
+            sub: f"s{cluster}"
+            for sub, cluster in zip(table.subclass_names, assign.tolist())
         },
     )
 

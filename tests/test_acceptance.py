@@ -172,10 +172,7 @@ def test_04_planted_partition_recovery(capsys):
             subclass_separation=3.0, noise_scale=1.0, seed=seed,
         )
         table, planted = generate_synthetic(spec)
-        built = build_visual_structure(
-            table, 4, 1.0, seed,
-            subclass_names=planted.subclass_names, class_count=20,
-        )
+        built = build_visual_structure(table, 4, 1.0, seed)
         ari = adjusted_rand_index(built.parent_index, planted.parent_index)
         perfect += ari == 1.0
     elapsed = time.perf_counter() - started
@@ -279,11 +276,10 @@ BENCH_MODEL = dict(stage_dims=(16, 8), learning_rate=9.5, epochs=200,
                    batch_size=960)
 
 
-def bench_arm(train_side, test_side, names, planted, structures, lam, attach,
-              seed):
+def bench_arm(train_side, test_side, planted, structures, lam, attach, seed):
     config = FusionConfig(attach_stages=attach, lambda_total=lam, seed=seed,
                           **BENCH_MODEL)
-    model, _ = train(config, train_side, structures, subclass_names=names)
+    model, _ = train(config, train_side, structures)
     score_set = structures if len(structures) else StructureSet((planted,))
     rep = evaluate(score_set, PredictionBatch(
         predicted=predict(model, test_side.features), truth=test_side.labels,
@@ -298,12 +294,8 @@ def test_07_benchmark_ordering(capsys):
         table, planted = generate_synthetic(
             SyntheticSpec(seed=seed, **BENCH_SPEC))
         train_side, test_side = train_test_split(table, 0.8, seed=seed)
-        names = planted.subclass_names
-        visual = build_visual_structure(
-            train_side, 4, 1.0, seed,
-            subclass_names=names, class_count=len(names),
-        )
-        args = (train_side, test_side, names, planted)
+        visual = build_visual_structure(train_side, 4, 1.0, seed)
+        args = (train_side, test_side, planted)
         rows.append((
             bench_arm(*args, StructureSet(()), 0.0, (), seed),
             bench_arm(*args, StructureSet((planted,)), 0.4, (0,), seed),
@@ -412,8 +404,9 @@ def test_09_round_trips(tmp_path, capsys):
     table = FeatureTable(
         features=rng.normal(size=(40, 5)) * 10.0 ** rng.integers(-8, 9, (40, 5)),
         labels=rng.integers(0, 7, size=40),
+        subclass_names=structure.subclass_names,
     )
-    save_feature_table(table, structure.subclass_names, tmp_path / "f.csv")
+    save_feature_table(table, tmp_path / "f.csv")
     loaded = load_feature_table(tmp_path / "f.csv", structure.subclass_names)
     table_ok = (np.array_equal(loaded.features, table.features)
                 and np.array_equal(loaded.labels, table.labels))
@@ -425,8 +418,7 @@ def test_09_round_trips(tmp_path, capsys):
     data, planted = generate_synthetic(spec)
     config = FusionConfig(stage_dims=(6, 4), attach_stages=(0,),
                           lambda_total=0.3, epochs=4, batch_size=8, seed=2)
-    model, _ = train(config, data, StructureSet((planted,)),
-                     subclass_names=planted.subclass_names)
+    model, _ = train(config, data, StructureSet((planted,)))
     save_checkpoint(model, config, tmp_path / "m.ckpt")
     restored, restored_config = load_checkpoint(tmp_path / "m.ckpt")
     tensors = lambda m: (

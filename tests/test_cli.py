@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hierfusion import model as model_module
-from hierfusion.cli import experiment_config_from_dict, infer_subclass_names, main
+from hierfusion.cli import experiment_config_from_dict, main
 from hierfusion.exceptions import CheckpointError, StructureError
 from hierfusion.features import load_feature_table, train_test_split
 from hierfusion.metrics import PredictionBatch, evaluate, save_predictions
@@ -551,10 +551,24 @@ def test_non_utf8_feature_file_is_a_typed_error(tmp_path, capsys, line, names_fr
     assert err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
 
 
-def test_infer_subclass_names_first_appearance(tmp_path):
-    path = tmp_path / "f.csv"
-    path.write_text("label,f0\nz,1.0\ny,2.0\nz,3.0\nx,4.0\n")
-    assert infer_subclass_names(path) == ("z", "y", "x")
+def test_build_structure_without_names_from_reads_the_features_once(
+    tmp_path, monkeypatch
+):
+    import builtins
+
+    features = gen_dataset(tmp_path) / "features.csv"
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(features):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert run("build-structure", "--features", str(features), "--builder.k", "2",
+               "--out", str(tmp_path / "built")) == 0
+    assert len(opened) == 1
 
 
 def test_section_seed_derivation():
@@ -729,11 +743,10 @@ def per_run_sweep_csv(raw, axis, values, seeds):
             if axis == "k":
                 structures = StructureSet((build_visual_structure(
                     train_side, value, cfg.builder.delta, cfg.builder.seed,
-                    subclass_names=names, class_count=len(names),
                 ),))
             else:
                 structures = load_structure_set(cfg.structures)
-            model, _ = train(cfg.model, train_side, structures, subclass_names=names)
+            model, _ = train(cfg.model, train_side, structures)
             batch = PredictionBatch(predicted=predict(model, test_side.features),
                                     truth=test_side.labels)
             reports.append(evaluate(structures, batch).to_dict())
@@ -946,6 +959,22 @@ def test_train_on_a_header_only_csv_is_a_typed_error(tmp_path, capsys, split,
     assert run("train", "--config", config) == 1
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("names_from", [False, True], ids=["inferred", "names-from"])
+@pytest.mark.parametrize("command", ["build-structure", "train"])
+def test_a_header_only_csv_is_one_error_line(tmp_path, capsys, command, names_from):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("label,f0,f1,f2,f3,f4,f5\n")
+    argv = [command, "--features", str(empty), "--builder.k", "2",
+            "--out", str(tmp_path / "out")]
+    if names_from:
+        data = gen_dataset(tmp_path)
+        argv += ["--names_from", str(data / "structure_planted.json")]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- malformed checkpoints and structure files are typed errors ---------------

@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion against the library."""
+"""Every script in demos/ runs to completion against the library, with
+every warning an error as in the rest of the suite."""
 
 import os
 import subprocess
@@ -17,6 +18,7 @@ def test_demo_exits_zero(tmp_path, demo):
                                          os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
-        text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
+        text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error"),
     )
     assert result.returncode == 0, result.stderr

@@ -29,9 +29,12 @@ from hierfusion.features import (
 from hierfusion.serialization import atomic_text_writer, format_float
 
 
-def table_of(features, labels):
+def table_of(features, labels, names=None):
+    labels = np.asarray(labels, dtype=np.int64)
+    if names is None:  # one name per id up to the largest label
+        names = [f"c{i}" for i in range(labels.max() + 1 if labels.size else 0)]
     return FeatureTable(features=np.asarray(features, dtype=np.float64),
-                        labels=np.asarray(labels, dtype=np.int64))
+                        labels=labels, subclass_names=names)
 
 
 # -- FeatureTable validation --------------------------------------------------
@@ -49,7 +52,8 @@ def test_table_copies_and_freezes():
 
 def test_table_shape_checks():
     with pytest.raises(DimensionMismatch):
-        FeatureTable(features=np.zeros(4), labels=np.zeros(4, dtype=np.int64))
+        FeatureTable(features=np.zeros(4), labels=np.zeros(4, dtype=np.int64),
+                     subclass_names=("c0",))
     with pytest.raises(DimensionMismatch):
         table_of(np.zeros((3, 2)), [0, 1])
 
@@ -61,6 +65,11 @@ def test_table_rejects_nan_and_negative_labels():
         table_of(bad, [0, 0])
     with pytest.raises(UnknownLabel):
         table_of(np.zeros((2, 2)), [0, -1])
+
+
+def test_table_refuses_a_label_outside_its_name_table():
+    with pytest.raises(UnknownLabel, match="label id 3"):
+        table_of(np.ones((2, 1)), [0, 3], NAMES)
 
 
 # -- class statistics ---------------------------------------------------------
@@ -137,9 +146,9 @@ def test_class_statistics_small_class_errors():
         class_statistics(table_of([[0.0], [1.0], [2.0]], [0, 0, 1]))
     with pytest.raises(ClassTooSmall):
         class_statistics(table_of(np.zeros((0, 2)), []))
-    # an explicit class_count larger than the data supports
+    # a name table larger than the data supports
     with pytest.raises(ClassTooSmall):
-        class_statistics(table_of([[0.0], [1.0]], [0, 0]), class_count=2)
+        class_statistics(table_of([[0.0], [1.0]], [0, 0], ("c0", "c1")))
 
 
 # -- synthetic generation -----------------------------------------------------
@@ -257,15 +266,23 @@ NAMES = ("cat", "dog", "car")
 def test_csv_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(2)
     feats = rng.normal(size=(12, 3)) * np.pi
-    t = table_of(feats, np.arange(12) % 3)
+    t = table_of(feats, np.arange(12) % 3, NAMES)
     path = tmp_path / "feats.csv"
-    save_feature_table(t, NAMES, path)
+    save_feature_table(t, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "label,f0,f1,f2"
     assert lines[1].startswith("cat,")
     back = load_feature_table(path, NAMES)
     assert np.array_equal(back.features, t.features)
     assert np.array_equal(back.labels, t.labels)
+
+
+def test_csv_load_without_names_takes_first_appearance_order(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("label,f0\nz,1.0\ny,2.0\nz,3.0\nx,4.0\n")
+    table = load_feature_table(path)
+    assert table.subclass_names == ("z", "y", "x")
+    assert table.labels.tolist() == [0, 1, 0, 2]
 
 
 def test_csv_load_reports_line_numbers(tmp_path):
@@ -301,16 +318,7 @@ def test_csv_header_only_file_is_an_empty_table(tmp_path):
 
 def test_csv_write_leaves_no_partial_file(tmp_path):
     path = tmp_path / "feats.csv"
-    save_feature_table(table_of(np.ones((3, 2)), [0, 1, 2]), NAMES, path)
-    assert [p.name for p in tmp_path.iterdir()] == ["feats.csv"]
-
-
-def test_csv_write_refuses_a_label_outside_the_name_table(tmp_path):
-    path = tmp_path / "feats.csv"
-    path.write_text("previous contents\n")
-    with pytest.raises(UnknownLabel, match="label id 3"):
-        save_feature_table(table_of(np.ones((2, 1)), [0, 3]), NAMES, path)
-    assert path.read_text() == "previous contents\n"
+    save_feature_table(table_of(np.ones((3, 2)), [0, 1, 2], NAMES), path)
     assert [p.name for p in tmp_path.iterdir()] == ["feats.csv"]
 
 
@@ -348,7 +356,7 @@ def _tables(draw):
     values = np.where(use_edge | ~np.isfinite(values), edges, values)
     labels = draw(hnp.arrays(np.int64, rows,
                              elements=st.integers(0, len(NAMES) - 1)))
-    return table_of(values, labels)
+    return table_of(values, labels, NAMES)
 
 
 @settings(max_examples=60, deadline=None)
@@ -356,7 +364,7 @@ def _tables(draw):
 def test_csv_round_trip_is_bit_exact_for_any_finite_bits(table):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "feats.csv"
-        save_feature_table(table, NAMES, path)
+        save_feature_table(table, path)
         back = load_feature_table(path, NAMES)
     assert back.features.view(np.uint64).tobytes() == \
         table.features.view(np.uint64).tobytes()
@@ -368,7 +376,7 @@ def test_csv_round_trip_is_bit_exact_for_any_finite_bits(table):
 def test_csv_row_text_is_format_float_of_every_value(table):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "feats.csv"
-        save_feature_table(table, NAMES, path)
+        save_feature_table(table, path)
         lines = path.read_bytes().decode("utf-8").split("\n")
     assert lines[-1] == ""
     for line, values, label in zip(lines[1:-1], table.features, table.labels):

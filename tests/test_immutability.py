@@ -23,7 +23,8 @@ def _table():
     rng = np.random.default_rng(0)
     labels = np.repeat(np.arange(4), 5)
     features = rng.standard_normal((20, 3)) + 3.0 * labels[:, None]
-    return FeatureTable(features=features, labels=labels)
+    return FeatureTable(features=features, labels=labels,
+                        subclass_names=("a", "b", "c", "d"))
 
 
 def _structure():
@@ -125,3 +126,12 @@ def test_an_array_with_an_extra_axis_is_a_dimension_mismatch(name):
         fields[field.name] = _mapped(value, lambda arr: arr[None])
         with pytest.raises(DimensionMismatch, match=f"{field.name}.* got"):
             type(original)(**fields)
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_equality_and_hash_never_raise(name):
+    value, twin = VALUES[name](), VALUES[name]()
+    assert value == value
+    hash(value)
+    # array holders compare by identity; a structure compares by its fields
+    assert (value == twin) == (name == "LabelStructure")

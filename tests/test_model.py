@@ -86,7 +86,7 @@ def zero_model(d=3, widths=(4, 3), supers=(2,), attach=(0,)):
 def toy_table(rng, n=48):
     feats = rng.normal(size=(n, 3))
     labels = np.arange(n) % N_SUB
-    return FeatureTable(features=feats, labels=labels)
+    return FeatureTable(features=feats, labels=labels, subclass_names=SUB_NAMES)
 
 
 # -- configuration -------------------------------------------------------------
@@ -355,7 +355,7 @@ def separable_table():
     b = rng.normal(size=(20, 2)) * 0.1 + np.array([5.0, 0.0])
     feats = np.vstack([a, b])
     labels = np.array([0] * 20 + [1] * 20, dtype=np.int64)
-    return FeatureTable(features=feats, labels=labels)
+    return FeatureTable(features=feats, labels=labels, subclass_names=("c0", "c1"))
 
 
 def test_train_reaches_separable_accuracy():
@@ -392,8 +392,7 @@ def test_train_lambda_zero_matches_headless_run():
     idle_head = FusionConfig(stage_dims=(6, 4), attach_stages=(0,),
                              lambda_total=0.0, learning_rate=0.2,
                              epochs=4, batch_size=12, seed=5)
-    plain, plain_hist = train(headless, table, NONE,
-                              subclass_names=SUB_NAMES)
+    plain, plain_hist = train(headless, table, NONE)
     fused, fused_hist = train(idle_head, table, ONE)
     for w1, w2 in zip(plain.trunk_weights, fused.trunk_weights):
         assert np.array_equal(w1, w2)
@@ -423,11 +422,10 @@ def test_train_validates_inputs():
     with pytest.raises(InvalidConfig):
         train(FusionConfig(attach_stages=(0,), lambda_total=0.1), table, NONE)
     three_names = ("c0", "c1", "c2")
-    with pytest.raises(LabelOutOfRange):
-        train(FusionConfig(epochs=1), table, NONE, subclass_names=three_names)
-    empty = FeatureTable(np.zeros((0, table.dim)), np.zeros(0, dtype=np.int64))
+    empty = FeatureTable(np.zeros((0, table.dim)), np.zeros(0, dtype=np.int64),
+                         three_names)
     with pytest.raises(ClassTooSmall, match="empty table"):
-        train(FusionConfig(epochs=1), empty, NONE, subclass_names=three_names)
+        train(FusionConfig(epochs=1), empty, NONE)
 
 
 # -- stacked training ---------------------------------------------------------------
@@ -490,6 +488,19 @@ def test_train_is_the_one_run_stack():
     assert_same_run(stacked, train(*run))
 
 
+def test_stacked_runs_keep_their_own_tables_names():
+    rng = np.random.default_rng(83)
+    table = toy_table(rng)
+    renamed = FeatureTable(table.features, table.labels, ("w", "x", "y", "z"))
+    config = FusionConfig(stage_dims=(6, 4), epochs=2, batch_size=8)
+    runs = [(config, table, NONE), (config, renamed, NONE)]
+    stacked = train_stacked(*zip(*runs))
+    assert [model.subclass_names for model, _ in stacked] == \
+        [SUB_NAMES, ("w", "x", "y", "z")]
+    for result, run in zip(stacked, runs):
+        assert_same_run(result, train(*run))
+
+
 def mixed_stacks():
     """Two-run stacks whose second run differs in one shape-setting input."""
     rng = np.random.default_rng(82)
@@ -497,7 +508,8 @@ def mixed_stacks():
                           lambda_total=0.2, epochs=2, batch_size=8)
     table = toy_table(rng)
     headless = replace(config, attach_stages=(), lambda_total=0.0)
-    five_labels = FeatureTable(table.features, np.arange(table.count) % 5)
+    five_labels = FeatureTable(table.features, np.arange(table.count) % 5,
+                               SUB_NAMES + ("c4",))
     first = (config, table, TWO)
     return {
         "stage widths": [first, (replace(config, stage_dims=(6, 5)), table, TWO)],
@@ -506,7 +518,8 @@ def mixed_stacks():
         "epochs": [first, (replace(config, epochs=3), table, TWO)],
         "rows": [first, (config, toy_table(rng, n=40), TWO)],
         "input width": [first, (config, FeatureTable(
-            np.hstack([table.features, table.features]), table.labels), TWO)],
+            np.hstack([table.features, table.features]), table.labels,
+            table.subclass_names), TWO)],
         "superclass counts": [first, (config, table, StructureSet(
             (structure_skewed(), structure_pairwise())))],
         "subclass count": [(headless, table, NONE), (headless, five_labels, NONE)],
@@ -516,8 +529,7 @@ def mixed_stacks():
 @pytest.mark.parametrize("change", list(mixed_stacks()))
 def test_mixed_shape_stack_is_invalid_config(change):
     runs = mixed_stacks()[change]
-    if change != "subclass count":  # known only once names are resolved
-        assert stack_key(*runs[0]) != stack_key(*runs[1])
+    assert stack_key(*runs[0]) != stack_key(*runs[1])
     with pytest.raises(InvalidConfig, match="stacked runs must share"):
         train_stacked(*zip(*runs))
 
@@ -544,7 +556,7 @@ def diverging_stack_runs():
 def lone_error(config, table):
     with np.errstate(all="ignore"):
         with pytest.raises(DivergedLoss) as lone:
-            train(config, table, NONE, subclass_names=SUB_NAMES)
+            train(config, table, NONE)
     return lone.value
 
 
@@ -565,7 +577,7 @@ def test_stack_names_its_first_diverging_run(capfd, order, first):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning would fail the call
         with pytest.raises(DivergedLoss) as stacked:
-            train_stacked(stack, [table] * 3, [NONE] * 3, subclass_names=SUB_NAMES)
+            train_stacked(stack, [table] * 3, [NONE] * 3)
     assert capfd.readouterr().err == ""
     assert stacked.value.run == first
     assert (stacked.value.epoch, stacked.value.sample) == (alone.epoch, alone.sample)

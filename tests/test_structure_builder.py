@@ -12,6 +12,7 @@ from hierfusion.exceptions import (
     EigensolverFailure,
     IsolatedClass,
     NonFiniteValue,
+    UnknownLabel,
 )
 from hierfusion.features import (
     FeatureTable,
@@ -69,7 +70,8 @@ def test_class_distance_equals_mean_pairwise_distance():
     rng = np.random.default_rng(21)
     feats = rng.normal(size=(24, 3)) * 2.0
     labels = np.arange(24) % 2
-    stats = class_statistics(FeatureTable(features=feats, labels=labels))
+    stats = class_statistics(FeatureTable(features=feats, labels=labels,
+                                          subclass_names=("a", "b")))
     d = class_distance(stats.means[0], stats.variances[0],
                        stats.means[1], stats.variances[1])
     xs, ys = feats[labels == 0], feats[labels == 1]
@@ -85,7 +87,8 @@ def test_class_distance_matrix_layout():
     rng = np.random.default_rng(6)
     feats = rng.normal(size=(30, 4))
     labels = np.arange(30) % 3
-    stats = class_statistics(FeatureTable(features=feats, labels=labels))
+    stats = class_statistics(FeatureTable(features=feats, labels=labels,
+                                          subclass_names=("a", "b", "c")))
     dist = class_distance_matrix(stats)
     assert dist.shape == (3, 3)
     assert np.array_equal(dist, dist.T)
@@ -426,14 +429,12 @@ def test_build_recovers_planted_grouping():
 
 def test_build_accepts_custom_names():
     table, _ = planted_table()
-    built = build_visual_structure(
-        table, k=2, seed=0,
-        subclass_names=("w", "x", "y", "z"), name="vision",
-    )
+    renamed = FeatureTable(table.features, table.labels, ("w", "x", "y", "z"))
+    built = build_visual_structure(renamed, k=2, seed=0, name="vision")
     assert built.name == "vision"
     assert built.subclass_names == ("w", "x", "y", "z")
-    with pytest.raises(DimensionMismatch):
-        build_visual_structure(table, k=2, subclass_names=("only", "two"))
+    with pytest.raises(UnknownLabel):
+        FeatureTable(table.features, table.labels, ("only", "two"))
 
 
 def test_build_is_sample_order_invariant():
@@ -441,7 +442,8 @@ def test_build_is_sample_order_invariant():
     rng = np.random.default_rng(2)
     perm = rng.permutation(table.count)
     shuffled = FeatureTable(features=table.features[perm],
-                            labels=table.labels[perm])
+                            labels=table.labels[perm],
+                            subclass_names=table.subclass_names)
     assert build_visual_structure(table, k=2, seed=0) == \
         build_visual_structure(shuffled, k=2, seed=0)
 
