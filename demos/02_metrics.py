@@ -30,6 +30,7 @@ structures = StructureSet((by_kind, by_size))
 batch = PredictionBatch(
     predicted=np.array([0, 0, 3, 3]),
     truth=np.array([0, 1, 2, 3]),
+    subclass_names=NAMES,
 )
 report = evaluate(structures, batch)
 
@@ -46,8 +47,10 @@ print(f"  tie_a - 2 * lca_a       = {report.tie_a - 2.0 * report.lca_a:.2e}")
 print(f"  f_ha - (1 - tie_a / 6)  = {report.f_ha - (1.0 - report.tie_a / 6.0):.2e}")
 
 # an error inside the right superclass costs less than one across groups
-near = PredictionBatch(predicted=np.array([1]), truth=np.array([0]))
-far = PredictionBatch(predicted=np.array([2]), truth=np.array([0]))
+near = PredictionBatch(predicted=np.array([1]), truth=np.array([0]),
+                       subclass_names=NAMES)
+far = PredictionBatch(predicted=np.array([2]), truth=np.array([0]),
+                      subclass_names=NAMES)
 print("\nerror severity under the 'kind' structure:")
 print(f"  dog for cat (same group):  tie = {evaluate(structures, near).per_structure[0].tie}")
 print(f"  car for cat (cross group): tie = {evaluate(structures, far).per_structure[0].tie}")

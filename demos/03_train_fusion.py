@@ -38,7 +38,9 @@ def fit(structures, lambda_total, attach_stages):
     )
     model, history = train(config, train_side, structures)
     batch = PredictionBatch(
-        predicted=predict(model, test_side.features), truth=test_side.labels
+        predicted=predict(model, test_side.features),
+        truth=test_side.labels,
+        subclass_names=test_side.subclass_names,
     )
     return model, history, evaluate(StructureSet((planted,)), batch)
 

@@ -305,17 +305,13 @@ def cmd_evaluate(config: ExperimentConfig) -> None:
     structures = load_structure_set(config.structures)
     if len(structures) == 0:
         raise InvalidConfig("evaluate needs at least one structure file")
-    if structures.subclass_names != model.subclass_names:
-        raise SubclassSpaceMismatch(
-            "structure files and checkpoint disagree on the subclass space"
-        )
     table = _split(config, _load_table(config, model.subclass_names))[1]
     batch, report = _score(model, structures, table)
     report_path = out / "report.json"
     with atomic_text_writer(report_path) as fh:
         fh.write(dump_json(report.to_dict()))
     predictions_path = out / "predictions.csv"
-    save_predictions(batch, model.subclass_names, predictions_path)
+    save_predictions(batch, predictions_path)
     _note(f"wrote {report_path}")
     _note(f"wrote {predictions_path}")
 
@@ -323,7 +319,7 @@ def cmd_evaluate(config: ExperimentConfig) -> None:
 def _score(model, structures: StructureSet, table):
     """Predict the table's subclasses; return (batch, evaluation report)."""
     batch = PredictionBatch(
-        predicted=predict(model, table.features), truth=table.labels
+        predict(model, table.features), table.labels, model.subclass_names
     )
     return batch, evaluate(structures, batch)
 

@@ -9,6 +9,7 @@ from a file; `typed_section` reads a JSON config object through them,
 adding the field-path prefix and the unknown and required field checks.
 A config converter returns the typed value or raises InvalidConfig
 naming the field; numpy scalars and 1-D arrays pass as numbers and lists.
+Names follow one rule, `config_name`, on every value that carries them.
 """
 
 import contextlib
@@ -19,7 +20,12 @@ import typing
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, InvalidConfig
+from .exceptions import (
+    DimensionMismatch,
+    DuplicateSubclass,
+    InvalidConfig,
+    StructureError,
+)
 
 _REALS = (int, float, np.integer, np.floating)
 
@@ -68,6 +74,42 @@ def config_list(convert):
         return tuple(convert(v, f"{field} entry") for v in value)
 
     return typed
+
+
+def config_name(value, field: str) -> str:
+    """A name that is written as a CSV cell and reads back as itself: a
+    string with no comma, no line break and no leading or trailing
+    whitespace; anything else is StructureError."""
+    if not isinstance(value, str) or value != value.strip() or any(
+        c in value for c in ",\n\r"
+    ):
+        raise StructureError(
+            f"{field} {value!r} is not a name: a string with no ',', line break, "
+            "or leading or trailing whitespace"
+        )
+    return value
+
+
+def config_names(duplicate):
+    """The type of a name table: a list of distinct `config_name`s, where a
+    name listed twice is the error `duplicate`."""
+    entries = config_list(config_name)
+
+    def typed(value, field: str) -> tuple:
+        names = entries(value, field)
+        seen = set()
+        for name in names:
+            if name in seen:
+                raise duplicate(f"{field}: {name!r} listed more than once")
+            seen.add(name)
+        return names
+
+    return typed
+
+
+# The type of a subclass name table, the id space of every value that
+# holds subclass ids.
+SUBCLASS_NAMES = config_names(DuplicateSubclass)
 
 
 def config_optional(convert):

@@ -5,6 +5,9 @@ format (header ``label,f0,...,f{d-1}``, one sample per row, labelled by
 subclass name). A FeatureTable owns the ordered subclass name table that
 defines its id space: label id i is `subclass_names[i]`, and every table
 the library makes carries one, so no layer passes names beside a table.
+The table types its names by the one name rule (config.config_name,
+no name twice) when it is built, so every file save_feature_table writes
+reads back as the same table.
 Per-class statistics feed the affinity construction; the synthetic
 generator plants a known 3-level hierarchy for desk-scale experiments.
 """
@@ -19,11 +22,11 @@ from typing import Annotated
 import numpy as np
 
 from .config import (
+    SUBCLASS_NAMES,
     config_int,
-    config_list,
+    config_name,
     config_real,
     config_seed,
-    config_str,
     frozen_array,
     type_fields,
 )
@@ -51,7 +54,7 @@ class FeatureTable:
 
     features: Annotated[np.ndarray, frozen_array(np.float64, 2)]
     labels: Annotated[np.ndarray, frozen_array(np.int64, 1)]
-    subclass_names: Annotated[tuple[str, ...], config_list(config_str)]
+    subclass_names: Annotated[tuple[str, ...], SUBCLASS_NAMES]
 
     def __post_init__(self):
         type_fields(self)
@@ -278,7 +281,8 @@ def load_feature_table(path, subclass_names=None) -> FeatureTable:
 
     Labels resolve against `subclass_names` (UnknownLabel for any other
     name); with None, the table's names are the file's labels in
-    first-appearance order. One streaming pass: each non-blank line has
+    first-appearance order, and a label that breaks the name rule is
+    StructureError. One streaming pass: each non-blank line has
     its label and cell count checked here, and its cells go on to a
     single ``np.loadtxt``. A cell is an ASCII decimal float (``1.5``,
     ``-2e-3``, ``nan`` and ``inf`` parse, then fail the finiteness
@@ -315,6 +319,7 @@ def load_feature_table(path, subclass_names=None) -> FeatureTable:
                 if label_id is None:
                     if names is not None:
                         raise UnknownLabel(f"{path}:{lineno}: unknown label {label!r}")
+                    config_name(label, f"{path}:{lineno}: label")
                     label_id = name_to_id[label] = len(name_to_id)
                 labels.append(label_id)
                 linenos.append(lineno)

@@ -22,12 +22,13 @@ from typing import Annotated
 
 import numpy as np
 
-from .config import frozen_array, type_fields
+from .config import SUBCLASS_NAMES, frozen_array, type_fields
 from .exceptions import (
     DimensionMismatch,
     EmptyBatch,
     IdOutOfRange,
     MalformedRow,
+    SubclassSpaceMismatch,
     UnknownLabel,
 )
 from .serialization import atomic_text_writer, text_reader
@@ -38,10 +39,12 @@ PATH_NODES = 3
 
 @dataclass(frozen=True, eq=False)
 class PredictionBatch:
-    """Paired predicted and true subclass ids for n samples."""
+    """Paired predicted and true subclass ids for n samples, with the
+    subclass name table of their id space."""
 
     predicted: Annotated[np.ndarray, frozen_array(np.int64, 1)]
     truth: Annotated[np.ndarray, frozen_array(np.int64, 1)]
+    subclass_names: Annotated[tuple[str, ...], SUBCLASS_NAMES]
 
     def __post_init__(self):
         type_fields(self)
@@ -51,8 +54,12 @@ class PredictionBatch:
             )
         if self.predicted.size == 0:
             raise EmptyBatch("a prediction batch needs at least one sample")
-        if min(self.predicted.min(), self.truth.min()) < 0:
-            raise IdOutOfRange("subclass ids must be non-negative")
+        ids = np.concatenate((self.predicted, self.truth))
+        if ids.min() < 0 or ids.max() >= len(self.subclass_names):
+            raise IdOutOfRange(
+                f"subclass ids outside the {len(self.subclass_names)}-name "
+                "subclass table"
+            )
 
     @property
     def count(self) -> int:
@@ -124,32 +131,19 @@ def structure_scores(structure: LabelStructure, batch: PredictionBatch) -> Struc
     )
 
 
-def hierarchical_prf(
-    structures: StructureSet, batch: PredictionBatch
-) -> tuple[float, float, float]:
-    """(P_Ha, R_Ha, F_Ha) of :func:`evaluate`."""
-    report = evaluate(structures, batch)
-    return report.p_ha, report.r_ha, report.f_ha
-
-
-def tie_a(structures: StructureSet, batch: PredictionBatch) -> float:
-    """Mean over structures of the mean predicted-to-true edge count."""
-    return evaluate(structures, batch).tie_a
-
-
-def lca_a(structures: StructureSet, batch: PredictionBatch) -> float:
-    """Mean over structures of the mean lowest-common-ancestor height."""
-    return evaluate(structures, batch).lca_a
-
-
 def evaluate(structures: StructureSet, batch: PredictionBatch) -> EvalReport:
     """Full report: accuracy plus all structure-averaged measures.
 
     P_Ha and R_Ha average the per-structure P and R, and F_Ha is the F of
-    those averages. An empty structure set raises EmptyBatch.
+    those averages. An empty structure set raises EmptyBatch, and a batch
+    over another subclass name table SubclassSpaceMismatch.
     """
     if len(structures) == 0:
         raise EmptyBatch("metrics need at least one structure to average over")
+    if batch.subclass_names != structures.subclass_names:
+        raise SubclassSpaceMismatch(
+            "predictions and structures disagree on the subclass name table"
+        )
     scores = [structure_scores(s, batch) for s in structures]
     m = len(scores)
     p_ha = sum(s.p_h for s in scores) / m
@@ -167,27 +161,22 @@ def evaluate(structures: StructureSet, batch: PredictionBatch) -> EvalReport:
 
 # -- prediction files --------------------------------------------------------
 
-def save_predictions(batch: PredictionBatch, subclass_names, path) -> None:
-    """Write the two-column prediction CSV ``predicted,truth`` by name.
-
-    An id with no entry in `subclass_names` is UnknownLabel, raised before
-    anything is written.
-    """
-    names = tuple(subclass_names)
-    top = int(max(batch.predicted.max(), batch.truth.max()))
-    if top >= len(names):
-        raise UnknownLabel(
-            f"subclass id {top} outside the {len(names)}-name subclass table"
-        )
+def save_predictions(batch: PredictionBatch, path) -> None:
+    """Write the two-column prediction CSV ``predicted,truth`` by the
+    batch's subclass names."""
+    names = batch.subclass_names
     with atomic_text_writer(path) as fh:
         fh.write("predicted,truth\n")
-        for pred, true in zip(batch.predicted, batch.truth):
-            fh.write(f"{names[int(pred)]},{names[int(true)]}\n")
+        fh.writelines(
+            "%s,%s\n" % (names[pred], names[true])
+            for pred, true in zip(batch.predicted.tolist(), batch.truth.tolist())
+        )
 
 
 def load_predictions(path, subclass_names) -> PredictionBatch:
-    """Parse a prediction CSV, resolving names against the name table."""
-    name_to_id = {str(n): i for i, n in enumerate(subclass_names)}
+    """Parse a prediction CSV into a batch over the name table
+    `subclass_names`, resolving each name against it."""
+    name_to_id = {n: i for i, n in enumerate(subclass_names)}
     predicted, truth = [], []
     with text_reader(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -210,4 +199,5 @@ def load_predictions(path, subclass_names) -> PredictionBatch:
     return PredictionBatch(
         predicted=np.array(predicted, dtype=np.int64),
         truth=np.array(truth, dtype=np.int64),
+        subclass_names=subclass_names,
     )

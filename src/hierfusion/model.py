@@ -32,6 +32,10 @@ bias sum does per run exactly the arithmetic of a lone run, so every run
 of a stack is bit-equal to training it alone; `train` is the R = 1 case.
 Runs stack when they share layout shapes, row count, batch size and
 epochs (stack_key); each keeps its own init and shuffle streams.
+
+A FusionModel carries the subclass name table of its output columns,
+typed by the one name rule like every value holding subclass ids:
+training takes it from the table, and checkpoints store it.
 """
 
 import json
@@ -43,12 +47,13 @@ from typing import Annotated
 import numpy as np
 
 from .config import (
+    SUBCLASS_NAMES,
     config_int,
     config_list,
+    config_name,
     config_optional,
     config_real,
     config_seed,
-    config_str,
     frozen_array,
     type_fields,
     typed_section,
@@ -61,6 +66,7 @@ from .exceptions import (
     InvalidConfig,
     LabelOutOfRange,
     NonFiniteValue,
+    StructureError,
     SubclassSpaceMismatch,
 )
 from .features import FeatureTable
@@ -163,8 +169,8 @@ class FusionModel:
     super_weights: Annotated[tuple[np.ndarray, ...], config_list(_MATRIX)]
     super_biases: Annotated[tuple[np.ndarray, ...], config_list(_VECTOR)]
     attach_stages: Annotated[tuple[int, ...], config_list(config_int)]
-    subclass_names: Annotated[tuple[str, ...], config_list(config_str)]
-    structure_names: Annotated[tuple[str, ...], config_list(config_str)]
+    subclass_names: Annotated[tuple[str, ...], SUBCLASS_NAMES]
+    structure_names: Annotated[tuple[str, ...], config_list(config_name)]
 
     def __post_init__(self):
         type_fields(self)
@@ -217,7 +223,7 @@ class TrainHistory:
     subclass_loss: Annotated[np.ndarray, _VECTOR]
     super_losses: Annotated[np.ndarray, _MATRIX]
     train_accuracy: Annotated[np.ndarray, _VECTOR]
-    structure_names: Annotated[tuple[str, ...], config_list(config_str)]
+    structure_names: Annotated[tuple[str, ...], config_list(config_name)]
 
     def __post_init__(self):
         type_fields(self)
@@ -243,15 +249,12 @@ class LossBreakdown:
 
 
 def init_model(
-    config: FusionConfig,
-    subclass_count: int,
-    structures: StructureSet,
-    input_dim: int,
-    *,
-    subclass_names=None,
+    config: FusionConfig, structures: StructureSet, input_dim: int, subclass_names
 ) -> FusionModel:
     """Fresh parameters: weights uniform in +-1/sqrt(fan_in), biases zero.
 
+    The subclass head has one output per entry of `subclass_names`, which
+    must be the structures' name table when there are structures.
     Deterministic for a fixed config.seed. Draw order is trunk stages in
     order, then the subclass head, then superclass heads in structure
     order, so models that share a prefix of that list share those draws.
@@ -260,23 +263,11 @@ def init_model(
         raise InvalidConfig(
             f"config expects {config.structure_count} structures, got {len(structures)}"
         )
+    subclass_count = len(subclass_names)
     if subclass_count < 2:
         raise InvalidConfig("need at least 2 subclasses")
     if input_dim < 1:
         raise InvalidConfig("input_dim must be >= 1")
-    if len(structures) and structures.subclass_count != subclass_count:
-        raise SubclassSpaceMismatch(
-            f"structures cover {structures.subclass_count} subclasses, "
-            f"model head has {subclass_count}"
-        )
-    if subclass_names is None:
-        if len(structures):
-            subclass_names = structures.subclass_names
-        else:
-            subclass_names = tuple(f"c{i}" for i in range(subclass_count))
-    subclass_names = tuple(subclass_names)
-    if len(structures) and subclass_names != structures.subclass_names:
-        raise SubclassSpaceMismatch("subclass_names disagree with the structures")
 
     rng = rng_from_seed(derive_seed(config.seed, _STREAM_INIT))
 
@@ -294,7 +285,7 @@ def init_model(
         for m, stage in enumerate(config.attach_stages)
     ]
     sup_b = [np.zeros(structures[m].superclass_count) for m in range(len(structures))]
-    return FusionModel(
+    model = FusionModel(
         trunk_weights=tuple(trunk_w),
         trunk_biases=tuple(trunk_b),
         subclass_weight=sub_w,
@@ -305,6 +296,9 @@ def init_model(
         subclass_names=subclass_names,
         structure_names=tuple(s.name for s in structures),
     )
+    if len(structures) and model.subclass_names != structures.subclass_names:
+        raise SubclassSpaceMismatch("subclass_names disagree with the structures")
+    return model
 
 
 def _layout(stage_count: int, head_count: int) -> list[tuple[str, str, int | None]]:
@@ -621,19 +615,6 @@ def stack_key(config: FusionConfig, table: FeatureTable, structures: StructureSe
     )
 
 
-def _init_run(config, table, structures) -> FusionModel:
-    """A run's initial model over its table's subclass name table."""
-    if table.count == 0:
-        raise ClassTooSmall(0, "empty table has no rows to train on")
-    return init_model(
-        config,
-        len(table.subclass_names),
-        structures,
-        table.dim,
-        subclass_names=table.subclass_names,
-    )
-
-
 def train_stacked(configs, tables, structures) -> list[tuple[FusionModel, TrainHistory]]:
     """Train R runs in one pass; one (model, history) per run, in order.
 
@@ -641,11 +622,11 @@ def train_stacked(configs, tables, structures) -> list[tuple[FusionModel, TrainH
     comes out bit-equal to ``train(configs[r], tables[r], structures[r])``:
     its own init, its own shuffle stream, its own lambda, lambda shares,
     learning rate and its table's subclass names. The runs must share
-    stack_key, else InvalidConfig. Each batch gathers its (R, batch, d)
-    rows from the distinct tables (by identity) through a per-run row
-    order, so no epoch copy of the rows is made. Labels need no check:
-    each table's ids lie inside its name table, which init_model matches
-    to the run's structures.
+    stack_key, else InvalidConfig; an empty table is ClassTooSmall. Each
+    batch gathers its (R, batch, d) rows from the distinct tables (by
+    identity) through a per-run row order, so no epoch copy of the rows is
+    made. Labels need no check: each table's ids lie inside its name
+    table, which init_model matches to the run's structures.
 
     A run whose loss turns non-finite is DivergedLoss naming its epoch and
     first sample, and its index when R > 1. The other runs keep training
@@ -656,11 +637,14 @@ def train_stacked(configs, tables, structures) -> list[tuple[FusionModel, TrainH
     runs = len(configs)
     if runs == 0 or not runs == len(tables) == len(structures):
         raise InvalidConfig("a stack needs one config, table and structure set per run")
-    models = [_init_run(c, t, s) for c, t, s in zip(configs, tables, structures)]
     if len({stack_key(c, t, s) for c, t, s in zip(configs, tables, structures)}) > 1:
         raise InvalidConfig(
             "stacked runs must share layout shapes, training rows, batch size and epochs"
         )
+    if tables[0].count == 0:
+        raise ClassTooSmall(0, "empty table has no rows to train on")
+    models = [init_model(c, s, t.dim, t.subclass_names)
+              for c, t, s in zip(configs, tables, structures)]
     params = _Params(models)
     heads = configs[0].structure_count
     n = tables[0].count
@@ -944,7 +928,7 @@ def load_checkpoint(path) -> tuple[FusionModel, FusionConfig]:
         rebuilt = _checkpoint_header(model, config)
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing header field {exc}") from exc
-    except InvalidConfig as exc:
+    except (InvalidConfig, StructureError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     wrong = sorted(k for k in {**header, **rebuilt} if header.get(k) != rebuilt.get(k))
     if wrong:

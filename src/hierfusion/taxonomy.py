@@ -16,9 +16,14 @@ from typing import Annotated
 
 import numpy as np
 
-from .config import frozen_array, type_fields
+from .config import (
+    SUBCLASS_NAMES,
+    config_name,
+    config_names,
+    frozen_array,
+    type_fields,
+)
 from .exceptions import (
-    DuplicateSubclass,
     EmptySuperclass,
     IdOutOfRange,
     OrphanSubclass,
@@ -38,13 +43,15 @@ class LabelStructure:
     """One validated 3-level tree over a shared subclass id space.
 
     `parent_index[c]` is the position in `superclasses` of subclass c's
-    parent. `subclass_names` is the sidecar name table that defines the id
-    space; it must be identical across all structures used together.
+    parent. `subclass_names` is the name table that defines the id space;
+    it must be identical across all structures used together. The name,
+    the superclasses and the subclass names follow the name rule of
+    `config_name`, and neither table repeats a name.
     """
 
-    name: str
-    superclasses: tuple[str, ...]
-    subclass_names: tuple[str, ...]
+    name: Annotated[str, config_name]
+    superclasses: Annotated[tuple[str, ...], config_names(StructureError)]
+    subclass_names: Annotated[tuple[str, ...], SUBCLASS_NAMES]
     parent_index: Annotated[np.ndarray, frozen_array(np.int64, 1)] = field(repr=False)
 
     def __post_init__(self):
@@ -141,61 +148,36 @@ def validate_structure(
 
     `parent_of` maps subclass name -> superclass name. Every subclass must
     appear exactly once, every referenced superclass must be declared, and
-    every declared superclass must have at least one child. Names must be
-    writable as CSV cells that read back unchanged: no ``,``, ``\n`` or
-    ``\r``, and no leading or trailing whitespace.
+    every declared superclass must have at least one child. The names
+    follow the rule LabelStructure enforces.
     """
-    superclasses = tuple(str(s) for s in superclasses)
-    subclass_names = tuple(str(s) for s in subclass_names)
-    for n in subclass_names + superclasses:
-        if n != n.strip() or any(c in n for c in ",\n\r"):
-            raise StructureError(
-                f"structure {name!r}: name {n!r} has a ',', a line break, "
-                "or leading or trailing whitespace"
-            )
-
-    if len(set(subclass_names)) != len(subclass_names):
-        seen = set()
-        for n in subclass_names:
-            if n in seen:
-                raise DuplicateSubclass(f"subclass {n!r} listed more than once")
-            seen.add(n)
-    if len(set(superclasses)) != len(superclasses):
-        raise StructureError(f"structure {name!r} declares a duplicate superclass")
-
     super_index = {s: i for i, s in enumerate(superclasses)}
     sub_index = {s: i for i, s in enumerate(subclass_names)}
 
     for sub in parent_of:
-        if str(sub) not in sub_index:
+        if sub not in sub_index:
             raise UnknownSubclass(
                 f"parent_of references unknown subclass {sub!r}"
             )
 
     parent = np.full(len(subclass_names), -1, dtype=np.int64)
     for sub, sup in parent_of.items():
-        sup = str(sup)
         if sup not in super_index:
             raise UnknownSuperclass(
                 f"subclass {sub!r} references unknown superclass {sup!r}"
             )
-        parent[sub_index[str(sub)]] = super_index[sup]
+        parent[sub_index[sub]] = super_index[sup]
+    structure = LabelStructure(name, superclasses, subclass_names, parent)
 
-    missing = [subclass_names[i] for i in np.flatnonzero(parent < 0)]
+    missing = [structure.subclass_names[i] for i in np.flatnonzero(parent < 0)]
     if missing:
         raise OrphanSubclass(f"subclasses without a parent: {missing}")
 
-    children = np.bincount(parent, minlength=len(superclasses))
-    empty = [superclasses[i] for i in np.flatnonzero(children == 0)]
+    children = np.bincount(parent, minlength=structure.superclass_count)
+    empty = [structure.superclasses[i] for i in np.flatnonzero(children == 0)]
     if empty:
         raise EmptySuperclass(f"superclasses without children: {empty}")
-
-    return LabelStructure(
-        name=str(name),
-        superclasses=superclasses,
-        subclass_names=subclass_names,
-        parent_index=parent,
-    )
+    return structure
 
 
 def lca_heights(structure: LabelStructure, c, c_hat) -> np.ndarray:

@@ -78,6 +78,7 @@ def test_01_metric_identities(capsys):
         batch = PredictionBatch(
             predicted=rng.integers(0, n, size=size),
             truth=rng.integers(0, n, size=size),
+            subclass_names=structures.subclass_names,
         )
         rep = evaluate(structures, batch)
         worst_f = max(worst_f, abs(rep.f_ha - (1.0 - rep.tie_a / 6.0)))
@@ -119,6 +120,7 @@ def test_02_tree_walk_oracle_agreement(capsys):
         batch = PredictionBatch(
             predicted=rng.integers(0, n, size=size),
             truth=rng.integers(0, n, size=size),
+            subclass_names=structures.subclass_names,
         )
         rep = evaluate(structures, batch)
         ref = tree_walk_report(structures, batch.predicted, batch.truth)
@@ -248,8 +250,7 @@ def test_06_gradient_check_matrix(capsys):
                     stage_dims=(6, 5), attach_stages=attach,
                     lambda_total=lam, seed=17,
                 )
-                model = init_model(config, 4, structures, input_dim=4,
-                                   subclass_names=("c0", "c1", "c2", "c3"))
+                model = init_model(config, structures, 4, ("c0", "c1", "c2", "c3"))
                 err = gradient_check(model, features, labels, structures,
                                      config, epsilon=1e-5)
                 worst = max(worst, err)
@@ -283,6 +284,7 @@ def bench_arm(train_side, test_side, planted, structures, lam, attach, seed):
     score_set = structures if len(structures) else StructureSet((planted,))
     rep = evaluate(score_set, PredictionBatch(
         predicted=predict(model, test_side.features), truth=test_side.labels,
+        subclass_names=test_side.subclass_names,
     ))
     return rep.accuracy, rep.tie_a
 

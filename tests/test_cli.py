@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from hierfusion import model as model_module
+from hierfusion import taxonomy as taxonomy_module
 from hierfusion.cli import experiment_config_from_dict, main
 from hierfusion.exceptions import CheckpointError, StructureError
 from hierfusion.features import load_feature_table, train_test_split
@@ -748,7 +749,8 @@ def per_run_sweep_csv(raw, axis, values, seeds):
                 structures = load_structure_set(cfg.structures)
             model, _ = train(cfg.model, train_side, structures)
             batch = PredictionBatch(predicted=predict(model, test_side.features),
-                                    truth=test_side.labels)
+                                    truth=test_side.labels,
+                                    subclass_names=test_side.subclass_names)
             reports.append(evaluate(structures, batch).to_dict())
         cell = format_float(value) if isinstance(value, float) else str(value)
         for seed, report in zip(seeds, reports):
@@ -1027,7 +1029,8 @@ def test_malformed_checkpoint_headers_are_typed_errors(tmp_path, capsys, edit):
                           lambda_total=0.1, epochs=1)
     structure = validate_structure("s", ["u", "v"], ["a", "b", "c", "d"],
                                    {"a": "u", "b": "u", "c": "v", "d": "v"})
-    model = init_model(config, 4, StructureSet((structure,)), input_dim=3)
+    model = init_model(config, StructureSet((structure,)), 3,
+                       structure.subclass_names)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, config, path)
     path.write_bytes(_with_header(path.read_bytes(), edit))
@@ -1038,6 +1041,41 @@ def test_malformed_checkpoint_headers_are_typed_errors(tmp_path, capsys, edit):
                "--out", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_structure_names_that_break_history_cells_are_refused(tmp_path, capsys):
+    # a structure name is a history.csv header cell: "h,1" would write six
+    # header cells over five data columns
+    path = write_config(tmp_path / "structure.json", {
+        "name": "h,1", "superclasses": ["u", "v"],
+        "subclasses": ["c0", "c1", "c2", "c3"],
+        "parent_of": {"c0": "u", "c1": "u", "c2": "v", "c3": "v"}})
+    with pytest.raises(StructureError, match="'h,1' is not a name"):
+        load_structure(path)
+    out = tmp_path / "out"
+    assert run("train", "--synthetic", json.dumps(SYNTH), "--structures", f'["{path}"]',
+               "--model.attach_stages", "[0]", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "history.csv").exists()
+
+
+def test_evaluate_refuses_structures_over_other_names(tmp_path, capsys):
+    data = gen_dataset(tmp_path)
+    run_dir = tmp_path / "run"
+    assert run("train", "--config", train_config(tmp_path, data, run_dir)) == 0
+    renamed = write_config(tmp_path / "renamed.json", {
+        "name": "r", "superclasses": ["u"], "subclasses": ["w", "x", "y", "z"],
+        "parent_of": {"w": "u", "x": "u", "y": "u", "z": "u"}})
+    capsys.readouterr()
+    assert run("evaluate", "--features", str(data / "features.csv"),
+               "--structures", f'["{renamed}"]',
+               "--checkpoint", str(run_dir / "model.ckpt"),
+               "--out", str(tmp_path / "eval")) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: predictions and structures disagree on the subclass "
+                   "name table\n")
+    assert not (tmp_path / "eval" / "predictions.csv").exists()
 
 
 @pytest.mark.parametrize("raw", [
@@ -1073,7 +1111,7 @@ def _fail(*args, **kwargs):
 
 def _write_checkpoint(path, monkeypatch):
     config = FusionConfig(stage_dims=(4, 3), epochs=1)
-    model = init_model(config, 2, StructureSet(()), input_dim=2)
+    model = init_model(config, StructureSet(()), 2, ("c0", "c1"))
     monkeypatch.setattr(model_module, "struct", SimpleNamespace(pack=_fail))
     save_checkpoint(model, config, path)
 
@@ -1086,28 +1124,28 @@ def _write_history(path, monkeypatch):
     save_history(history, path)
 
 
-def _write_predictions(path, monkeypatch):
-    # id 2 has no name in a two-name table
-    save_predictions(PredictionBatch([0, 1, 2], [0, 1, 1]), ("a", "b"), path)
-
-
 class _Unwritable(str):
     """A name whose text cannot be formatted into a row."""
 
-    def __format__(self, spec):
+    def __str__(self):
         raise OSError("no space left on device")
+
+
+def _write_predictions(path, monkeypatch):
+    # the header is written; the first row fails
+    save_predictions(PredictionBatch([0, 1], [0, 0], (_Unwritable("a"), "b")), path)
 
 
 def _write_predictions_midway(path, monkeypatch):
     # the header and the first row are written; the second row fails
-    save_predictions(PredictionBatch([0, 1], [0, 0]), ("a", _Unwritable("b")), path)
+    save_predictions(PredictionBatch([0, 1], [0, 0], ("a", _Unwritable("b"))), path)
 
 
 def _write_structure(path, monkeypatch):
-    unserializable = LabelStructure(name=object(), superclasses=("u",),
-                                    subclass_names=("x",),
-                                    parent_index=np.zeros(1, dtype=np.int64))
-    save_structure(unserializable, path)
+    structure = LabelStructure(name="s", superclasses=("u",), subclass_names=("x",),
+                               parent_index=np.zeros(1, dtype=np.int64))
+    monkeypatch.setattr(taxonomy_module, "dump_json", _fail)
+    save_structure(structure, path)
 
 
 @pytest.mark.parametrize("write", [_write_checkpoint, _write_history,

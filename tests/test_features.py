@@ -12,9 +12,11 @@ from hypothesis.extra import numpy as hnp
 from hierfusion.exceptions import (
     ClassTooSmall,
     DimensionMismatch,
+    DuplicateSubclass,
     InvalidSpec,
     MalformedRow,
     NonFiniteValue,
+    StructureError,
     UnknownLabel,
 )
 from hierfusion.features import (
@@ -70,6 +72,27 @@ def test_table_rejects_nan_and_negative_labels():
 def test_table_refuses_a_label_outside_its_name_table():
     with pytest.raises(UnknownLabel, match="label id 3"):
         table_of(np.ones((2, 1)), [0, 3], NAMES)
+
+
+@pytest.mark.parametrize("names, error", [
+    (("a", "a"), DuplicateSubclass),
+    (("a,b", "c"), StructureError),
+    ((" a", "b"), StructureError),
+    (("a", "b\n"), StructureError),
+    (("a", 1), StructureError),
+], ids=["duplicate", "comma", "leading-space", "line-break", "not-a-string"])
+def test_table_refuses_names_that_do_not_read_back(names, error):
+    # ('a', 'a') used to save and load back as ('a',) with labels [0, 0]
+    with pytest.raises(error, match="subclass_names"):
+        FeatureTable(np.zeros((2, 1)), [0, 1], names)
+
+
+def test_csv_load_refuses_a_label_that_is_not_a_name(tmp_path):
+    path = tmp_path / "features.csv"
+    path.write_text("label,f0\na,1.0\n b,2.0\n")
+    with pytest.raises(StructureError,
+                       match=r"features\.csv:3: label ' b' is not a name"):
+        load_feature_table(path)
 
 
 # -- class statistics ---------------------------------------------------------

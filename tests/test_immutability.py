@@ -46,7 +46,8 @@ VALUES = {
     "FeatureTable": _table,
     "ClassStats": lambda: class_statistics(_table()),
     "PredictionBatch": lambda: PredictionBatch(predicted=np.array([0, 2, 1]),
-                                               truth=np.array([0, 1, 1])),
+                                               truth=np.array([0, 1, 1]),
+                                               subclass_names=("a", "b", "c")),
     "AffinityMatrix": _affinity,
     "SpectralEmbedding": lambda: spectral_embedding(_affinity(), 2),
     "FusionModel": lambda: _trained()[0],

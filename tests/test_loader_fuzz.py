@@ -1,5 +1,9 @@
 """Any bytes given to the checkpoint, structure and prediction loaders
-either load or raise a HierFusionError; no other exception escapes."""
+either load or raise a HierFusionError; no other exception escapes.
+
+Every legal name table reads back as itself through each file that
+holds one, and an illegal one is refused when a value holding it is
+built."""
 
 import copy
 import functools
@@ -8,11 +12,14 @@ import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierfusion.exceptions import HierFusionError
-from hierfusion.metrics import load_predictions
+from hierfusion.exceptions import HierFusionError, StructureError
+from hierfusion.features import FeatureTable, load_feature_table, save_feature_table
+from hierfusion.metrics import PredictionBatch, load_predictions, save_predictions
 from hierfusion.model import (
     CHECKPOINT_MAGIC,
     FusionConfig,
@@ -20,7 +27,13 @@ from hierfusion.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from hierfusion.taxonomy import StructureSet, load_structure, structure_from_dict
+from hierfusion.taxonomy import (
+    LabelStructure,
+    StructureSet,
+    load_structure,
+    save_structure,
+    structure_from_dict,
+)
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 10**400) | st.floats()
@@ -80,8 +93,8 @@ def _checkpoint() -> tuple[dict, bytes]:
     structure = structure_from_dict(_STRUCTURE)
     config = FusionConfig(stage_dims=(3, 2), attach_stages=(0, 1),
                           lambda_total=0.2, epochs=1)
-    model = init_model(config, 3, StructureSet((structure, structure)),
-                       input_dim=2)
+    model = init_model(config, StructureSet((structure, structure)), 2,
+                       structure.subclass_names)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt"
         save_checkpoint(model, config, path)
@@ -147,3 +160,86 @@ def test_prediction_loader_takes_any_bytes(blob):
     _loads_or_raises_typed_error(
         functools.partial(load_predictions, subclass_names=("a", "b", "c")), blob
     )
+
+
+# -- name tables -----------------------------------------------------------------
+
+# A legal name: any text with no comma or line break, stripped of edge
+# whitespace (the empty name included).
+_NAME = st.text(st.characters(exclude_characters=",\n\r"), max_size=6).map(str.strip)
+
+
+@st.composite
+def _named_values(draw):
+    """(name table, labels, superclass table, parent index), all legal: every
+    superclass has a child."""
+    names = tuple(draw(st.lists(_NAME, min_size=2, max_size=6, unique=True)))
+    labels = draw(st.lists(st.integers(0, len(names) - 1), min_size=1, max_size=8))
+    supers = tuple(draw(st.lists(_NAME, min_size=1, max_size=len(names), unique=True)))
+    rest = draw(st.lists(st.integers(0, len(supers) - 1),
+                         min_size=len(names) - len(supers),
+                         max_size=len(names) - len(supers)))
+    return names, labels, supers, list(range(len(supers))) + rest
+
+
+@settings(max_examples=60, deadline=None)
+@given(_named_values())
+def test_every_legal_name_table_reads_back_from_each_file(values):
+    names, labels, supers, parents = values
+    structure = LabelStructure("s", supers, names, parents)
+    config = FusionConfig(stage_dims=(2, 2), attach_stages=(0,), lambda_total=0.1)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        table = FeatureTable(np.ones((len(labels), 1)), labels, names)
+        save_feature_table(table, tmp / "features.csv")
+        back = load_feature_table(tmp / "features.csv", names)
+        assert back.subclass_names == names
+        assert back.labels.tolist() == labels
+
+        batch = PredictionBatch(labels[::-1], labels, names)
+        save_predictions(batch, tmp / "predictions.csv")
+        back = load_predictions(tmp / "predictions.csv", names)
+        assert back.subclass_names == names
+        assert back.predicted.tolist() == labels[::-1]
+        assert back.truth.tolist() == labels
+
+        save_structure(structure, tmp / "structure.json")
+        assert load_structure(tmp / "structure.json") == structure
+
+        model = init_model(config, StructureSet((structure,)), 1, names)
+        save_checkpoint(model, config, tmp / "model.ckpt")
+        assert load_checkpoint(tmp / "model.ckpt")[0].subclass_names == names
+
+
+@st.composite
+def _illegal_name_tables(draw):
+    """A legal name table with one name repeated or broken by a comma, a
+    line break or edge whitespace."""
+    names = draw(st.lists(_NAME, min_size=2, max_size=5, unique=True))
+    at = draw(st.integers(0, len(names) - 1))
+    name = names[at]
+    broken = draw(st.sampled_from([
+        names[(at + 1) % len(names)],  # a repeat of another name
+        name + ",", name[:1] + "\n" + name[1:], "\r" + name,
+        " " + name, name + "\t",
+    ]))
+    names[at] = broken
+    return tuple(names)
+
+
+_HOLDERS = {
+    "FeatureTable": lambda names: FeatureTable(np.zeros((2, 1)), [0, 1], names),
+    "PredictionBatch": lambda names: PredictionBatch([0, 1], [1, 0], names),
+    "LabelStructure": lambda names: LabelStructure(
+        "s", ("u",), names, np.zeros(len(names), dtype=np.int64)),
+    "FusionModel": lambda names: init_model(FusionConfig(stage_dims=(2, 2)),
+                                            StructureSet(()), 1, names),
+}
+
+
+@pytest.mark.parametrize("holder", _HOLDERS.values(), ids=_HOLDERS.keys())
+@settings(max_examples=30, deadline=None)
+@given(names=_illegal_name_tables())
+def test_every_illegal_name_table_is_refused_when_built(holder, names):
+    with pytest.raises(StructureError):
+        holder(names)

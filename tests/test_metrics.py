@@ -8,18 +8,16 @@ from hierfusion.exceptions import (
     EmptyBatch,
     IdOutOfRange,
     MalformedRow,
+    SubclassSpaceMismatch,
     UnknownLabel,
 )
 from hierfusion.metrics import (
     EvalReport,
     PredictionBatch,
     evaluate,
-    hierarchical_prf,
-    lca_a,
     load_predictions,
     save_predictions,
     structure_scores,
-    tie_a,
     top1_accuracy,
 )
 from hierfusion.taxonomy import StructureSet, validate_structure
@@ -36,9 +34,13 @@ def pair_structure(name="t"):
     )
 
 
-def batch_of(predicted, truth):
+NAMES = ("a", "b", "c")
+
+
+def batch_of(predicted, truth, names=NAMES):
     return PredictionBatch(predicted=np.asarray(predicted, dtype=np.int64),
-                           truth=np.asarray(truth, dtype=np.int64))
+                           truth=np.asarray(truth, dtype=np.int64),
+                           subclass_names=names)
 
 
 # the worked batch used throughout: right, sibling miss, right, far miss
@@ -58,7 +60,8 @@ def test_batch_validation():
         batch_of([0, 1], [0])
     with pytest.raises(DimensionMismatch):
         PredictionBatch(predicted=np.zeros((2, 2), dtype=np.int64),
-                        truth=np.zeros((2, 2), dtype=np.int64))
+                        truth=np.zeros((2, 2), dtype=np.int64),
+                        subclass_names=NAMES)
     with pytest.raises(IdOutOfRange):
         batch_of([0, -1], [0, 0])
 
@@ -84,18 +87,19 @@ def test_two_structure_averaging():
         parent_of={"a": "u", "b": "v", "c": "v"},
     )
     batch = batch_of([1], [0])
-    p_ha, r_ha, f_ha = hierarchical_prf(StructureSet((h1, h2)), batch)
-    np.testing.assert_allclose(p_ha, 0.5, rtol=1e-15)
-    np.testing.assert_allclose(r_ha, 0.5, rtol=1e-15)
-    np.testing.assert_allclose(f_ha, 0.5, rtol=1e-15)
+    report = evaluate(StructureSet((h1, h2)), batch)
+    np.testing.assert_allclose(report.p_ha, 0.5, rtol=1e-15)
+    np.testing.assert_allclose(report.r_ha, 0.5, rtol=1e-15)
+    np.testing.assert_allclose(report.f_ha, 0.5, rtol=1e-15)
 
 
 def test_perfect_predictions():
     structures = StructureSet((pair_structure(),))
     batch = batch_of([0, 1, 2], [0, 1, 2])
-    assert hierarchical_prf(structures, batch) == (1.0, 1.0, 1.0)
-    assert tie_a(structures, batch) == 0.0
-    assert lca_a(structures, batch) == 0.0
+    report = evaluate(structures, batch)
+    assert (report.p_ha, report.r_ha, report.f_ha) == (1.0, 1.0, 1.0)
+    assert report.tie_a == 0.0
+    assert report.lca_a == 0.0
 
 
 def test_evaluate_composition():
@@ -129,7 +133,8 @@ def test_report_identities_on_random_batches():
         ))
         n = int(rng.integers(1, 51))
         batch = batch_of(rng.integers(0, n_classes, size=n),
-                         rng.integers(0, n_classes, size=n))
+                         rng.integers(0, n_classes, size=n),
+                         structures.subclass_names)
         report = evaluate(structures, batch)
         # all augmented sets have three nodes, which pins these relations
         assert report.tie_a == 2.0 * report.lca_a
@@ -149,7 +154,8 @@ def test_agrees_with_tree_walk_oracle():
         n = int(rng.integers(1, 51))
         predicted = rng.integers(0, n_classes, size=n)
         truth = rng.integers(0, n_classes, size=n)
-        report = evaluate(structures, batch_of(predicted, truth))
+        report = evaluate(structures,
+                          batch_of(predicted, truth, structures.subclass_names))
         ref = tree_walk_report(structures, predicted, truth)
         assert abs(report.accuracy - ref["accuracy"]) < 1e-12
         assert abs(report.p_ha - ref["p_ha"]) < 1e-12
@@ -179,7 +185,8 @@ def test_sample_permutation_invariance():
 def test_structure_order_invariance():
     rng = np.random.default_rng(14)
     structures = [random_structure(rng, 6, name=f"h{j}") for j in range(3)]
-    batch = batch_of(rng.integers(0, 6, size=30), rng.integers(0, 6, size=30))
+    batch = batch_of(rng.integers(0, 6, size=30), rng.integers(0, 6, size=30),
+                     structures[0].subclass_names)
     fwd = evaluate(StructureSet(tuple(structures)), batch)
     rev = evaluate(StructureSet(tuple(reversed(structures))), batch)
     assert abs(fwd.f_ha - rev.f_ha) < 1e-12
@@ -204,15 +211,18 @@ def test_empty_structure_set_raises():
     empty = StructureSet(())
     with pytest.raises(EmptyBatch):
         evaluate(empty, WORKED)
-    with pytest.raises(EmptyBatch):
-        tie_a(empty, WORKED)
-    with pytest.raises(EmptyBatch):
-        hierarchical_prf(empty, WORKED)
+
+
+def test_evaluate_refuses_a_batch_over_other_names():
+    renamed = batch_of(WORKED.predicted, WORKED.truth, ("a", "b", "z"))
+    with pytest.raises(SubclassSpaceMismatch, match="subclass name table"):
+        evaluate(StructureSet((pair_structure(),)), renamed)
 
 
 def test_out_of_range_ids_raise():
+    wide = tuple(f"n{i}" for i in range(8))
     with pytest.raises(IdOutOfRange):
-        structure_scores(pair_structure(), batch_of([0, 7], [0, 0]))
+        structure_scores(pair_structure(), batch_of([0, 7], [0, 0], wide))
 
 
 def test_report_to_dict_shape():
@@ -229,12 +239,9 @@ def test_report_to_dict_shape():
 
 # -- prediction files ----------------------------------------------------------
 
-NAMES = ("a", "b", "c")
-
-
 def test_prediction_round_trip(tmp_path):
     path = tmp_path / "preds.csv"
-    save_predictions(WORKED, NAMES, path)
+    save_predictions(WORKED, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "predicted,truth"
     assert lines[1] == "a,a"
@@ -242,14 +249,14 @@ def test_prediction_round_trip(tmp_path):
     back = load_predictions(path, NAMES)
     assert np.array_equal(back.predicted, WORKED.predicted)
     assert np.array_equal(back.truth, WORKED.truth)
+    assert back.subclass_names == NAMES
 
 
 @pytest.mark.parametrize("predicted, truth", [([0, 3], [0, 1]), ([0, 1], [3, 1])],
                          ids=["predicted", "truth"])
-def test_save_predictions_refuses_an_id_with_no_name(tmp_path, predicted, truth):
-    with pytest.raises(UnknownLabel, match="subclass id 3 outside the 3-name"):
-        save_predictions(batch_of(predicted, truth), NAMES, tmp_path / "preds.csv")
-    assert list(tmp_path.iterdir()) == []
+def test_batch_refuses_an_id_with_no_name(predicted, truth):
+    with pytest.raises(IdOutOfRange, match="outside the 3-name subclass table"):
+        batch_of(predicted, truth)
 
 
 def test_prediction_load_errors(tmp_path):

@@ -155,8 +155,8 @@ def test_config_dict_round_trip():
 def test_init_deterministic_and_scaled():
     config = FusionConfig(stage_dims=(6, 5), attach_stages=(0, 1),
                           lambda_total=0.2, seed=11)
-    a = init_model(config, N_SUB, TWO, input_dim=3)
-    b = init_model(config, N_SUB, TWO, input_dim=3)
+    a = init_model(config, TWO, 3, SUB_NAMES)
+    b = init_model(config, TWO, 3, SUB_NAMES)
     for w1, w2 in zip(a.trunk_weights, b.trunk_weights):
         assert np.array_equal(w1, w2)
     assert np.array_equal(a.subclass_weight, b.subclass_weight)
@@ -170,7 +170,7 @@ def test_init_deterministic_and_scaled():
 
 def test_init_without_structures():
     config = FusionConfig(stage_dims=(6, 5), seed=1)
-    model = init_model(config, N_SUB, NONE, input_dim=3)
+    model = init_model(config, NONE, 3, SUB_NAMES)
     assert model.super_weights == ()
     assert model.subclass_names == SUB_NAMES
     assert model.input_dim == 3
@@ -182,9 +182,8 @@ def test_init_shares_draws_with_smaller_head_set():
     base = FusionConfig(stage_dims=(6, 5), seed=4)
     fused = FusionConfig(stage_dims=(6, 5), attach_stages=(0,),
                          lambda_total=0.1, seed=4)
-    plain = init_model(base, N_SUB, NONE, input_dim=3,
-                       subclass_names=SUB_NAMES)
-    headed = init_model(fused, N_SUB, ONE, input_dim=3)
+    plain = init_model(base, NONE, 3, SUB_NAMES)
+    headed = init_model(fused, ONE, 3, SUB_NAMES)
     for w1, w2 in zip(plain.trunk_weights, headed.trunk_weights):
         assert np.array_equal(w1, w2)
     assert np.array_equal(plain.subclass_weight, headed.subclass_weight)
@@ -193,14 +192,13 @@ def test_init_shares_draws_with_smaller_head_set():
 def test_init_rejects_mismatches():
     config = FusionConfig(attach_stages=(0,), lambda_total=0.1)
     with pytest.raises(InvalidConfig):
-        init_model(config, N_SUB, NONE, input_dim=3)
+        init_model(config, NONE, 3, SUB_NAMES)
     with pytest.raises(InvalidConfig):
-        init_model(FusionConfig(), 1, NONE, input_dim=3)
+        init_model(FusionConfig(), NONE, 3, ("c0",))
     with pytest.raises(SubclassSpaceMismatch):
-        init_model(config, 9, ONE, input_dim=3)
+        init_model(config, ONE, 3, tuple(f"c{i}" for i in range(9)))
     with pytest.raises(SubclassSpaceMismatch):
-        init_model(config, N_SUB, ONE, input_dim=3,
-                   subclass_names=("w", "x", "y", "z"))
+        init_model(config, ONE, 3, ("w", "x", "y", "z"))
 
 
 # -- forward --------------------------------------------------------------------
@@ -217,7 +215,7 @@ def test_forward_batch_matches_single():
     rng = np.random.default_rng(2)
     config = FusionConfig(stage_dims=(5, 4), attach_stages=(0, 1),
                           lambda_total=0.2, seed=2)
-    model = init_model(config, N_SUB, TWO, input_dim=3)
+    model = init_model(config, TWO, 3, SUB_NAMES)
     x = rng.normal(size=(6, 3))
     sub_batch, supers_batch = forward(model, x)
     assert sub_batch.shape == (6, N_SUB)
@@ -291,7 +289,7 @@ def test_loss_decomposition_identity():
     config = FusionConfig(stage_dims=(5, 4), attach_stages=(0, 1),
                           lambda_total=0.15, seed=8)
     assert config.lambdas == (0.075, 0.075)
-    model = init_model(config, N_SUB, TWO, input_dim=3)
+    model = init_model(config, TWO, 3, SUB_NAMES)
     x = rng.normal(size=(10, 3))
     y = rng.integers(0, N_SUB, size=10)
     y_supers = [np.asarray(s.parent_index)[y] for s in TWO]
@@ -306,7 +304,7 @@ def test_loss_logit_shift_invariance():
     rng = np.random.default_rng(9)
     config = FusionConfig(stage_dims=(4, 3), attach_stages=(0,),
                           lambda_total=0.2, seed=9)
-    model = init_model(config, N_SUB, ONE, input_dim=3)
+    model = init_model(config, ONE, 3, SUB_NAMES)
     x = rng.normal(size=(6, 3))
     y = rng.integers(0, N_SUB, size=6)
     y_super = np.asarray(ONE[0].parent_index)[y]
@@ -400,7 +398,7 @@ def test_train_lambda_zero_matches_headless_run():
     assert np.array_equal(plain.subclass_bias, fused.subclass_bias)
     assert np.array_equal(plain_hist.total_loss, fused_hist.subclass_loss)
     # the idle head never moves from its initialization
-    init = init_model(idle_head, N_SUB, ONE, input_dim=3)
+    init = init_model(idle_head, ONE, 3, SUB_NAMES)
     assert np.array_equal(fused.super_weights[0], init.super_weights[0])
     assert np.array_equal(fused.super_biases[0], init.super_biases[0])
 
@@ -626,15 +624,14 @@ def test_gradient_check_fresh_models():
     y = rng.integers(0, N_SUB, size=12)
     config = FusionConfig(stage_dims=(5, 4), attach_stages=(0, 1),
                           lambda_total=0.2, seed=50)
-    model = init_model(config, N_SUB, TWO, input_dim=3)
+    model = init_model(config, TWO, 3, SUB_NAMES)
     err = gradient_check(model, x, y, TWO, config, epsilon=1e-5)
     assert err < 1e-6
 
 
 def test_gradient_check_headless_and_zero_input():
     config = FusionConfig(stage_dims=(5, 4), seed=51)
-    model = init_model(config, N_SUB, NONE, input_dim=3,
-                       subclass_names=SUB_NAMES)
+    model = init_model(config, NONE, 3, SUB_NAMES)
     rng = np.random.default_rng(51)
     x = rng.normal(size=(8, 3))
     y = rng.integers(0, N_SUB, size=8)
@@ -645,8 +642,7 @@ def test_gradient_check_headless_and_zero_input():
 
 def test_gradient_check_guards():
     config = FusionConfig(stage_dims=(5, 4), seed=1)
-    model = init_model(config, N_SUB, NONE, input_dim=3,
-                       subclass_names=SUB_NAMES)
+    model = init_model(config, NONE, 3, SUB_NAMES)
     x = np.zeros((2, 3))
     y = np.array([0, 1])
     with pytest.raises(ValueError):
@@ -683,8 +679,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
 def test_checkpoint_rejects_corruption(tmp_path):
     config = FusionConfig(stage_dims=(4, 3), seed=0)
-    model = init_model(config, N_SUB, NONE, input_dim=3,
-                       subclass_names=SUB_NAMES)
+    model = init_model(config, NONE, 3, SUB_NAMES)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, config, path)
     blob = path.read_bytes()
@@ -728,13 +723,12 @@ def test_gradient_check_rejects_out_of_range_labels(bad):
     # must not read the next sample's logit through the flat gather.
     config = FusionConfig(stage_dims=(5, 4), attach_stages=(0,),
                           lambda_total=0.2, seed=3)
-    model = init_model(config, N_SUB, ONE, input_dim=3)
+    model = init_model(config, ONE, 3, SUB_NAMES)
     x = np.ones((3, 3))
     y = np.array([0, bad, 1])
     with pytest.raises(LabelOutOfRange):
         gradient_check(model, x, y, ONE, config)
     headless = FusionConfig(stage_dims=(5, 4), seed=3)
-    model = init_model(headless, N_SUB, NONE, input_dim=3,
-                       subclass_names=SUB_NAMES)
+    model = init_model(headless, NONE, 3, SUB_NAMES)
     with pytest.raises(LabelOutOfRange):
         gradient_check(model, x, y, NONE, headless)

@@ -15,6 +15,7 @@ from hierfusion.exceptions import (
 )
 from hierfusion.taxonomy import (
     ROOT,
+    LabelStructure,
     StructureSet,
     augmented_set,
     lca_heights,
@@ -112,18 +113,38 @@ def test_validate_duplicate_names():
 
 
 @pytest.mark.parametrize("bad", ["a,b", "a\nb", "a\rb", " a", "a ", "a\t"])
-@pytest.mark.parametrize("role", ["subclass", "superclass"])
+@pytest.mark.parametrize("role", ["subclass", "superclass", "structure"])
 def test_validate_rejects_names_that_break_csv_cells(bad, role):
-    # a subclass name is a feature-CSV label cell; one that does not read
-    # back as itself would make a written file unloadable
-    sub, sup = (bad, "animal") if role == "subclass" else ("cat", bad)
+    # a subclass name is a feature-CSV label cell and a structure name a
+    # history-CSV header cell; one that does not read back as itself would
+    # make a written file unloadable
+    sub = bad if role == "subclass" else "cat"
+    sup = bad if role == "superclass" else "animal"
     with pytest.raises(StructureError, match="name"):
         validate_structure(
-            name="t",
+            name=bad if role == "structure" else "t",
             superclasses=[sup],
             subclass_names=[sub, "dog"],
             parent_of={sub: sup, "dog": sup},
         )
+
+
+@pytest.mark.parametrize("fields, error", [
+    (dict(subclass_names=("a,b", "c")), StructureError),
+    (dict(subclass_names=(" a", "c")), StructureError),
+    (dict(subclass_names=("a", "a")), DuplicateSubclass),
+    (dict(superclasses=("u", "u")), StructureError),
+    (dict(superclasses=("u\r",)), StructureError),
+    (dict(name="h,1"), StructureError),
+], ids=["subclass-comma", "subclass-space", "subclass-twice", "superclass-twice",
+        "superclass-break", "name-comma"])
+def test_a_structure_built_directly_follows_the_name_rule(fields, error):
+    raw = dict(name="t", superclasses=("u",), subclass_names=("a", "c"),
+               parent_index=np.zeros(2, dtype=np.int64))
+    with pytest.raises(error) as caught:
+        LabelStructure(**dict(raw, **fields))
+    # a repeated superclass is a structure error, not a repeated subclass
+    assert (type(caught.value) is DuplicateSubclass) == (error is DuplicateSubclass)
 
 
 def test_validate_accepts_inner_spaces_and_unicode():

@@ -76,7 +76,7 @@ def test_replace_keeps_the_typed_values():
 
 def test_checkpoint_refuses_a_config_that_does_not_describe_the_model(tmp_path):
     config = FusionConfig(stage_dims=(4, 3))
-    model = init_model(config, 2, StructureSet(()), input_dim=2)
+    model = init_model(config, StructureSet(()), 2, ("c0", "c1"))
     path = tmp_path / "model.ckpt"
     for other in (FusionConfig(stage_dims=(4, 2)), FusionConfig(stage_dims=(4, 3, 2))):
         with pytest.raises(InvalidConfig, match="does not describe"):
