@@ -78,16 +78,25 @@ def config_list(convert):
 
 def config_name(value, field: str) -> str:
     """A name that is written as a CSV cell and reads back as itself: a
-    string with no comma, no line break and no leading or trailing
-    whitespace; anything else is StructureError."""
+    string that encodes as UTF-8 (no lone surrogate), with no comma, no
+    line break and no leading or trailing whitespace; anything else is
+    StructureError."""
     if not isinstance(value, str) or value != value.strip() or any(
         c in value for c in ",\n\r"
-    ):
+    ) or not _encodes_as_utf8(value):
         raise StructureError(
-            f"{field} {value!r} is not a name: a string with no ',', line break, "
-            "or leading or trailing whitespace"
+            f"{field} {value!r} is not a name: UTF-8 text with no ',', line "
+            "break, or leading or trailing whitespace"
         )
     return value
+
+
+def _encodes_as_utf8(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def config_names(duplicate):

@@ -6,6 +6,7 @@ across runs and comparable across implementations.
 """
 
 import contextlib
+import io
 import json
 import os
 from pathlib import Path
@@ -44,15 +45,17 @@ def atomic_text_writer(path, *, binary: bool = False):
 
 
 @contextlib.contextmanager
-def text_reader(path):
-    """Yield `path` open as UTF-8 text.
+def text_reader(path, start: int = 0):
+    """Yield `path` open as UTF-8 text from byte `start`, a line start.
 
     Bytes that are not UTF-8 are MalformedRow naming the file but no line:
     text is decoded in chunks, ahead of the line being read.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield fh
+        with open(path, "rb") as raw:
+            raw.seek(start)
+            with io.TextIOWrapper(raw, encoding="utf-8") as fh:
+                yield fh
     except UnicodeDecodeError as exc:
         raise MalformedRow(f"{path}: not UTF-8 text ({exc.reason})") from exc
 

@@ -1,5 +1,7 @@
 """End-to-end command-line pipeline: artifacts, determinism, and errors."""
 
+import contextlib
+import hashlib
 import json
 import re
 import struct
@@ -37,6 +39,7 @@ from hierfusion.taxonomy import (
     save_structure,
     validate_structure,
 )
+from test_features import many_ranges, one_range
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -1116,11 +1119,29 @@ def _write_checkpoint(path, monkeypatch):
     save_checkpoint(model, config, path)
 
 
+class _FullDisk:
+    """A text handle that takes the header, then fails on the rows."""
+
+    def __init__(self, fh):
+        self.write = fh.write
+
+    def writelines(self, lines):
+        _fail()
+
+
 def _write_history(path, monkeypatch):
+    # the header is written inside the atomic writer; the rows fail
     history = TrainHistory(total_loss=[1.0], subclass_loss=[1.0],
                            super_losses=np.zeros((1, 0)), train_accuracy=[0.5],
                            structure_names=())
-    monkeypatch.setattr(model_module, "format_float", _fail)
+    real_writer = model_module.atomic_text_writer
+
+    @contextlib.contextmanager
+    def full_disk_writer(target):
+        with real_writer(target) as fh:
+            yield _FullDisk(fh)
+
+    monkeypatch.setattr(model_module, "atomic_text_writer", full_disk_writer)
     save_history(history, path)
 
 
@@ -1152,6 +1173,39 @@ def _write_structure(path, monkeypatch):
                                    _write_predictions, _write_predictions_midway,
                                    _write_structure])
 def test_failed_artifact_write_leaves_no_file(tmp_path, monkeypatch, write):
-    with pytest.raises(Exception):
+    with pytest.raises(OSError, match="no space left on device"):
         write(tmp_path / "artifact", monkeypatch)
     assert list(tmp_path.iterdir()) == []
+
+
+# -- the feature codec in row ranges ----------------------------------------------
+
+def _pipeline_digests(tmp_path, tag):
+    """{relative path: sha256} of every file gen-synthetic -> train ->
+    evaluate writes under one root, hidden files included."""
+    root = tmp_path / tag
+    data = root / "data"
+    base = {"seed": 4, "features": str(data / "features.csv"),
+            "names_from": str(data / "structure_planted.json"),
+            "structures": [str(data / "structure_planted.json")],
+            "split": {"fraction": 0.75}, "model": dict(MODEL, attach_stages=[0])}
+    steps = [
+        ("gen-synthetic", {"seed": 4, "synthetic": SYNTH, "out": str(data)}),
+        ("train", dict(base, out=str(root / "fit"))),
+        ("evaluate", dict(base, out=str(root / "scored"),
+                          checkpoint=str(root / "fit" / "model.ckpt"))),
+    ]
+    for command, raw in steps:
+        config = write_config(tmp_path / f"{tag}_{command}.json", raw)
+        assert run(command, "--config", config) == 0
+    return {str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_pipeline_artifacts_are_the_same_in_many_ranges_or_one(tmp_path):
+    with many_ranges() as forks:
+        ranged = _pipeline_digests(tmp_path, "ranged")
+    assert forks
+    single = one_range(lambda: _pipeline_digests(tmp_path, "single"))
+    assert len(single) == 6
+    assert ranged == single

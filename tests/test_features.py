@@ -1,6 +1,9 @@
 """Feature tables, class statistics, synthetic data, splits, and CSV I/O."""
 
+import contextlib
+import os
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hierfusion import features
 from hierfusion.exceptions import (
     ClassTooSmall,
     DimensionMismatch,
@@ -80,7 +84,9 @@ def test_table_refuses_a_label_outside_its_name_table():
     ((" a", "b"), StructureError),
     (("a", "b\n"), StructureError),
     (("a", 1), StructureError),
-], ids=["duplicate", "comma", "leading-space", "line-break", "not-a-string"])
+    (("a", "\ud800"), StructureError),
+], ids=["duplicate", "comma", "leading-space", "line-break", "not-a-string",
+        "lone-surrogate"])
 def test_table_refuses_names_that_do_not_read_back(names, error):
     # ('a', 'a') used to save and load back as ('a',) with labels [0, 0]
     with pytest.raises(error, match="subclass_names"):
@@ -467,3 +473,242 @@ def test_csv_single_column_empty_cell_is_malformed(tmp_path):
     path.write_text("label,f0\ncat,1.0\ndog,\ncat,2.0\n")
     with pytest.raises(MalformedRow, match=r"one\.csv:3: "):
         load_feature_table(path, NAMES)
+
+
+# -- the codec in row ranges --------------------------------------------------
+
+@contextlib.contextmanager
+def many_ranges():
+    """Split every feature file into up to 4 ranges, however small, and
+    yield the pids of the workers forked meanwhile."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(features, "_MIN_RANGE_VALUES", 1)
+        patch.setattr(features, "_SCAN_BLOCK_BYTES", 64)
+        patch.setattr(features, "_cpus", lambda: [0, 1, 2, 3])
+        patch.setattr(os, "fork", counting_fork)
+        yield forks
+    _assert_no_worker_left()
+
+
+def _assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def one_range(call):
+    """call() with one range."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(features, "_MIN_RANGE_VALUES", 10**18)
+        return call()
+
+
+def _one_range_bytes(table, path):
+    """The bytes of `table` saved to `path` in one range."""
+    one_range(lambda: save_feature_table(table, path))
+    return path.read_bytes()
+
+
+def _cuts(path, dim):
+    """The (byte offset, first line) of each range after the first."""
+    with open(path, "rb") as fh:
+        return features._line_cuts(fh.fileno(), dim)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_tables())
+def test_csv_round_trip_is_bit_exact_in_many_ranges(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "feats.csv"
+        with many_ranges() as forks:
+            save_feature_table(table, path)
+            back = load_feature_table(path, NAMES)
+        assert forks
+        assert path.read_bytes() == _one_range_bytes(table, Path(tmp) / "one.csv")
+    assert back.features.view(np.uint64).tobytes() == \
+        table.features.view(np.uint64).tobytes()
+    assert np.array_equal(back.labels, table.labels)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_tables())
+def test_csv_row_text_is_format_float_of_every_value_in_many_ranges(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "feats.csv"
+        with many_ranges():
+            save_feature_table(table, path)
+        lines = path.read_bytes().decode("utf-8").split("\n")
+    assert lines[-1] == ""
+    assert len(lines) == table.count + 2
+    for line, values, label in zip(lines[1:-1], table.features, table.labels):
+        assert line.split(",") == [NAMES[label]] + [format_float(v) for v in values]
+
+
+# Every row of a ranged file has one length, so a fault changes no cut.
+_ROW = b"cat,1.00000,2.00000"
+_FAULTS = {
+    "cell-count": (b"cat,1.0000000000000", DimensionMismatch),
+    "unknown-label": (b"cow,1.00000,2.00000", UnknownLabel),
+    "name-rule": (b" ca,1.00000,2.00000", StructureError),
+    "malformed-cell": (b"cat,1.00000,2.0000x", MalformedRow),
+    "non-finite": (b"cat,1.00000,1e99999", NonFiniteValue),
+    "not-utf8": (b"cat,1.00000,2.0000\xff", MalformedRow),
+}
+
+
+def _ranged_file(path, bad_line=None, bad_row=b""):
+    """Header and 2000 rows (line 2 on), with line `bad_line` replaced.
+
+    At 40 kB the file outruns the text reader's first 8 kB chunk, so a
+    fault past the first cut is decoded in the range that holds it.
+    """
+    rows = [b"label,f0,f1"] + [_ROW] * 2000
+    if bad_line is not None:
+        rows[bad_line - 1] = bad_row
+    path.write_bytes(b"\n".join(rows) + b"\n")
+    return path
+
+
+@pytest.mark.parametrize("where", ["before-cut", "after-cut", "last-range"])
+@pytest.mark.parametrize("fault", _FAULTS, ids=_FAULTS.keys())
+def test_a_fault_in_any_range_is_the_one_range_error(tmp_path, fault, where):
+    bad_row, error = _FAULTS[fault]
+    with many_ranges():
+        cuts = _cuts(_ranged_file(tmp_path / "good.csv"), 2)
+    assert len(cuts) == 3
+    line = {"before-cut": cuts[1][1] - 1, "after-cut": cuts[1][1],
+            "last-range": cuts[2][1] + 2}[where]
+    path = _ranged_file(tmp_path / "bad.csv", line, bad_row)
+    names = None if fault == "name-rule" else NAMES
+    with many_ranges() as forks:
+        assert _cuts(path, 2) == cuts
+        with pytest.raises(error) as ranged:
+            load_feature_table(path, names)
+    assert len(forks) == 3
+    with pytest.raises(error) as serial:
+        one_range(lambda: load_feature_table(path, names))
+    assert type(ranged.value) is type(serial.value)
+    assert str(ranged.value) == str(serial.value)
+    if fault != "not-utf8":  # decoded ahead of the line; named by file alone
+        assert f"bad.csv:{line}: " in str(serial.value)
+
+
+def test_a_lone_carriage_return_ends_a_line_in_any_range_count(tmp_path):
+    # the text reader ends a line at "\r" as at "\n", so a fault after
+    # one is a line further on than the "\n" bytes alone would put it
+    path = _ranged_file(tmp_path / "bad.csv", 3, _ROW[:-2] + b"\r" + _ROW)
+    lines = path.read_bytes().split(b"\n")
+    lines[-3] = b"cat,1.00000,2.0000x"
+    path.write_bytes(b"\n".join(lines))
+    with many_ranges(), pytest.raises(MalformedRow) as ranged:
+        load_feature_table(path, NAMES)
+    assert f"bad.csv:{len(lines) - 1}: " in str(ranged.value)
+    with pytest.raises(MalformedRow) as serial:
+        one_range(lambda: load_feature_table(path, NAMES))
+    assert str(ranged.value) == str(serial.value)
+
+
+def test_a_parse_error_in_a_later_range_wins_over_a_non_finite_value(tmp_path):
+    path = _ranged_file(tmp_path / "bad.csv", 3, b"cat,1.00000,1e99999")
+    lines = path.read_bytes().split(b"\n")
+    lines[-3] = b"cat,1.00000,2.0000x"
+    path.write_bytes(b"\n".join(lines))
+    with many_ranges() as forks, pytest.raises(MalformedRow) as ranged:
+        load_feature_table(path, NAMES)
+    assert forks
+    with pytest.raises(MalformedRow) as serial:
+        one_range(lambda: load_feature_table(path, NAMES))
+    assert str(ranged.value) == str(serial.value)
+
+
+def test_first_appearance_names_stay_in_order_across_cuts(tmp_path):
+    labels = [f"n{i // 7 % 5}" if i % 3 else f"m{i // 11}" for i in range(80)]
+    path = tmp_path / "names.csv"
+    path.write_text("label,f0\n" + "".join(f"{n},{i}.5\n" for i, n in
+                                           enumerate(labels)))
+    with many_ranges() as forks:
+        ranged = load_feature_table(path)
+    assert len(forks) == 3
+    serial = one_range(lambda: load_feature_table(path))
+    assert ranged.subclass_names == serial.subclass_names
+    assert ranged.subclass_names == tuple(dict.fromkeys(labels))
+    assert ranged.labels.tolist() == serial.labels.tolist()
+    assert np.array_equal(ranged.features, serial.features)
+
+
+class _Unwritable(str):
+    """A name whose text cannot be formatted into a row."""
+
+    def __str__(self):
+        raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("row", [0, -1], ids=["first-range", "last-range"])
+def test_a_failed_ranged_write_leaves_the_directory_empty(tmp_path, row):
+    labels = np.zeros(40, dtype=np.int64)
+    labels[row] = 1
+    table = FeatureTable(np.ones((40, 2)), labels, ("a", _Unwritable("b")))
+    with many_ranges() as forks:
+        with pytest.raises(OSError, match="no space left on device"):
+            save_feature_table(table, tmp_path / "feats.csv")
+    assert len(forks) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_worker_that_dies_without_a_result_is_an_os_error(tmp_path, monkeypatch):
+    parent = os.getpid()
+    real_write_rows = features._write_rows
+
+    def dying_write_rows(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        real_write_rows(*args)
+
+    monkeypatch.setattr(features, "_write_rows", dying_write_rows)
+    with many_ranges() as forks:
+        with pytest.raises(ChildProcessError, match="ended without a result"):
+            save_feature_table(table_of(np.ones((40, 2)), [0] * 40), tmp_path / "f.csv")
+    assert len(forks) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+def _round_trip_in_one_process(tmp_path):
+    """Save and load a table with ranges forced but no fork made."""
+    table = table_of(np.arange(80.0).reshape(40, 2), np.arange(40) % 3, NAMES)
+    path = tmp_path / "feats.csv"
+    with many_ranges() as forks:
+        save_feature_table(table, path)
+        back = load_feature_table(path, NAMES)
+    assert forks == []
+    assert path.read_bytes() == _one_range_bytes(table, tmp_path / "one.csv")
+    assert np.array_equal(back.features, table.features)
+    assert np.array_equal(back.labels, table.labels)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["feats.csv", "one.csv"]
+
+
+def test_ranges_stay_in_process_while_a_second_thread_runs(tmp_path):
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        _round_trip_in_one_process(tmp_path)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_ranges_stay_in_process_when_fork_fails(tmp_path, monkeypatch):
+    def failing_fork():
+        raise OSError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    _round_trip_in_one_process(tmp_path)

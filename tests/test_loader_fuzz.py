@@ -164,9 +164,10 @@ def test_prediction_loader_takes_any_bytes(blob):
 
 # -- name tables -----------------------------------------------------------------
 
-# A legal name: any text with no comma or line break, stripped of edge
-# whitespace (the empty name included).
-_NAME = st.text(st.characters(exclude_characters=",\n\r"), max_size=6).map(str.strip)
+# A legal name: any UTF-8 text (no surrogate) with no comma or line break,
+# stripped of edge whitespace (the empty name included).
+_NAME = st.text(st.characters(exclude_characters=",\n\r", exclude_categories=("Cs",)),
+                max_size=6).map(str.strip)
 
 
 @st.composite
@@ -214,14 +215,14 @@ def test_every_legal_name_table_reads_back_from_each_file(values):
 @st.composite
 def _illegal_name_tables(draw):
     """A legal name table with one name repeated or broken by a comma, a
-    line break or edge whitespace."""
+    line break, edge whitespace or a lone surrogate (not UTF-8)."""
     names = draw(st.lists(_NAME, min_size=2, max_size=5, unique=True))
     at = draw(st.integers(0, len(names) - 1))
     name = names[at]
     broken = draw(st.sampled_from([
         names[(at + 1) % len(names)],  # a repeat of another name
         name + ",", name[:1] + "\n" + name[1:], "\r" + name,
-        " " + name, name + "\t",
+        " " + name, name + "\t", name + "\ud800",
     ]))
     names[at] = broken
     return tuple(names)
