@@ -40,6 +40,7 @@ from .config import (
     config_path,
     config_real,
     config_seed,
+    type_fields,
     typed_section,
 )
 from .exceptions import (
@@ -91,6 +92,7 @@ class SplitParams:
     seed: Annotated[int, config_seed] = 0
 
     def __post_init__(self):
+        type_fields(self)
         if not 0.0 < self.fraction < 1.0:
             raise InvalidConfig("split fraction must lie in (0, 1)")
 
@@ -102,6 +104,7 @@ class BuilderParams:
     seed: Annotated[int, config_seed] = 0
 
     def __post_init__(self):
+        type_fields(self)
         if self.delta <= 0:
             raise InvalidConfig(f"builder delta must be > 0, got {self.delta!r}")
 
@@ -121,6 +124,7 @@ class SweepParams:
     seeds: Annotated[tuple[int, ...], config_optional(config_list(config_seed))] = ()
 
     def __post_init__(self):
+        type_fields(self)
         if not self.values:
             raise InvalidConfig("sweep needs a non-empty list of values")
         convert = config_real if self.axis == "lambda" else config_int
@@ -157,6 +161,9 @@ class ExperimentConfig:
     split: Annotated[SplitParams | None, _untyped] = None
     sweep: Annotated[SweepParams | None, _untyped] = None
     out: Annotated[str | None, config_optional(config_path("directory"))] = None
+
+    def __post_init__(self):
+        type_fields(self)
 
 
 # Each section: its class, and the stream a null seed in it derives from

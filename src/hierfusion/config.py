@@ -57,13 +57,6 @@ def config_real(value, field: str) -> float:
     raise InvalidConfig(f"{field} must be a finite number, got {value!r}")
 
 
-def config_str(value, field: str) -> str:
-    """A string config value."""
-    if not isinstance(value, str):
-        raise InvalidConfig(f"{field} must be a string, got {value!r}")
-    return value
-
-
 def config_list(convert):
     """The config type of a list whose entries each pass `convert`."""
 

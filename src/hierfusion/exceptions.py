@@ -62,6 +62,12 @@ class NonFiniteValue(HierFusionError):
     """A NaN or infinity appeared where finite values are required."""
 
 
+class InvalidValue(HierFusionError):
+    """A value breaks an invariant of its type other than finiteness or
+    shape: a negative class variance, or an affinity matrix that is not
+    symmetric, has an entry outside [0, 1] or a non-zero diagonal."""
+
+
 class UnknownLabel(FeatureFileError):
     """A sample label does not resolve against the subclass name table."""
 

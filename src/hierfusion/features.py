@@ -51,6 +51,7 @@ from .exceptions import (
     ClassTooSmall,
     DimensionMismatch,
     InvalidSpec,
+    InvalidValue,
     MalformedRow,
     NonFiniteValue,
     UnknownLabel,
@@ -115,7 +116,7 @@ class ClassStats:
         if self.means.shape[0] != self.variances.shape[0]:
             raise DimensionMismatch("means and variances disagree on class count")
         if self.variances.size and self.variances.min() < 0:
-            raise ValueError("variances must be non-negative")
+            raise InvalidValue("variances must be non-negative")
 
     @property
     def class_count(self) -> int:

@@ -98,11 +98,6 @@ class EvalReport:
         return dict(asdict(self), per_structure=per_structure)
 
 
-def top1_accuracy(batch: PredictionBatch) -> float:
-    """Fraction of samples whose predicted subclass equals the truth."""
-    return int(np.count_nonzero(batch.predicted == batch.truth)) / batch.count
-
-
 def structure_scores(structure: LabelStructure, batch: PredictionBatch) -> StructureScores:
     """Score one structure: micro P/R/F over path sets, mean tie and lca.
 
@@ -134,9 +129,10 @@ def structure_scores(structure: LabelStructure, batch: PredictionBatch) -> Struc
 def evaluate(structures: StructureSet, batch: PredictionBatch) -> EvalReport:
     """Full report: accuracy plus all structure-averaged measures.
 
-    P_Ha and R_Ha average the per-structure P and R, and F_Ha is the F of
-    those averages. An empty structure set raises EmptyBatch, and a batch
-    over another subclass name table SubclassSpaceMismatch.
+    Accuracy is the fraction of samples whose predicted subclass is the
+    truth. P_Ha and R_Ha average the per-structure P and R, and F_Ha is
+    the F of those averages. An empty structure set raises EmptyBatch,
+    and a batch over another subclass name table SubclassSpaceMismatch.
     """
     if len(structures) == 0:
         raise EmptyBatch("metrics need at least one structure to average over")
@@ -149,7 +145,7 @@ def evaluate(structures: StructureSet, batch: PredictionBatch) -> EvalReport:
     p_ha = sum(s.p_h for s in scores) / m
     r_ha = sum(s.r_h for s in scores) / m
     return EvalReport(
-        accuracy=top1_accuracy(batch),
+        accuracy=int(np.count_nonzero(batch.predicted == batch.truth)) / batch.count,
         p_ha=p_ha,
         r_ha=r_ha,
         f_ha=2.0 * p_ha * r_ha / (p_ha + r_ha),

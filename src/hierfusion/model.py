@@ -14,7 +14,7 @@ Inference reads the subclass head only.
 One forward pass, `_logits`, serves forward(), training and
 gradient_check, on a FusionModel or on its mutable training copy with the
 same field names. One function, `_weighted_loss`, composes the loss above
-for multi_task_loss, training and gradient_check. One canonical parameter
+for training and gradient_check. One canonical parameter
 order, `_layout` (trunk stages, the subclass head, then superclass heads),
 fixes checkpoint tensors, the flat training buffer and its gradients.
 
@@ -81,6 +81,13 @@ CHECKPOINT_MAGIC = b"hierfusion-checkpoint-v1\n"
 # order, which is what makes the lambda=0 trajectory identity testable.
 _STREAM_INIT = 0
 _STREAM_SHUFFLE = 1
+
+# gradient_check's central-difference step, inside the range [1e-6, 1e-3]
+# where float64 rounding and truncation error both stay small; the most
+# parameters it checks, and the seed that picks them from a larger model.
+_GRADIENT_STEP = 1e-5
+_GRADIENT_SAMPLE = 200
+_GRADIENT_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -237,15 +244,6 @@ class TrainHistory:
     @property
     def epochs(self) -> int:
         return self.total_loss.shape[0]
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Total training loss and its weighted components."""
-
-    total: float
-    subclass: float
-    per_structure: tuple[float, ...]
 
 
 def init_model(
@@ -545,42 +543,6 @@ def forward(model: FusionModel, x):
     return sub, tuple(supers)
 
 
-def multi_task_loss(outputs, subclass_labels, superclass_labels, config) -> LossBreakdown:
-    """Weighted sum of head cross-entropies, averaged over the batch.
-
-    `outputs` is a forward() result in batch form. The breakdown reports
-    the unweighted component losses next to the weighted total, so
-    total = (1 - lambda_total) * subclass + sum_m lambda_m * per_structure[m].
-    """
-    sub_logits, super_logits = outputs
-    if len(super_logits) != len(config.lambdas):
-        raise InvalidConfig(
-            f"{len(super_logits)} head outputs for {len(config.lambdas)} loss weights"
-        )
-    if len(superclass_labels) != len(super_logits):
-        raise DimensionMismatch(
-            f"{len(superclass_labels)} label vectors for "
-            f"{len(super_logits)} head outputs"
-        )
-    logits = [np.atleast_2d(np.asarray(a, dtype=np.float64))
-              for a in (sub_logits, *super_logits)]
-    labels = [np.atleast_1d(np.asarray(y, dtype=np.int64))
-              for y in (subclass_labels, *superclass_labels)]
-    for head_logits, head_labels in zip(logits, labels):
-        if head_labels.shape != head_logits.shape[:1]:
-            raise DimensionMismatch("one label per row of head logits")
-        _check_labels(head_labels, head_logits.shape[1])
-    (total, sub_loss, per), _, _ = _weighted_loss(
-        logits[0], logits[1:], labels[0], labels[1:], config.lambdas,
-        config.lambda_total,
-    )
-    return LossBreakdown(
-        total=float(total),
-        subclass=float(sub_loss),
-        per_structure=tuple(float(v) for v in per),
-    )
-
-
 def train(
     config: FusionConfig, table: FeatureTable, structures: StructureSet
 ) -> tuple[FusionModel, TrainHistory]:
@@ -751,20 +713,16 @@ def gradient_check(
     labels,
     structures: StructureSet,
     config: FusionConfig,
-    epsilon: float = 1e-5,
-    *,
-    sample_size: int = 200,
-    seed: int = 0,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Checks every parameter when the model has at most `sample_size` of
-    them, otherwise a seeded random subset of that size. The relative
-    error is |g_a - g_n| / max(1, |g_a| + |g_n|), so parameters with a
-    true zero gradient are compared on an absolute scale.
+    Each difference steps one parameter by +-`_GRADIENT_STEP`. Checks
+    every parameter when the model has at most `_GRADIENT_SAMPLE` of
+    them, otherwise a random subset of that size drawn from
+    `_GRADIENT_SEED`. The relative error is |g_a - g_n| / max(1, |g_a| +
+    |g_n|), so parameters with a true zero gradient are compared on an
+    absolute scale.
     """
-    if not 1e-6 <= epsilon <= 1e-3:
-        raise ValueError("epsilon outside the trustworthy range [1e-6, 1e-3]")
     if len(structures) != config.structure_count:
         raise InvalidConfig(
             f"config expects {config.structure_count} structures, got {len(structures)}"
@@ -791,21 +749,21 @@ def gradient_check(
         return float(_weighted_loss(sub, supers, y_sub, y_supers, lambdas, lam)[0][0][0])
 
     total = values.size
-    if total <= sample_size:
+    if total <= _GRADIENT_SAMPLE:
         chosen = np.arange(total)
     else:
-        rng = rng_from_seed(seed)
-        chosen = np.sort(rng.choice(total, size=sample_size, replace=False))
+        rng = rng_from_seed(_GRADIENT_SEED)
+        chosen = np.sort(rng.choice(total, size=_GRADIENT_SAMPLE, replace=False))
 
     max_err = 0.0
     for i in chosen:
         original = values[i]
-        values[i] = original + epsilon
+        values[i] = original + _GRADIENT_STEP
         above = total_loss()
-        values[i] = original - epsilon
+        values[i] = original - _GRADIENT_STEP
         below = total_loss()
         values[i] = original
-        numeric = (above - below) / (2.0 * epsilon)
+        numeric = (above - below) / (2.0 * _GRADIENT_STEP)
         analytic = grad[i]
         err = abs(analytic - numeric) / max(1.0, abs(analytic) + abs(numeric))
         max_err = max(max_err, err)
@@ -813,22 +771,6 @@ def gradient_check(
 
 
 # -- checkpoint files --------------------------------------------------------
-
-def config_to_dict(config: FusionConfig) -> dict:
-    return {
-        field: list(value) if isinstance(value, tuple) else value
-        for field, value in asdict(config).items()
-    }
-
-
-def config_from_dict(raw: dict) -> FusionConfig:
-    """Build a config from a (possibly partial) JSON dict; defaults fill gaps.
-
-    Every field is typed first, so an unknown field or a value of the
-    wrong type is InvalidConfig naming the field (`model epochs`, ...).
-    """
-    return FusionConfig(**typed_section(raw, "model", FusionConfig))
-
 
 def _checkpoint_header(model: FusionModel, config: FusionConfig) -> dict:
     """The JSON header of a checkpoint of `model` under `config`: the
@@ -839,7 +781,12 @@ def _checkpoint_header(model: FusionModel, config: FusionConfig) -> dict:
         raise InvalidConfig(f"the config does not describe stage_dims {stage_dims} "
                             f"and attach_stages {model.attach_stages} of the model")
     return {
-        "config": config_to_dict(config),
+        # Lists, as the JSON read back holds them, for load_checkpoint's
+        # comparison of this header with the one in the file.
+        "config": {
+            field: list(value) if isinstance(value, tuple) else value
+            for field, value in asdict(config).items()
+        },
         "input_dim": model.input_dim,
         "subclass_count": model.subclass_count,
         "subclass_names": list(model.subclass_names),
@@ -897,7 +844,7 @@ def load_checkpoint(path) -> tuple[FusionModel, FusionConfig]:
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: the header is not a JSON object")
     try:
-        config = config_from_dict(header["config"])
+        config = FusionConfig(**typed_section(header["config"], "model", FusionConfig))
         attach = config_list(config_int)(header["attach_stages"], "attach_stages")
         manifest = header["tensors"]
         if not isinstance(manifest, list) or not all(

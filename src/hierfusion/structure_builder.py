@@ -13,7 +13,9 @@ Every stage is deterministic given its seed. The eigensolver is a Jacobi
 rotation scheme in the round-robin (Brent-Luk) pair ordering, which
 applies each round's disjoint rotations as one array update, with a
 declared convergence threshold, so results are reproducible across
-platforms and reimplementations.
+platforms and reimplementations: it stops once the off-diagonal norm is
+at most `_JACOBI_TOL` times the matrix norm, and fails after
+`_JACOBI_MAX_SWEEPS` sweeps.
 """
 
 from dataclasses import dataclass
@@ -27,6 +29,8 @@ from .exceptions import (
     DimensionMismatch,
     EigensolverFailure,
     EmptyCluster,
+    InvalidConfig,
+    InvalidValue,
     IsolatedClass,
     NonFiniteValue,
 )
@@ -47,13 +51,13 @@ class AffinityMatrix:
         if values.shape[0] != values.shape[1]:
             raise DimensionMismatch("affinity matrix must be square")
         if not np.all(np.isfinite(values)):
-            raise ValueError("affinity matrix contains non-finite entries")
+            raise NonFiniteValue("affinity matrix contains non-finite entries")
         if not np.array_equal(values, values.T):
-            raise ValueError("affinity matrix must be symmetric")
+            raise InvalidValue("affinity matrix must be symmetric")
         if values.min() < 0.0 or values.max() > 1.0:
-            raise ValueError("affinity entries must lie in [0, 1]")
+            raise InvalidValue("affinity entries must lie in [0, 1]")
         if np.any(np.diagonal(values) != 0.0):
-            raise ValueError("affinity diagonal must be zero")
+            raise InvalidValue("affinity diagonal must be zero")
 
     @property
     def class_count(self) -> int:
@@ -104,7 +108,7 @@ def affinity_matrix(stats: ClassStats, delta: float = 1.0) -> AffinityMatrix:
     default 1 follows the construction this pipeline reproduces.
     """
     if delta <= 0:
-        raise ValueError("delta must be > 0")
+        raise InvalidConfig(f"delta must be > 0, got {delta!r}")
     dist = class_distance_matrix(stats)
     values = np.exp(-dist / float(delta))
     np.fill_diagonal(values, 0.0)
@@ -162,9 +166,11 @@ def _rotate_column_pairs(x: np.ndarray, phase: np.ndarray) -> None:
     pairs *= phase
 
 
-def symmetric_eigen(
-    matrix, *, tol: float = 1e-10, max_sweeps: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
+_JACOBI_TOL = 1e-10  # off-diagonal norm at convergence, relative to the matrix norm
+_JACOBI_MAX_SWEEPS = 100
+
+
+def symmetric_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a symmetric matrix by round-robin Jacobi.
 
     Each sweep visits every index pair once, in the round-robin order of
@@ -173,9 +179,9 @@ def symmetric_eigen(
     eigenvectors) with eigenvalues descending (stable order on ties) and
     eigenvectors as matching columns, each sign-fixed so its
     largest-magnitude component is positive. Converges when the
-    off-diagonal Frobenius norm falls below `tol` times the matrix scale;
-    exceeding `max_sweeps` raises EigensolverFailure. NaN or infinite
-    entries raise NonFiniteValue.
+    off-diagonal Frobenius norm falls below `_JACOBI_TOL` times the matrix
+    scale; exceeding `_JACOBI_MAX_SWEEPS` raises EigensolverFailure. NaN
+    or infinite entries raise NonFiniteValue.
     """
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -185,7 +191,7 @@ def symmetric_eigen(
     a = (a + a.T) / 2.0
     n = a.shape[0]
     scale = np.sqrt((a * a).sum())
-    threshold = tol * max(scale, 1e-300)
+    threshold = _JACOBI_TOL * max(scale, 1e-300)
 
     layout = _round_robin_schedule(n)
     rounds, m = layout.shape
@@ -204,7 +210,7 @@ def symmetric_eigen(
     vectors = np.eye(m).take(layout[0], axis=1)
 
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         off = a - np.diag(np.diagonal(a))
         if np.sqrt((off * off).sum()) <= threshold:
             converged = True
@@ -227,7 +233,7 @@ def symmetric_eigen(
         off = a - np.diag(np.diagonal(a))
         if np.sqrt((off * off).sum()) > threshold:
             raise EigensolverFailure(
-                f"no convergence within {max_sweeps} sweeps (n={n})"
+                f"no convergence within {_JACOBI_MAX_SWEEPS} sweeps (n={n})"
             )
 
     back = slot[0, :n]  # from round 0's layout to index order, dummy dropped
@@ -331,26 +337,20 @@ def _repair_empty(assign: np.ndarray, dist2: np.ndarray, k: int) -> np.ndarray:
 
 
 def build_visual_structure(
-    table: FeatureTable,
-    k: int,
-    delta: float = 1.0,
-    seed: int = 0,
-    *,
-    name: str | None = None,
+    table: FeatureTable, k: int, delta: float = 1.0, seed: int = 0
 ) -> LabelStructure:
-    """Cluster classes by feature affinity into a 3-level structure.
+    """Cluster classes by feature affinity into the structure "H_A_k{k}".
 
     Composes class_statistics -> affinity_matrix -> spectral_embedding ->
     kmeans over the table's subclass name table; superclass m (named
-    "s{m}") holds exactly the classes of cluster m. The structure name
-    defaults to "H_A_k{k}".
+    "s{m}") holds exactly the classes of cluster m.
     """
     stats = class_statistics(table)
     affinity = affinity_matrix(stats, delta)
     embedding = spectral_embedding(affinity, k)
     assign = kmeans(embedding.coords, k, seed=seed)
     return validate_structure(
-        name=name if name is not None else f"H_A_k{k}",
+        name=f"H_A_k{k}",
         superclasses=[f"s{j}" for j in range(k)],
         subclass_names=table.subclass_names,
         parent_of={

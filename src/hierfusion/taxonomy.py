@@ -34,9 +34,6 @@ from .exceptions import (
 )
 from .serialization import atomic_text_writer, dump_json
 
-#: Identifier of the (implicit, shared) root node.
-ROOT = "<root>"
-
 
 @dataclass(frozen=True)
 class LabelStructure:
@@ -68,17 +65,6 @@ class LabelStructure:
     def superclass_id(self, index: int) -> str:
         """Namespaced identifier of superclass `index`."""
         return f"{self.name}/{self.superclasses[index]}"
-
-    def parent_of(self, subclass: int) -> str:
-        """Namespaced identifier of the parent of `subclass`."""
-        self._check_id(subclass)
-        return self.superclass_id(int(self.parent_index[subclass]))
-
-    def _check_id(self, subclass: int) -> None:
-        if not 0 <= int(subclass) < self.subclass_count:
-            raise IdOutOfRange(
-                f"subclass id {subclass} outside [0, {self.subclass_count})"
-            )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelStructure):
@@ -124,12 +110,6 @@ class StructureSet:
 
     def __getitem__(self, i) -> LabelStructure:
         return self.structures[i]
-
-    @property
-    def subclass_count(self) -> int:
-        if not self.structures:
-            raise SubclassSpaceMismatch("empty structure set has no subclass space")
-        return self.structures[0].subclass_count
 
     @property
     def subclass_names(self) -> tuple[str, ...]:
@@ -195,16 +175,6 @@ def lca_heights(structure: LabelStructure, c, c_hat) -> np.ndarray:
     return np.where(
         c == c_hat, 0, np.where(parent[c] == parent[c_hat], 1, 2)
     ).astype(np.int64)
-
-
-def augmented_set(structure: LabelStructure, c: int) -> frozenset:
-    """Nodes on the root-to-leaf path: {root, parent superclass, leaf id}.
-
-    The root is included; with it, every path set has exactly 3 members
-    and the per-sample hierarchical F equals 1 - TIE/6.
-    """
-    structure._check_id(c)
-    return frozenset({ROOT, structure.parent_of(c), int(c)})
 
 
 # -- structure files -------------------------------------------------------

@@ -1,13 +1,18 @@
 """Brute-force reference implementations used only by the tests.
 
 These recompute library answers along independent routes: explicit tree
-walks over the structure file representation, exhaustive enumeration of
-partitions, and eigensystems by repeated matrix squaring with deflation.
-An agreement test therefore compares two implementations of the same
-definition, not one implementation against itself.
+walks over the structure file representation, root-to-leaf path sets
+built node by node, exhaustive enumeration of partitions, eigensystems by
+repeated matrix squaring with deflation, and the multi-task loss summed
+row by row in plain Python. An agreement test therefore compares two
+implementations of the same definition, not one implementation against
+itself. From the library this module imports only its exceptions and the
+structure file representation (`structure_to_dict`, `validate_structure`).
 """
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,6 +153,23 @@ def lca_height(structure, c: int, c_hat: int) -> int:
     return tie_distance(structure, c, c_hat) // 2
 
 
+#: Identifier of the (implicit, shared) root node of every path set.
+ROOT = "<root>"
+
+
+def augmented_set(structure, c: int) -> frozenset:
+    """Nodes on the root-to-leaf path: {root, parent superclass, leaf id}.
+
+    The parent is read from the structure file representation and
+    namespaced by the structure name, as `LabelStructure.superclass_id`
+    names it. With the root included every path set has exactly 3 members,
+    so two leaves share 3 - (height of their lowest common ancestor) nodes.
+    """
+    raw = structure_to_dict(structure)
+    sub = raw["subclasses"][_leaf(structure, c)]
+    return frozenset({ROOT, f"{raw['name']}/{raw['parent_of'][sub]}", int(c)})
+
+
 def random_structure(rng, subclass_count, name="h"):
     """A random valid 3-level structure over subclasses c0..c{n-1}.
 
@@ -257,3 +279,48 @@ def squaring_eigensystem(matrix, seed=0):
         residual = residual - mu * np.outer(v, v)
     order = np.argsort(-values, kind="stable")
     return values[order], vectors[:, order]
+
+
+# -- the multi-task training loss, row by row ---------------------------------
+
+@dataclass(frozen=True)
+class LossBreakdown:
+    """Total training loss and its unweighted components."""
+
+    total: float
+    subclass: float
+    per_structure: tuple[float, ...]
+
+
+def cross_entropy(logits, labels) -> float:
+    """Mean over rows of -log softmax(row)[label].
+
+    Each row's log-sum-exp is taken after subtracting the row maximum, so
+    a constant added to a row changes nothing and no exp overflows.
+    """
+    rows = [[float(v) for v in row] for row in logits]
+    labels = [int(y) for y in labels]
+    if len(rows) != len(labels):
+        raise AssertionError("one label per row of logits")
+    total = 0.0
+    for row, label in zip(rows, labels):
+        shift = max(row)
+        lse = shift + math.log(sum(math.exp(v - shift) for v in row))
+        total += lse - row[label]
+    return total / len(rows)
+
+
+def multi_task_loss(outputs, subclass_labels, superclass_labels, lambdas):
+    """(1 - sum(lambdas)) * CE(subclass) + sum_m lambdas[m] * CE(superclass m).
+
+    `outputs` is (subclass logits, per-structure superclass logits) of a
+    batch, each an (n, k) array or nested list; `superclass_labels[m]`
+    and `lambdas[m]` belong to structure m.
+    """
+    sub_logits, super_logits = outputs
+    if not len(super_logits) == len(superclass_labels) == len(lambdas):
+        raise AssertionError("one logit block, label vector and weight per head")
+    subclass = cross_entropy(sub_logits, subclass_labels)
+    per = tuple(cross_entropy(z, y) for z, y in zip(super_logits, superclass_labels))
+    total = (1.0 - sum(lambdas)) * subclass + sum(w * v for w, v in zip(lambdas, per))
+    return LossBreakdown(total=total, subclass=subclass, per_structure=per)

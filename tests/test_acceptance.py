@@ -251,8 +251,7 @@ def test_06_gradient_check_matrix(capsys):
                     lambda_total=lam, seed=17,
                 )
                 model = init_model(config, structures, 4, ("c0", "c1", "c2", "c3"))
-                err = gradient_check(model, features, labels, structures,
-                                     config, epsilon=1e-5)
+                err = gradient_check(model, features, labels, structures, config)
                 worst = max(worst, err)
                 combos += 1
     elapsed = time.perf_counter() - started

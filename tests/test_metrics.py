@@ -18,7 +18,6 @@ from hierfusion.metrics import (
     load_predictions,
     save_predictions,
     structure_scores,
-    top1_accuracy,
 )
 from hierfusion.taxonomy import StructureSet, validate_structure
 from oracles import random_structure, tree_walk_report
@@ -48,9 +47,10 @@ WORKED = batch_of([0, 1, 2, 0], [0, 0, 2, 2])
 
 
 def test_top1_accuracy_cases():
-    assert top1_accuracy(batch_of([0, 1], [0, 1])) == 1.0
-    assert top1_accuracy(WORKED) == 0.5
-    assert top1_accuracy(batch_of([1], [0])) == 0.0
+    structures = StructureSet((pair_structure(),))
+    assert evaluate(structures, batch_of([0, 1], [0, 1])).accuracy == 1.0
+    assert evaluate(structures, WORKED).accuracy == 0.5
+    assert evaluate(structures, batch_of([1], [0])).accuracy == 0.0
 
 
 def test_batch_validation():

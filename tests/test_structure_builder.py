@@ -10,6 +10,8 @@ from hierfusion.exceptions import (
     DegeneratePoints,
     DimensionMismatch,
     EigensolverFailure,
+    InvalidConfig,
+    InvalidValue,
     IsolatedClass,
     NonFiniteValue,
     UnknownLabel,
@@ -20,6 +22,7 @@ from hierfusion.features import (
     class_statistics,
     generate_synthetic,
 )
+from hierfusion import structure_builder
 from hierfusion.structure_builder import (
     AffinityMatrix,
     _round_robin_schedule,
@@ -137,23 +140,25 @@ def test_affinity_monotone_in_distance_and_delta():
     assert far.values[0, 1] < near.values[0, 1]
     wide = affinity_matrix(stats_for([[0.0], [5.0]], [0.0, 0.0]), delta=4.0)
     assert wide.values[0, 1] > far.values[0, 1]
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         affinity_matrix(stats_for([[0.0], [1.0]], [0.0, 0.0]), delta=0.0)
 
 
 def test_affinity_matrix_validation():
     with pytest.raises(DimensionMismatch):
         AffinityMatrix(values=np.zeros((2, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidValue):
         AffinityMatrix(values=np.array([[0.0, 0.5], [0.4, 0.0]]))  # asymmetric
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidValue):
         AffinityMatrix(values=np.array([[0.0, 1.5], [1.5, 0.0]]))  # out of range
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidValue):
         AffinityMatrix(values=np.array([[0.1, 0.5], [0.5, 0.0]]))  # diagonal
     bad = np.zeros((2, 2))
     bad[0, 1] = bad[1, 0] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteValue):
         AffinityMatrix(values=bad)
+    with pytest.raises(InvalidValue):
+        stats_for([[0.0], [1.0]], [0.0, -1.0])  # negative variance
 
 
 def test_affinity_from_random_stats_is_well_formed():
@@ -235,11 +240,12 @@ def test_eigen_sign_convention():
         assert vectors[lead, j] > 0
 
 
-def test_eigen_failure_and_shape_errors():
+def test_eigen_failure_and_shape_errors(monkeypatch):
     rng = np.random.default_rng(0)
     m = random_symmetric(rng, 30)
-    with pytest.raises(EigensolverFailure):
-        symmetric_eigen(m, max_sweeps=1)
+    monkeypatch.setattr(structure_builder, "_JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(EigensolverFailure, match="within 1 sweeps"):
+        symmetric_eigen(m)
     with pytest.raises(DimensionMismatch):
         symmetric_eigen(np.zeros((2, 3)))
 
@@ -430,8 +436,8 @@ def test_build_recovers_planted_grouping():
 def test_build_accepts_custom_names():
     table, _ = planted_table()
     renamed = FeatureTable(table.features, table.labels, ("w", "x", "y", "z"))
-    built = build_visual_structure(renamed, k=2, seed=0, name="vision")
-    assert built.name == "vision"
+    built = build_visual_structure(renamed, k=2, seed=0)
+    assert built.name == "H_A_k2"
     assert built.subclass_names == ("w", "x", "y", "z")
     with pytest.raises(UnknownLabel):
         FeatureTable(table.features, table.labels, ("only", "two"))

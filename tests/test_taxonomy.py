@@ -14,10 +14,8 @@ from hierfusion.exceptions import (
     UnknownSuperclass,
 )
 from hierfusion.taxonomy import (
-    ROOT,
     LabelStructure,
     StructureSet,
-    augmented_set,
     lca_heights,
     load_structure,
     load_structure_set,
@@ -26,7 +24,14 @@ from hierfusion.taxonomy import (
     structure_to_dict,
     validate_structure,
 )
-from oracles import lca_height, random_structure, superclass_of, tie_distance
+from oracles import (
+    ROOT,
+    augmented_set,
+    lca_height,
+    random_structure,
+    superclass_of,
+    tie_distance,
+)
 
 
 def small_structure(name="t"):
@@ -50,7 +55,7 @@ def test_validate_happy_path():
 def test_superclass_ids_are_namespaced():
     s = small_structure(name="wordnet")
     assert s.superclass_id(0) == "wordnet/animal"
-    assert s.parent_of(2) == "wordnet/vehicle"
+    assert s.superclass_id(s.parent_index[2]) == "wordnet/vehicle"
     assert superclass_of(s, 0) == 0
     assert superclass_of(s, 2) == 1
 
@@ -213,6 +218,20 @@ def test_augmented_overlap_tracks_lca_height():
     assert len(augmented_set(s, 0) & augmented_set(s, 2)) == 1
 
 
+def test_path_set_overlap_is_three_minus_library_lca_height():
+    # The metrics score a pair by 3 - lca_heights; the path-set oracle
+    # counts the shared nodes of the two root-to-leaf paths.
+    rng = np.random.default_rng(29)
+    for i in range(25):
+        n = int(rng.integers(2, 12))
+        s = random_structure(rng, n, name=f"h{i}")
+        a, b = (grid.ravel() for grid in np.meshgrid(np.arange(n), np.arange(n)))
+        heights = lca_heights(s, a, b)
+        overlaps = [len(augmented_set(s, x) & augmented_set(s, y))
+                    for x, y in zip(a.tolist(), b.tolist())]
+        assert (3 - heights).tolist() == overlaps
+
+
 def test_distance_identities_random_structures():
     rng = np.random.default_rng(123)
     for _ in range(50):
@@ -253,15 +272,12 @@ def test_structure_set_basic_access():
     assert len(pair) == 2
     assert pair[1] is b
     assert [s.name for s in pair] == ["a", "b"]
-    assert pair.subclass_count == 3
     assert pair.subclass_names == ("cat", "dog", "car")
 
 
 def test_empty_structure_set_has_no_id_space():
     empty = StructureSet(())
     assert len(empty) == 0
-    with pytest.raises(SubclassSpaceMismatch):
-        empty.subclass_count
     with pytest.raises(SubclassSpaceMismatch):
         empty.subclass_names
 

@@ -11,14 +11,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hierfusion.cli import (
+    BuilderParams,
+    ExperimentConfig,
+    SplitParams,
+    SweepParams,
+    experiment_config_from_dict,
+)
 from hierfusion.exceptions import InvalidConfig
 from hierfusion.features import SyntheticSpec
-from hierfusion.model import (
-    FusionConfig,
-    config_from_dict,
-    init_model,
-    save_checkpoint,
-)
+from hierfusion.model import FusionConfig, init_model, save_checkpoint
 from hierfusion.taxonomy import StructureSet
 
 
@@ -32,9 +34,18 @@ from hierfusion.taxonomy import StructureSet
     lambda: FusionConfig(stage_dims=range(3, 5)),
     lambda: SyntheticSpec(dim=2.5),
     lambda: SyntheticSpec(noise_scale=float("nan")),
+    lambda: SplitParams(fraction="abc"),
+    lambda: SplitParams(fraction=0.5, seed=-3),
+    lambda: BuilderParams(k="x"),
+    lambda: BuilderParams(delta=True),
+    lambda: SweepParams(axis="lambda", values=(0.1,), seeds=(1.5,)),
+    lambda: ExperimentConfig(seed="x"),
+    lambda: ExperimentConfig(structures="a.json"),
 ], ids=["epochs-float", "rate-string", "seed-negative", "epochs-bool",
         "batch-numpy-bool", "stage-dims-matrix", "stage-dims-range", "dim-float",
-        "noise-nan"])
+        "noise-nan", "split-fraction-text", "split-seed-negative", "builder-k-text",
+        "builder-delta-bool", "sweep-seed-float", "experiment-seed-text",
+        "experiment-structures-string"])
 def test_python_built_configs_are_typed(make):
     with pytest.raises(InvalidConfig):
         make()
@@ -44,7 +55,11 @@ def test_python_and_json_configs_refuse_alike():
     with pytest.raises(InvalidConfig, match=r"^epochs must be an integer, got 2\.5$"):
         FusionConfig(epochs=2.5)
     with pytest.raises(InvalidConfig, match=r"^model epochs must be an integer"):
-        config_from_dict({"epochs": 2.5})
+        experiment_config_from_dict({"model": {"epochs": 2.5}})
+    with pytest.raises(InvalidConfig, match=r"^seed must be a non-negative integer"):
+        SplitParams(fraction=0.5, seed=-3)
+    with pytest.raises(InvalidConfig, match=r"^split seed must be a non-negative integer"):
+        experiment_config_from_dict({"split": {"fraction": 0.5, "seed": -3}})
 
 
 def test_numpy_scalars_and_vectors_are_accepted():
