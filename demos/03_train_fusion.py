@@ -7,7 +7,12 @@ run with the planted structure attached to the first stage.
 
 import numpy as np
 
-from hierfusion.features import SyntheticSpec, generate_synthetic, train_test_split
+from hierfusion.features import (
+    FeatureTable,
+    SyntheticSpec,
+    generate_synthetic,
+    train_test_split,
+)
 from hierfusion.metrics import PredictionBatch, evaluate
 from hierfusion.model import FusionConfig, gradient_check, predict, train
 from hierfusion.taxonomy import StructureSet
@@ -70,5 +75,6 @@ labels = rng.integers(0, 20, size=8)
 config = FusionConfig(stage_dims=(16, 8), attach_stages=(0,),
                       lambda_total=0.4, learning_rate=9.5, epochs=200,
                       batch_size=960, seed=0)
-err = gradient_check(model, probe, labels, StructureSet((planted,)), config)
+probe_table = FeatureTable(probe, labels, planted.subclass_names)
+err = gradient_check(model, probe_table, StructureSet((planted,)), config)
 print(f"\ngradient check on the trained weights: max relative error {err:.2e}")

@@ -114,10 +114,6 @@ class InvalidConfig(HierFusionError):
     """A model or experiment configuration violates its invariants."""
 
 
-class LabelOutOfRange(HierFusionError):
-    """A training label is outside the head's class range."""
-
-
 class DivergedLoss(HierFusionError):
     """Training produced a non-finite loss.
 

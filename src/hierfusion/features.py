@@ -58,7 +58,7 @@ from .exceptions import (
 )
 from .rng import rng_from_seed
 from .serialization import atomic_text_writer, text_reader
-from .taxonomy import LabelStructure, validate_structure
+from .taxonomy import LabelStructure
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,11 +218,11 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[FeatureTable, LabelStructur
     )
     labels = np.repeat(np.arange(n_sub, dtype=np.int64), spec.samples_per_subclass)
 
-    structure = validate_structure(
+    structure = LabelStructure(
         name="planted",
-        superclasses=[f"s{i}" for i in range(k)],
-        subclass_names=[f"c{i}" for i in range(n_sub)],
-        parent_of={f"c{i}": f"s{i // per}" for i in range(n_sub)},
+        superclasses=tuple(f"s{i}" for i in range(k)),
+        subclass_names=tuple(f"c{i}" for i in range(n_sub)),
+        parent_index=np.arange(n_sub) // per,
     )
     table = FeatureTable(features, labels, structure.subclass_names)
     return table, structure
@@ -238,6 +238,7 @@ def train_test_split(
     ClassTooSmall. Deterministic for a fixed seed; row order within each
     side follows the original table, and both sides keep its name table.
     """
+    fraction, seed = config_real(fraction, "fraction"), config_seed(seed, "seed")
     if not 0.0 < fraction < 1.0:
         raise InvalidSpec("fraction must lie strictly between 0 and 1")
     if table.count == 0:

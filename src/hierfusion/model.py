@@ -64,7 +64,6 @@ from .exceptions import (
     DimensionMismatch,
     DivergedLoss,
     InvalidConfig,
-    LabelOutOfRange,
     NonFiniteValue,
     StructureError,
     SubclassSpaceMismatch,
@@ -418,21 +417,16 @@ def _logits(params, x):
     return acts, sub, supers
 
 
-def _check_labels(labels, k: int) -> None:
-    if labels.min() < 0 or labels.max() >= k:
-        raise LabelOutOfRange(f"labels must lie in [0, {k})")
-
-
 def _cross_entropy_grad(logits, labels):
     """Mean cross-entropy of the softmax and its gradient in the logits.
 
     `logits` is (n, k) with n labels, or (R, n, k) with (R, n) labels;
     the loss is a number, or one per run. Uses the max-shift log-sum-exp
     form row by row, so adding a constant to all logits of a sample
-    changes nothing (up to rounding). Labels must be pre-validated to lie
-    in [0, k) (see _check_labels): they are gathered by flat index, so an
-    out-of-range label would silently read a logit of another sample
-    instead of failing.
+    changes nothing (up to rounding). Labels must lie in [0, k), as the
+    ids of a FeatureTable and the parents of a LabelStructure do: they are
+    gathered by flat index, so an out-of-range label would silently read a
+    logit of another sample instead of failing.
     """
     n, k = logits.shape[-2:]
     shift = logits.max(axis=-1, keepdims=True)
@@ -588,7 +582,8 @@ def train_stacked(configs, tables, structures) -> list[tuple[FusionModel, TrainH
     batch gathers its (R, batch, d) rows from the distinct tables (by
     identity) through a per-run row order, so no epoch copy of the rows is
     made. Labels need no check: each table's ids lie inside its name
-    table, which init_model matches to the run's structures.
+    table, which init_model matches to the run's structures, and each
+    structure's parents lie inside its head's columns.
 
     A run whose loss turns non-finite is DivergedLoss naming its epoch and
     first sample, and its index when R > 1. The other runs keep training
@@ -615,7 +610,6 @@ def train_stacked(configs, tables, structures) -> list[tuple[FusionModel, TrainH
     lambdas = np.array([c.lambdas for c in configs]).reshape(runs, heads).T
     step = np.array([[c.learning_rate] for c in configs])
     shuffles = [rng_from_seed(derive_seed(c.seed, _STREAM_SHUFFLE)) for c in configs]
-    parents = [[np.asarray(s.parent_index) for s in structs] for structs in structures]
     sides = {}  # each distinct table: its rows and the runs that read them
     for r, table in enumerate(tables):
         sides.setdefault(id(table), (table.features, []))[1].append(r)
@@ -635,8 +629,8 @@ def train_stacked(configs, tables, structures) -> list[tuple[FusionModel, TrainH
             for r, (shuffle, table) in enumerate(zip(shuffles, tables)):
                 order[r] = shuffle.permutation(n)
                 ys[0, r] = table.labels[order[r]]
-                for m, parent in enumerate(parents[r]):
-                    ys[1 + m, r] = parent[ys[0, r]]
+                for m, structure in enumerate(structures[r]):
+                    ys[1 + m, r] = structure.parent_index[ys[0, r]]
             total_sum = np.zeros(runs)
             sub_sum = np.zeros(runs)
             super_sums = np.zeros((heads, runs))
@@ -709,8 +703,7 @@ def predict(model: FusionModel, x):
 
 def gradient_check(
     model: FusionModel,
-    features,
-    labels,
+    table: FeatureTable,
     structures: StructureSet,
     config: FusionConfig,
 ) -> float:
@@ -721,7 +714,8 @@ def gradient_check(
     them, otherwise a random subset of that size drawn from
     `_GRADIENT_SEED`. The relative error is |g_a - g_n| / max(1, |g_a| +
     |g_n|), so parameters with a true zero gradient are compared on an
-    absolute scale.
+    absolute scale. The loss is taken on `table`, which, like the
+    structures, must match the model's input width, names and heads.
     """
     if len(structures) != config.structure_count:
         raise InvalidConfig(
@@ -729,16 +723,17 @@ def gradient_check(
         )
     if model.attach_stages != config.attach_stages:
         raise InvalidConfig("model and config disagree on attach stages")
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    y_sub = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    if x.shape[1] != model.input_dim or x.shape[0] != y_sub.size:
-        raise DimensionMismatch("features/labels disagree with the model")
-    _check_labels(y_sub, model.subclass_count)
-    y_supers = [np.asarray(s.parent_index)[y_sub] for s in structures]
-    for labels, count in zip(y_supers, model.superclass_counts):
-        _check_labels(labels, count)
-    # A stack of one run: the batch and its labels gain the run axis.
-    x, y_sub, y_supers = x[None], y_sub[None], [y[None] for y in y_supers]
+    if table.count == 0:
+        raise ClassTooSmall(0, "empty table has no rows to check")
+    if table.dim != model.input_dim:
+        raise DimensionMismatch(f"table dimension {table.dim}, model {model.input_dim}")
+    if {table.subclass_names, *(s.subclass_names for s in structures)} != {
+            model.subclass_names}:
+        raise SubclassSpaceMismatch("the subclass name table is not the model's")
+    if tuple(s.superclass_count for s in structures) != model.superclass_counts:
+        raise DimensionMismatch("superclass counts differ from the model's heads")
+    x, y_sub = table.features[None], table.labels[None]
+    y_supers = [s.parent_index[y_sub] for s in structures]
     lambdas, lam = config.lambdas, config.lambda_total
     params = _Params([model])
     _loss_and_grads(params, x, y_sub, y_supers, lambdas, lam)

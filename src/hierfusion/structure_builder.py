@@ -23,7 +23,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .config import frozen_array, type_fields
+from .config import config_int, config_real, config_seed, frozen_array, type_fields
 from .exceptions import (
     DegeneratePoints,
     DimensionMismatch,
@@ -36,7 +36,7 @@ from .exceptions import (
 )
 from .features import ClassStats, FeatureTable, class_statistics
 from .rng import derive_seed, rng_from_seed
-from .taxonomy import LabelStructure, validate_structure
+from .taxonomy import LabelStructure
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,10 +69,12 @@ class SpectralEmbedding:
     """Unit-norm rows of the top-k eigenvectors of the normalized affinity."""
 
     coords: Annotated[np.ndarray, frozen_array(np.float64, 2)]
-    k: int
+    k: Annotated[int, config_int]
 
     def __post_init__(self):
         type_fields(self)
+        if not np.all(np.isfinite(self.coords)):
+            raise NonFiniteValue("embedding coords contain NaN or infinity")
         if self.coords.shape[1] != self.k:
             raise DimensionMismatch("coords must be an (N, k) matrix")
         if self.k > self.coords.shape[0]:
@@ -107,10 +109,11 @@ def affinity_matrix(stats: ClassStats, delta: float = 1.0) -> AffinityMatrix:
     `delta` is the self-tuning scale of the exponential kernel; the
     default 1 follows the construction this pipeline reproduces.
     """
+    delta = config_real(delta, "delta")
     if delta <= 0:
         raise InvalidConfig(f"delta must be > 0, got {delta!r}")
     dist = class_distance_matrix(stats)
-    values = np.exp(-dist / float(delta))
+    values = np.exp(-dist / delta)
     np.fill_diagonal(values, 0.0)
     return AffinityMatrix(values=values)
 
@@ -251,7 +254,7 @@ def symmetric_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
 
 def spectral_embedding(affinity: AffinityMatrix, k: int) -> SpectralEmbedding:
     """Top-k eigenvectors of D^{-1/2} A D^{-1/2}, rows normalized to unit length."""
-    n = affinity.class_count
+    n, k = affinity.class_count, config_int(k, "k")
     if not 1 <= k <= n:
         raise DimensionMismatch(f"k must lie in [1, {n}], got {k}")
     degrees = affinity.values.sum(axis=1)
@@ -282,9 +285,12 @@ def kmeans(points, k: int, seed: int = 0) -> np.ndarray:
     Ties (distances, restarts) resolve toward the lower index. Returns the
     assignment with the lowest inertia; every cluster is non-empty.
     """
+    k, seed = config_int(k, "k"), config_seed(seed, "seed")
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
+    if not np.all(np.isfinite(pts)):
+        raise NonFiniteValue("k-means points contain NaN or infinity")
     n = pts.shape[0]
     if k < 1 or k > n:
         raise DegeneratePoints(f"need 1 <= k <= {n} points, got k={k}")
@@ -349,14 +355,11 @@ def build_visual_structure(
     affinity = affinity_matrix(stats, delta)
     embedding = spectral_embedding(affinity, k)
     assign = kmeans(embedding.coords, k, seed=seed)
-    return validate_structure(
+    return LabelStructure(
         name=f"H_A_k{k}",
-        superclasses=[f"s{j}" for j in range(k)],
+        superclasses=tuple(f"s{j}" for j in range(k)),
         subclass_names=table.subclass_names,
-        parent_of={
-            sub: f"s{cluster}"
-            for sub, cluster in zip(table.subclass_names, assign.tolist())
-        },
+        parent_index=assign,
     )
 
 

@@ -6,8 +6,8 @@ integer ids; the id space is defined by an ordered name table that every
 structure over the same data must share. Superclass identifiers are
 namespaced by structure name so heterogeneous groupings never collide.
 
-All values here are immutable after validation and safe to share across
-workers.
+Each value here checks itself when built (a LabelStructure its names and
+its tree), and is then immutable and safe to share across workers.
 """
 
 import json
@@ -24,6 +24,7 @@ from .config import (
     type_fields,
 )
 from .exceptions import (
+    DimensionMismatch,
     EmptySuperclass,
     IdOutOfRange,
     OrphanSubclass,
@@ -43,7 +44,8 @@ class LabelStructure:
     parent. `subclass_names` is the name table that defines the id space;
     it must be identical across all structures used together. The name,
     the superclasses and the subclass names follow the name rule of
-    `config_name`, and neither table repeats a name.
+    `config_name`, and neither table repeats a name. The tree: one parent
+    per subclass, each a declared superclass, and no childless superclass.
     """
 
     name: Annotated[str, config_name]
@@ -53,6 +55,21 @@ class LabelStructure:
 
     def __post_init__(self):
         type_fields(self)
+        parent, count = self.parent_index, self.superclass_count
+        where = f"structure {self.name!r}:"
+        if parent.size != self.subclass_count:
+            raise DimensionMismatch(f"{where} needs one parent per subclass")
+        orphans = [self.subclass_names[i] for i in np.flatnonzero(parent < 0)]
+        if orphans:
+            raise OrphanSubclass(f"{where} subclasses without a parent: {orphans}")
+        # Before bincount: it refuses a negative id and allocates up to the largest.
+        past = [self.subclass_names[i] for i in np.flatnonzero(parent >= count)]
+        if past:
+            raise UnknownSuperclass(f"{where} parent past the superclasses: {past}")
+        children = np.bincount(parent, minlength=count)
+        empty = [self.superclasses[i] for i in np.flatnonzero(children == 0)]
+        if empty:
+            raise EmptySuperclass(f"{where} superclasses without children: {empty}")
 
     @property
     def subclass_count(self) -> int:
@@ -93,14 +110,12 @@ class StructureSet:
     def __post_init__(self):
         structures = tuple(self.structures)
         object.__setattr__(self, "structures", structures)
-        if len(structures) > 1:
-            names = structures[0].subclass_names
-            for s in structures[1:]:
-                if s.subclass_names != names:
-                    raise SubclassSpaceMismatch(
-                        f"structure {s.name!r} disagrees with "
-                        f"{structures[0].name!r} on the subclass name table"
-                    )
+        if not all(isinstance(s, LabelStructure) for s in structures):
+            raise StructureError("a structure set holds LabelStructure members only")
+        for s in structures[1:]:
+            if s.subclass_names != structures[0].subclass_names:
+                raise SubclassSpaceMismatch(f"structures {structures[0].name!r} and "
+                                            f"{s.name!r} differ in subclass names")
 
     def __len__(self) -> int:
         return len(self.structures)
@@ -124,40 +139,22 @@ def validate_structure(
     subclass_names,
     parent_of: dict,
 ) -> LabelStructure:
-    """Check the raw structure-file fields and build a LabelStructure.
+    """Build a LabelStructure from the name-keyed fields of a structure file.
 
-    `parent_of` maps subclass name -> superclass name. Every subclass must
-    appear exactly once, every referenced superclass must be declared, and
-    every declared superclass must have at least one child. The names
-    follow the rule LabelStructure enforces.
+    `parent_of` maps subclass name -> superclass name; a name it uses that
+    is not declared is UnknownSubclass or UnknownSuperclass. A subclass it
+    leaves out gets no parent, and the LabelStructure checks the tree.
     """
     super_index = {s: i for i, s in enumerate(superclasses)}
     sub_index = {s: i for i, s in enumerate(subclass_names)}
-
-    for sub in parent_of:
-        if sub not in sub_index:
-            raise UnknownSubclass(
-                f"parent_of references unknown subclass {sub!r}"
-            )
-
     parent = np.full(len(subclass_names), -1, dtype=np.int64)
     for sub, sup in parent_of.items():
+        if sub not in sub_index:
+            raise UnknownSubclass(f"parent_of references unknown subclass {sub!r}")
         if sup not in super_index:
-            raise UnknownSuperclass(
-                f"subclass {sub!r} references unknown superclass {sup!r}"
-            )
+            raise UnknownSuperclass(f"subclass {sub!r} has unknown superclass {sup!r}")
         parent[sub_index[sub]] = super_index[sup]
-    structure = LabelStructure(name, superclasses, subclass_names, parent)
-
-    missing = [structure.subclass_names[i] for i in np.flatnonzero(parent < 0)]
-    if missing:
-        raise OrphanSubclass(f"subclasses without a parent: {missing}")
-
-    children = np.bincount(parent, minlength=structure.superclass_count)
-    empty = [structure.superclasses[i] for i in np.flatnonzero(children == 0)]
-    if empty:
-        raise EmptySuperclass(f"superclasses without children: {empty}")
-    return structure
+    return LabelStructure(name, superclasses, subclass_names, parent)
 
 
 def lca_heights(structure: LabelStructure, c, c_hat) -> np.ndarray:

@@ -238,6 +238,7 @@ def test_06_gradient_check_matrix(capsys):
     rng = np.random.default_rng(3)
     features = rng.normal(size=(8, 4))
     labels = rng.integers(0, 4, size=8)
+    table = FeatureTable(features, labels, ("c0", "c1", "c2", "c3"))
     worst = 0.0
     combos = 0
     for count in range(4):
@@ -251,7 +252,7 @@ def test_06_gradient_check_matrix(capsys):
                     lambda_total=lam, seed=17,
                 )
                 model = init_model(config, structures, 4, ("c0", "c1", "c2", "c3"))
-                err = gradient_check(model, features, labels, structures, config)
+                err = gradient_check(model, table, structures, config)
                 worst = max(worst, err)
                 combos += 1
     elapsed = time.perf_counter() - started

@@ -14,8 +14,9 @@ from hierfusion.exceptions import (
     DimensionMismatch,
     DivergedLoss,
     InvalidConfig,
-    LabelOutOfRange,
     SubclassSpaceMismatch,
+    UnknownLabel,
+    UnknownSuperclass,
 )
 from hierfusion.cli import experiment_config_from_dict
 from hierfusion.features import FeatureTable
@@ -33,7 +34,7 @@ from hierfusion.model import (
     train,
     train_stacked,
 )
-from hierfusion.taxonomy import StructureSet, validate_structure
+from hierfusion.taxonomy import LabelStructure, StructureSet, validate_structure
 from oracles import multi_task_loss as oracle_loss
 
 N_SUB = 4
@@ -632,6 +633,17 @@ def test_predict_batch_form():
     assert out.tolist() == [1] * 5
 
 
+def test_a_parent_past_the_superclasses_never_reaches_training():
+    # Superclass id 2 of a 2-superclass head would be gathered by flat
+    # index from another sample's logits; the structure is refused first.
+    config = FusionConfig(stage_dims=(5, 4), attach_stages=(0,),
+                          lambda_total=0.2, epochs=1, batch_size=40, seed=0)
+    table = toy_table(np.random.default_rng(0))
+    with pytest.raises(UnknownSuperclass):
+        structure = LabelStructure("a", ("s0", "s1"), SUB_NAMES, [0, 1, 1, 2])
+        train(config, table, StructureSet((structure,)))
+
+
 # -- gradient check ----------------------------------------------------------------
 
 def test_gradient_check_fresh_models():
@@ -641,7 +653,7 @@ def test_gradient_check_fresh_models():
     config = FusionConfig(stage_dims=(5, 4), attach_stages=(0, 1),
                           lambda_total=0.2, seed=50)
     model = init_model(config, TWO, 3, SUB_NAMES)
-    err = gradient_check(model, x, y, TWO, config)
+    err = gradient_check(model, FeatureTable(x, y, SUB_NAMES), TWO, config)
     assert err < 1e-6
 
 
@@ -651,20 +663,29 @@ def test_gradient_check_headless_and_zero_input():
     rng = np.random.default_rng(51)
     x = rng.normal(size=(8, 3))
     y = rng.integers(0, N_SUB, size=8)
-    assert gradient_check(model, x, y, NONE, config) < 1e-6
-    zeros = np.zeros((8, 3))
-    assert gradient_check(model, zeros, y, NONE, config) < 1e-6
+    assert gradient_check(model, FeatureTable(x, y, SUB_NAMES), NONE, config) < 1e-6
+    zeros = FeatureTable(np.zeros((8, 3)), y, SUB_NAMES)
+    assert gradient_check(model, zeros, NONE, config) < 1e-6
 
 
 def test_gradient_check_guards():
     config = FusionConfig(stage_dims=(5, 4), seed=1)
     model = init_model(config, NONE, 3, SUB_NAMES)
-    x = np.zeros((2, 3))
-    y = np.array([0, 1])
+    table = FeatureTable(np.zeros((2, 3)), [0, 1], SUB_NAMES)
     with pytest.raises(InvalidConfig):
-        gradient_check(model, x, y, ONE, config)
+        gradient_check(model, table, ONE, config)
     with pytest.raises(DimensionMismatch):
-        gradient_check(model, np.zeros((2, 9)), y, NONE, config)
+        gradient_check(model, FeatureTable(np.zeros((2, 9)), [0, 1], SUB_NAMES),
+                       NONE, config)
+    with pytest.raises(ClassTooSmall):
+        gradient_check(model, FeatureTable(np.zeros((0, 3)), [], SUB_NAMES),
+                       NONE, config)
+    # A head narrower than the structure it is checked with.
+    headed = FusionConfig(stage_dims=(5, 4), attach_stages=(0,), seed=1)
+    model = init_model(headed, ONE, 3, SUB_NAMES)
+    skewed = StructureSet((structure_skewed(),))
+    with pytest.raises(DimensionMismatch):
+        gradient_check(model, table, skewed, headed)
 
 
 # -- checkpoints --------------------------------------------------------------------
@@ -733,16 +754,19 @@ def test_history_csv_format(tmp_path):
 
 @pytest.mark.parametrize("bad", [N_SUB, -1])
 def test_gradient_check_rejects_out_of_range_labels(bad):
-    # Labels are checked once on entry, not per batch; a label of N_SUB
-    # must not read the next sample's logit through the flat gather.
+    # A label outside the model's subclass range never reaches the flat
+    # gather: the table refuses it, and a table whose name table is wider
+    # than the model's is refused by gradient_check.
     config = FusionConfig(stage_dims=(5, 4), attach_stages=(0,),
                           lambda_total=0.2, seed=3)
     model = init_model(config, ONE, 3, SUB_NAMES)
     x = np.ones((3, 3))
-    y = np.array([0, bad, 1])
-    with pytest.raises(LabelOutOfRange):
-        gradient_check(model, x, y, ONE, config)
+    with pytest.raises(UnknownLabel):
+        FeatureTable(x, [0, bad, 1], SUB_NAMES)
+    wider = FeatureTable(x, [0, N_SUB, 1], SUB_NAMES + ("c4",))
+    with pytest.raises(SubclassSpaceMismatch):
+        gradient_check(model, wider, ONE, config)
     headless = FusionConfig(stage_dims=(5, 4), seed=3)
     model = init_model(headless, NONE, 3, SUB_NAMES)
-    with pytest.raises(LabelOutOfRange):
-        gradient_check(model, x, y, NONE, headless)
+    with pytest.raises(SubclassSpaceMismatch):
+        gradient_check(model, wider, NONE, headless)

@@ -25,6 +25,7 @@ from hierfusion.features import (
 from hierfusion import structure_builder
 from hierfusion.structure_builder import (
     AffinityMatrix,
+    SpectralEmbedding,
     _round_robin_schedule,
     adjusted_rand_index,
     affinity_matrix,
@@ -411,6 +412,15 @@ def test_kmeans_degenerate_inputs():
         kmeans(np.array([[0.0], [1.0]]), 3, seed=0)  # k > n
     with pytest.raises(DegeneratePoints):
         kmeans(np.array([[0.0], [1.0]]), 0, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_points_and_coords_are_refused(bad):
+    with pytest.raises(NonFiniteValue):
+        kmeans(np.array([[0.0], [1.0], [bad]]), 2)
+    coords = np.array([[1.0, 0.0], [0.0, 1.0], [bad, 0.0]])
+    with pytest.raises(NonFiniteValue):
+        SpectralEmbedding(coords=coords, k=2)
 
 
 # -- end-to-end construction -----------------------------------------------------

@@ -1,9 +1,15 @@
 """Structure validation, tree distances, and structure (de)serialization."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierfusion.exceptions import (
+    DimensionMismatch,
     DuplicateSubclass,
     EmptySuperclass,
     IdOutOfRange,
@@ -152,6 +158,55 @@ def test_a_structure_built_directly_follows_the_name_rule(fields, error):
     assert (type(caught.value) is DuplicateSubclass) == (error is DuplicateSubclass)
 
 
+@pytest.mark.parametrize("parents, error", [
+    ([0, 1, 1, 2], UnknownSuperclass),
+    ([0, 1, 1, 10**12], UnknownSuperclass),
+    ([0, -1, 1, 1], OrphanSubclass),
+    ([0, 1, 1], DimensionMismatch),
+    ([0, 1, 1, 0, 1], DimensionMismatch),
+    ([0, 0, 0, 0], EmptySuperclass),
+], ids=["parent-past-superclasses", "parent-huge", "parent-negative",
+        "parents-short", "parents-long", "childless-superclass"])
+def test_a_structure_built_directly_follows_the_tree_rule(parents, error):
+    with pytest.raises(error) as caught:
+        LabelStructure("a", ("s0", "s1"), ("c0", "c1", "c2", "c3"), parents)
+    assert type(caught.value) is error
+
+
+def test_an_orphan_is_named_before_a_parent_out_of_range():
+    with pytest.raises(OrphanSubclass, match="c1"):
+        LabelStructure("a", ("s0", "s1"), ("c0", "c1", "c2"), [0, -1, 5])
+
+
+@st.composite
+def _structure_fields(draw):
+    """(superclasses, subclass names, parent index), legal or one fault
+    away: parents one entry short or long, or one past either end."""
+    names = st.lists(st.text("abcxyz", min_size=1, max_size=3), max_size=6, unique=True)
+    superclasses, subclasses = draw(names), draw(names)
+    size = len(subclasses) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    parents = draw(st.lists(st.integers(-1, len(superclasses)),
+                            min_size=max(size, 0), max_size=max(size, 0)))
+    return superclasses, subclasses, parents
+
+
+@settings(max_examples=300, deadline=None)
+@given(_structure_fields())
+def test_every_structure_that_builds_round_trips(fields):
+    superclasses, subclasses, parents = fields
+    try:
+        structure = LabelStructure("h", superclasses, subclasses, parents)
+    except (StructureError, DimensionMismatch):
+        return
+    raw = structure_to_dict(structure)
+    assert validate_structure(raw["name"], raw["superclasses"], raw["subclasses"],
+                              raw["parent_of"]) == structure
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "structure.json"
+        save_structure(structure, path)
+        assert load_structure(path) == structure
+
+
 def test_validate_accepts_inner_spaces_and_unicode():
     s = validate_structure(
         name="t",
@@ -258,6 +313,12 @@ def test_structure_set_rejects_mismatched_name_tables():
     )
     with pytest.raises(SubclassSpaceMismatch):
         StructureSet((a, b))
+
+
+@pytest.mark.parametrize("members", [("a", "b"), (None,), "ab"])
+def test_structure_set_refuses_members_that_are_not_structures(members):
+    with pytest.raises(StructureError, match="LabelStructure"):
+        StructureSet(members)
 
 
 def test_structure_set_basic_access():

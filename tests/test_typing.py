@@ -19,8 +19,9 @@ from hierfusion.cli import (
     experiment_config_from_dict,
 )
 from hierfusion.exceptions import InvalidConfig
-from hierfusion.features import SyntheticSpec
+from hierfusion.features import ClassStats, FeatureTable, SyntheticSpec, train_test_split
 from hierfusion.model import FusionConfig, init_model, save_checkpoint
+from hierfusion.structure_builder import affinity_matrix, kmeans, spectral_embedding
 from hierfusion.taxonomy import StructureSet
 
 
@@ -97,3 +98,24 @@ def test_checkpoint_refuses_a_config_that_does_not_describe_the_model(tmp_path):
         with pytest.raises(InvalidConfig, match="does not describe"):
             save_checkpoint(model, other, path)
     assert list(tmp_path.iterdir()) == []
+
+
+_STATS = ClassStats(means=[[0.0], [1.0], [3.0]], variances=[0.0, 0.0, 0.0])
+_POINTS = np.array([[0.0], [1.0], [3.0]])
+_TABLE = FeatureTable(np.arange(8.0).reshape(4, 2), [0, 0, 1, 1], ("a", "b"))
+
+
+@pytest.mark.parametrize("call, argument", [
+    (lambda: affinity_matrix(_STATS, delta="x"), "delta"),
+    (lambda: affinity_matrix(_STATS, delta=float("nan")), "delta"),
+    (lambda: spectral_embedding(affinity_matrix(_STATS), k="2"), "k"),
+    (lambda: kmeans(_POINTS, k="2"), "k"),
+    (lambda: kmeans(_POINTS, 2, seed=-1), "seed"),
+    (lambda: kmeans(_POINTS, 2, seed=1.5), "seed"),
+    (lambda: train_test_split(_TABLE, fraction="0.5", seed=0), "fraction"),
+    (lambda: train_test_split(_TABLE, 0.5, seed=None), "seed"),
+], ids=["delta-str", "delta-nan", "embedding-k", "kmeans-k", "kmeans-seed-negative",
+        "kmeans-seed-fractional", "split-fraction", "split-seed"])
+def test_library_scalar_arguments_are_typed(call, argument):
+    with pytest.raises(InvalidConfig, match=f"^{argument} "):
+        call()
