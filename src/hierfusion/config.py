@@ -24,6 +24,7 @@ from .exceptions import (
     DimensionMismatch,
     DuplicateSubclass,
     InvalidConfig,
+    InvalidValue,
     StructureError,
 )
 
@@ -150,10 +151,25 @@ def config_choice(options):
 
 def frozen_array(dtype, ndim: int):
     """The type of an array field: the value's own C-ordered, read-only
-    `dtype` copy, which must have `ndim` axes (else DimensionMismatch)."""
+    `dtype` copy, which must have `ndim` axes (else DimensionMismatch).
+    Entries that do not convert, and in an integer field any entry that is
+    not a number of that integer type's range (a fraction, NaN, text, a
+    bool), are InvalidValue."""
+    integral = np.issubdtype(dtype, np.integer)
 
     def typed(value, field: str) -> np.ndarray:
-        array = np.array(value, dtype=dtype, order="C")
+        try:
+            source = np.asarray(value)
+            with np.errstate(invalid="ignore", over="ignore"):
+                array = source.astype(dtype, order="C")
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidValue(f"{field} must hold numbers") from None
+        if integral:
+            if source.dtype.kind not in "iuf":
+                raise InvalidValue(f"{field} must hold integers, got {source.dtype} entries")
+            wrong = source[array != source]
+            if wrong.size:
+                raise InvalidValue(f"{field} must hold integers, got {wrong[0].item()!r}")
         if array.ndim != ndim:
             raise DimensionMismatch(f"{field} must be {ndim}-D, got {array.ndim}-D")
         array.setflags(write=False)

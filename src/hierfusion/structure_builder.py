@@ -9,13 +9,18 @@ vectors plus scalar trace variances), i.e. the expected squared distance
 between independent samples of the two classes. The affinity is
 exp(-dis / delta) with the distance, not its square, and a zero diagonal.
 
-Every stage is deterministic given its seed. The eigensolver is a Jacobi
-rotation scheme in the round-robin (Brent-Luk) pair ordering, which
-applies each round's disjoint rotations as one array update, with a
-declared convergence threshold, so results are reproducible across
+Every stage is deterministic given its seed. `symmetric_eigen` is a
+Jacobi rotation scheme in the round-robin (Brent-Luk) pair ordering,
+which applies each round's disjoint rotations as one array update, with
+a declared convergence threshold, so results are reproducible across
 platforms and reimplementations: it stops once the off-diagonal norm is
 at most `_JACOBI_TOL` times the matrix norm, and fails after
-`_JACOBI_MAX_SWEEPS` sweeps.
+`_JACOBI_MAX_SWEEPS` sweeps. The spectral embedding needs only the top k
+eigenvectors, which `_top_eigen` finds by Chebyshev-filtered subspace
+iteration on a block of p = min(n, 2k + 8) columns from a fixed start
+block, with `symmetric_eigen` solving each p x p Rayleigh-Ritz problem;
+it stops at a declared Ritz-residual tolerance, `_RITZ_TOL`, and fails
+after `_MAX_FILTERS` filter rounds.
 """
 
 from dataclasses import dataclass
@@ -243,17 +248,97 @@ def symmetric_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues = np.diagonal(a)[back]
     vectors = vectors[:n][:, back]
     order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    vectors = vectors[:, order]
-    for j in range(n):
-        lead = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[lead, j] < 0:
-            vectors[:, j] = -vectors[:, j]
-    return eigenvalues, vectors
+    return eigenvalues[order], _lead_positive(vectors[:, order])
+
+
+def _lead_positive(vectors: np.ndarray) -> np.ndarray:
+    """The columns of `vectors`, each negated where its largest-magnitude
+    component (the first, on ties) is negative."""
+    if vectors.size == 0:
+        return vectors
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return np.where(lead < 0.0, -vectors, vectors)
+
+
+_SUBSPACE_SEED = 0  # draws the start block of the top-k eigensolver
+_FILTER_DEGREE = 10  # Chebyshev degree of each filter round
+_RITZ_TOL = 1e-10  # Ritz residual at convergence, relative to the matrix norm
+_MAX_FILTERS = 300  # filter rounds before EigensolverFailure
+
+
+def _chebyshev_filter(
+    matrix: np.ndarray, block: np.ndarray, lower: float, upper: float
+) -> np.ndarray:
+    """T_m(t(matrix)) @ block / T_m(t(1)), m = `_FILTER_DEGREE`.
+
+    t maps the unwanted interval [lower, upper] onto [-1, 1], where the
+    Chebyshev polynomial T_m stays within [-1, 1]; above it T_m grows
+    fast, and dividing by its value at the top eigenvalue 1 keeps every
+    term of the recurrence at most the block's size. The recurrence is
+    carried in ratio form (Zhou & Saad 2007): with center c and radius e
+    of the interval, r_j = T_{j-1}(t(1)) / (e T_j(t(1))) obeys
+    r_1 = 1 / (1 - c) and r_{j+1} = 1 / (2 (1 - c) - e^2 r_j), so nothing
+    overflows and e never divides, even for an interval of width 0.
+    """
+    center, radius2 = (upper + lower) / 2.0, ((upper - lower) / 2.0) ** 2
+    ratio = 1.0 / (1.0 - center)
+    previous, current = block, (matrix @ block - center * block) * ratio
+    for _ in range(_FILTER_DEGREE - 1):
+        following = 1.0 / (2.0 * (1.0 - center) - radius2 * ratio)
+        previous, current = current, (
+            (matrix @ current - center * current) * (2.0 * following)
+            - previous * (radius2 * ratio * following)
+        )
+        ratio = following
+    return current
+
+
+def _top_eigen(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k eigenpairs of a normalized nonnegative affinity N by
+    Chebyshev-filtered subspace iteration (Saad 2011, ch. 5 and 7; Zhou &
+    Saad 2007).
+
+    The spectrum of N lies in [-1, 1] and holds 1, so every other
+    eigenvalue is at least floor = -min(1, sqrt(||N||_F^2 - 1)). A block
+    of p = min(n, 2k + 8) orthonormal columns starts as the QR of a normal
+    block drawn from `_SUBSPACE_SEED`. Each round solves the p x p
+    Rayleigh-Ritz problem with `symmetric_eigen` and stops once the
+    residual ||N V_k - V_k Theta_k||_F of the top k Ritz pairs is at most
+    `_RITZ_TOL` times ||N||_F; otherwise it filters the Ritz vectors over
+    [floor, theta_p], theta_p the smallest Ritz value, and takes the QR of
+    the result. With p = n the first Ritz step is already exact. Needing
+    more than `_MAX_FILTERS` filter rounds raises EigensolverFailure.
+    Returns (eigenvalues, eigenvectors), ordered and sign-fixed as by
+    `symmetric_eigen`.
+    """
+    n = matrix.shape[0]
+    p = min(n, 2 * k + 8)
+    square_norm = (matrix * matrix).sum()
+    tolerance = _RITZ_TOL * np.sqrt(square_norm)
+    floor = -min(1.0, np.sqrt(square_norm - 1.0))
+    block = np.linalg.qr(rng_from_seed(_SUBSPACE_SEED).standard_normal((n, p)))[0]
+    for filters in range(_MAX_FILTERS + 1):
+        image = matrix @ block
+        values, ritz = symmetric_eigen(block.T @ image)
+        vectors = block @ ritz
+        residual = image @ ritz[:, :k] - vectors[:, :k] * values[:k]
+        if np.sqrt((residual * residual).sum()) <= tolerance:
+            return values[:k], _lead_positive(vectors[:, :k])
+        if filters < _MAX_FILTERS:
+            filtered = _chebyshev_filter(matrix, vectors, floor, values[-1])
+            block = np.linalg.qr(filtered)[0]
+    raise EigensolverFailure(
+        f"no convergence within {_MAX_FILTERS} filter rounds (n={n}, k={k})"
+    )
 
 
 def spectral_embedding(affinity: AffinityMatrix, k: int) -> SpectralEmbedding:
-    """Top-k eigenvectors of D^{-1/2} A D^{-1/2}, rows normalized to unit length."""
+    """Top-k eigenvectors of D^{-1/2} A D^{-1/2}, rows normalized to unit length.
+
+    The eigenvectors come from `_top_eigen`, which solves only a block of
+    p = min(n, 2k + 8) columns, each sign-fixed so its largest-magnitude
+    component is positive, as `symmetric_eigen` fixes them.
+    """
     n, k = affinity.class_count, config_int(k, "k")
     if not 1 <= k <= n:
         raise DimensionMismatch(f"k must lie in [1, {n}], got {k}")
@@ -263,8 +348,7 @@ def spectral_embedding(affinity: AffinityMatrix, k: int) -> SpectralEmbedding:
         raise IsolatedClass(f"classes with zero affinity degree: {isolated.tolist()}")
     inv_sqrt = 1.0 / np.sqrt(degrees)
     normalized = affinity.values * inv_sqrt[:, None] * inv_sqrt[None, :]
-    _, vectors = symmetric_eigen(normalized)
-    coords = vectors[:, :k]
+    _, coords = _top_eigen(normalized, k)
     norms = np.sqrt((coords * coords).sum(axis=1))
     if norms.min() <= 0.0:
         raise IsolatedClass("a class has a zero-norm embedding row")

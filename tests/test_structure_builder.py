@@ -1,5 +1,6 @@
-"""Class distances, affinities, the Jacobi eigensolver, spectral embedding,
-k-means, and end-to-end structure construction."""
+"""Class distances, affinities, the Jacobi eigensolver, the top-k
+subspace eigensolver, spectral embedding, k-means, and end-to-end
+structure construction."""
 
 import math
 
@@ -21,12 +22,15 @@ from hierfusion.features import (
     SyntheticSpec,
     class_statistics,
     generate_synthetic,
+    train_test_split,
 )
 from hierfusion import structure_builder
 from hierfusion.structure_builder import (
     AffinityMatrix,
     SpectralEmbedding,
+    _chebyshev_filter,
     _round_robin_schedule,
+    _top_eigen,
     adjusted_rand_index,
     affinity_matrix,
     build_visual_structure,
@@ -296,12 +300,100 @@ def test_eigen_on_200_class_normalized_affinity():
     spec = SyntheticSpec(superclass_count=10, subclasses_per_superclass=20,
                          samples_per_subclass=20, dim=64, seed=11)
     table, _ = generate_synthetic(spec)
-    affinity = affinity_matrix(class_statistics(table)).values
-    inv_sqrt = 1.0 / np.sqrt(affinity.sum(axis=1))
-    normalized = affinity * inv_sqrt[:, None] * inv_sqrt[None, :]
+    normalized = normalized_affinity(affinity_matrix(class_statistics(table)))
     values, vectors = symmetric_eigen(normalized)
     assert np.abs(normalized @ vectors - vectors * values).max() <= 1e-9
     np.testing.assert_allclose(vectors.T @ vectors, np.eye(200), atol=1e-10)
+
+
+# -- top-k subspace eigensolver ---------------------------------------------------
+
+def normalized_affinity(affinity):
+    inv_sqrt = 1.0 / np.sqrt(affinity.values.sum(axis=1))
+    return affinity.values * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
+def random_class_affinity(seed, dim, delta, n=200):
+    """Classes at random means: an affinity with no cluster gap."""
+    rng = np.random.default_rng(seed)
+    stats = stats_for(rng.normal(size=(n, dim)), rng.uniform(0.1, 1.0, size=n))
+    return affinity_matrix(stats, delta)
+
+
+def wide_table(seed, superclasses=10, per=20):
+    """The induce-wide shape: 64-d, 20 samples a class, the 0.8 training side."""
+    spec = SyntheticSpec(superclass_count=superclasses, subclasses_per_superclass=per,
+                         samples_per_subclass=20, dim=64, superclass_separation=9.0,
+                         subclass_separation=2.5, noise_scale=0.8, seed=seed)
+    table, planted = generate_synthetic(spec)
+    return train_test_split(table, 0.8, seed)[0], planted
+
+
+def assert_top_projector_matches_eigh(matrix, k):
+    values, vectors = _top_eigen(matrix, k)
+    ref_values, ref_vectors = np.linalg.eigh(matrix)
+    top = ref_vectors[:, ::-1][:, :k]
+    np.testing.assert_allclose(values, ref_values[::-1][:k], atol=1e-12)
+    assert np.abs(vectors @ vectors.T - top @ top.T).max() <= 1e-8
+    np.testing.assert_allclose(vectors.T @ vectors, np.eye(k), atol=1e-12)
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(k)]
+    assert np.all(lead > 0)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_top_eigen_matches_eigh_on_clustered_affinities(seed):
+    table, _ = wide_table(seed)
+    assert_top_projector_matches_eigh(
+        normalized_affinity(affinity_matrix(class_statistics(table))), 10)
+
+
+@pytest.mark.parametrize("dim", [2, 8, 64])
+@pytest.mark.parametrize("delta", [1.0, 10.0])
+def test_top_eigen_matches_eigh_without_a_cluster_gap(dim, delta):
+    assert_top_projector_matches_eigh(
+        normalized_affinity(random_class_affinity(0, dim, delta)), 10)
+
+
+def test_top_eigen_matches_eigh_on_a_near_flat_spectrum():
+    matrix = normalized_affinity(random_class_affinity(1, 64, 1.0))
+    values = np.linalg.eigvalsh(matrix)[::-1]
+    assert 5e-4 <= values[19] - values[20] <= 2e-3  # lambda_k - lambda_k+1 at k=20
+    assert_top_projector_matches_eigh(matrix, 20)
+
+
+def test_top_eigen_fails_past_the_filter_limit(monkeypatch):
+    matrix = normalized_affinity(random_class_affinity(0, 8, 1.0))
+    monkeypatch.setattr(structure_builder, "_MAX_FILTERS", 1)
+    with pytest.raises(EigensolverFailure, match="within 1 filter rounds"):
+        _top_eigen(matrix, 10)
+
+
+def test_top_eigen_solves_only_the_block(monkeypatch):
+    seen = []
+
+    def spy(matrix):
+        seen.append(np.shape(matrix))
+        return symmetric_eigen(matrix)
+
+    monkeypatch.setattr(structure_builder, "symmetric_eigen", spy)
+    table, _ = wide_table(5)
+    build_visual_structure(table, k=10, seed=5)
+    assert seen and set(seen) == {(28, 28)}
+
+
+@pytest.mark.parametrize("lower, upper", [(-0.5, 0.3), (-1.0, -1.0), (-0.05, 0.9)])
+def test_chebyshev_filter_is_the_scaled_polynomial(lower, upper):
+    points = np.linspace(-1.0, 1.0, 41)
+    filtered = _chebyshev_filter(np.diag(points), np.eye(41), lower, upper)
+    center, radius = (upper + lower) / 2.0, (upper - lower) / 2.0
+    if radius == 0.0:  # the limit of T_m(t(x)) / T_m(t(1)) as the radius vanishes
+        expected = ((points - center) / (1.0 - center)) ** 10
+    else:
+        degree10 = [0.0] * 10 + [1.0]
+        expected = (np.polynomial.chebyshev.chebval((points - center) / radius, degree10)
+                    / np.polynomial.chebyshev.chebval((1.0 - center) / radius, degree10))
+    np.testing.assert_allclose(np.diagonal(filtered), expected, rtol=1e-12, atol=1e-15)
+    assert np.abs(filtered - np.diag(np.diagonal(filtered))).max() == 0.0
 
 
 # -- spectral embedding ---------------------------------------------------------
@@ -334,11 +426,7 @@ def test_embedding_k1_connected_graph_is_constant():
 def test_normalized_affinity_spectrum_bounded():
     rng = np.random.default_rng(13)
     stats = stats_for(rng.normal(size=(7, 3)), rng.uniform(0.1, 1.0, size=7))
-    affinity = affinity_matrix(stats)
-    degrees = affinity.values.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(degrees)
-    normalized = affinity.values * inv_sqrt[:, None] * inv_sqrt[None, :]
-    values, _ = symmetric_eigen(normalized)
+    values, _ = symmetric_eigen(normalized_affinity(affinity_matrix(stats)))
     assert values.max() <= 1.0 + 1e-12
     assert values.min() >= -1.0 - 1e-12
 
@@ -475,6 +563,35 @@ def test_build_k_equals_class_count():
     built = build_visual_structure(table, k=4, seed=0)
     assert built.superclass_count == 4
     assert sorted(built.parent_index.tolist()) == [0, 1, 2, 3]
+
+
+def full_spectrum_assignment(table, k, seed):
+    """k-means on the leading k columns of the full Jacobi eigensystem."""
+    matrix = normalized_affinity(affinity_matrix(class_statistics(table)))
+    coords = symmetric_eigen(matrix)[1][:, :k]
+    return kmeans(coords / np.sqrt((coords * coords).sum(axis=1))[:, None], k, seed)
+
+
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_build_partition_equals_the_full_spectrum_one(seed):
+    table, _ = wide_table(seed)
+    built = build_visual_structure(table, k=10, seed=seed)
+    assert np.array_equal(built.parent_index, full_spectrum_assignment(table, 10, seed))
+    spec = SyntheticSpec(superclass_count=4, subclasses_per_superclass=5,
+                         samples_per_subclass=100, dim=16, superclass_separation=10.0,
+                         subclass_separation=3.0, noise_scale=1.0, seed=seed)
+    table, _ = generate_synthetic(spec)
+    built = build_visual_structure(table, 4, 1.0, seed)
+    assert np.array_equal(built.parent_index, full_spectrum_assignment(table, 4, seed))
+
+
+def test_build_recovers_a_1000_class_partition():
+    spec = SyntheticSpec(superclass_count=50, subclasses_per_superclass=20,
+                         samples_per_subclass=20, dim=64, superclass_separation=9.0,
+                         subclass_separation=2.5, noise_scale=0.8, seed=1)
+    table, planted = generate_synthetic(spec)
+    built = build_visual_structure(table, k=50, seed=1)
+    assert adjusted_rand_index(built.parent_index, planted.parent_index) == 1.0
 
 
 # -- adjusted Rand index ----------------------------------------------------------

@@ -18,11 +18,11 @@ from hierfusion.cli import (
     SweepParams,
     experiment_config_from_dict,
 )
-from hierfusion.exceptions import InvalidConfig
+from hierfusion.exceptions import InvalidConfig, InvalidValue
 from hierfusion.features import ClassStats, FeatureTable, SyntheticSpec, train_test_split
 from hierfusion.model import FusionConfig, init_model, save_checkpoint
 from hierfusion.structure_builder import affinity_matrix, kmeans, spectral_embedding
-from hierfusion.taxonomy import StructureSet
+from hierfusion.taxonomy import LabelStructure, StructureSet
 
 
 @pytest.mark.parametrize("make", [
@@ -119,3 +119,32 @@ _TABLE = FeatureTable(np.arange(8.0).reshape(4, 2), [0, 0, 1, 1], ("a", "b"))
 def test_library_scalar_arguments_are_typed(call, argument):
     with pytest.raises(InvalidConfig, match=f"^{argument} "):
         call()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: LabelStructure("a", ("s0", "s1"), ("c0", "c1"), [0, 1.7]),
+     r"^parent_index must hold integers, got 1\.7$"),
+    (lambda: FeatureTable(np.zeros((2, 1)), [0.5, 1.9], ("a", "b")),
+     r"^labels must hold integers, got 0\.5$"),
+    (lambda: LabelStructure("a", ("s0",), ("c0",), ["x"]), r"^parent_index must hold"),
+    (lambda: LabelStructure("a", ("s0",), ("c0",), ["0"]), r"^parent_index must hold"),
+    (lambda: LabelStructure("a", ("s0",), ("c0",), [True]), r"^parent_index must hold"),
+    (lambda: FeatureTable(np.zeros((1, 1)), [float("nan")], ("a",)), r"^labels must hold"),
+    (lambda: FeatureTable(np.zeros((1, 1)), [2.0 ** 63], ("a",)), r"^labels must hold"),
+    (lambda: FeatureTable(np.zeros((1, 1)), np.array([2 ** 64 - 1], dtype=np.uint64),
+                          ("a",)), r"^labels must hold"),
+    (lambda: FeatureTable([[0.0], [0.0, 1.0]], [0, 0], ("a",)), r"^features must hold"),
+    (lambda: FeatureTable([["x"]], [0], ("a",)), r"^features must hold"),
+], ids=["fraction-parent", "fraction-labels", "text", "digit-text", "bool", "nan",
+        "past-int64-float", "past-int64-uint", "ragged", "text-features"])
+def test_array_fields_refuse_entries_that_are_not_their_numbers(make, message):
+    with pytest.raises(InvalidValue, match=message):
+        make()
+
+
+def test_integer_array_fields_take_integral_numbers():
+    structure = LabelStructure("a", ("s0", "s1"), ("c0", "c1"), [0, 1.0])
+    assert structure.parent_index.dtype == np.int64
+    assert structure.parent_index.tolist() == [0, 1]
+    table = FeatureTable(np.zeros((2, 1)), np.array([1, 0], dtype=np.uint8), ("a", "b"))
+    assert table.labels.tolist() == [1, 0]
