@@ -149,9 +149,10 @@ def config_choice(options):
     return typed
 
 
-def frozen_array(dtype, ndim: int):
+def frozen_array(dtype, ndim: int | None = None):
     """The type of an array field: the value's own C-ordered, read-only
-    `dtype` copy, which must have `ndim` axes (else DimensionMismatch).
+    `dtype` copy, which must have `ndim` axes if given (else
+    DimensionMismatch).
     Entries that do not convert, and in an integer field any entry that is
     not a number of that integer type's range (a fraction, NaN, text, a
     bool), are InvalidValue."""
@@ -170,7 +171,7 @@ def frozen_array(dtype, ndim: int):
             wrong = source[array != source]
             if wrong.size:
                 raise InvalidValue(f"{field} must hold integers, got {wrong[0].item()!r}")
-        if array.ndim != ndim:
+        if ndim is not None and array.ndim != ndim:
             raise DimensionMismatch(f"{field} must be {ndim}-D, got {array.ndim}-D")
         array.setflags(write=False)
         return array

@@ -91,7 +91,7 @@ class IsolatedClass(HierFusionError):
 
 
 class EigensolverFailure(HierFusionError):
-    """The eigensolver did not converge within its iteration budget."""
+    """The eigensolver (LAPACK `eigh`) did not converge."""
 
 
 class DegeneratePoints(HierFusionError):

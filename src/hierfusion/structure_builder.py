@@ -9,18 +9,11 @@ vectors plus scalar trace variances), i.e. the expected squared distance
 between independent samples of the two classes. The affinity is
 exp(-dis / delta) with the distance, not its square, and a zero diagonal.
 
-Every stage is deterministic given its seed. `symmetric_eigen` is a
-Jacobi rotation scheme in the round-robin (Brent-Luk) pair ordering,
-which applies each round's disjoint rotations as one array update, with
-a declared convergence threshold, so results are reproducible across
-platforms and reimplementations: it stops once the off-diagonal norm is
-at most `_JACOBI_TOL` times the matrix norm, and fails after
-`_JACOBI_MAX_SWEEPS` sweeps. The spectral embedding needs only the top k
-eigenvectors, which `_top_eigen` finds by Chebyshev-filtered subspace
-iteration on a block of p = min(n, 2k + 8) columns from a fixed start
-block, with `symmetric_eigen` solving each p x p Rayleigh-Ritz problem;
-it stops at a declared Ritz-residual tolerance, `_RITZ_TOL`, and fails
-after `_MAX_FILTERS` filter rounds.
+Every stage is deterministic given its seed. `symmetric_eigen` is
+numpy's LAPACK `eigh` with a fixed order (eigenvalues descending, stable
+on ties) and a fixed sign (each eigenvector's largest-magnitude component
+positive); the spectral embedding takes its leading k columns. The test
+suite checks it against an independent repeated-squaring eigensolver.
 """
 
 from dataclasses import dataclass
@@ -59,7 +52,7 @@ class AffinityMatrix:
             raise NonFiniteValue("affinity matrix contains non-finite entries")
         if not np.array_equal(values, values.T):
             raise InvalidValue("affinity matrix must be symmetric")
-        if values.min() < 0.0 or values.max() > 1.0:
+        if values.size and (values.min() < 0.0 or values.max() > 1.0):
             raise InvalidValue("affinity entries must lie in [0, 1]")
         if np.any(np.diagonal(values) != 0.0):
             raise InvalidValue("affinity diagonal must be zero")
@@ -123,132 +116,27 @@ def affinity_matrix(stats: ClassStats, delta: float = 1.0) -> AffinityMatrix:
     return AffinityMatrix(values=values)
 
 
-def _round_robin_schedule(n: int) -> np.ndarray:
-    """Slot layout of each round of one round-robin (Brent-Luk) sweep.
-
-    Row r is a permutation of range(m), m = n rounded up to even, whose
-    slots 2k and 2k+1 hold the k-th pair (p, q), p < q, of round r. The
-    pairing is the circle method: index m-1 stays put and meets r, while
-    (r + i) mod (m-1) meets (r - i) mod (m-1) for i = 1..m/2-1, so each
-    unordered pair meets exactly once in the m-1 rounds. For odd n, index
-    m-1 = n is a dummy and whoever it meets sits the round out; n = 0 has
-    one empty round.
-    """
-    m = n + n % 2
-    if m == 0:
-        return np.zeros((1, 0), dtype=np.intp)
-    r = np.arange(m - 1)[:, None]
-    i = np.arange(1, m // 2)[None, :]
-    first = np.hstack([r, (r + i) % (m - 1)])
-    second = np.hstack([np.full_like(r, m - 1), (r - i) % (m - 1)])
-    order = np.empty((m - 1, m), dtype=np.intp)
-    order[:, 0::2] = np.minimum(first, second)
-    order[:, 1::2] = np.maximum(first, second)
-    return order
-
-
-def _rotation_phases(app, aqq, apq) -> np.ndarray:
-    """c + i*s of the Jacobi rotation that zeroes each pair's apq.
-
-    t is the smaller root of t^2 + 2*theta*t - 1 = 0, theta =
-    (aqq - app) / (2 apq); theta == 0 takes t = 1 and apq == 0 skips the
-    rotation (c = 1, s = 0).
-    """
-    skip = apq == 0.0
-    theta = (aqq - app) / np.where(skip, 1.0, 2.0 * apq)
-    t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-    np.negative(t, out=t, where=theta < 0.0)
-    t[skip] = 0.0
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    return c + 1j * (t * c)
-
-
-def _rotate_column_pairs(x: np.ndarray, phase: np.ndarray) -> None:
-    """Rotate columns (2k, 2k+1) of a C-contiguous x in place by phase[k].
-
-    Each row's pair (u, v) read as u + i*v makes the rotation
-    (c*u - s*v, s*u + c*v) the complex product with c + i*s, so every
-    pair of every row turns in one multiply.
-    """
-    pairs = x.view(np.complex128)
-    pairs *= phase
-
-
-_JACOBI_TOL = 1e-10  # off-diagonal norm at convergence, relative to the matrix norm
-_JACOBI_MAX_SWEEPS = 100
-
-
 def symmetric_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix by round-robin Jacobi.
+    """Full eigendecomposition of a symmetric matrix by LAPACK `eigh`.
 
-    Each sweep visits every index pair once, in the round-robin order of
-    Brent & Luk (1985): n-1 rounds (n for odd n) of disjoint pairs, and
-    the rotations of one round are applied together. Returns (eigenvalues,
+    The input is symmetrised as (A + A^T) / 2. Returns (eigenvalues,
     eigenvectors) with eigenvalues descending (stable order on ties) and
     eigenvectors as matching columns, each sign-fixed so its
-    largest-magnitude component is positive. Converges when the
-    off-diagonal Frobenius norm falls below `_JACOBI_TOL` times the matrix
-    scale; exceeding `_JACOBI_MAX_SWEEPS` raises EigensolverFailure. NaN
-    or infinite entries raise NonFiniteValue.
+    largest-magnitude component is positive. Entries that are not numbers
+    raise InvalidValue, NaN or infinite ones NonFiniteValue, and a LAPACK
+    failure to converge EigensolverFailure.
     """
-    a = np.array(matrix, dtype=np.float64)
+    a = frozen_array(np.float64)(matrix, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("matrix must be square")
     if not np.all(np.isfinite(a)):
         raise NonFiniteValue("matrix contains NaN or infinite entries")
-    a = (a + a.T) / 2.0
-    n = a.shape[0]
-    scale = np.sqrt((a * a).sum())
-    threshold = _JACOBI_TOL * max(scale, 1e-300)
-
-    layout = _round_robin_schedule(n)
-    rounds, m = layout.shape
-    slot = np.argsort(layout, axis=1)  # slot[r, i]: where round r seats index i
-    next_slot = np.roll(slot, -1, axis=0)  # the last round hands over to round 0
-    # step[r, j]: round r's slot of the index that the next round seats at j
-    step = np.take_along_axis(slot, np.roll(layout, -1, axis=0), axis=1)
-    p_next = np.take_along_axis(next_slot, layout[:, 0::2], axis=1)
-    q_next = np.take_along_axis(next_slot, layout[:, 1::2], axis=1)
-    # The matrix is kept in the current round's layout on both axes, the
-    # eigenvectors on their columns; an odd n adds a zero dummy row and
-    # column, whose rotations (apq == 0) are exact identities.
-    padded = np.zeros((m, m))
-    padded[:n, :n] = a
-    a = np.ascontiguousarray(padded[layout[0]][:, layout[0]])
-    vectors = np.eye(m).take(layout[0], axis=1)
-
-    converged = False
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = a - np.diag(np.diagonal(a))
-        if np.sqrt((off * off).sum()) <= threshold:
-            converged = True
-            break
-        for r in range(rounds):
-            diag = a.diagonal()
-            phase = _rotation_phases(diag[0::2], diag[1::2], a.diagonal(1)[0::2])
-            # Column update, then the row update as a column update of the
-            # transpose; each transposing copy also moves one axis to the
-            # next round's layout.
-            _rotate_column_pairs(a, phase)
-            _rotate_column_pairs(vectors, phase)
-            a = np.ascontiguousarray(a.T[step[r]])
-            _rotate_column_pairs(a, phase)
-            a = np.ascontiguousarray(a.T[step[r]])
-            a[p_next[r], q_next[r]] = 0.0
-            a[q_next[r], p_next[r]] = 0.0
-            vectors = vectors.take(step[r], axis=1)
-    if not converged:
-        off = a - np.diag(np.diagonal(a))
-        if np.sqrt((off * off).sum()) > threshold:
-            raise EigensolverFailure(
-                f"no convergence within {_JACOBI_MAX_SWEEPS} sweeps (n={n})"
-            )
-
-    back = slot[0, :n]  # from round 0's layout to index order, dummy dropped
-    eigenvalues = np.diagonal(a)[back]
-    vectors = vectors[:n][:, back]
-    order = np.argsort(-eigenvalues, kind="stable")
-    return eigenvalues[order], _lead_positive(vectors[:, order])
+    try:
+        values, vectors = np.linalg.eigh((a + a.T) / 2.0)
+    except np.linalg.LinAlgError as error:
+        raise EigensolverFailure(f"eigh failed (n={a.shape[0]}): {error}") from None
+    order = np.argsort(-values, kind="stable")
+    return values[order], _lead_positive(vectors[:, order])
 
 
 def _lead_positive(vectors: np.ndarray) -> np.ndarray:
@@ -260,84 +148,11 @@ def _lead_positive(vectors: np.ndarray) -> np.ndarray:
     return np.where(lead < 0.0, -vectors, vectors)
 
 
-_SUBSPACE_SEED = 0  # draws the start block of the top-k eigensolver
-_FILTER_DEGREE = 10  # Chebyshev degree of each filter round
-_RITZ_TOL = 1e-10  # Ritz residual at convergence, relative to the matrix norm
-_MAX_FILTERS = 300  # filter rounds before EigensolverFailure
-
-
-def _chebyshev_filter(
-    matrix: np.ndarray, block: np.ndarray, lower: float, upper: float
-) -> np.ndarray:
-    """T_m(t(matrix)) @ block / T_m(t(1)), m = `_FILTER_DEGREE`.
-
-    t maps the unwanted interval [lower, upper] onto [-1, 1], where the
-    Chebyshev polynomial T_m stays within [-1, 1]; above it T_m grows
-    fast, and dividing by its value at the top eigenvalue 1 keeps every
-    term of the recurrence at most the block's size. The recurrence is
-    carried in ratio form (Zhou & Saad 2007): with center c and radius e
-    of the interval, r_j = T_{j-1}(t(1)) / (e T_j(t(1))) obeys
-    r_1 = 1 / (1 - c) and r_{j+1} = 1 / (2 (1 - c) - e^2 r_j), so nothing
-    overflows and e never divides, even for an interval of width 0.
-    """
-    center, radius2 = (upper + lower) / 2.0, ((upper - lower) / 2.0) ** 2
-    ratio = 1.0 / (1.0 - center)
-    previous, current = block, (matrix @ block - center * block) * ratio
-    for _ in range(_FILTER_DEGREE - 1):
-        following = 1.0 / (2.0 * (1.0 - center) - radius2 * ratio)
-        previous, current = current, (
-            (matrix @ current - center * current) * (2.0 * following)
-            - previous * (radius2 * ratio * following)
-        )
-        ratio = following
-    return current
-
-
-def _top_eigen(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k eigenpairs of a normalized nonnegative affinity N by
-    Chebyshev-filtered subspace iteration (Saad 2011, ch. 5 and 7; Zhou &
-    Saad 2007).
-
-    The spectrum of N lies in [-1, 1] and holds 1, so every other
-    eigenvalue is at least floor = -min(1, sqrt(||N||_F^2 - 1)). A block
-    of p = min(n, 2k + 8) orthonormal columns starts as the QR of a normal
-    block drawn from `_SUBSPACE_SEED`. Each round solves the p x p
-    Rayleigh-Ritz problem with `symmetric_eigen` and stops once the
-    residual ||N V_k - V_k Theta_k||_F of the top k Ritz pairs is at most
-    `_RITZ_TOL` times ||N||_F; otherwise it filters the Ritz vectors over
-    [floor, theta_p], theta_p the smallest Ritz value, and takes the QR of
-    the result. With p = n the first Ritz step is already exact. Needing
-    more than `_MAX_FILTERS` filter rounds raises EigensolverFailure.
-    Returns (eigenvalues, eigenvectors), ordered and sign-fixed as by
-    `symmetric_eigen`.
-    """
-    n = matrix.shape[0]
-    p = min(n, 2 * k + 8)
-    square_norm = (matrix * matrix).sum()
-    tolerance = _RITZ_TOL * np.sqrt(square_norm)
-    floor = -min(1.0, np.sqrt(square_norm - 1.0))
-    block = np.linalg.qr(rng_from_seed(_SUBSPACE_SEED).standard_normal((n, p)))[0]
-    for filters in range(_MAX_FILTERS + 1):
-        image = matrix @ block
-        values, ritz = symmetric_eigen(block.T @ image)
-        vectors = block @ ritz
-        residual = image @ ritz[:, :k] - vectors[:, :k] * values[:k]
-        if np.sqrt((residual * residual).sum()) <= tolerance:
-            return values[:k], _lead_positive(vectors[:, :k])
-        if filters < _MAX_FILTERS:
-            filtered = _chebyshev_filter(matrix, vectors, floor, values[-1])
-            block = np.linalg.qr(filtered)[0]
-    raise EigensolverFailure(
-        f"no convergence within {_MAX_FILTERS} filter rounds (n={n}, k={k})"
-    )
-
-
 def spectral_embedding(affinity: AffinityMatrix, k: int) -> SpectralEmbedding:
     """Top-k eigenvectors of D^{-1/2} A D^{-1/2}, rows normalized to unit length.
 
-    The eigenvectors come from `_top_eigen`, which solves only a block of
-    p = min(n, 2k + 8) columns, each sign-fixed so its largest-magnitude
-    component is positive, as `symmetric_eigen` fixes them.
+    The eigenvectors are the leading k columns of `symmetric_eigen`, each
+    sign-fixed so its largest-magnitude component is positive.
     """
     n, k = affinity.class_count, config_int(k, "k")
     if not 1 <= k <= n:
@@ -348,7 +163,7 @@ def spectral_embedding(affinity: AffinityMatrix, k: int) -> SpectralEmbedding:
         raise IsolatedClass(f"classes with zero affinity degree: {isolated.tolist()}")
     inv_sqrt = 1.0 / np.sqrt(degrees)
     normalized = affinity.values * inv_sqrt[:, None] * inv_sqrt[None, :]
-    _, coords = _top_eigen(normalized, k)
+    coords = symmetric_eigen(normalized)[1][:, :k]
     norms = np.sqrt((coords * coords).sum(axis=1))
     if norms.min() <= 0.0:
         raise IsolatedClass("a class has a zero-norm embedding row")
@@ -370,9 +185,11 @@ def kmeans(points, k: int, seed: int = 0) -> np.ndarray:
     assignment with the lowest inertia; every cluster is non-empty.
     """
     k, seed = config_int(k, "k"), config_seed(seed, "seed")
-    pts = np.asarray(points, dtype=np.float64)
+    pts = frozen_array(np.float64)(points, "k-means points")
     if pts.ndim == 1:
         pts = pts[:, None]
+    if pts.ndim != 2:
+        raise DimensionMismatch(f"k-means points must be 1-D or 2-D, got {pts.ndim}-D")
     if not np.all(np.isfinite(pts)):
         raise NonFiniteValue("k-means points contain NaN or infinity")
     n = pts.shape[0]

@@ -157,12 +157,18 @@ def validate_structure(
     return LabelStructure(name, superclasses, subclass_names, parent)
 
 
+_SUBCLASS_IDS = frozen_array(np.int64)
+
+
 def lca_heights(structure: LabelStructure, c, c_hat) -> np.ndarray:
     """Height of each pair's lowest common ancestor above the leaf level:
     0 for the same leaf, 1 for siblings, 2 otherwise; over id arrays of
-    equal shape."""
-    c = np.asarray(c, dtype=np.int64)
-    c_hat = np.asarray(c_hat, dtype=np.int64)
+    equal shape. Ids that are not integers are InvalidValue, and ids of
+    unequal shape DimensionMismatch."""
+    c = _SUBCLASS_IDS(c, "subclass ids")
+    c_hat = _SUBCLASS_IDS(c_hat, "predicted subclass ids")
+    if c.shape != c_hat.shape:
+        raise DimensionMismatch(f"subclass ids of shape {c.shape} and {c_hat.shape}")
     for arr in (c, c_hat):
         if arr.size and (arr.min() < 0 or arr.max() >= structure.subclass_count):
             raise IdOutOfRange(

@@ -245,8 +245,9 @@ def inertia_of(points, assignment):
 
 # -- symmetric eigensystem by repeated squaring and deflation ----------------
 
-def squaring_eigensystem(matrix, seed=0):
-    """Descending eigenvalues and unit eigenvectors of a symmetric matrix.
+def squaring_eigensystem(matrix, seed=0, count=None):
+    """Descending eigenvalues and unit eigenvectors of a symmetric matrix;
+    only the leading `count` pairs (all n when None).
 
     Shift to a positive-definite matrix, isolate the dominant eigenspace
     by repeatedly squaring (each squaring doubles the exponent, so 60
@@ -257,12 +258,13 @@ def squaring_eigensystem(matrix, seed=0):
     a = np.asarray(matrix, dtype=np.float64)
     a = (a + a.T) / 2.0
     n = a.shape[0]
+    count = n if count is None else count
     shift = float(np.sqrt((a * a).sum())) + 1.0
     residual = a + shift * np.eye(n)
     rng = np.random.default_rng(seed)
-    values = np.empty(n)
-    vectors = np.empty((n, n))
-    for i in range(n):
+    values = np.empty(count)
+    vectors = np.empty((n, count))
+    for i in range(count):
         power = residual.copy()
         for _ in range(60):
             peak = np.abs(power).max()

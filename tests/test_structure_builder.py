@@ -1,6 +1,6 @@
-"""Class distances, affinities, the Jacobi eigensolver, the top-k
-subspace eigensolver, spectral embedding, k-means, and end-to-end
-structure construction."""
+"""Class distances, affinities, the eigensolver (numpy's LAPACK `eigh`,
+checked against the repeated-squaring oracle), spectral embedding,
+k-means, and end-to-end structure construction."""
 
 import math
 
@@ -24,13 +24,9 @@ from hierfusion.features import (
     generate_synthetic,
     train_test_split,
 )
-from hierfusion import structure_builder
 from hierfusion.structure_builder import (
     AffinityMatrix,
     SpectralEmbedding,
-    _chebyshev_filter,
-    _round_robin_schedule,
-    _top_eigen,
     adjusted_rand_index,
     affinity_matrix,
     build_visual_structure,
@@ -164,6 +160,10 @@ def test_affinity_matrix_validation():
         AffinityMatrix(values=bad)
     with pytest.raises(InvalidValue):
         stats_for([[0.0], [1.0]], [0.0, -1.0])  # negative variance
+    empty = affinity_matrix(stats_for(np.zeros((0, 2)), np.zeros(0)))
+    assert empty.class_count == 0
+    with pytest.raises(DimensionMismatch, match=r"\[1, 0\]"):
+        spectral_embedding(empty, k=1)
 
 
 def test_affinity_from_random_stats_is_well_formed():
@@ -248,8 +248,12 @@ def test_eigen_sign_convention():
 def test_eigen_failure_and_shape_errors(monkeypatch):
     rng = np.random.default_rng(0)
     m = random_symmetric(rng, 30)
-    monkeypatch.setattr(structure_builder, "_JACOBI_MAX_SWEEPS", 1)
-    with pytest.raises(EigensolverFailure, match="within 1 sweeps"):
+
+    def no_convergence(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(EigensolverFailure, match="did not converge"):
         symmetric_eigen(m)
     with pytest.raises(DimensionMismatch):
         symmetric_eigen(np.zeros((2, 3)))
@@ -260,23 +264,6 @@ def test_eigen_rejects_non_finite_input():
         symmetric_eigen(np.full((3, 3), np.nan))
     with pytest.raises(NonFiniteValue):
         symmetric_eigen([[1.0, np.inf], [np.inf, 1.0]])
-
-
-@pytest.mark.parametrize("n", list(range(10)) + [200])
-def test_round_robin_schedule_meets_every_pair_once(n):
-    order = _round_robin_schedule(n)
-    m = n + n % 2
-    assert order.shape == (max(m - 1, 1), m)
-    for layout in order:
-        # every round seats each index (and the odd-n dummy) exactly once
-        assert sorted(layout.tolist()) == list(range(m))
-    pairs = [
-        (int(p), int(q))
-        for p, q in zip(order[:, 0::2].ravel(), order[:, 1::2].ravel())
-        if q < n
-    ]
-    assert all(p < q for p, q in pairs)
-    assert sorted(pairs) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
 def test_eigen_of_size_zero_and_one():
@@ -306,18 +293,11 @@ def test_eigen_on_200_class_normalized_affinity():
     np.testing.assert_allclose(vectors.T @ vectors, np.eye(200), atol=1e-10)
 
 
-# -- top-k subspace eigensolver ---------------------------------------------------
+# -- test inputs ---------------------------------------------------------------
 
 def normalized_affinity(affinity):
     inv_sqrt = 1.0 / np.sqrt(affinity.values.sum(axis=1))
     return affinity.values * inv_sqrt[:, None] * inv_sqrt[None, :]
-
-
-def random_class_affinity(seed, dim, delta, n=200):
-    """Classes at random means: an affinity with no cluster gap."""
-    rng = np.random.default_rng(seed)
-    stats = stats_for(rng.normal(size=(n, dim)), rng.uniform(0.1, 1.0, size=n))
-    return affinity_matrix(stats, delta)
 
 
 def wide_table(seed, superclasses=10, per=20):
@@ -327,73 +307,6 @@ def wide_table(seed, superclasses=10, per=20):
                          subclass_separation=2.5, noise_scale=0.8, seed=seed)
     table, planted = generate_synthetic(spec)
     return train_test_split(table, 0.8, seed)[0], planted
-
-
-def assert_top_projector_matches_eigh(matrix, k):
-    values, vectors = _top_eigen(matrix, k)
-    ref_values, ref_vectors = np.linalg.eigh(matrix)
-    top = ref_vectors[:, ::-1][:, :k]
-    np.testing.assert_allclose(values, ref_values[::-1][:k], atol=1e-12)
-    assert np.abs(vectors @ vectors.T - top @ top.T).max() <= 1e-8
-    np.testing.assert_allclose(vectors.T @ vectors, np.eye(k), atol=1e-12)
-    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(k)]
-    assert np.all(lead > 0)
-
-
-@pytest.mark.parametrize("seed", [3, 11])
-def test_top_eigen_matches_eigh_on_clustered_affinities(seed):
-    table, _ = wide_table(seed)
-    assert_top_projector_matches_eigh(
-        normalized_affinity(affinity_matrix(class_statistics(table))), 10)
-
-
-@pytest.mark.parametrize("dim", [2, 8, 64])
-@pytest.mark.parametrize("delta", [1.0, 10.0])
-def test_top_eigen_matches_eigh_without_a_cluster_gap(dim, delta):
-    assert_top_projector_matches_eigh(
-        normalized_affinity(random_class_affinity(0, dim, delta)), 10)
-
-
-def test_top_eigen_matches_eigh_on_a_near_flat_spectrum():
-    matrix = normalized_affinity(random_class_affinity(1, 64, 1.0))
-    values = np.linalg.eigvalsh(matrix)[::-1]
-    assert 5e-4 <= values[19] - values[20] <= 2e-3  # lambda_k - lambda_k+1 at k=20
-    assert_top_projector_matches_eigh(matrix, 20)
-
-
-def test_top_eigen_fails_past_the_filter_limit(monkeypatch):
-    matrix = normalized_affinity(random_class_affinity(0, 8, 1.0))
-    monkeypatch.setattr(structure_builder, "_MAX_FILTERS", 1)
-    with pytest.raises(EigensolverFailure, match="within 1 filter rounds"):
-        _top_eigen(matrix, 10)
-
-
-def test_top_eigen_solves_only_the_block(monkeypatch):
-    seen = []
-
-    def spy(matrix):
-        seen.append(np.shape(matrix))
-        return symmetric_eigen(matrix)
-
-    monkeypatch.setattr(structure_builder, "symmetric_eigen", spy)
-    table, _ = wide_table(5)
-    build_visual_structure(table, k=10, seed=5)
-    assert seen and set(seen) == {(28, 28)}
-
-
-@pytest.mark.parametrize("lower, upper", [(-0.5, 0.3), (-1.0, -1.0), (-0.05, 0.9)])
-def test_chebyshev_filter_is_the_scaled_polynomial(lower, upper):
-    points = np.linspace(-1.0, 1.0, 41)
-    filtered = _chebyshev_filter(np.diag(points), np.eye(41), lower, upper)
-    center, radius = (upper + lower) / 2.0, (upper - lower) / 2.0
-    if radius == 0.0:  # the limit of T_m(t(x)) / T_m(t(1)) as the radius vanishes
-        expected = ((points - center) / (1.0 - center)) ** 10
-    else:
-        degree10 = [0.0] * 10 + [1.0]
-        expected = (np.polynomial.chebyshev.chebval((points - center) / radius, degree10)
-                    / np.polynomial.chebyshev.chebval((1.0 - center) / radius, degree10))
-    np.testing.assert_allclose(np.diagonal(filtered), expected, rtol=1e-12, atol=1e-15)
-    assert np.abs(filtered - np.diag(np.diagonal(filtered))).max() == 0.0
 
 
 # -- spectral embedding ---------------------------------------------------------
@@ -566,9 +479,9 @@ def test_build_k_equals_class_count():
 
 
 def full_spectrum_assignment(table, k, seed):
-    """k-means on the leading k columns of the full Jacobi eigensystem."""
+    """k-means on the leading k eigenvectors from the squaring oracle."""
     matrix = normalized_affinity(affinity_matrix(class_statistics(table)))
-    coords = symmetric_eigen(matrix)[1][:, :k]
+    coords = squaring_eigensystem(matrix, count=k)[1]
     return kmeans(coords / np.sqrt((coords * coords).sum(axis=1))[:, None], k, seed)
 
 

@@ -18,11 +18,16 @@ from hierfusion.cli import (
     SweepParams,
     experiment_config_from_dict,
 )
-from hierfusion.exceptions import InvalidConfig, InvalidValue
+from hierfusion.exceptions import DimensionMismatch, InvalidConfig, InvalidValue
 from hierfusion.features import ClassStats, FeatureTable, SyntheticSpec, train_test_split
 from hierfusion.model import FusionConfig, init_model, save_checkpoint
-from hierfusion.structure_builder import affinity_matrix, kmeans, spectral_embedding
-from hierfusion.taxonomy import LabelStructure, StructureSet
+from hierfusion.structure_builder import (
+    affinity_matrix,
+    kmeans,
+    spectral_embedding,
+    symmetric_eigen,
+)
+from hierfusion.taxonomy import LabelStructure, StructureSet, lca_heights
 
 
 @pytest.mark.parametrize("make", [
@@ -103,6 +108,7 @@ def test_checkpoint_refuses_a_config_that_does_not_describe_the_model(tmp_path):
 _STATS = ClassStats(means=[[0.0], [1.0], [3.0]], variances=[0.0, 0.0, 0.0])
 _POINTS = np.array([[0.0], [1.0], [3.0]])
 _TABLE = FeatureTable(np.arange(8.0).reshape(4, 2), [0, 0, 1, 1], ("a", "b"))
+_STRUCTURE = LabelStructure("a", ("s0", "s1"), ("c0", "c1"), [0, 1])
 
 
 @pytest.mark.parametrize("call, argument", [
@@ -135,11 +141,27 @@ def test_library_scalar_arguments_are_typed(call, argument):
                           ("a",)), r"^labels must hold"),
     (lambda: FeatureTable([[0.0], [0.0, 1.0]], [0, 0], ("a",)), r"^features must hold"),
     (lambda: FeatureTable([["x"]], [0], ("a",)), r"^features must hold"),
+    (lambda: symmetric_eigen([["a"]]), r"^matrix must hold numbers$"),
+    (lambda: kmeans([["a"]], 1), r"^k-means points must hold numbers$"),
+    (lambda: kmeans([[0.0], [1.0, 2.0]], 1), r"^k-means points must hold numbers$"),
+    (lambda: lca_heights(_STRUCTURE, [0.9], [0]), r"^subclass ids must hold integers, got 0\.9$"),
+    (lambda: lca_heights(_STRUCTURE, [0], ["1"]), r"^predicted subclass ids must hold"),
 ], ids=["fraction-parent", "fraction-labels", "text", "digit-text", "bool", "nan",
-        "past-int64-float", "past-int64-uint", "ragged", "text-features"])
+        "past-int64-float", "past-int64-uint", "ragged", "text-features", "eigen-text",
+        "kmeans-text", "kmeans-ragged", "lca-fraction", "lca-text"])
 def test_array_fields_refuse_entries_that_are_not_their_numbers(make, message):
     with pytest.raises(InvalidValue, match=message):
         make()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: kmeans(np.zeros((3, 2, 1)), 1), r"^k-means points must be 1-D or 2-D, got 3-D$"),
+    (lambda: lca_heights(_STRUCTURE, [0, 1], [0]), r"^subclass ids of shape \(2,\) and \(1,\)$"),
+    (lambda: lca_heights(_STRUCTURE, [[0, 1]], [0, 1]), r"^subclass ids of shape"),
+], ids=["kmeans-3d", "lca-lengths", "lca-axes"])
+def test_array_arguments_of_the_wrong_shape_are_dimension_mismatches(call, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        call()
 
 
 def test_integer_array_fields_take_integral_numbers():
