@@ -153,10 +153,12 @@ def frozen_array(dtype, ndim: int | None = None):
     """The type of an array field: the value's own C-ordered, read-only
     `dtype` copy, which must have `ndim` axes if given (else
     DimensionMismatch).
-    Entries that do not convert, and in an integer field any entry that is
-    not a number of that integer type's range (a fraction, NaN, text, a
-    bool), are InvalidValue."""
+    Entries that are not numbers (text, even numeric text such as "1.5",
+    bools, other objects), and in an integer field any number outside that
+    integer type's range or not integral (a fraction, NaN), are
+    InvalidValue."""
     integral = np.issubdtype(dtype, np.integer)
+    kind = "integers" if integral else "numbers"
 
     def typed(value, field: str) -> np.ndarray:
         try:
@@ -165,9 +167,9 @@ def frozen_array(dtype, ndim: int | None = None):
                 array = source.astype(dtype, order="C")
         except (TypeError, ValueError, OverflowError):
             raise InvalidValue(f"{field} must hold numbers") from None
+        if source.dtype.kind not in "iuf":
+            raise InvalidValue(f"{field} must hold {kind}, got {source.dtype} entries")
         if integral:
-            if source.dtype.kind not in "iuf":
-                raise InvalidValue(f"{field} must hold integers, got {source.dtype} entries")
             wrong = source[array != source]
             if wrong.size:
                 raise InvalidValue(f"{field} must hold integers, got {wrong[0].item()!r}")

@@ -2,7 +2,9 @@
 
 Every error raised by the library derives from :class:`HierFusionError`,
 so callers (including the CLI) can catch one type. The leaf classes mirror
-the failure modes of the individual modules.
+the failure modes of the individual modules. Every class pickles and
+unpickles to an equal error (same type, fields and message), so an error
+raised in a forked worker (see workers.py) reaches the caller unchanged.
 """
 
 
@@ -79,6 +81,9 @@ class ClassTooSmall(HierFusionError):
         self.class_id = class_id
         super().__init__(message or f"class {class_id} has too few samples")
 
+    def __reduce__(self):
+        return type(self), (self.class_id, self.args[0])
+
 
 class InvalidSpec(HierFusionError):
     """A synthetic-data spec violates its invariants."""
@@ -126,6 +131,9 @@ class DivergedLoss(HierFusionError):
         self.epoch, self.sample, self.run = epoch, sample, run
         where = "" if run is None else f"run {run}: "
         super().__init__(f"{where}non-finite loss at epoch {epoch}, sample {sample}")
+
+    def __reduce__(self):
+        return type(self), (self.epoch, self.sample, self.run)
 
 
 # -- checkpoint / files --------------------------------------------------

@@ -13,24 +13,20 @@ generator plants a known 3-level hierarchy for desk-scale experiments.
 
 A large feature file is converted on every core: its rows are cut into
 contiguous ranges, one per CPU the process may run on, while each keeps
-at least _MIN_RANGE_VALUES values. Range 0 runs in this process and each
-other range in a worker made by ``os.fork`` that leaves through
-``os._exit``. With one range, or where a fork is unsafe (no
-``os.fork``, or a second thread alive), nothing is forked. The split
-changes no byte written and no error raised: the writer appends the
-ranges in order, and the loader reports the error of the earliest
-failing range, with the file's own line numbers, as one pass would.
+at least _MIN_RANGE_VALUES values. The ranges run through the shared
+fork helper, workers.in_parts: range 0 in this process and each other
+range in a forked worker. With one range, or where workers.worker_count
+finds a fork unsafe, nothing is forked. The split changes no byte
+written and no error raised: the writer appends the ranges in order, and
+the loader reports the error of the earliest failing range, with the
+file's own line numbers, as one pass would.
 """
 
-import contextlib
 import itertools
 import math
 import os
-import pickle
 import re
 import shutil
-import signal
-import threading
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,6 +55,7 @@ from .exceptions import (
 from .rng import rng_from_seed
 from .serialization import atomic_text_writer, text_reader
 from .taxonomy import LabelStructure
+from .workers import in_parts, worker_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,107 +280,9 @@ _SCAN_BLOCK_BYTES = 1 << 16
 
 
 def _range_count(values: int) -> int:
-    """How many ranges to convert `values` values in: one per core, each of
-    at least _MIN_RANGE_VALUES, and one where a fork is unsafe (no
-    ``os.fork``, or a second thread that a fork would not copy)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return max(1, min(len(_cpus()), values // _MIN_RANGE_VALUES))
-
-
-def _cpus() -> list:
-    """The CPUs this process may run on; one where that cannot be asked."""
-    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
-
-
-def _in_ranges(count: int, convert) -> list:
-    """[convert(0), ..., convert(count - 1)]: range 0 here, every other
-    range at the same time in a forked worker.
-
-    A worker sends back its result, or the exception it raised, pickled
-    through a pipe, and ends in ``os._exit``, so it runs no exit handler
-    and flushes no buffer of the parent's. The exception of the earliest
-    failing range is raised; the workers of later ranges are then killed.
-    Every worker is reaped before this returns or raises. A range whose
-    fork fails is converted here, after the ranges before it.
-
-    While workers run, range i runs on CPU i of the process's affinity
-    set, and the parent's set is restored after: a kernel that does not
-    balance load across CPUs (a cpuset with ``sched_load_balance`` 0)
-    would otherwise run every worker on its parent's CPU.
-    """
-    if count == 1:
-        return [convert(0)]
-    cpus = _cpus()
-    workers = []
-    try:
-        for index in range(1, count):
-            workers.append(_fork(convert, index, cpus))
-        _run_on({cpus[0]})
-        results = [convert(0)]
-        for index in range(1, count):
-            worker, workers[index - 1] = workers[index - 1], None
-            results.append(convert(index) if worker is None else _join(*worker))
-        return results
-    finally:
-        for worker in workers:
-            if worker is not None:
-                pid, read_end = worker
-                os.close(read_end)
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        _run_on(cpus)
-
-
-def _run_on(cpus) -> None:
-    """Let the calling process run on `cpus` only, where the system allows."""
-    with contextlib.suppress(OSError):
-        os.sched_setaffinity(0, cpus)
-
-
-def _fork(convert, index: int, cpus: list):
-    """(pid, read end of its pipe) of a worker running convert(index) on
-    CPU `index` of `cpus`, or None when the fork fails."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        try:
-            os.close(read_end)
-            _run_on({cpus[index % len(cpus)]})
-            try:
-                outcome = (True, convert(index))
-            except BaseException as exc:
-                outcome = (False, exc)
-            with os.fdopen(write_end, "wb") as pipe:
-                pickle.dump(outcome, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-        finally:
-            os._exit(0)
-    os.close(write_end)
-    return pid, read_end
-
-
-def _join(pid: int, read_end: int):
-    """The result of the worker `pid`, once reaped, or the exception it
-    raised."""
-    try:
-        with os.fdopen(read_end, "rb") as pipe:
-            payload = pipe.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    try:
-        ok, value = pickle.loads(payload)
-    except Exception:
-        raise ChildProcessError(
-            f"a feature-file worker ended without a result (wait status {status})"
-        ) from None
-    if not ok:
-        raise value
-    return value
+    """How many ranges to convert `values` values in: one per part
+    workers.worker_count allows, each of at least _MIN_RANGE_VALUES."""
+    return max(1, min(worker_count(), values // _MIN_RANGE_VALUES))
 
 
 def save_feature_table(table: FeatureTable, path) -> None:
@@ -413,7 +312,7 @@ def save_feature_table(table: FeatureTable, path) -> None:
     try:
         with atomic_text_writer(path) as fh:
             fh.write("label," + ",".join(f"f{j}" for j in range(table.dim)) + "\n")
-            _in_ranges(ranges, convert)
+            in_parts(ranges, convert)
             fh.flush()
             for part in parts:
                 with open(part, "rb") as src:
@@ -476,7 +375,7 @@ def load_feature_table(path, subclass_names=None) -> FeatureTable:
                 return _parse_rows(itertools.islice(lines, counts[index]), first,
                                    path, dim, names)
 
-        features, labels, found, linenos = zip(*_in_ranges(len(firsts), convert))
+        features, labels, found, linenos = zip(*in_parts(len(firsts), convert))
     features = _joined(features)
     if names is None:  # each range numbered the names it met first
         ids = {}

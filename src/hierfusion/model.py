@@ -33,6 +33,15 @@ of a stack is bit-equal to training it alone; `train` is the R = 1 case.
 Runs stack when they share layout shapes, row count, batch size and
 epochs (stack_key); each keeps its own init and shuffle streams.
 
+A stack with enough work trains on every core: its run axis is cut into
+contiguous slices, one per CPU while each holds _MIN_SLICE_WORK, that
+descend at the same time through the shared fork helper
+(workers.in_parts), slice 0 here and each other slice in a forked
+worker. `_descend` trains one slice and returns plain arrays, its rows
+of the (R, P) buffer and its history; train_stacked builds every
+FusionModel and TrainHistory from them in this process. Since every run
+is bit-equal to training it alone, the slicing changes no byte.
+
 A FusionModel carries the subclass name table of its output columns,
 typed by the one name rule like every value holding subclass ids:
 training takes it from the table, and checkpoints store it.
@@ -72,6 +81,7 @@ from .features import FeatureTable
 from .rng import derive_seed, rng_from_seed
 from .serialization import atomic_text_writer, dump_json
 from .taxonomy import StructureSet
+from .workers import in_parts, worker_count
 
 CHECKPOINT_MAGIC = b"hierfusion-checkpoint-v1\n"
 
@@ -87,6 +97,18 @@ _STREAM_SHUFFLE = 1
 _GRADIENT_STEP = 1e-5
 _GRADIENT_SAMPLE = 200
 _GRADIENT_SEED = 0
+
+# The least work worth a slice of a stack, and so a forked worker, of its
+# own, counted as sample-parameter products: epochs x training rows x
+# parameters, summed over the slice's runs. On a 2-core x86-64 host
+# (Python 3.11, numpy 2.4, one BLAS thread), at sweep-lambda's shapes
+# (1600 rows, 64-d input, 3080 parameters, batch 32), two slices broke
+# even at about 40 M a slice: a 2-run stack took 122 ms in one slice or
+# two at 8 epochs (39 M a run) but 15 against 24 ms at 1 epoch, and a
+# 9-run stack took 72 against 66 ms at 2 epochs (44 M a slice) and 313
+# against 235 ms at 8. The fork, the pipe and the runs' shared per-batch
+# cost paid twice make up the difference.
+_MIN_SLICE_WORK = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -362,22 +384,26 @@ class _Params(_Fields):
 
     def __init__(self, models):
         first = models[0]
-        self.layout = _layout(first.stage_count, len(first.attach_stages))
-        self.shapes = [arr.shape for _, arr in _parameters(first)]
+        layout = _layout(first.stage_count, len(first.attach_stages))
         self.values = np.array([
             np.concatenate([arr.ravel() for _, arr in _parameters(model)])
             for model in models
         ])
         self.grad = np.empty_like(self.values)
-        stacked = [(1,) + shape if len(shape) == 1 else shape for shape in self.shapes]
-        self.fields = _parameter_fields(self.layout, _views(self.values, stacked))
-        self.grads = _Fields(_parameter_fields(self.layout, _views(self.grad, stacked)))
+        stacked = [(1,) + arr.shape if arr.ndim == 1 else arr.shape
+                   for _, arr in _parameters(first)]
+        self.fields = _parameter_fields(layout, _views(self.values, stacked))
+        self.grads = _Fields(_parameter_fields(layout, _views(self.grad, stacked)))
         self.attach_stages = first.attach_stages
         super().__init__(self.fields)
 
-    def run_fields(self, run: int) -> dict:
-        """The FusionModel parameter fields of one run, as views of its row."""
-        return _parameter_fields(self.layout, _views(self.values[run], self.shapes))
+
+def _with_values(model: FusionModel, row) -> FusionModel:
+    """`model` with its parameters read from `row`, one run's row of a
+    _Params buffer."""
+    layout = _layout(model.stage_count, len(model.attach_stages))
+    shapes = [arr.shape for _, arr in _parameters(model)]
+    return replace(model, **_parameter_fields(layout, _views(row, shapes)))
 
 
 def _views(buffer, shapes) -> list[np.ndarray]:
@@ -420,16 +446,17 @@ def _logits(params, x):
 def _cross_entropy_grad(logits, labels):
     """Mean cross-entropy of the softmax and its gradient in the logits.
 
-    `logits` is (n, k) with n labels, or (R, n, k) with (R, n) labels;
-    the loss is a number, or one per run. Uses the max-shift log-sum-exp
-    form row by row, so adding a constant to all logits of a sample
-    changes nothing (up to rounding). Labels must lie in [0, k), as the
-    ids of a FeatureTable and the parents of a LabelStructure do: they are
-    gathered by flat index, so an out-of-range label would silently read a
-    logit of another sample instead of failing.
+    `logits` is (R, n, k) with (R, n) labels; the loss is one number per
+    run. Uses the max-shift log-sum-exp form row by row, so adding a
+    constant to all logits of a sample changes nothing (up to rounding).
+    Labels must lie in [0, k), as the ids of a FeatureTable and the
+    parents of a LabelStructure do: they are gathered by flat index, so an
+    out-of-range label would silently read a logit of another sample
+    instead of failing.
     """
-    n, k = logits.shape[-2:]
-    shift = logits.max(axis=-1, keepdims=True)
+    _, n, k = logits.shape
+    # max over a class-major copy: k whole-array maxima, not R * n short rows
+    shift = logits.transpose(2, 0, 1).copy().max(axis=0)[..., None]
     exp = logits - shift
     np.exp(exp, out=exp)
     denom = exp.sum(axis=-1, keepdims=True)
@@ -463,24 +490,26 @@ def _weighted_loss(sub_logits, super_logits, y_sub, y_supers, lambdas, lam):
     return (total, sub_loss, per), sub_grad, grads
 
 
-def _per_run(weight):
-    """A per-run weight (a number, or an (R,) vector) shaped to scale
-    (n, k) or (R, n, k) logit gradients run by run."""
-    return np.reshape(weight, np.shape(weight) + (1, 1))
+def _gradient_scales(lambdas, lam):
+    """(1 - lam, [lambdas[m], ...]) shaped to scale (R, n, k) logit
+    gradients run by run, from numbers or (R,) vectors; made once per
+    stack rather than once per batch."""
+    return [np.reshape(w, np.shape(w) + (1, 1)) for w in (1.0 - lam, *lambdas)]
 
 
-def _loss_and_grads(params, x, y_sub, y_supers, lambdas, lam):
+def _loss_and_grads(params, x, y_sub, y_supers, lambdas, lam, scales):
     """One forward/backward pass of a stack of runs; returns (losses, sub_logits).
 
     `params` is a _Params, `x` the (R, n, d) stack of batches, `y_sub`
     (R, n) and each `y_supers[m]` (R, n); `lam` and each `lambdas[m]`
-    hold one weight per run. `losses` is (total, subclass, per-structure
-    list), each an (R,) vector; the gradient is written into params.grads.
-    Head gradients enter the trunk at their attach stage scaled by their
-    loss weight, so a zero-weight head contributes exactly zero. `lam` is
-    the total weight taken from the subclass term. Each stage's activation
-    gradient starts from its first contribution and adds the rest in the
-    fixed order subclass head, superclass heads, stage above.
+    hold one weight per run, and `scales` is their _gradient_scales.
+    `losses` is (total, subclass, per-structure list), each an (R,)
+    vector; the gradient is written into params.grads. Head gradients
+    enter the trunk at their attach stage scaled by their loss weight, so
+    a zero-weight head contributes exactly zero. `lam` is the total weight
+    taken from the subclass term. Each stage's activation gradient starts
+    from its first contribution and adds the rest in the fixed order
+    subclass head, superclass heads, stage above.
     """
     acts, sub_logits, super_logits = _logits(params, x)
     losses, sub_grad, super_grads = _weighted_loss(
@@ -496,13 +525,13 @@ def _loss_and_grads(params, x, y_sub, y_supers, lambdas, lam):
             d_acts[stage] += back
 
     g = params.grads
-    sub_grad *= _per_run(1.0 - lam)
+    sub_grad *= scales[0]
     np.matmul(acts[-1].swapaxes(-1, -2), sub_grad, out=g.subclass_weight)
     np.add.reduce(sub_grad, axis=-2, keepdims=True, out=g.subclass_bias)
     d_acts[-1] = sub_grad @ params.subclass_weight.swapaxes(-1, -2)
     for m, stage in enumerate(params.attach_stages):
         scaled = super_grads[m]
-        scaled *= _per_run(lambdas[m])
+        scaled *= scales[1 + m]
         np.matmul(acts[stage].swapaxes(-1, -2), scaled, out=g.super_weights[m])
         np.add.reduce(scaled, axis=-2, keepdims=True, out=g.super_biases[m])
         add_back(stage, scaled @ params.super_weights[m].swapaxes(-1, -2))
@@ -590,6 +619,17 @@ def train_stacked(configs, tables, structures) -> list[tuple[FusionModel, TrainH
     until no run earlier in the stack can still diverge, so the error
     names the first diverging run in stack order; floating-point warnings
     of a diverging run are not printed.
+
+    The runs are cut into contiguous slices, one per part that
+    workers.worker_count allows (one per CPU where a fork is safe) while
+    each holds _MIN_SLICE_WORK, and the slices descend at the same time
+    through workers.in_parts: slice 0 in this process, each other slice
+    in a forked worker that sends back its rows of the parameter buffer
+    and its history arrays. Every run does the arithmetic it does in any
+    stack, so the split changes no byte, and a lone run never forks. A
+    diverging slice raises the error of its first diverging run by its
+    index in the whole stack, and the earliest failing slice's error
+    wins, so the error is that of one stack.
     """
     runs = len(configs)
     if runs == 0 or not runs == len(tables) == len(structures):
@@ -602,13 +642,51 @@ def train_stacked(configs, tables, structures) -> list[tuple[FusionModel, TrainH
         raise ClassTooSmall(0, "empty table has no rows to train on")
     models = [init_model(c, s, t.dim, t.subclass_names)
               for c, t, s in zip(configs, tables, structures)]
+    size = sum(arr.size for _, arr in _parameters(models[0]))
+    work = runs * configs[0].epochs * tables[0].count * size
+    slices = max(1, min(runs, worker_count(), work // _MIN_SLICE_WORK))
+    bounds = [runs * i // slices for i in range(slices + 1)]
+
+    def descend(index):
+        part = slice(bounds[index], bounds[index + 1])
+        return _descend(configs[part], tables[part], structures[part], models[part],
+                        bounds[index], runs)
+
+    values, hist_total, hist_sub, hist_super, hist_acc = (
+        np.concatenate(arrays) for arrays in zip(*in_parts(slices, descend))
+    )
+    return [
+        (
+            _with_values(model, values[r]),
+            TrainHistory(
+                total_loss=hist_total[r],
+                subclass_loss=hist_sub[r],
+                super_losses=hist_super[r],
+                train_accuracy=hist_acc[r],
+                structure_names=model.structure_names,
+            ),
+        )
+        for r, model in enumerate(models)
+    ]
+
+
+def _descend(configs, tables, structures, models, offset: int, stack: int):
+    """Train the runs `models`, runs offset.. of a stack of `stack` runs;
+    (parameter rows, total, subclass, per-structure losses, accuracy).
+
+    Row r of each array belongs to run r of the slice: its (P,) parameters
+    in the canonical layout and its per-epoch history. A run whose loss
+    turns non-finite is DivergedLoss named by its index in the whole stack.
+    """
+    runs = len(configs)
     params = _Params(models)
     heads = configs[0].structure_count
     n = tables[0].count
     batch, epochs = configs[0].batch_size, configs[0].epochs
     lam = np.array([c.lambda_total for c in configs])
     lambdas = np.array([c.lambdas for c in configs]).reshape(runs, heads).T
-    step = np.array([[c.learning_rate] for c in configs])
+    scales = _gradient_scales(lambdas, lam)
+    steps = list(zip(params.grad, [c.learning_rate for c in configs]))
     shuffles = [rng_from_seed(derive_seed(c.seed, _STREAM_SHUFFLE)) for c in configs]
     sides = {}  # each distinct table: its rows and the runs that read them
     for r, table in enumerate(tables):
@@ -639,41 +717,29 @@ def train_stacked(configs, tables, structures) -> list[tuple[FusionModel, TrainH
                 size = rows.shape[1]
                 by = ys[:, :, start : start + batch]
                 (total, sub_loss, per), sub_logits = _loss_and_grads(
-                    params, _gather(sides, rows), by[0], by[1:], lambdas, lam
+                    params, _gather(sides, rows), by[0], by[1:], lambdas, lam, scales
                 )
                 if not math.isfinite(total.sum()):  # one test for every run
                     finite = np.isfinite(total)
                     for r in np.flatnonzero(~finite):
                         diverged.setdefault(int(r), (epoch, start))
                     if 0 in diverged:  # no earlier run is left to diverge
-                        raise _diverged(diverged, runs)
-                predicted[:, start : start + batch] = sub_logits.argmax(axis=-1)
+                        raise _diverged(diverged, offset, stack)
+                sub_logits.argmax(axis=-1, out=predicted[:, start : start + batch])
                 total_sum += total * size
                 sub_sum += sub_loss * size
                 for m, loss_m in enumerate(per):
                     super_sums[m] += loss_m * size
-                params.grad *= step
+                for grad, rate in steps:
+                    grad *= rate
                 params.values -= params.grad
             hist_total[:, epoch] = total_sum / n
             hist_sub[:, epoch] = sub_sum / n
             hist_super[:, epoch] = (super_sums / n).T
             hist_acc[:, epoch] = np.count_nonzero(predicted == ys[0], axis=1) / n
     if diverged:
-        raise _diverged(diverged, runs)
-
-    return [
-        (
-            replace(model, **params.run_fields(r)),
-            TrainHistory(
-                total_loss=hist_total[r],
-                subclass_loss=hist_sub[r],
-                super_losses=hist_super[r],
-                train_accuracy=hist_acc[r],
-                structure_names=model.structure_names,
-            ),
-        )
-        for r, model in enumerate(models)
-    ]
+        raise _diverged(diverged, offset, stack)
+    return params.values, hist_total, hist_sub, hist_super, hist_acc
 
 
 def _gather(sides, rows) -> np.ndarray:
@@ -687,10 +753,11 @@ def _gather(sides, rows) -> np.ndarray:
     return batch
 
 
-def _diverged(diverged: dict, runs: int) -> DivergedLoss:
-    """The error of the first run in stack order among `diverged`."""
+def _diverged(diverged: dict, offset: int, stack: int) -> DivergedLoss:
+    """The error of the first run in stack order among `diverged`, the
+    runs of a slice starting at run `offset` of a `stack`-run stack."""
     run = min(diverged)
-    return DivergedLoss(*diverged[run], run if runs > 1 else None)
+    return DivergedLoss(*diverged[run], offset + run if stack > 1 else None)
 
 
 def predict(model: FusionModel, x):
@@ -736,7 +803,8 @@ def gradient_check(
     y_supers = [s.parent_index[y_sub] for s in structures]
     lambdas, lam = config.lambdas, config.lambda_total
     params = _Params([model])
-    _loss_and_grads(params, x, y_sub, y_supers, lambdas, lam)
+    _loss_and_grads(params, x, y_sub, y_supers, lambdas, lam,
+                    _gradient_scales(lambdas, lam))
     values, grad = params.values[0], params.grad[0]
 
     def total_loss() -> float:

@@ -40,6 +40,7 @@ from hierfusion.taxonomy import (
     validate_structure,
 )
 from test_features import many_ranges, one_range
+from test_model import many_slices, one_slice
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -319,6 +320,22 @@ def test_sweep_lambda_rows_and_means(tmp_path):
     rows = [line.split(",") for line in lines[1:4]]
     acc = (float(rows[0][2]) + float(rows[1][2])) / 2.0
     assert abs(float(rows[2][2]) - acc) < 1e-15
+
+
+def test_a_sweep_in_many_slices_writes_the_one_slice_csv(tmp_path):
+    data = gen_dataset(tmp_path)
+
+    def sweep(tag):
+        out = tmp_path / tag
+        config = write_config(tmp_path / f"{tag}.json", sweep_base(tmp_path, data, out))
+        assert run("sweep", "--config", config, "--axis", "lambda",
+                   "--values", "0.0,0.2,0.4", "--seeds", "0,1,2") == 0
+        return (out / "sweep_lambda.csv").read_bytes()
+
+    with many_slices(9) as forks:
+        split = sweep("split")
+    assert len(forks) == 8  # the nine runs share one stack, one run a slice
+    assert split == one_slice(lambda: sweep("one"))
 
 
 def test_sweep_k_reports_best(tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hierfusion import features
+from hierfusion import features, workers
 from hierfusion.exceptions import (
     ClassTooSmall,
     DimensionMismatch,
@@ -478,9 +478,10 @@ def test_csv_single_column_empty_cell_is_malformed(tmp_path):
 # -- the codec in row ranges --------------------------------------------------
 
 @contextlib.contextmanager
-def many_ranges():
-    """Split every feature file into up to 4 ranges, however small, and
-    yield the pids of the workers forked meanwhile."""
+def counted_forks(count):
+    """Let work split as if the process could run on `count` CPUs, and
+    yield the pids of the workers forked meanwhile; none of them is left
+    to reap after the block."""
     forks = []
     real_fork = os.fork
 
@@ -491,17 +492,22 @@ def many_ranges():
         return pid
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(features, "_MIN_RANGE_VALUES", 1)
-        patch.setattr(features, "_SCAN_BLOCK_BYTES", 64)
-        patch.setattr(features, "_cpus", lambda: [0, 1, 2, 3])
+        patch.setattr(workers, "cpus", lambda: list(range(count)))
         patch.setattr(os, "fork", counting_fork)
         yield forks
-    _assert_no_worker_left()
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
-def _assert_no_worker_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@contextlib.contextmanager
+def many_ranges():
+    """Split every feature file into up to 4 ranges, however small, and
+    yield the pids of the workers forked meanwhile."""
+    with counted_forks(4) as forks, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(features, "_MIN_RANGE_VALUES", 1)
+        patch.setattr(features, "_SCAN_BLOCK_BYTES", 64)
+        yield forks
 
 
 def one_range(call):

@@ -1,13 +1,16 @@
 """Fusion model: configuration, initialization, forward/loss/backward,
 training, prediction, the finite-difference gradient check, and checkpoints."""
 
+import contextlib
 import math
+import threading
 import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from hierfusion import model as model_module
 from hierfusion.exceptions import (
     CheckpointError,
     ClassTooSmall,
@@ -36,6 +39,7 @@ from hierfusion.model import (
 )
 from hierfusion.taxonomy import LabelStructure, StructureSet, validate_structure
 from oracles import multi_task_loss as oracle_loss
+from test_features import counted_forks
 
 N_SUB = 4
 SUB_NAMES = ("c0", "c1", "c2", "c3")
@@ -468,7 +472,8 @@ def assert_same_run(stacked, alone):
         assert np.array_equal(getattr(history, field), getattr(ref_history, field)), field
 
 
-def test_stacked_runs_match_separate_training_bit_for_bit():
+def eight_runs():
+    """Eight runs that share a stack key and differ in every other input."""
     rng = np.random.default_rng(80)
     table_a, table_b = toy_table(rng, n=45), toy_table(rng, n=45)
     base = dict(stage_dims=(6, 4), attach_stages=(0, 1), epochs=4, batch_size=8)
@@ -486,6 +491,11 @@ def test_stacked_runs_match_separate_training_bit_for_bit():
         (FusionConfig(**base, lambda_total=0.3, seed=1), table_a, crossed_skewed),
         (FusionConfig(**base, lambda_total=0.1, seed=3), table_b, crossed_skewed),
     ]
+    return runs
+
+
+def test_stacked_runs_match_separate_training_bit_for_bit():
+    runs = eight_runs()
     stacked = train_stacked(*zip(*runs))
     assert len(stacked) == len(runs)
     for result, run in zip(stacked, runs):
@@ -575,13 +585,20 @@ def lone_error(config, table):
     return lone.value
 
 
-@pytest.mark.parametrize("order, first", [
+DIVERGING_STACKS = pytest.mark.parametrize("order, first", [
     (("fine", "late", "early"), 1),
     (("fine", "early", "late"), 1),
     (("fine", "fine", "early"), 2),
     (("early", "fine", "late"), 0),
 ])
+
+
+@DIVERGING_STACKS
 def test_stack_names_its_first_diverging_run(capfd, order, first):
+    assert_names_first_diverging_run(capfd, order, first)
+
+
+def assert_names_first_diverging_run(capfd, order, first):
     table, *configs = diverging_stack_runs()
     by_name = dict(zip(("fine", "late", "early"), configs))
     stack = [by_name[name] for name in order]
@@ -597,6 +614,72 @@ def test_stack_names_its_first_diverging_run(capfd, order, first):
     assert stacked.value.run == first
     assert (stacked.value.epoch, stacked.value.sample) == (alone.epoch, alone.sample)
     assert str(stacked.value) == f"run {first}: {alone}"
+
+
+# -- a stack in slices ---------------------------------------------------------------
+
+@contextlib.contextmanager
+def many_slices(count):
+    """Cut every stack into up to `count` slices, however little work
+    each holds, and yield the pids of the workers forked meanwhile."""
+    with counted_forks(count) as forks, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_module, "_MIN_SLICE_WORK", 1)
+        yield forks
+
+
+def one_slice(call):
+    """call() with every stack in one slice."""
+    with many_slices(1) as forks:
+        result = call()
+    assert forks == []
+    return result
+
+
+@pytest.mark.parametrize("slices", [2, 3, 8])
+def test_a_stack_in_slices_is_bit_equal_to_one_slice_and_to_lone_runs(slices):
+    runs = eight_runs()
+    whole = one_slice(lambda: train_stacked(*zip(*runs)))
+    with many_slices(slices) as forks:
+        split = train_stacked(*zip(*runs))
+        alone = [train(*run) for run in runs]
+    assert len(forks) == slices - 1
+    for result, unsplit, lone in zip(split, whole, alone):
+        assert_same_run(result, unsplit)
+        assert_same_run(result, lone)
+
+
+@pytest.mark.parametrize("slices", [2, 3])
+@DIVERGING_STACKS
+def test_a_stack_in_slices_names_its_first_diverging_run(capfd, order, first, slices):
+    with many_slices(slices) as forks:
+        assert_names_first_diverging_run(capfd, order, first)
+    # a fork per slice after the first, for the lone runs and the stack
+    assert len(forks) == slices - 1
+
+
+def test_a_stack_stays_in_process_while_a_second_thread_runs():
+    runs = eight_runs()[:3]
+    whole = one_slice(lambda: train_stacked(*zip(*runs)))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        with many_slices(3) as forks:
+            split = train_stacked(*zip(*runs))
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    for result, unsplit in zip(split, whole):
+        assert_same_run(result, unsplit)
+
+
+def test_a_lone_run_never_forks():
+    run = eight_runs()[0]
+    with many_slices(4) as forks:
+        train(*run)
+    assert forks == []
 
 
 # -- prediction -------------------------------------------------------------------

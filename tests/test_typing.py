@@ -146,9 +146,13 @@ def test_library_scalar_arguments_are_typed(call, argument):
     (lambda: kmeans([[0.0], [1.0, 2.0]], 1), r"^k-means points must hold numbers$"),
     (lambda: lca_heights(_STRUCTURE, [0.9], [0]), r"^subclass ids must hold integers, got 0\.9$"),
     (lambda: lca_heights(_STRUCTURE, [0], ["1"]), r"^predicted subclass ids must hold"),
+    (lambda: FeatureTable([["1.5"]], [0], ("a",)), r"^features must hold numbers, got <U3"),
+    (lambda: symmetric_eigen([["2"]]), r"^matrix must hold numbers, got <U1 entries$"),
+    (lambda: kmeans(["0", "1"], 2), r"^k-means points must hold numbers, got <U1"),
 ], ids=["fraction-parent", "fraction-labels", "text", "digit-text", "bool", "nan",
         "past-int64-float", "past-int64-uint", "ragged", "text-features", "eigen-text",
-        "kmeans-text", "kmeans-ragged", "lca-fraction", "lca-text"])
+        "kmeans-text", "kmeans-ragged", "lca-fraction", "lca-text", "numeric-text-features",
+        "eigen-numeric-text", "kmeans-numeric-text"])
 def test_array_fields_refuse_entries_that_are_not_their_numbers(make, message):
     with pytest.raises(InvalidValue, match=message):
         make()
