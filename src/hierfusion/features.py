@@ -20,8 +20,20 @@ finds a fork unsafe, nothing is forked. The split changes no byte
 written and no error raised: the writer appends the ranges in order, and
 the loader reports the error of the earliest failing range, with the
 file's own line numbers, as one pass would.
+
+Beside each feature file it writes, save_feature_table leaves a binary
+twin, the hidden ``.<name>.table``: the SHA-256 of the file's bytes and
+its rows as raw float64 features and int64 label ids, with the names in
+first-appearance order, closed by the SHA-256 of the twin's own bytes.
+load_feature_table builds the table from the twin while the recorded hash
+is that of the file and the closing one that of the twin, and parses the
+text otherwise, as Python uses a hash-checked ``.pyc`` only while its
+source is unchanged. The twin changes no table and no error: a stale,
+damaged or missing twin is a cache miss, so deleting it is always safe,
+and a file from another extractor, which has none, is parsed as before.
 """
 
+import hashlib
 import itertools
 import math
 import os
@@ -53,7 +65,12 @@ from .exceptions import (
     UnknownLabel,
 )
 from .rng import rng_from_seed
-from .serialization import atomic_text_writer, text_reader
+from .serialization import (
+    atomic_text_writer,
+    frame_head,
+    read_frame,
+    text_reader,
+)
 from .taxonomy import LabelStructure
 from .workers import in_parts, worker_count
 
@@ -278,6 +295,14 @@ _MIN_RANGE_VALUES = 200_000
 # The feature file is scanned for line breaks in blocks of this many bytes.
 _SCAN_BLOCK_BYTES = 1 << 16
 
+# The first line of a feature file's binary twin (see save_feature_table).
+TABLE_MAGIC = b"hierfusion-table-v1\n"
+
+# A feature file is hashed in blocks of this many bytes, below the C
+# allocator's 128 kB mmap threshold: freeing 1 MB blocks raised that
+# threshold and with it the peak RSS of a later sweep by about 1 MB.
+_HASH_BLOCK_BYTES = 1 << 16
+
 
 def _range_count(values: int) -> int:
     """How many ranges to convert `values` values in: one per part
@@ -296,7 +321,9 @@ def save_feature_table(table: FeatureTable, path) -> None:
     Contiguous row ranges are formatted in parallel (see the module
     docstring); each range after the first goes to a hidden part file
     beside `path`, appended in order and deleted, so the bytes are those
-    of one pass.
+    of one pass. The binary twin ``.<name>.table`` is then written the
+    same way; should that fail, the error is raised with the new file
+    in place and any older twin left stale, so the next load parses.
     """
     path = Path(path)
     ranges = _range_count(table.count * table.dim)
@@ -320,6 +347,90 @@ def save_feature_table(table: FeatureTable, path) -> None:
     finally:
         for part in parts:
             part.unlink(missing_ok=True)
+    _save_twin(table, path)
+
+
+def _twin_path(path) -> Path:
+    """The binary twin of the feature file `path`: ``.<name>.table``."""
+    path = Path(path)
+    return path.with_name(f".{path.name}.table")
+
+
+def _sha256(path) -> str:
+    """The hex SHA-256 of the bytes of `path`, read in blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(_HASH_BLOCK_BYTES):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _save_twin(table: FeatureTable, path: Path) -> None:
+    """Write the twin of the feature file `path`, just written from `table`.
+
+    Layout: the binary frame of serialization.frame_head with the header
+    `source`, the file's SHA-256; `rows`; `dim`; `names`. Then the
+    features as ``<f8``, the labels as ``<i8`` and last the SHA-256 of
+    every byte before it. Names and labels are the file's own: its labels
+    in first-appearance order and ids into them, as load_feature_table(path)
+    with no names returns them.
+    """
+    used, first = np.unique(table.labels, return_index=True)
+    order = used[np.argsort(first)]
+    ids = np.empty(len(table.subclass_names), np.int64)
+    ids[order] = np.arange(order.size)
+    header = {"source": _sha256(path), "rows": table.count, "dim": table.dim,
+              "names": [table.subclass_names[i] for i in order.tolist()]}
+    digest = hashlib.sha256()
+    with atomic_text_writer(_twin_path(path), binary=True) as fh:
+        for part in (frame_head(TABLE_MAGIC, header),
+                     np.ascontiguousarray(table.features, "<f8").data,
+                     np.ascontiguousarray(ids[table.labels], "<i8").data):
+            digest.update(part)
+            fh.write(part)
+        fh.write(digest.digest())
+
+
+def _read_twin(path):
+    """(features, label ids, names) from the twin of the feature file
+    `path`, or None where there is none to trust: no twin, an unreadable
+    one, one whose last 32 bytes are not the SHA-256 of the rest (so not
+    as _save_twin wrote it), or one that records another SHA-256 than that
+    of the bytes of `path` now.
+    """
+    try:
+        with open(_twin_path(path), "rb") as fh:
+            blob = fh.read()
+        body = memoryview(blob)[:-32]
+        if hashlib.sha256(body).digest() != blob[-32:]:
+            return None
+        header, start = read_frame(blob, TABLE_MAGIC)
+        if header["source"] != _sha256(path):
+            return None
+        rows, dim = header["rows"], header["dim"]
+        features = np.frombuffer(body, "<f8", rows * dim, start).reshape(rows, dim)
+        labels = np.frombuffer(body, "<i8", rows, start + features.nbytes)
+        return features, labels, tuple(header["names"])
+    except (OSError, ValueError, KeyError):
+        return None
+
+
+def _load_twin(path, names):
+    """The table load_feature_table(path, names) returns, built from the
+    twin of `path`, or None where _read_twin finds none to trust."""
+    twin = _read_twin(path)
+    if twin is None:
+        return None
+    features, labels, found = twin
+    if names is not None:
+        name_to_id = {n: i for i, n in enumerate(names)}
+        ids = np.array([name_to_id.get(n, -1) for n in found], np.int64)[labels]
+        unknown = np.flatnonzero(ids < 0)
+        if unknown.size:  # the writer writes no blank line: row r is line r + 2
+            row = int(unknown[0])
+            raise UnknownLabel(f"{path}:{row + 2}: unknown label {found[labels[row]]!r}")
+        labels, found = ids, names
+    return FeatureTable(features, labels, found)
 
 
 def _write_rows(fh, table: FeatureTable, start: int, stop: int) -> None:
@@ -354,8 +465,19 @@ def load_feature_table(path, subclass_names=None) -> FeatureTable:
     module docstring) with the errors of one pass: the first failing
     range's error wins, and a non-finite value is reported only when
     every range parsed.
+
+    A file save_feature_table wrote is read from its binary twin instead
+    while the SHA-256 the twin records is that of the file's bytes (see
+    the module docstring). The twin gives the same table and, for a label
+    `subclass_names` lacks, the same UnknownLabel on the same line, since
+    the writer writes no blank line; a twin that is missing, stale,
+    unreadable or not byte for byte as written (its closing SHA-256
+    checks every other byte) is ignored and the file is parsed.
     """
     names = None if subclass_names is None else tuple(subclass_names)
+    table = _load_twin(path, names)
+    if table is not None:
+        return table
     with text_reader(path) as fh:
         header = fh.readline()
         if not header.startswith("label,"):

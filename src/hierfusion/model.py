@@ -47,9 +47,7 @@ typed by the one name rule like every value holding subclass ids:
 training takes it from the table, and checkpoints store it.
 """
 
-import json
 import math
-import struct
 from dataclasses import asdict, dataclass, replace
 from typing import Annotated
 
@@ -79,7 +77,7 @@ from .exceptions import (
 )
 from .features import FeatureTable
 from .rng import derive_seed, rng_from_seed
-from .serialization import atomic_text_writer, dump_json
+from .serialization import atomic_text_writer, frame_head, read_frame
 from .taxonomy import StructureSet
 from .workers import in_parts, worker_count
 
@@ -865,16 +863,13 @@ def _checkpoint_header(model: FusionModel, config: FusionConfig) -> dict:
 def save_checkpoint(model: FusionModel, config: FusionConfig, path) -> None:
     """Single-file checkpoint: JSON header plus raw little-endian float64.
 
-    Layout: magic line, uint32 header length (little-endian), the header
-    JSON (config, name tables, tensor manifest), then each tensor's bytes
-    in manifest order, which is the canonical parameter order. Parameters
-    round-trip bit-exactly.
+    Layout: the binary frame of serialization.frame_head (magic line,
+    uint32 header length, the header JSON: config, name tables, tensor
+    manifest), then each tensor's bytes in manifest order, which is the
+    canonical parameter order. Parameters round-trip bit-exactly.
     """
-    blob = dump_json(_checkpoint_header(model, config)).encode("utf-8")
     with atomic_text_writer(path, binary=True) as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
+        fh.write(frame_head(CHECKPOINT_MAGIC, _checkpoint_header(model, config)))
         for _, arr in _parameters(model):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
@@ -891,21 +886,10 @@ def load_checkpoint(path) -> tuple[FusionModel, FusionConfig]:
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if not blob.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    start = len(CHECKPOINT_MAGIC) + 4
-    if len(blob) < start:
-        raise CheckpointError(f"{path}: truncated header length")
-    (header_len,) = struct.unpack_from("<I", blob, len(CHECKPOINT_MAGIC))
-    end = start + header_len
-    if len(blob) < end:
-        raise CheckpointError(f"{path}: truncated header")
     try:
-        header = json.loads(blob[start:end].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise CheckpointError(f"{path}: malformed header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: the header is not a JSON object")
+        header, end = read_frame(blob, CHECKPOINT_MAGIC)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     try:
         config = FusionConfig(**typed_section(header["config"], "model", FusionConfig))
         attach = config_list(config_int)(header["attach_stages"], "attach_stages")

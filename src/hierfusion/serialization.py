@@ -1,14 +1,18 @@
-"""Canonical text serialization helpers.
+"""Canonical text serialization helpers, and the binary frame.
 
 Reports and data files serialize every real number with 17 significant
 digits, which round-trips float64 exactly and makes files byte-identical
-across runs and comparable across implementations.
+across runs and comparable across implementations. Binary files (model
+checkpoints, the feature files' twins) share one frame: a magic line, the
+header's length as a little-endian uint32, the header as JSON, then the
+raw payload the header describes.
 """
 
 import contextlib
 import io
 import json
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +46,39 @@ def atomic_text_writer(path, *, binary: bool = False):
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+
+
+def frame_head(magic: bytes, header) -> bytes:
+    """The bytes a binary frame starts with: `magic`, the length of the
+    header as a little-endian uint32, then `header` as :func:`dump_json`
+    text. The payload follows them."""
+    blob = dump_json(header).encode("utf-8")
+    return magic + struct.pack("<I", len(blob)) + blob
+
+
+def read_frame(blob: bytes, magic: bytes) -> tuple[dict, int]:
+    """(header, payload offset) of the frame `blob` starts with.
+
+    Bytes :func:`frame_head` could not have begun are ValueError: another
+    magic line, a cut length or header, or a header that is not a JSON
+    object.
+    """
+    if not blob.startswith(magic):
+        raise ValueError(f"not a {magic.decode('ascii', 'replace').strip()} file")
+    start = len(magic) + 4
+    if len(blob) < start:
+        raise ValueError("truncated header length")
+    (length,) = struct.unpack_from("<I", blob, len(magic))
+    end = start + length
+    if len(blob) < end:
+        raise ValueError("truncated header")
+    try:
+        header = json.loads(blob[start:end].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"malformed header: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError("the header is not a JSON object")
+    return header, end
 
 
 @contextlib.contextmanager

@@ -6,7 +6,6 @@ import json
 import re
 import struct
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1129,10 +1128,28 @@ def _fail(*args, **kwargs):
     raise OSError("no space left on device")
 
 
+class _OneWrite:
+    """A byte handle that takes the frame head, then fails on the tensors."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.write = _fail
+        return self.fh.write(data)
+
+
 def _write_checkpoint(path, monkeypatch):
     config = FusionConfig(stage_dims=(4, 3), epochs=1)
     model = init_model(config, StructureSet(()), 2, ("c0", "c1"))
-    monkeypatch.setattr(model_module, "struct", SimpleNamespace(pack=_fail))
+    real_writer = model_module.atomic_text_writer
+
+    @contextlib.contextmanager
+    def full_disk_writer(target, *, binary):
+        with real_writer(target, binary=binary) as fh:
+            yield _OneWrite(fh)
+
+    monkeypatch.setattr(model_module, "atomic_text_writer", full_disk_writer)
     save_checkpoint(model, config, path)
 
 
@@ -1199,9 +1216,13 @@ def test_failed_artifact_write_leaves_no_file(tmp_path, monkeypatch, write):
 
 def _pipeline_digests(tmp_path, tag):
     """{relative path: sha256} of every file gen-synthetic -> train ->
-    evaluate writes under one root, hidden files included."""
+    evaluate writes under one root, hidden files included.
+
+    The features' binary twin is hashed and deleted once gen-synthetic has
+    written it, so train and evaluate parse the CSV itself."""
     root = tmp_path / tag
     data = root / "data"
+    twin = data / ".features.csv.table"
     base = {"seed": 4, "features": str(data / "features.csv"),
             "names_from": str(data / "structure_planted.json"),
             "structures": [str(data / "structure_planted.json")],
@@ -1215,8 +1236,13 @@ def _pipeline_digests(tmp_path, tag):
     for command, raw in steps:
         config = write_config(tmp_path / f"{tag}_{command}.json", raw)
         assert run(command, "--config", config) == 0
-    return {str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(root.rglob("*")) if path.is_file()}
+        if command == "gen-synthetic":
+            twin_digest = hashlib.sha256(twin.read_bytes()).hexdigest()
+            twin.unlink()
+    digests = {str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(root.rglob("*")) if path.is_file()}
+    digests[str(twin.relative_to(root))] = twin_digest
+    return digests
 
 
 def test_pipeline_artifacts_are_the_same_in_many_ranges_or_one(tmp_path):
@@ -1224,5 +1250,5 @@ def test_pipeline_artifacts_are_the_same_in_many_ranges_or_one(tmp_path):
         ranged = _pipeline_digests(tmp_path, "ranged")
     assert forks
     single = one_range(lambda: _pipeline_digests(tmp_path, "single"))
-    assert len(single) == 6
+    assert len(single) == 7
     assert ranged == single

@@ -1,14 +1,17 @@
 """Feature tables, class statistics, synthetic data, splits, and CSV I/O."""
 
 import contextlib
+import hashlib
+import json
 import os
+import struct
 import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,6 +20,7 @@ from hierfusion.exceptions import (
     ClassTooSmall,
     DimensionMismatch,
     DuplicateSubclass,
+    HierFusionError,
     InvalidSpec,
     MalformedRow,
     NonFiniteValue,
@@ -292,6 +296,21 @@ def test_split_rejects_an_empty_table():
 NAMES = ("cat", "dog", "car")
 
 
+def _drop_twin(path):
+    """Delete the binary twin of `path`, if there is one."""
+    twin = features._twin_path(path)
+    if twin.is_dir():
+        twin.rmdir()
+    twin.unlink(missing_ok=True)
+
+
+def parsed(path, names=None):
+    """load_feature_table(path, names) by the CSV parser: the file's binary
+    twin, if save_feature_table wrote one, is deleted first."""
+    _drop_twin(path)
+    return load_feature_table(path, names)
+
+
 def test_csv_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(2)
     feats = rng.normal(size=(12, 3)) * np.pi
@@ -301,7 +320,7 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "label,f0,f1,f2"
     assert lines[1].startswith("cat,")
-    back = load_feature_table(path, NAMES)
+    back = parsed(path, NAMES)
     assert np.array_equal(back.features, t.features)
     assert np.array_equal(back.labels, t.labels)
 
@@ -348,7 +367,7 @@ def test_csv_header_only_file_is_an_empty_table(tmp_path):
 def test_csv_write_leaves_no_partial_file(tmp_path):
     path = tmp_path / "feats.csv"
     save_feature_table(table_of(np.ones((3, 2)), [0, 1, 2], NAMES), path)
-    assert [p.name for p in tmp_path.iterdir()] == ["feats.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".feats.csv.table", "feats.csv"]
 
 
 def test_atomic_writer_keeps_the_old_file_on_error(tmp_path):
@@ -394,7 +413,7 @@ def test_csv_round_trip_is_bit_exact_for_any_finite_bits(table):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "feats.csv"
         save_feature_table(table, path)
-        back = load_feature_table(path, NAMES)
+        back = parsed(path, NAMES)
     assert back.features.view(np.uint64).tobytes() == \
         table.features.view(np.uint64).tobytes()
     assert np.array_equal(back.labels, table.labels)
@@ -536,7 +555,7 @@ def test_csv_round_trip_is_bit_exact_in_many_ranges(table):
         path = Path(tmp) / "feats.csv"
         with many_ranges() as forks:
             save_feature_table(table, path)
-            back = load_feature_table(path, NAMES)
+            back = parsed(path, NAMES)
         assert forks
         assert path.read_bytes() == _one_range_bytes(table, Path(tmp) / "one.csv")
     assert back.features.view(np.uint64).tobytes() == \
@@ -692,12 +711,13 @@ def _round_trip_in_one_process(tmp_path):
     path = tmp_path / "feats.csv"
     with many_ranges() as forks:
         save_feature_table(table, path)
-        back = load_feature_table(path, NAMES)
+        back = parsed(path, NAMES)
     assert forks == []
     assert path.read_bytes() == _one_range_bytes(table, tmp_path / "one.csv")
     assert np.array_equal(back.features, table.features)
     assert np.array_equal(back.labels, table.labels)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["feats.csv", "one.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        ".one.csv.table", "feats.csv", "one.csv"]
 
 
 def test_ranges_stay_in_process_while_a_second_thread_runs(tmp_path):
@@ -718,3 +738,220 @@ def test_ranges_stay_in_process_when_fork_fails(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fork", failing_fork)
     _round_trip_in_one_process(tmp_path)
+
+
+# -- the binary twin ----------------------------------------------------------
+
+def _outcome(path, names=None):
+    """What load_feature_table(path, names) gives: the table's feature bits,
+    shape, labels and names, or the error's type and text."""
+    try:
+        table = load_feature_table(path, names)
+    except HierFusionError as exc:
+        return type(exc), str(exc)
+    return (table.features.tobytes(), table.features.shape, table.labels.tolist(),
+            table.subclass_names)
+
+
+def _parsed_outcomes(path, hints):
+    """_outcome of each hint once the twin of `path` is gone."""
+    _drop_twin(path)
+    return [_outcome(path, names) for names in hints]
+
+
+@contextlib.contextmanager
+def parser_calls():
+    """Yield the first line number of each _parse_rows call made meanwhile."""
+    calls = []
+    real_parse_rows = features._parse_rows
+
+    def counting(*args):
+        calls.append(args[1])
+        return real_parse_rows(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(features, "_parse_rows", counting)
+        yield calls
+
+
+# Any legal name, and names ending in NUL, which a numpy "U" array cuts off.
+_NAME = (st.text(st.characters(exclude_characters=",\n\r", exclude_categories=("Cs",)),
+                 max_size=4).map(str.strip)
+         | st.sampled_from(["a\x00", "\x00", "b\x00\x00"]))
+
+
+@st.composite
+def _named_tables(draw):
+    """A table under any legal name table, some names unused and the rest
+    met in any order, with 0 to 6 rows of any finite values."""
+    names = tuple(draw(st.lists(_NAME, max_size=5, unique=True)))
+    labels = draw(st.lists(st.integers(0, len(names) - 1), max_size=6)) if names else []
+    dim = draw(st.integers(1, 3))
+    values = draw(hnp.arrays(np.float64, (len(labels), dim),
+                             elements=st.floats(allow_nan=False, allow_infinity=False)))
+    return table_of(values, labels, names)
+
+
+def _hints(table):
+    """None, the table's names, two permutations of them, a superset and,
+    with any rows, the names less the one the last row is labelled by."""
+    own = list(table.subclass_names)
+    hints = [None, own, own[::-1], own[1:] + own[:1],
+             own + [n for n in ("x", "y\x00", "") if n not in own]]
+    if table.count:
+        hints.append([n for n in own if n != own[table.labels[-1]]])
+    return hints
+
+
+@settings(max_examples=80, deadline=None)
+@given(_named_tables())
+@example(table_of(np.zeros((0, 2)), [], NAMES))
+@example(table_of([[1.0], [-0.0], [5e-324], [2.0]], [2, 0, 2, 1], ("b\x00", "c", "a\x00")))
+def test_the_twin_loads_what_the_parser_loads(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "feats.csv"
+        save_feature_table(table, path)
+        with parser_calls() as calls:
+            from_twin = [_outcome(path, names) for names in _hints(table)]
+        assert calls == []
+        assert from_twin == _parsed_outcomes(path, _hints(table))
+
+
+_SAVED = table_of([[1.5, 2.0], [3.0, 4.0], [5.0, 6.0]], [0, 1, 0], NAMES)
+
+
+def _assert_parsed(path):
+    """Loading `path` runs the parser and gives what it gives once the
+    twin is gone, with the file's names and with NAMES."""
+    with parser_calls() as calls:
+        got = [_outcome(path, names) for names in (None, NAMES)]
+    assert calls == [2, 2]
+    assert got == _parsed_outcomes(path, (None, NAMES))
+    return got
+
+
+@pytest.mark.parametrize("old, new", [
+    (b"dog,3,4", b"dog,7,4"),
+    (b"dog,3", b"dot,3"),
+    (b"cat,5", b"cat,x"),
+    (b"6\n", b"6"),
+], ids=["value", "label", "malformed", "last-line-break"])
+def test_a_csv_edited_by_one_byte_after_saving_is_parsed(tmp_path, old, new):
+    path = tmp_path / "feats.csv"
+    save_feature_table(_SAVED, path)
+    text = path.read_bytes()
+    assert text.count(old) == 1
+    path.write_bytes(text.replace(old, new))
+    _assert_parsed(path)
+
+
+def test_a_csv_replaced_by_another_tables_csv_is_parsed(tmp_path):
+    path, other = tmp_path / "feats.csv", tmp_path / "other.csv"
+    save_feature_table(_SAVED, path)
+    save_feature_table(table_of(np.arange(6.0).reshape(3, 2), [2, 2, 1], NAMES), other)
+    os.replace(other, path)
+    got = _assert_parsed(path)
+    assert got[0][2:] == ([0, 0, 1], ("car", "dog"))
+
+
+def _sealed(damage):
+    """`damage` applied to all of the twin but its closing SHA-256, which is
+    then that of the damaged bytes: a twin that passes the byte check."""
+    def sealed(blob):
+        body = damage(blob[:-32])
+        return body + hashlib.sha256(body).digest()
+    return sealed
+
+
+def _with_header(**fields):
+    """A damage that rewrites the header of the twin body with `fields` set."""
+    def damage(body):
+        start = len(features.TABLE_MAGIC) + 4
+        (size,) = struct.unpack_from("<I", body, len(features.TABLE_MAGIC))
+        text = json.dumps(dict(json.loads(body[start:start + size]), **fields)).encode()
+        return (features.TABLE_MAGIC + struct.pack("<I", len(text)) + text
+                + body[start + size:])
+    return damage
+
+
+def _with_payload(offset, raw):
+    """A damage that writes `raw` at byte `offset` of the twin's payload
+    (features 6 x 8 bytes, then labels 3 x 8, then the closing 32)."""
+    def damage(blob):
+        at = len(blob) - 104 + offset
+        return blob[:at] + raw + blob[at + len(raw):]
+    return damage
+
+
+_DAMAGES = {
+    "zero-length": lambda blob: b"",
+    "truncated": lambda blob: blob[:-1],
+    "magic-only": lambda blob: blob[:len(features.TABLE_MAGIC)],
+    "header-cut": lambda blob: blob[:len(features.TABLE_MAGIC) + 12],
+    "garbage": lambda blob: bytes(range(256)) * 3,
+    "extra-byte": lambda blob: blob + b"\0",
+    "header-length-past-end": lambda blob: (features.TABLE_MAGIC + struct.pack("<I", 10**9)
+                                            + blob[len(features.TABLE_MAGIC) + 4:]),
+    "header-name": lambda blob: blob.replace(b'"dog"', b'"dot"', 1),
+    "header-rows": lambda blob: blob.replace(b'"rows": 3', b'"rows": 2', 1),
+    "feature-value": _with_payload(8, struct.pack("<d", 9.0)),
+    "label": _with_payload(48, struct.pack("<q", 1)),
+    "closing-hash": _with_payload(103, b"\xff"),
+    "sealed-stale-source": _sealed(_with_header(source="0" * 64)),
+    "sealed-other-version": _sealed(lambda body: body.replace(b"-v1", b"-v9", 1)),
+    "sealed-header-not-json": _sealed(lambda body: body.replace(b"{", b"(", 1)),
+    "sealed-header-not-an-object": _sealed(
+        lambda body: features.TABLE_MAGIC + struct.pack("<I", 2) + b"[]" + body[-72:]),
+    "a-directory": None,
+}
+
+
+@pytest.mark.parametrize("damage", _DAMAGES.values(), ids=_DAMAGES.keys())
+def test_a_damaged_twin_is_a_cache_miss(tmp_path, damage):
+    path = tmp_path / "feats.csv"
+    save_feature_table(_SAVED, path)
+    twin = features._twin_path(path)
+    if damage is None:
+        twin.unlink()
+        twin.mkdir()
+    else:
+        blob = twin.read_bytes()
+        assert damage(blob) != blob
+        twin.write_bytes(damage(blob))
+    got = _assert_parsed(path)
+    assert got[1][2:] == (_SAVED.labels.tolist(), NAMES)
+
+
+class _FullDisk:
+    """A file whose first write lands and whose later writes fail."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError("no space left on device")
+        return self.fh.write(data)
+
+
+@pytest.mark.parametrize("older", [False, True], ids=["no-twin", "older-twin"])
+def test_a_twin_write_that_fails_partway_leaves_a_csv_that_is_parsed(tmp_path, older):
+    path = tmp_path / "feats.csv"
+    if older:
+        save_feature_table(table_of(np.arange(6.0).reshape(3, 2), [2, 2, 1], NAMES), path)
+    real_writer = features.atomic_text_writer
+
+    @contextlib.contextmanager
+    def full_disk_for_binary(target, *, binary=False):
+        with real_writer(target, binary=binary) as fh:
+            yield _FullDisk(fh) if binary else fh
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(features, "atomic_text_writer", full_disk_for_binary)
+        with pytest.raises(OSError, match="no space left on device"):
+            save_feature_table(_SAVED, path)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ([".feats.csv.table"] if older else []) + ["feats.csv"]
+    got = _assert_parsed(path)
+    assert got[1][2:] == (_SAVED.labels.tolist(), NAMES)
