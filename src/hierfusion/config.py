@@ -149,10 +149,30 @@ def config_choice(options):
     return typed
 
 
+class _Adopted:
+    """An array marked by `adopt`: one that library code has just made."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def adopt(array: np.ndarray) -> _Adopted:
+    """Hand `array`, which library code has just made and keeps no other
+    use of, to a `frozen_array` field without a copy (see frozen_array)."""
+    return _Adopted(array)
+
+
 def frozen_array(dtype, ndim: int | None = None):
-    """The type of an array field: the value's own C-ordered, read-only
-    `dtype` copy, which must have `ndim` axes if given (else
-    DimensionMismatch).
+    """The type of an array field: a C-ordered, read-only `dtype` array,
+    which must have `ndim` axes if given (else DimensionMismatch).
+
+    A caller's array is copied, so changing it later leaves the value as
+    it was. An array library code marks with `adopt` is held as it is and
+    made read-only when it already has the field's native dtype and is
+    C-ordered and aligned; any other is converted as a caller's would be,
+    so adopting saves a copy and never changes a value.
     Entries that are not numbers (text, even numeric text such as "1.5",
     bools, other objects), and in an integer field any number outside that
     integer type's range or not integral (a fraction, NaN), are
@@ -161,6 +181,10 @@ def frozen_array(dtype, ndim: int | None = None):
     kind = "integers" if integral else "numbers"
 
     def typed(value, field: str) -> np.ndarray:
+        if isinstance(value, _Adopted):
+            value = value.array
+            if value.dtype == dtype and value.flags.c_contiguous and value.flags.aligned:
+                return frozen(value, field)
         try:
             source = np.asarray(value)
             with np.errstate(invalid="ignore", over="ignore"):
@@ -173,6 +197,9 @@ def frozen_array(dtype, ndim: int | None = None):
             wrong = source[array != source]
             if wrong.size:
                 raise InvalidValue(f"{field} must hold integers, got {wrong[0].item()!r}")
+        return frozen(array, field)
+
+    def frozen(array: np.ndarray, field: str) -> np.ndarray:
         if ndim is not None and array.ndim != ndim:
             raise DimensionMismatch(f"{field} must be {ndim}-D, got {array.ndim}-D")
         array.setflags(write=False)

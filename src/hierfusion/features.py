@@ -28,7 +28,11 @@ first-appearance order, closed by the SHA-256 of the twin's own bytes.
 load_feature_table builds the table from the twin while the recorded hash
 is that of the file and the closing one that of the twin, and parses the
 text otherwise, as Python uses a hash-checked ``.pyc`` only while its
-source is unchanged. The twin changes no table and no error: a stale,
+source is unchanged. The twin's rows and width must first give exactly
+its size; its features and labels are then read straight into the
+table's own arrays and hashed as they arrive, so a load holds one copy
+of them. The table adopts them, as every table made here adopts the
+arrays it was built from (config.adopt): only a caller's array is copied. The twin changes no table and no error: a stale,
 damaged or missing twin is a cache miss, so deleting it is always safe,
 and a file from another extractor, which has none, is parsed as before.
 """
@@ -48,6 +52,7 @@ import numpy as np
 
 from .config import (
     SUBCLASS_NAMES,
+    adopt,
     config_int,
     config_name,
     config_real,
@@ -58,6 +63,7 @@ from .config import (
 from .exceptions import (
     ClassTooSmall,
     DimensionMismatch,
+    HierFusionError,
     InvalidSpec,
     InvalidValue,
     MalformedRow,
@@ -225,11 +231,13 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[FeatureTable, LabelStructur
         np.repeat(super_centers, per, axis=0) + spec.subclass_separation * offsets
     )
 
-    noise = rng.standard_normal((n_sub * spec.samples_per_subclass, d))
-    features = (
-        np.repeat(sub_centers, spec.samples_per_subclass, axis=0)
-        + spec.noise_scale * noise
-    )
+    # Each sample is its subclass centre plus scaled noise, built in the
+    # noise's own buffer: scale, then add the centres through a
+    # (subclass, sample, d) view.
+    features = rng.standard_normal((n_sub * spec.samples_per_subclass, d))
+    features *= spec.noise_scale
+    grid = features.reshape(n_sub, spec.samples_per_subclass, d)
+    np.add(grid, sub_centers[:, None, :], out=grid)
     labels = np.repeat(np.arange(n_sub, dtype=np.int64), spec.samples_per_subclass)
 
     structure = LabelStructure(
@@ -238,7 +246,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[FeatureTable, LabelStructur
         subclass_names=tuple(f"c{i}" for i in range(n_sub)),
         parent_index=np.arange(n_sub) // per,
     )
-    table = FeatureTable(features, labels, structure.subclass_names)
+    table = FeatureTable(adopt(features), adopt(labels), structure.subclass_names)
     return table, structure
 
 
@@ -273,16 +281,18 @@ def train_test_split(
     train_idx = np.sort(np.concatenate(train_idx))
     test_idx = np.sort(np.concatenate(test_idx))
     return tuple(
-        FeatureTable(table.features[idx], table.labels[idx], table.subclass_names)
+        FeatureTable(adopt(table.features[idx]), adopt(table.labels[idx]),
+                     table.subclass_names)
         for idx in (train_idx, test_idx)
     )
 
 
 # -- feature files ----------------------------------------------------------
 
-# Rows are converted to Python floats this many at a time when writing, so
-# the writer never holds more than one block of them.
-_WRITE_BLOCK_ROWS = 1024
+# Rows are converted to Python floats in blocks of about this many values
+# (and at least one row) when writing, so the writer never holds more than
+# one block of them: 1024 rows of 64-d features, 256 rows of 256-d.
+_WRITE_BLOCK_VALUES = 1 << 16
 
 # The fewest values worth a range, and so a forked worker, of their own.
 # On a 2-core x86-64 host (Python 3.11, numpy 2.4), forking a CLI process
@@ -392,53 +402,66 @@ def _save_twin(table: FeatureTable, path: Path) -> None:
 
 
 def _read_twin(path):
-    """(features, label ids, names) from the twin of the feature file
-    `path`, or None where there is none to trust: no twin, an unreadable
-    one, one whose last 32 bytes are not the SHA-256 of the rest (so not
-    as _save_twin wrote it), or one that records another SHA-256 than that
-    of the bytes of `path` now.
+    """The table load_feature_table(path) returns, built from the twin of
+    the feature file `path`, or None where there is none to trust: no
+    twin, an unreadable one, one whose last 32 bytes are not the SHA-256
+    of the rest (so not as _save_twin wrote it), one that records another
+    SHA-256 than that of the bytes of `path` now, or one whose header does
+    not describe a valid table of exactly its size.
+
+    The payload is read straight into the table's own arrays, hashed as
+    it arrives, so the table is the only copy of it.
     """
     try:
         with open(_twin_path(path), "rb") as fh:
-            blob = fh.read()
-        body = memoryview(blob)[:-32]
-        if hashlib.sha256(body).digest() != blob[-32:]:
-            return None
-        header, start = read_frame(blob, TABLE_MAGIC)
-        if header["source"] != _sha256(path):
-            return None
-        rows, dim = header["rows"], header["dim"]
-        features = np.frombuffer(body, "<f8", rows * dim, start).reshape(rows, dim)
-        labels = np.frombuffer(body, "<i8", rows, start + features.nbytes)
-        return features, labels, tuple(header["names"])
-    except (OSError, ValueError, KeyError):
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(len(TABLE_MAGIC) + 4)
+            # the header, as long as the frame says, but never past the file
+            head += fh.read(min(int.from_bytes(head[-4:], "little"), size))
+            header, start = read_frame(head, TABLE_MAGIC)
+            rows, dim = header["rows"], header["dim"]
+            # type() refuses bools; the size check comes before any allocation
+            if not (type(rows) is type(dim) is int and rows >= 0 and dim >= 1
+                    and start + 8 * rows * (dim + 1) + 32 == size):
+                return None
+            if header["source"] != _sha256(path):
+                return None
+            digest = hashlib.sha256(head)
+            features, labels = np.empty((rows, dim), "<f8"), np.empty(rows, "<i8")
+            for array in (features, labels):
+                if fh.readinto(array) != array.nbytes:
+                    return None
+                digest.update(array)
+            if fh.read() != digest.digest():
+                return None
+        return FeatureTable(adopt(features), adopt(labels), header["names"])
+    except (OSError, ValueError, KeyError, HierFusionError):
         return None
 
 
 def _load_twin(path, names):
     """The table load_feature_table(path, names) returns, built from the
     twin of `path`, or None where _read_twin finds none to trust."""
-    twin = _read_twin(path)
-    if twin is None:
-        return None
-    features, labels, found = twin
-    if names is not None:
-        name_to_id = {n: i for i, n in enumerate(names)}
-        ids = np.array([name_to_id.get(n, -1) for n in found], np.int64)[labels]
-        unknown = np.flatnonzero(ids < 0)
-        if unknown.size:  # the writer writes no blank line: row r is line r + 2
-            row = int(unknown[0])
-            raise UnknownLabel(f"{path}:{row + 2}: unknown label {found[labels[row]]!r}")
-        labels, found = ids, names
-    return FeatureTable(features, labels, found)
+    table = _read_twin(path)
+    if table is None or names is None:
+        return table
+    name_to_id = {n: i for i, n in enumerate(names)}
+    found = table.subclass_names
+    ids = np.array([name_to_id.get(n, -1) for n in found], np.int64)[table.labels]
+    unknown = np.flatnonzero(ids < 0)
+    if unknown.size:  # the writer writes no blank line: row r is line r + 2
+        row = int(unknown[0])
+        raise UnknownLabel(f"{path}:{row + 2}: unknown label {found[table.labels[row]]!r}")
+    return FeatureTable(adopt(table.features), adopt(ids), names)
 
 
 def _write_rows(fh, table: FeatureTable, start: int, stop: int) -> None:
     """Write rows [start, stop) of `table` as feature-file lines."""
     names = table.subclass_names
     row_format = "%s" + ",%.17g" * table.dim + "\n"
-    for block in range(start, stop, _WRITE_BLOCK_ROWS):
-        end = min(block + _WRITE_BLOCK_ROWS, stop)
+    step = max(1, _WRITE_BLOCK_VALUES // table.dim)
+    for block in range(start, stop, step):
+        end = min(block + step, stop)
         fh.writelines(
             row_format % (names[label], *values)
             for label, values in zip(
@@ -511,7 +534,7 @@ def load_feature_table(path, subclass_names=None) -> FeatureTable:
     if not finite.all():
         row = int(np.argmin(finite))
         raise NonFiniteValue(f"{path}:{linenos[row]}: non-finite feature value")
-    return FeatureTable(features, _joined(labels), names)
+    return FeatureTable(adopt(features), adopt(_joined(labels)), names)
 
 
 def _joined(parts):

@@ -3,8 +3,9 @@
 These recompute library answers along independent routes: explicit tree
 walks over the structure file representation, root-to-leaf path sets
 built node by node, exhaustive enumeration of partitions, eigensystems by
-repeated matrix squaring with deflation, and the multi-task loss summed
-row by row in plain Python. An agreement test therefore compares two
+repeated matrix squaring with deflation, the multi-task loss summed
+row by row in plain Python, and synthetic features as a sum of two
+temporaries. An agreement test therefore compares two
 implementations of the same definition, not one implementation against
 itself. From the library this module imports only its exceptions and the
 structure file representation (`structure_to_dict`, `validate_structure`).
@@ -326,3 +327,26 @@ def multi_task_loss(outputs, subclass_labels, superclass_labels, lambdas):
     per = tuple(cross_entropy(z, y) for z, y in zip(super_logits, superclass_labels))
     total = (1.0 - sum(lambdas)) * subclass + sum(w * v for w, v in zip(lambdas, per))
     return LossBreakdown(total=total, subclass=subclass, per_structure=per)
+
+
+# -- synthetic features by the two-temporary formula --------------------------
+
+def synthetic_features(spec):
+    """The features generate_synthetic draws for the SyntheticSpec `spec`:
+    each subclass centre repeated once per sample, plus the noise scaled
+    in a second temporary. Draws come from the Philox stream of
+    `spec.seed` in generate_synthetic's order: superclass centres,
+    subclass offsets, noise."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
+    k, per, d = spec.superclass_count, spec.subclasses_per_superclass, spec.dim
+    centres = rng.standard_normal((k, d))
+    if k > 1:
+        gaps = [np.sqrt(((centres[i] - centres[j]) ** 2).sum())
+                for i, j in itertools.combinations(range(k), 2)]
+        centres = centres * (spec.superclass_separation / min(gaps))
+    offsets = rng.standard_normal((k * per, d))
+    offsets = offsets / np.sqrt((offsets * offsets).sum(axis=1, keepdims=True))
+    sub_centres = np.repeat(centres, per, axis=0) + spec.subclass_separation * offsets
+    noise = rng.standard_normal((k * per * spec.samples_per_subclass, d))
+    return (np.repeat(sub_centres, spec.samples_per_subclass, axis=0)
+            + spec.noise_scale * noise)

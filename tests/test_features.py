@@ -7,6 +7,7 @@ import os
 import struct
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from hierfusion.features import (
     train_test_split,
 )
 from hierfusion.serialization import atomic_text_writer, format_float
+from oracles import synthetic_features
 
 
 def table_of(features, labels, names=None):
@@ -212,6 +214,21 @@ def test_synthetic_deterministic():
         superclass_count=2, subclasses_per_superclass=3,
         samples_per_subclass=5, dim=4, seed=10))
     assert not np.array_equal(t1.features, t3.features)
+
+
+@pytest.mark.parametrize("spec", [
+    SyntheticSpec(),
+    SyntheticSpec(superclass_count=3, subclasses_per_superclass=2,
+                  samples_per_subclass=7, dim=5, noise_scale=0.3, seed=1),
+    SyntheticSpec(superclass_count=1, subclasses_per_superclass=4, dim=1, seed=2),
+    SyntheticSpec(superclass_count=5, subclasses_per_superclass=1,
+                  samples_per_subclass=1, dim=3, seed=3),
+    SyntheticSpec(superclass_count=2, subclasses_per_superclass=3,
+                  samples_per_subclass=40, dim=256, noise_scale=2.5, seed=4),
+], ids=["default", "small", "dim-1", "one-sample", "256-d"])
+def test_synthetic_features_equal_the_two_temporary_formula(spec):
+    table, _ = generate_synthetic(spec)
+    assert table.features.tobytes() == synthetic_features(spec).tobytes()
 
 
 def test_synthetic_low_noise_is_nearest_center_separable():
@@ -429,6 +446,18 @@ def test_csv_row_text_is_format_float_of_every_value(table):
     assert lines[-1] == ""
     for line, values, label in zip(lines[1:-1], table.features, table.labels):
         assert line.split(",") == [NAMES[label]] + [format_float(v) for v in values]
+
+
+@pytest.mark.parametrize("budget", [1, 5, 8, 1 << 16])
+def test_csv_bytes_do_not_depend_on_the_write_block(tmp_path, budget):
+    table = table_of(np.arange(40.0).reshape(10, 4) / 3, np.arange(10) % 3, NAMES)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(features, "_WRITE_BLOCK_VALUES", budget)
+        save_feature_table(table, tmp_path / "f.csv")
+    rows = [",".join([NAMES[label]] + [format_float(v) for v in values])
+            for values, label in zip(table.features, table.labels)]
+    expected = "label,f0,f1,f2,f3\n" + "".join(row + "\n" for row in rows)
+    assert (tmp_path / "f.csv").read_bytes() == expected.encode()
 
 
 # Rows past numpy's 50 000-row loadtxt chunk, behind blank lines, so a row
@@ -902,6 +931,17 @@ _DAMAGES = {
     "sealed-header-not-json": _sealed(lambda body: body.replace(b"{", b"(", 1)),
     "sealed-header-not-an-object": _sealed(
         lambda body: features.TABLE_MAGIC + struct.pack("<I", 2) + b"[]" + body[-72:]),
+    "sealed-rows-text": _sealed(_with_header(rows="3")),
+    "sealed-rows-bool": _sealed(_with_header(rows=True)),
+    "sealed-rows-negative": _sealed(_with_header(rows=-1)),
+    "sealed-rows-huge": _sealed(_with_header(rows=10**12)),
+    "sealed-dim-zero": _sealed(_with_header(dim=0)),
+    "sealed-dim-negative": _sealed(_with_header(dim=-2)),
+    "sealed-dim-float": _sealed(_with_header(dim=2.0)),
+    "sealed-names-not-text": _sealed(_with_header(names=[1, 2])),
+    "sealed-names-text": _sealed(_with_header(names="cd")),
+    "sealed-label-past-names": _sealed(_with_header(names=["cat"])),
+    "sealed-names-repeated": _sealed(_with_header(names=["cat", "cat"])),
     "a-directory": None,
 }
 
@@ -955,3 +995,52 @@ def test_a_twin_write_that_fails_partway_leaves_a_csv_that_is_parsed(tmp_path, o
     assert names == ([".feats.csv.table"] if older else []) + ["feats.csv"]
     got = _assert_parsed(path)
     assert got[1][2:] == (_SAVED.labels.tolist(), NAMES)
+
+
+# -- one copy of each array ---------------------------------------------------
+
+# A 256-d table of 2000 rows (4 MB of features), the fit-wide width.
+_WIDE = SyntheticSpec(superclass_count=4, subclasses_per_superclass=5,
+                      samples_per_subclass=100, dim=256, seed=7)
+
+
+def _traced_peak(call):
+    """(call(), the most bytes traced at once while it ran).
+
+    Everything is run once untraced first, so one-time imports and caches
+    are not counted."""
+    call()
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _nbytes(table):
+    return table.features.nbytes + table.labels.nbytes
+
+
+def test_generating_a_table_holds_its_features_about_once():
+    table, peak = _traced_peak(lambda: generate_synthetic(_WIDE)[0])
+    assert peak <= 1.25 * table.features.nbytes
+
+
+def test_loading_a_table_from_its_twin_holds_its_features_about_once(tmp_path):
+    path = tmp_path / "feats.csv"
+    save_feature_table(generate_synthetic(_WIDE)[0], path)
+    table, peak = _traced_peak(lambda: load_feature_table(path))
+    assert peak <= 1.25 * table.features.nbytes
+
+
+def test_loading_and_splitting_holds_the_table_and_its_sides_once(tmp_path):
+    path = tmp_path / "feats.csv"
+    save_feature_table(generate_synthetic(_WIDE)[0], path)
+
+    def load_and_split():
+        table = load_feature_table(path)
+        return table, train_test_split(table, 0.8, seed=1)
+
+    (table, sides), peak = _traced_peak(load_and_split)
+    assert peak <= _nbytes(table) + sum(map(_nbytes, sides)) + 0.25 * _nbytes(table)

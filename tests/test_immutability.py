@@ -1,9 +1,11 @@
 """Frozen values hold read-only arrays that no caller can change.
 
-Every array a value type stores is its own C-ordered, read-only copy with
-the number of axes its field declares: writing to it raises, and changing
-the array the caller passed in afterwards leaves the stored value as it
-was.
+Every array a value type stores is C-ordered and read-only, with the
+number of axes its field declares: writing to it raises. An array a
+caller passes in is copied, so changing it afterwards leaves the stored
+value as it was; an array library code has just made is adopted as it
+is, so a table the library builds (generated, loaded from either source,
+or split) holds one copy of its features, shared with no other table.
 """
 
 import dataclasses
@@ -12,7 +14,15 @@ import numpy as np
 import pytest
 
 from hierfusion.exceptions import DimensionMismatch
-from hierfusion.features import FeatureTable, class_statistics
+from hierfusion.features import (
+    FeatureTable,
+    SyntheticSpec,
+    class_statistics,
+    generate_synthetic,
+    load_feature_table,
+    save_feature_table,
+    train_test_split,
+)
 from hierfusion.metrics import PredictionBatch
 from hierfusion.model import FusionConfig, train
 from hierfusion.structure_builder import affinity_matrix, spectral_embedding
@@ -136,3 +146,39 @@ def test_equality_and_hash_never_raise(name):
     hash(value)
     # array holders compare by identity; a structure compares by its fields
     assert (value == twin) == (name == "LabelStructure")
+
+
+_SPEC = SyntheticSpec(samples_per_subclass=10)
+
+
+def _made_tables(tmp_path):
+    """{source: table} for each way library code makes a table."""
+    generated, structure = generate_synthetic(_SPEC)
+    path = tmp_path / "feats.csv"
+    save_feature_table(generated, path)
+    tables = {"generated": generated}
+    for hint in (None, structure.subclass_names):
+        tables[f"twin, names {hint is not None}"] = load_feature_table(path, hint)
+    twin = path.with_name(f".{path.name}.table")
+    twin.unlink()
+    for hint in (None, structure.subclass_names):
+        tables[f"parsed, names {hint is not None}"] = load_feature_table(path, hint)
+    assert not twin.exists()
+    tables["train side"], tables["test side"] = train_test_split(generated, 0.8, seed=0)
+    return tables
+
+
+def test_tables_the_library_makes_hold_read_only_c_ordered_arrays(tmp_path):
+    for source, table in _made_tables(tmp_path).items():
+        for arr in (table.features, table.labels):
+            assert not arr.flags.writeable, source
+            assert arr.flags.c_contiguous, source
+            with pytest.raises(ValueError, match="read-only"):
+                arr.fill(0)
+
+
+def test_split_sides_share_no_memory_with_their_source():
+    table, _ = generate_synthetic(_SPEC)
+    for side in train_test_split(table, 0.8, seed=0):
+        for held, source in ((side.features, table.features), (side.labels, table.labels)):
+            assert not np.shares_memory(held, source)
