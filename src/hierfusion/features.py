@@ -11,6 +11,13 @@ reads back as the same table.
 Per-class statistics feed the affinity construction; the synthetic
 generator plants a known 3-level hierarchy for desk-scale experiments.
 
+Rows are written by array arithmetic rather than one Python format per
+value: serialization.float_cells lays each value's ``%.17g`` text out in
+five words padded with 0xFF bytes, a block of rows is laid out as words
+(name, cells, line break), and deleting its 0xFF bytes, which UTF-8 never
+uses, leaves the block's text. The few values printed with an exponent
+are formatted one by one.
+
 A large feature file is converted on every core: its rows are cut into
 contiguous ranges, one per CPU the process may run on, while each keeps
 at least _MIN_RANGE_VALUES values. The ranges run through the shared
@@ -22,8 +29,9 @@ the loader reports the error of the earliest failing range, with the
 file's own line numbers, as one pass would.
 
 Beside each feature file it writes, save_feature_table leaves a binary
-twin, the hidden ``.<name>.table``: the SHA-256 of the file's bytes and
-its rows as raw float64 features and int64 label ids, with the names in
+twin, the hidden ``.<name>.table``: the SHA-256 of the file's bytes,
+taken as they are written so the file is never read back, and its rows
+as raw float64 features and int64 label ids, with the names in
 first-appearance order, closed by the SHA-256 of the twin's own bytes.
 load_feature_table builds the table from the twin while the recorded hash
 is that of the file and the closing one that of the twin, and parses the
@@ -42,7 +50,6 @@ import itertools
 import math
 import os
 import re
-import shutil
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,7 +79,9 @@ from .exceptions import (
 )
 from .rng import rng_from_seed
 from .serialization import (
+    CELL_WORDS,
     atomic_text_writer,
+    float_cells,
     frame_head,
     read_frame,
     text_reader,
@@ -289,18 +298,25 @@ def train_test_split(
 
 # -- feature files ----------------------------------------------------------
 
-# Rows are converted to Python floats in blocks of about this many values
-# (and at least one row) when writing, so the writer never holds more than
-# one block of them: 1024 rows of 64-d features, 256 rows of 256-d.
-_WRITE_BLOCK_VALUES = 1 << 16
+# Rows are written in blocks of about this many values (and at least one
+# row; a word of a row's name counts as a value), each laid out as 40
+# bytes a value: 127 rows of 64-d features, 31 rows of 256-d. On a 2-core
+# x86-64 host (Python 3.11, numpy 2.4) blocks of 4 k to 16 k values wrote
+# the 256-d table of the benchmark's fit-wide workload equally fast and
+# 64 k values a third slower, as the kernel's temporaries outgrow the
+# cache; a small block also keeps the writer's peak memory small.
+_WRITE_BLOCK_VALUES = 1 << 13
 
 # The fewest values worth a range, and so a forked worker, of their own.
-# On a 2-core x86-64 host (Python 3.11, numpy 2.4), forking a CLI process
-# of 50 MB RSS, piping a result back and reaping the worker took 2.9 ms
-# (median of 30; at most 9 ms), while the codec converts about 2.0 M values
-# per second when parsing and 1.3 M when writing. 200 000 values are then
-# 100-150 ms of work, so a fork costs about 3% of its range.
+# On the same host, forking a CLI process of 50 MB RSS, piping a result
+# back and reaping the worker took 2.9 ms (median of 30; at most 9 ms),
+# while the codec converts about 2.0 M values per second when parsing
+# and 5.5 M when writing. 200 000 values are then 35-100 ms of work, so a
+# fork costs 3-8% of its range.
 _MIN_RANGE_VALUES = 200_000
+
+# The last word of every row a block joins: its line break, then padding.
+_NEWLINE_WORD = np.frombuffer(b"\n" + b"\xff" * 7, np.uint64)[0]
 
 # The feature file is scanned for line breaks in blocks of this many bytes.
 _SCAN_BLOCK_BYTES = 1 << 16
@@ -308,9 +324,10 @@ _SCAN_BLOCK_BYTES = 1 << 16
 # The first line of a feature file's binary twin (see save_feature_table).
 TABLE_MAGIC = b"hierfusion-table-v1\n"
 
-# A feature file is hashed in blocks of this many bytes, below the C
-# allocator's 128 kB mmap threshold: freeing 1 MB blocks raised that
-# threshold and with it the peak RSS of a later sweep by about 1 MB.
+# A feature file is hashed, and a part file appended, in blocks of this
+# many bytes, below the C allocator's 128 kB mmap threshold: freeing 1 MB
+# blocks raised that threshold and with it the peak RSS of a later sweep
+# by about 1 MB.
 _HASH_BLOCK_BYTES = 1 << 16
 
 
@@ -325,15 +342,17 @@ def save_feature_table(table: FeatureTable, path) -> None:
     labelled by the table's own subclass names.
 
     Floats carry 17 significant digits (the ``%.17g`` text of
-    :func:`format_float`) so the file round-trips bit-exactly. The rows go
-    to a temporary file in the target directory that replaces `path` only
-    once complete; on any error it is deleted and `path` is left as it was.
-    Contiguous row ranges are formatted in parallel (see the module
-    docstring); each range after the first goes to a hidden part file
-    beside `path`, appended in order and deleted, so the bytes are those
-    of one pass. The binary twin ``.<name>.table`` is then written the
-    same way; should that fail, the error is raised with the new file
-    in place and any older twin left stale, so the next load parses.
+    :func:`format_float`, written by serialization.float_cells) so the
+    file round-trips bit-exactly. The rows go to a temporary file in the
+    target directory that replaces `path` only once complete; on any
+    error it is deleted and `path` is left as it was. Contiguous row
+    ranges are formatted in parallel (see the module docstring); each
+    range after the first goes to a hidden part file beside `path`,
+    appended in order and deleted, so the bytes are those of one pass.
+    Every byte is hashed as it goes into the file, and the binary twin
+    ``.<name>.table`` is then written the same way; should that fail, the
+    error is raised with the new file in place and any older twin left
+    stale, so the next load parses.
     """
     path = Path(path)
     ranges = _range_count(table.count * table.dim)
@@ -342,22 +361,37 @@ def save_feature_table(table: FeatureTable, path) -> None:
 
     def convert(index):
         if index == 0:
-            return _write_rows(fh, table, bounds[0], bounds[1])
-        with open(parts[index - 1], "w", encoding="utf-8", newline="\n") as part:
+            return _write_rows(out, table, bounds[0], bounds[1])
+        with open(parts[index - 1], "wb") as part:
             _write_rows(part, table, bounds[index], bounds[index + 1])
 
     try:
-        with atomic_text_writer(path) as fh:
-            fh.write("label," + ",".join(f"f{j}" for j in range(table.dim)) + "\n")
+        with atomic_text_writer(path, binary=True) as fh:
+            out = _HashedWriter(fh)
+            out.write(("label," + ",".join(f"f{j}" for j in range(table.dim))
+                       + "\n").encode("ascii"))
             in_parts(ranges, convert)
-            fh.flush()
             for part in parts:
                 with open(part, "rb") as src:
-                    shutil.copyfileobj(src, fh.buffer, 1 << 20)
+                    while block := src.read(_HASH_BLOCK_BYTES):
+                        out.write(block)
     finally:
         for part in parts:
             part.unlink(missing_ok=True)
-    _save_twin(table, path)
+    _save_twin(table, path, out.digest.hexdigest())
+
+
+class _HashedWriter:
+    """A binary file that feeds every byte written to it to a SHA-256, so
+    a file is hashed as it is written rather than read back."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.digest = hashlib.sha256()
+
+    def write(self, data) -> None:
+        self.digest.update(data)
+        self.fh.write(data)
 
 
 def _twin_path(path) -> Path:
@@ -375,8 +409,9 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _save_twin(table: FeatureTable, path: Path) -> None:
-    """Write the twin of the feature file `path`, just written from `table`.
+def _save_twin(table: FeatureTable, path: Path, source: str) -> None:
+    """Write the twin of the feature file `path`, just written from `table`,
+    whose bytes have the hex SHA-256 `source`.
 
     Layout: the binary frame of serialization.frame_head with the header
     `source`, the file's SHA-256; `rows`; `dim`; `names`. Then the
@@ -389,7 +424,7 @@ def _save_twin(table: FeatureTable, path: Path) -> None:
     order = used[np.argsort(first)]
     ids = np.empty(len(table.subclass_names), np.int64)
     ids[order] = np.arange(order.size)
-    header = {"source": _sha256(path), "rows": table.count, "dim": table.dim,
+    header = {"source": source, "rows": table.count, "dim": table.dim,
               "names": [table.subclass_names[i] for i in order.tolist()]}
     digest = hashlib.sha256()
     with atomic_text_writer(_twin_path(path), binary=True) as fh:
@@ -456,19 +491,31 @@ def _load_twin(path, names):
 
 
 def _write_rows(fh, table: FeatureTable, start: int, stop: int) -> None:
-    """Write rows [start, stop) of `table` as feature-file lines."""
-    names = table.subclass_names
-    row_format = "%s" + ",%.17g" * table.dim + "\n"
-    step = max(1, _WRITE_BLOCK_VALUES // table.dim)
+    """Write rows [start, stop) of `table` to the binary file `fh` as
+    feature-file lines.
+
+    A block of rows is laid out as words: each row's name, encoded once
+    and padded with 0xFF, its cells from serialization.float_cells and a
+    line break; deleting the 0xFF bytes leaves the block's text.
+    """
+    names, dim = table.subclass_names, table.dim
+    labels = table.labels[start:stop]
+    used = np.unique(labels).tolist()
+    encoded = [names[label].encode("utf-8") for label in used]
+    width = -(-max(map(len, encoded), default=0) // 8)  # words
+    name_words = np.full((len(names), 8 * width), 0xFF, np.uint8)
+    for label, name in zip(used, encoded):
+        name_words[label, :len(name)] = np.frombuffer(name, np.uint8)
+    name_words = name_words.view(np.uint64)
+    step = max(1, _WRITE_BLOCK_VALUES // (dim + width))
     for block in range(start, stop, step):
         end = min(block + step, stop)
-        fh.writelines(
-            row_format % (names[label], *values)
-            for label, values in zip(
-                table.labels[block:end].tolist(),
-                table.features[block:end].tolist(),
-            )
-        )
+        rows = np.empty((end - block, width + CELL_WORDS * dim + 1), np.uint64)
+        rows[:, :width] = name_words[labels[block - start:end - start]]
+        float_cells(table.features[block:end],
+                    rows[:, width:-1].reshape(end - block, dim, CELL_WORDS))
+        rows[:, -1] = _NEWLINE_WORD
+        fh.write(rows.tobytes().translate(None, b"\xff"))
 
 
 def load_feature_table(path, subclass_names=None) -> FeatureTable:

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -37,7 +38,12 @@ from hierfusion.features import (
     save_feature_table,
     train_test_split,
 )
-from hierfusion.serialization import atomic_text_writer, format_float
+from hierfusion.serialization import (
+    CELL_WORDS,
+    atomic_text_writer,
+    float_cells,
+    format_float,
+)
 from oracles import synthetic_features
 
 
@@ -460,6 +466,91 @@ def test_csv_bytes_do_not_depend_on_the_write_block(tmp_path, budget):
     assert (tmp_path / "f.csv").read_bytes() == expected.encode()
 
 
+# The floats float_cells writes by array arithmetic and the edges of
+# that path. %.17g prints fixed notation for a decimal exponent of -4 to
+# 16 after rounding, so values are drawn in that window and on both sides
+# of it, beside exact ties of the 17th digit (x * 10**k = m * 5**k / 2
+# for x = m / 2**(k + 1), m odd), the neighbours of powers of ten, zeros
+# and subnormals. The literals that would round up to the next power,
+# 9.9999999999999999e-05 and 99999999999999999.0, read as 1e-4 and 1e17:
+# from 1e-4 to 1e17 no float64 lies within half a 17th digit below a
+# power of ten.
+@st.composite
+def _ties(draw):
+    k = draw(st.integers(1, 22))
+    low, high = -(-2 * 10**16 // 5**k), min(2 * 10**17 // 5**k, 2**53)
+    half = draw(st.integers(-(-low // 2), (high - 2) // 2))
+    return math.ldexp(2 * half + 1, -(k + 1))
+
+
+@st.composite
+def _power_neighbours(draw):
+    value = 10.0 ** draw(st.integers(-8, 20))
+    steps = draw(st.integers(-3, 3))
+    for _ in range(abs(steps)):
+        value = float(np.nextafter(value, math.inf if steps > 0 else 0.0))
+    return value
+
+
+_CELL_EDGES = (9.9999999999999999e-05, 99999999999999999.0, 1e-4, 1e16, 1e17,
+               0.0, 5e-324, 2.2250738585072009e-308, 0.1, 1.0 / 3.0)
+
+
+@st.composite
+def _cell_values(draw):
+    size = draw(st.one_of(
+        st.floats(1e-4, 1e17),  # the fixed-notation window
+        st.floats(1e-7, 1e-4),
+        st.floats(1e17, 1e20),
+        st.floats(0.0, 1.7976931348623157e308),
+        _ties(),
+        _power_neighbours(),
+        st.sampled_from(_CELL_EDGES),
+    ))
+    return -size if draw(st.booleans()) else size
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.data())
+def test_float_cells_are_format_float_of_every_value(rows, columns, data):
+    values = np.array(data.draw(st.lists(_cell_values(), min_size=rows * columns,
+                                         max_size=rows * columns)))
+    # cells in rows one word wider than they are, as the writer lays them out
+    words = np.zeros((rows, columns * CELL_WORDS + 1), np.uint64)
+    float_cells(values.reshape(rows, columns),
+                words[:, :-1].reshape(rows, columns, CELL_WORDS))
+    cells = [cell.tobytes().translate(None, b"\xff")
+             for cell in words[:, :-1].reshape(-1, CELL_WORDS)]
+    assert cells == [("," + format_float(v)).encode() for v in values.tolist()]
+
+
+# Names with NUL, non-ASCII and 8-byte-long text, so a row's name ends on
+# every byte of the word that holds it.
+_ODD_NAMES = ("\x00", "a\x00b", "\u00e9", "\u4e2d\u6587", "\U0001f600",
+              "name_of8", "nine_long", "\u00ff\u00ff\u00ff\u00ff")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_csv_bytes_are_format_float_rows_for_any_names(dim, data):
+    rows = data.draw(st.integers(1, 6))
+    values = np.array(data.draw(st.lists(_cell_values(), min_size=rows * dim,
+                                         max_size=rows * dim))).reshape(rows, dim)
+    labels = data.draw(st.lists(st.integers(0, len(_ODD_NAMES) - 1),
+                                min_size=rows, max_size=rows))
+    table = table_of(values, labels, _ODD_NAMES)
+    expected = "label," + ",".join(f"f{j}" for j in range(dim)) + "\n" + "".join(
+        ",".join([_ODD_NAMES[label]] + [format_float(v) for v in row]) + "\n"
+        for row, label in zip(values.tolist(), labels))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "feats.csv"
+        save_feature_table(table, path)
+        assert path.read_bytes() == expected.encode("utf-8")
+        back = parsed(path, _ODD_NAMES)
+    assert back.features.tobytes() == table.features.tobytes()
+    assert back.labels.tolist() == labels
+
+
 # Rows past numpy's 50 000-row loadtxt chunk, behind blank lines, so a row
 # index can never pass for a line number.
 _LEAD_ROWS = 50_003
@@ -699,10 +790,14 @@ def test_first_appearance_names_stay_in_order_across_cuts(tmp_path):
 
 
 class _Unwritable(str):
-    """A name whose text cannot be formatted into a row."""
+    """A name that, once `armed`, cannot be encoded into a row."""
 
-    def __str__(self):
-        raise OSError("no space left on device")
+    armed = False
+
+    def encode(self, *args, **kwargs):
+        if self.armed:
+            raise OSError("no space left on device")
+        return super().encode(*args, **kwargs)
 
 
 @pytest.mark.parametrize("row", [0, -1], ids=["first-range", "last-range"])
@@ -710,6 +805,7 @@ def test_a_failed_ranged_write_leaves_the_directory_empty(tmp_path, row):
     labels = np.zeros(40, dtype=np.int64)
     labels[row] = 1
     table = FeatureTable(np.ones((40, 2)), labels, ("a", _Unwritable("b")))
+    table.subclass_names[1].armed = True  # each range encodes its own rows' names
     with many_ranges() as forks:
         with pytest.raises(OSError, match="no space left on device"):
             save_feature_table(table, tmp_path / "feats.csv")
@@ -844,6 +940,23 @@ def test_the_twin_loads_what_the_parser_loads(table):
             from_twin = [_outcome(path, names) for names in _hints(table)]
         assert calls == []
         assert from_twin == _parsed_outcomes(path, _hints(table))
+
+
+@pytest.mark.parametrize("ranges", ["one-range", "many-ranges"])
+def test_the_twin_is_trusted_right_after_a_save(tmp_path, ranges):
+    # the file is hashed as it is written, header, ranges and all; a
+    # wrong hash would only show as every load parsing
+    table = table_of(np.arange(80.0).reshape(40, 2) / 7, np.arange(40) % 3, NAMES)
+    path = tmp_path / "feats.csv"
+    if ranges == "one-range":
+        one_range(lambda: save_feature_table(table, path))
+    else:
+        with many_ranges() as forks:
+            save_feature_table(table, path)
+        assert len(forks) == 3
+    twin = features._read_twin(path)
+    assert twin is not None
+    assert twin.features.tobytes() == table.features.tobytes()
 
 
 _SAVED = table_of([[1.5, 2.0], [3.0, 4.0], [5.0, 6.0]], [0, 1, 0], NAMES)
@@ -983,12 +1096,12 @@ def test_a_twin_write_that_fails_partway_leaves_a_csv_that_is_parsed(tmp_path, o
     real_writer = features.atomic_text_writer
 
     @contextlib.contextmanager
-    def full_disk_for_binary(target, *, binary=False):
+    def full_disk_for_twin(target, *, binary=False):
         with real_writer(target, binary=binary) as fh:
-            yield _FullDisk(fh) if binary else fh
+            yield _FullDisk(fh) if target == features._twin_path(path) else fh
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(features, "atomic_text_writer", full_disk_for_binary)
+        patch.setattr(features, "atomic_text_writer", full_disk_for_twin)
         with pytest.raises(OSError, match="no space left on device"):
             save_feature_table(_SAVED, path)
     names = sorted(p.name for p in tmp_path.iterdir())
