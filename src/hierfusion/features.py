@@ -18,15 +18,14 @@ five words padded with 0xFF bytes, a block of rows is laid out as words
 uses, leaves the block's text. The few values printed with an exponent
 are formatted one by one.
 
-A large feature file is converted on every core: its rows are cut into
+A large feature file is written on every core: its rows are cut into
 contiguous ranges, one per CPU the process may run on, while each keeps
 at least _MIN_RANGE_VALUES values. The ranges run through the shared
 fork helper, workers.in_parts: range 0 in this process and each other
 range in a forked worker. With one range, or where workers.worker_count
-finds a fork unsafe, nothing is forked. The split changes no byte
-written and no error raised: the writer appends the ranges in order, and
-the loader reports the error of the earliest failing range, with the
-file's own line numbers, as one pass would.
+finds a fork unsafe, nothing is forked. The writer appends the ranges in
+order, so the split changes no byte written and no error raised. The
+loader parses a file in one pass.
 
 Beside each feature file it writes, save_feature_table leaves a binary
 twin, the hidden ``.<name>.table``: the SHA-256 of the file's bytes,
@@ -40,9 +39,10 @@ source is unchanged. The twin's rows and width must first give exactly
 its size; its features and labels are then read straight into the
 table's own arrays and hashed as they arrive, so a load holds one copy
 of them. The table adopts them, as every table made here adopts the
-arrays it was built from (config.adopt): only a caller's array is copied. The twin changes no table and no error: a stale,
-damaged or missing twin is a cache miss, so deleting it is always safe,
-and a file from another extractor, which has none, is parsed as before.
+arrays it was built from (config.adopt): only a caller's array is
+copied. The twin changes no table and no error: a stale, damaged or
+missing twin is a cache miss, so deleting it is always safe, and a file
+from another extractor, which has none, is parsed.
 """
 
 import hashlib
@@ -310,16 +310,13 @@ _WRITE_BLOCK_VALUES = 1 << 13
 # The fewest values worth a range, and so a forked worker, of their own.
 # On the same host, forking a CLI process of 50 MB RSS, piping a result
 # back and reaping the worker took 2.9 ms (median of 30; at most 9 ms),
-# while the codec converts about 2.0 M values per second when parsing
-# and 5.5 M when writing. 200 000 values are then 35-100 ms of work, so a
-# fork costs 3-8% of its range.
+# while the writer converts about 4.8 M values per second (the 256-d
+# table, one range). 200 000 values are then about 42 ms of work, so a
+# fork costs about 7% of its range.
 _MIN_RANGE_VALUES = 200_000
 
 # The last word of every row a block joins: its line break, then padding.
 _NEWLINE_WORD = np.frombuffer(b"\n" + b"\xff" * 7, np.uint64)[0]
-
-# The feature file is scanned for line breaks in blocks of this many bytes.
-_SCAN_BLOCK_BYTES = 1 << 16
 
 # The first line of a feature file's binary twin (see save_feature_table).
 TABLE_MAGIC = b"hierfusion-table-v1\n"
@@ -531,10 +528,8 @@ def load_feature_table(path, subclass_names=None) -> FeatureTable:
     separators (``1_0``) or non-ASCII digits are MalformedRow. Every
     error names the offending line as ``path:line``; blank lines are
     skipped and do not count as rows, so the line of each row is recorded
-    as it is read. Contiguous line ranges are parsed in parallel (see the
-    module docstring) with the errors of one pass: the first failing
-    range's error wins, and a non-finite value is reported only when
-    every range parsed.
+    as it is read. A non-finite value is reported only once every line
+    has parsed, so an error on a later line wins over it.
 
     A file save_feature_table wrote is read from its binary twin instead
     while the SHA-256 the twin records is that of the file's bytes (see
@@ -555,89 +550,22 @@ def load_feature_table(path, subclass_names=None) -> FeatureTable:
         dim = len(header.rstrip("\n").split(",")) - 1
         if dim < 1:
             raise MalformedRow(f"{path}: header declares no feature columns")
-        cuts = _line_cuts(fh.fileno(), dim)
-        firsts = [2] + [lineno for _, lineno in cuts]
-        counts = [b - a for a, b in zip(firsts, firsts[1:])] + [None]
-
-        def convert(index):
-            if index == 0:
-                return _parse_rows(itertools.islice(fh, counts[0]), 2, path, dim, names)
-            offset, first = cuts[index - 1]
-            with text_reader(path, offset) as lines:
-                return _parse_rows(itertools.islice(lines, counts[index]), first,
-                                   path, dim, names)
-
-        features, labels, found, linenos = zip(*in_parts(len(firsts), convert))
-    features = _joined(features)
-    if names is None:  # each range numbered the names it met first
-        ids = {}
-        labels = [
-            np.array([ids.setdefault(n, len(ids)) for n in new], np.int64)[part]
-            for new, part in zip(found, labels)
-        ]
-        names = tuple(ids)
-    linenos = _joined(linenos)
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise NonFiniteValue(f"{path}:{linenos[row]}: non-finite feature value")
-    return FeatureTable(adopt(features), adopt(_joined(labels)), names)
+        return _parse_rows(fh, path, dim, names)
 
 
-def _joined(parts):
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _parse_rows(lines, path, dim: int, names) -> FeatureTable:
+    """The table of the rows in `lines`, the lines of `path` after its
+    header.
 
-
-def _line_cuts(fd: int, dim: int) -> list:
-    r"""[(byte offset, line number)] of the first line of each range after
-    the first, from one binary pass over the open file `fd`.
-
-    A range starts after the first ``\n`` byte (which UTF-8 never uses
-    inside a character) of a scan block, so the pass needs only each
-    block's line-break count and first ``\n``. It reads with ``pread``,
-    leaving the file position to the text reader. A file holding any
-    ``\r`` is one range, because the text reader ends a line at a lone
-    ``\r`` too.
-    """
-    size = os.fstat(fd).st_size
-    if _range_count(size // 2) == 1:  # a value takes 2 bytes at least
-        return []
-    breaks = [0]  # line breaks before each block
-    firsts = []  # offset of each block's first line break, or -1
-    for offset in range(0, size, _SCAN_BLOCK_BYTES):
-        block = os.pread(fd, _SCAN_BLOCK_BYTES, offset)
-        if b"\r" in block:
-            return []
-        # numpy counts bytes about twice as fast as bytes.count
-        newline = np.frombuffer(block, np.uint8) == ord("\n")
-        breaks.append(breaks[-1] + int(np.count_nonzero(newline)))
-        firsts.append(block.find(b"\n"))
-    ranges = _range_count(breaks[-1] * dim)
-    cuts = []
-    for i in range(1, ranges):
-        start = len(firsts) * i // ranges
-        b = next((b for b in range(start, len(firsts)) if firsts[b] >= 0), None)
-        if b is None:
-            break
-        cut = b * _SCAN_BLOCK_BYTES + firsts[b] + 1
-        if cut < size and (not cuts or cut > cuts[-1][0]):
-            cuts.append((cut, breaks[b] + 2))
-    return cuts
-
-
-def _parse_rows(lines, first: int, path, dim: int, names):
-    """(features, label ids, names met first, line numbers) of the rows in
-    `lines`, whose first is line `first` of `path`.
-
-    Label ids index `names`; with None, they index the names met first
-    here, in order, each checked by the name rule.
+    Label ids index `names`; with None, they index the names met first,
+    in order, each checked by the name rule.
     """
     name_to_id = {n: i for i, n in enumerate(names or ())}
     labels = array("q")
     linenos = array("q")
 
     def cells():
-        for lineno, line in enumerate(lines, start=first):
+        for lineno, line in enumerate(lines, start=2):
             if line == "\n":
                 continue
             label, sep, rest = line.partition(",")
@@ -678,9 +606,12 @@ def _parse_rows(lines, first: int, path, dim: int, names):
             # the line that failed is the last one recorded.
             reason = _loadtxt_reason(exc)
             raise MalformedRow(f"{path}:{linenos[-1]}: {reason}") from exc
-    found = tuple(name_to_id) if names is None else ()
-    return (features, np.frombuffer(labels, np.int64), found,
-            np.frombuffer(linenos, np.int64))
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise NonFiniteValue(f"{path}:{linenos[row]}: non-finite feature value")
+    return FeatureTable(adopt(features), adopt(np.frombuffer(labels, np.int64)),
+                        tuple(name_to_id) if names is None else names)
 
 
 def _loadtxt_reason(exc: ValueError) -> str:

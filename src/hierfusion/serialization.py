@@ -10,7 +10,6 @@ raw payload the header describes.
 
 import contextlib
 import functools
-import io
 import json
 import os
 import struct
@@ -231,17 +230,15 @@ def read_frame(blob: bytes, magic: bytes) -> tuple[dict, int]:
 
 
 @contextlib.contextmanager
-def text_reader(path, start: int = 0):
-    """Yield `path` open as UTF-8 text from byte `start`, a line start.
+def text_reader(path):
+    """Yield `path` open as UTF-8 text.
 
     Bytes that are not UTF-8 are MalformedRow naming the file but no line:
     text is decoded in chunks, ahead of the line being read.
     """
     try:
-        with open(path, "rb") as raw:
-            raw.seek(start)
-            with io.TextIOWrapper(raw, encoding="utf-8") as fh:
-                yield fh
+        with open(path, encoding="utf-8") as fh:
+            yield fh
     except UnicodeDecodeError as exc:
         raise MalformedRow(f"{path}: not UTF-8 text ({exc.reason})") from exc
 

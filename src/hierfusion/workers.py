@@ -1,6 +1,6 @@
 """Work cut into parts that run at the same time, one per CPU.
 
-The feature codec converts its row ranges, and training descends its
+The feature writer formats its row ranges, and training descends its
 stack slices, through `in_parts`: part 0 runs in this process and each
 other part in a worker made by ``os.fork`` that leaves through
 ``os._exit``. A forked worker shares the parent's memory copy-on-write,

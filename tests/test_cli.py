@@ -38,7 +38,7 @@ from hierfusion.taxonomy import (
     save_structure,
     validate_structure,
 )
-from test_features import many_ranges, one_range
+from test_features import many_ranges, one_range, parser_calls
 from test_model import many_slices, one_slice
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -1252,3 +1252,26 @@ def test_pipeline_artifacts_are_the_same_in_many_ranges_or_one(tmp_path):
     single = one_range(lambda: _pipeline_digests(tmp_path, "single"))
     assert len(single) == 7
     assert ranged == single
+
+
+# -- loads of a file the toolkit wrote ---------------------------------------------
+
+def test_no_command_parses_the_text_of_a_file_gen_synthetic_wrote(tmp_path):
+    # the file's binary twin serves every load
+    data = tmp_path / "data"
+    gen = write_config(tmp_path / "gen.json",
+                       {"seed": 0, "synthetic": SYNTH, "out": str(data)})
+    fit = tmp_path / "fit"
+    config = write_config(tmp_path / "run.json", dict(
+        sweep_base(tmp_path, data, tmp_path / "sweep"),
+        checkpoint=str(fit / "model.ckpt")))
+    with parser_calls() as calls:
+        assert run("gen-synthetic", "--config", gen) == 0
+        assert run("build-structure", "--features", str(data / "features.csv"),
+                   "--builder.k", "2", "--out", str(tmp_path / "built")) == 0
+        assert run("train", "--config", config, "--out", str(fit)) == 0
+        assert run("evaluate", "--config", config, "--out", str(tmp_path / "scored")) == 0
+        assert run("sweep", "--config", config, "--axis", "lambda",
+                   "--values", "0.0,0.2", "--seeds", "1") == 0
+    assert calls == []
+    assert (tmp_path / "sweep" / "sweep_lambda.csv").is_file()

@@ -614,7 +614,7 @@ def test_csv_single_column_empty_cell_is_malformed(tmp_path):
         load_feature_table(path, NAMES)
 
 
-# -- the codec in row ranges --------------------------------------------------
+# -- the writer in row ranges, the loader in one pass -------------------------
 
 @contextlib.contextmanager
 def counted_forks(count):
@@ -641,11 +641,10 @@ def counted_forks(count):
 
 @contextlib.contextmanager
 def many_ranges():
-    """Split every feature file into up to 4 ranges, however small, and
+    """Write every feature file in up to 4 ranges, however small, and
     yield the pids of the workers forked meanwhile."""
     with counted_forks(4) as forks, pytest.MonkeyPatch.context() as patch:
         patch.setattr(features, "_MIN_RANGE_VALUES", 1)
-        patch.setattr(features, "_SCAN_BLOCK_BYTES", 64)
         yield forks
 
 
@@ -662,21 +661,36 @@ def _one_range_bytes(table, path):
     return path.read_bytes()
 
 
-def _cuts(path, dim):
-    """The (byte offset, first line) of each range after the first."""
-    with open(path, "rb") as fh:
-        return features._line_cuts(fh.fileno(), dim)
+@contextlib.contextmanager
+def parser_calls():
+    """Yield the path of each _parse_rows call made meanwhile."""
+    calls = []
+    real_parse_rows = features._parse_rows
+
+    def counting(lines, path, *args):
+        calls.append(path)
+        return real_parse_rows(lines, path, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(features, "_parse_rows", counting)
+        yield calls
 
 
 @settings(max_examples=30, deadline=None)
 @given(_tables())
 def test_csv_round_trip_is_bit_exact_in_many_ranges(table):
+    # a range per value up to 4, empty ones included; the load parses
+    # once and forks none
+    ranges = min(4, table.count * table.dim)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "feats.csv"
         with many_ranges() as forks:
             save_feature_table(table, path)
-            back = parsed(path, NAMES)
-        assert forks
+            assert len(forks) == ranges - 1
+            with parser_calls() as calls:
+                back = parsed(path, NAMES)
+            assert len(forks) == ranges - 1
+        assert calls == [path]
         assert path.read_bytes() == _one_range_bytes(table, Path(tmp) / "one.csv")
     assert back.features.view(np.uint64).tobytes() == \
         table.features.view(np.uint64).tobytes()
@@ -697,7 +711,6 @@ def test_csv_row_text_is_format_float_of_every_value_in_many_ranges(table):
         assert line.split(",") == [NAMES[label]] + [format_float(v) for v in values]
 
 
-# Every row of a ranged file has one length, so a fault changes no cut.
 _ROW = b"cat,1.00000,2.00000"
 _FAULTS = {
     "cell-count": (b"cat,1.0000000000000", DimensionMismatch),
@@ -713,7 +726,7 @@ def _ranged_file(path, bad_line=None, bad_row=b""):
     """Header and 2000 rows (line 2 on), with line `bad_line` replaced.
 
     At 40 kB the file outruns the text reader's first 8 kB chunk, so a
-    fault past the first cut is decoded in the range that holds it.
+    fault on a later line is decoded after the first rows are read.
     """
     rows = [b"label,f0,f1"] + [_ROW] * 2000
     if bad_line is not None:
@@ -722,28 +735,29 @@ def _ranged_file(path, bad_line=None, bad_row=b""):
     return path
 
 
-@pytest.mark.parametrize("where", ["before-cut", "after-cut", "last-range"])
+# An early line, a middle one and the last, named by where a 4-range
+# write of the 2000 rows cuts: line 3 lies before the first cut, line 1002
+# starts the third range, and line 2001 ends the last.
+_FAULT_LINES = {"before-cut": 3, "after-cut": 1002, "last-range": 2001}
+
+
+@pytest.mark.parametrize("where", _FAULT_LINES)
 @pytest.mark.parametrize("fault", _FAULTS, ids=_FAULTS.keys())
 def test_a_fault_in_any_range_is_the_one_range_error(tmp_path, fault, where):
     bad_row, error = _FAULTS[fault]
-    with many_ranges():
-        cuts = _cuts(_ranged_file(tmp_path / "good.csv"), 2)
-    assert len(cuts) == 3
-    line = {"before-cut": cuts[1][1] - 1, "after-cut": cuts[1][1],
-            "last-range": cuts[2][1] + 2}[where]
+    line = _FAULT_LINES[where]
     path = _ranged_file(tmp_path / "bad.csv", line, bad_row)
     names = None if fault == "name-rule" else NAMES
-    with many_ranges() as forks:
-        assert _cuts(path, 2) == cuts
-        with pytest.raises(error) as ranged:
+    with many_ranges() as forks, parser_calls() as calls:
+        with pytest.raises(error) as raised:
             load_feature_table(path, names)
-    assert len(forks) == 3
-    with pytest.raises(error) as serial:
-        one_range(lambda: load_feature_table(path, names))
-    assert type(ranged.value) is type(serial.value)
-    assert str(ranged.value) == str(serial.value)
-    if fault != "not-utf8":  # decoded ahead of the line; named by file alone
-        assert f"bad.csv:{line}: " in str(serial.value)
+    # one pass at most: bytes that are not UTF-8 in the reader's first
+    # chunk fail while the header is read
+    assert forks == []
+    assert len(calls) <= 1
+    # text is decoded ahead of the line, so not-utf8 names the file alone
+    at = "bad.csv: not UTF-8" if fault == "not-utf8" else f"bad.csv:{line}: "
+    assert at in str(raised.value)
 
 
 def test_a_lone_carriage_return_ends_a_line_in_any_range_count(tmp_path):
@@ -753,40 +767,40 @@ def test_a_lone_carriage_return_ends_a_line_in_any_range_count(tmp_path):
     lines = path.read_bytes().split(b"\n")
     lines[-3] = b"cat,1.00000,2.0000x"
     path.write_bytes(b"\n".join(lines))
-    with many_ranges(), pytest.raises(MalformedRow) as ranged:
+    with pytest.raises(MalformedRow) as raised:
         load_feature_table(path, NAMES)
-    assert f"bad.csv:{len(lines) - 1}: " in str(ranged.value)
-    with pytest.raises(MalformedRow) as serial:
-        one_range(lambda: load_feature_table(path, NAMES))
-    assert str(ranged.value) == str(serial.value)
+    assert f"bad.csv:{len(lines) - 1}: " in str(raised.value)
 
 
 def test_a_parse_error_in_a_later_range_wins_over_a_non_finite_value(tmp_path):
+    # a non-finite value is reported only once every line has parsed
     path = _ranged_file(tmp_path / "bad.csv", 3, b"cat,1.00000,1e99999")
     lines = path.read_bytes().split(b"\n")
     lines[-3] = b"cat,1.00000,2.0000x"
     path.write_bytes(b"\n".join(lines))
-    with many_ranges() as forks, pytest.raises(MalformedRow) as ranged:
+    with pytest.raises(MalformedRow) as raised:
         load_feature_table(path, NAMES)
-    assert forks
-    with pytest.raises(MalformedRow) as serial:
-        one_range(lambda: load_feature_table(path, NAMES))
-    assert str(ranged.value) == str(serial.value)
+    assert f"bad.csv:{len(lines) - 2}: " in str(raised.value)
 
 
 def test_first_appearance_names_stay_in_order_across_cuts(tmp_path):
+    # names first met in every range of a 4-range write, in another order
+    # than the table's own
     labels = [f"n{i // 7 % 5}" if i % 3 else f"m{i // 11}" for i in range(80)]
+    names = tuple(sorted(set(labels)))
+    table = table_of(np.arange(80.0)[:, None] + 0.5,
+                     [names.index(n) for n in labels], names)
     path = tmp_path / "names.csv"
-    path.write_text("label,f0\n" + "".join(f"{n},{i}.5\n" for i, n in
-                                           enumerate(labels)))
     with many_ranges() as forks:
-        ranged = load_feature_table(path)
-    assert len(forks) == 3
-    serial = one_range(lambda: load_feature_table(path))
-    assert ranged.subclass_names == serial.subclass_names
-    assert ranged.subclass_names == tuple(dict.fromkeys(labels))
-    assert ranged.labels.tolist() == serial.labels.tolist()
-    assert np.array_equal(ranged.features, serial.features)
+        save_feature_table(table, path)
+        assert len(forks) == 3
+        with parser_calls() as calls:
+            back = parsed(path)
+        assert len(forks) == 3
+    assert calls == [path]
+    assert back.subclass_names == tuple(dict.fromkeys(labels))
+    assert [back.subclass_names[i] for i in back.labels] == labels
+    assert back.features.tobytes() == table.features.tobytes()
 
 
 class _Unwritable(str):
@@ -884,21 +898,6 @@ def _parsed_outcomes(path, hints):
     return [_outcome(path, names) for names in hints]
 
 
-@contextlib.contextmanager
-def parser_calls():
-    """Yield the first line number of each _parse_rows call made meanwhile."""
-    calls = []
-    real_parse_rows = features._parse_rows
-
-    def counting(*args):
-        calls.append(args[1])
-        return real_parse_rows(*args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(features, "_parse_rows", counting)
-        yield calls
-
-
 # Any legal name, and names ending in NUL, which a numpy "U" array cuts off.
 _NAME = (st.text(st.characters(exclude_characters=",\n\r", exclude_categories=("Cs",)),
                  max_size=4).map(str.strip)
@@ -967,7 +966,7 @@ def _assert_parsed(path):
     twin is gone, with the file's names and with NAMES."""
     with parser_calls() as calls:
         got = [_outcome(path, names) for names in (None, NAMES)]
-    assert calls == [2, 2]
+    assert calls == [path, path]
     assert got == _parsed_outcomes(path, (None, NAMES))
     return got
 

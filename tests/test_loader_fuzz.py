@@ -1,5 +1,7 @@
-"""Any bytes given to the checkpoint, structure and prediction loaders
-either load or raise a HierFusionError; no other exception escapes.
+"""Any bytes given to the checkpoint, structure, prediction and
+feature-table loaders either load or raise a HierFusionError; no other
+exception escapes. A feature table that loads saves and loads back as
+itself.
 
 Every legal name table reads back as itself through each file that
 holds one, and an illegal one is refused when a value holding it is
@@ -160,6 +162,86 @@ def test_prediction_loader_takes_any_bytes(blob):
     _loads_or_raises_typed_error(
         functools.partial(load_predictions, subclass_names=("a", "b", "c")), blob
     )
+
+
+# Feature files built from pieces the parser must take or refuse: every
+# line break the text reader knows, bytes that are not UTF-8, NUL, empty
+# cells, digit separators, non-ASCII digits, labels outside the name
+# table or the name rule, and headers of any width or none.
+_LABELS = st.sampled_from(["a", "b", "c"])
+_OTHER_LABELS = st.sampled_from(["zebra", " a", "", "\u00e9", "\x00", "a\x00"])
+_GOOD_CELLS = st.sampled_from(["1", "-2.5", "0", "-0", "1e-300", "3 ",
+                               "0.10000000000000001"])
+_BAD_CELLS = st.sampled_from(["", "1_0", "\u0661\u0662", "nan", "1e999", "0x10",
+                              "\x00", "#1"])
+_BAD_HEADERS = st.sampled_from(["label", "f0,f1", "", "label,"])
+_LINE_BREAKS = st.sampled_from([b"\n", b"\r\n", b"\r"])
+_NOT_UTF8 = st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])
+
+
+@st.composite
+def _feature_files(draw):
+    """A header and rows of a label and cells, or blank lines, each line
+    ended by any line break; then up to two faults, each a label, a cell,
+    a cell count, the header or bytes that are not UTF-8."""
+    dim = draw(st.integers(1, 3))
+    lines = [["label"] + [f"f{j}" for j in range(dim)]]
+    for _ in range(draw(st.integers(0, 6))):
+        blank = draw(st.integers(0, 4)) == 0
+        lines.append([""] if blank else [draw(_LABELS)] + draw(
+            st.lists(_GOOD_CELLS, min_size=dim, max_size=dim)))
+    spliced = set()
+    for _ in range(draw(st.integers(0, 2))):
+        index = draw(st.integers(0, len(lines) - 1))
+        line = lines[index]
+        at = draw(st.integers(0, len(line)))
+        fault = draw(st.sampled_from(["label", "cell", "drop", "add", "header",
+                                      "bytes"]))
+        if fault == "label":
+            line[:1] = [draw(_OTHER_LABELS)]
+        elif fault == "cell":
+            line[at:at + 1] = [draw(_BAD_CELLS)]
+        elif fault == "drop":
+            del line[at:at + 1]
+        elif fault == "add":
+            line.insert(at, draw(_GOOD_CELLS))
+        elif fault == "header":
+            lines[0] = [draw(_BAD_HEADERS)]
+        else:
+            spliced.add(index)
+    blob = b""
+    for index, line in enumerate(lines):
+        text = ",".join(line).encode("utf-8")
+        if index in spliced:
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(_NOT_UTF8) + text[at:]
+        blob += text + draw(_LINE_BREAKS)
+    return blob
+
+
+@pytest.mark.parametrize("names", [None, ("a", "b", "c")], ids=["inferred", "names"])
+@settings(max_examples=100, deadline=None)
+@given(blob=st.one_of(
+    st.binary(max_size=200),
+    st.binary(max_size=200).map(lambda b: b"label,f0,f1\n" + b),
+    _feature_files(),
+))
+def test_feature_table_loader_takes_any_bytes(names, blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "input.csv").write_bytes(blob)
+        try:
+            table = load_feature_table(tmp / "input.csv", names)
+        except HierFusionError:
+            return
+        save_feature_table(table, tmp / "saved.csv")
+        for _ in range(2):  # from the binary twin, then by the parser
+            back = load_feature_table(tmp / "saved.csv", names)
+            assert back.features.tobytes() == table.features.tobytes()
+            assert back.features.shape == table.features.shape
+            assert back.labels.tolist() == table.labels.tolist()
+            assert back.subclass_names == table.subclass_names
+            (tmp / ".saved.csv.table").unlink(missing_ok=True)
 
 
 # -- name tables -----------------------------------------------------------------
