@@ -10,35 +10,13 @@ measures next to flat accuracy.
 Everything is deterministic given explicit seeds, and every artifact
 (feature files, structure files, checkpoints, reports) round-trips
 exactly. The `hierfusion` command drives the same code end to end.
+
+`__all__` is every public name bound in this file.
 """
 
-from .exceptions import (
-    CheckpointError,
-    ClassTooSmall,
-    DegeneratePoints,
-    DimensionMismatch,
-    DivergedLoss,
-    DuplicateSubclass,
-    EigensolverFailure,
-    EmptyBatch,
-    EmptyCluster,
-    EmptySuperclass,
-    FeatureFileError,
-    HierFusionError,
-    IdOutOfRange,
-    InvalidConfig,
-    InvalidSpec,
-    InvalidValue,
-    IsolatedClass,
-    MalformedRow,
-    NonFiniteValue,
-    OrphanSubclass,
-    StructureError,
-    SubclassSpaceMismatch,
-    UnknownLabel,
-    UnknownSubclass,
-    UnknownSuperclass,
-)
+from types import ModuleType as _ModuleType
+
+from .exceptions import *  # every error class; the module defines nothing else
 from .features import (
     ClassStats,
     FeatureTable,
@@ -97,77 +75,7 @@ from .taxonomy import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffinityMatrix",
-    "CheckpointError",
-    "ClassStats",
-    "ClassTooSmall",
-    "DegeneratePoints",
-    "DimensionMismatch",
-    "DivergedLoss",
-    "DuplicateSubclass",
-    "EigensolverFailure",
-    "EmptyBatch",
-    "EmptyCluster",
-    "EmptySuperclass",
-    "EvalReport",
-    "FeatureFileError",
-    "FeatureTable",
-    "FusionConfig",
-    "FusionModel",
-    "HierFusionError",
-    "IdOutOfRange",
-    "InvalidConfig",
-    "InvalidSpec",
-    "InvalidValue",
-    "IsolatedClass",
-    "LabelStructure",
-    "MalformedRow",
-    "NonFiniteValue",
-    "OrphanSubclass",
-    "PredictionBatch",
-    "SpectralEmbedding",
-    "StructureError",
-    "StructureScores",
-    "StructureSet",
-    "SubclassSpaceMismatch",
-    "SyntheticSpec",
-    "TrainHistory",
-    "UnknownLabel",
-    "UnknownSubclass",
-    "UnknownSuperclass",
-    "adjusted_rand_index",
-    "affinity_matrix",
-    "build_visual_structure",
-    "class_distance_matrix",
-    "class_statistics",
-    "derive_seed",
-    "dump_json",
-    "evaluate",
-    "format_float",
-    "forward",
-    "generate_synthetic",
-    "gradient_check",
-    "init_model",
-    "kmeans",
-    "lca_heights",
-    "load_checkpoint",
-    "load_feature_table",
-    "load_predictions",
-    "load_structure",
-    "load_structure_set",
-    "predict",
-    "rng_from_seed",
-    "save_checkpoint",
-    "save_feature_table",
-    "save_history",
-    "save_predictions",
-    "save_structure",
-    "spectral_embedding",
-    "stack_key",
-    "symmetric_eigen",
-    "train",
-    "train_stacked",
-    "train_test_split",
-    "validate_structure",
-]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -585,8 +585,8 @@ def main(argv=None) -> int:
             cmd_train(config)
         else:
             cmd_evaluate(config)
-    except (HierFusionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (HierFusionError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -149,6 +149,13 @@ def config_choice(options):
     return typed
 
 
+def fits_array(*shape: int) -> bool:
+    """Whether numpy can index a float64 array of `shape`: no dimension and
+    no byte count past np.intp's range, where numpy raises ValueError."""
+    limit = np.iinfo(np.intp).max
+    return max(shape) <= limit and math.prod(shape) * 8 <= limit
+
+
 class _Adopted:
     """An array marked by `adopt`: one that library code has just made."""
 

@@ -103,10 +103,6 @@ class DegeneratePoints(HierFusionError):
     """k-means cannot find k distinct points to seed from."""
 
 
-class EmptyCluster(HierFusionError):
-    """A cluster ended up with no members."""
-
-
 # -- metrics -------------------------------------------------------------
 
 class EmptyBatch(HierFusionError):

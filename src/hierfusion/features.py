@@ -64,6 +64,7 @@ from .config import (
     config_name,
     config_real,
     config_seed,
+    fits_array,
     frozen_array,
     type_fields,
 )
@@ -206,6 +207,13 @@ class SyntheticSpec:
                   self.samples_per_subclass, self.dim)
         if min(counts) < 1:
             raise InvalidSpec("all counts must be >= 1")
+        k, d = self.superclass_count, self.dim
+        rows = self.subclass_count * self.samples_per_subclass
+        if not (fits_array(rows, d) and fits_array(k, k, d)):
+            raise InvalidSpec(
+                f"{rows} samples of dim {d} over {k} superclasses are too many "
+                "for a numpy array"
+            )
         if self.superclass_separation <= 0 or self.subclass_separation <= 0:
             raise InvalidSpec("separations must be > 0")
         if self.noise_scale <= 0:

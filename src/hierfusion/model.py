@@ -61,6 +61,7 @@ from .config import (
     config_optional,
     config_real,
     config_seed,
+    fits_array,
     frozen_array,
     type_fields,
     typed_section,
@@ -289,6 +290,11 @@ def init_model(
     rng = rng_from_seed(derive_seed(config.seed, _STREAM_INIT))
 
     def draw(fan_in, fan_out):
+        if not fits_array(fan_in, fan_out):
+            raise InvalidConfig(
+                f"stage_dims: a {fan_in} x {fan_out} weight matrix is too large "
+                "for a numpy array"
+            )
         scale = 1.0 / math.sqrt(fan_in)
         return rng.uniform(-scale, scale, size=(fan_in, fan_out))
 
@@ -638,6 +644,11 @@ def train_stacked(configs, tables, structures) -> list[tuple[FusionModel, TrainH
         )
     if tables[0].count == 0:
         raise ClassTooSmall(0, "empty table has no rows to train on")
+    epochs = configs[0].epochs
+    if not fits_array(runs, epochs, max(1, configs[0].structure_count)):
+        raise InvalidConfig(
+            f"epochs: {epochs} epochs of history are too many for a numpy array"
+        )
     models = [init_model(c, s, t.dim, t.subclass_names)
               for c, t, s in zip(configs, tables, structures)]
     size = sum(arr.size for _, arr in _parameters(models[0]))

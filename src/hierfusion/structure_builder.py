@@ -26,7 +26,6 @@ from .exceptions import (
     DegeneratePoints,
     DimensionMismatch,
     EigensolverFailure,
-    EmptyCluster,
     InvalidConfig,
     InvalidValue,
     IsolatedClass,
@@ -228,7 +227,10 @@ def kmeans(points, k: int, seed: int = 0) -> np.ndarray:
 
 
 def _repair_empty(assign: np.ndarray, dist2: np.ndarray, k: int) -> np.ndarray:
-    """Give each empty cluster the point farthest from its current center."""
+    """Give each empty cluster the point farthest from its current center
+    (the lower index on a tie) among the points whose cluster keeps another
+    member. kmeans refuses k > n, so while a cluster is empty the n >= k
+    points fill at most k - 1 clusters and one of them holds two or more."""
     assign = assign.copy()
     for j in range(k):
         if np.any(assign == j):
@@ -236,8 +238,6 @@ def _repair_empty(assign: np.ndarray, dist2: np.ndarray, k: int) -> np.ndarray:
         counts = np.bincount(assign, minlength=k)
         own = dist2[np.arange(assign.size), assign]
         movable = counts[assign] > 1
-        if not movable.any():
-            raise EmptyCluster(f"cannot repair empty cluster {j}")
         candidate = int(np.argmax(np.where(movable, own, -np.inf)))
         assign[candidate] = j
     return assign

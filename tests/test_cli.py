@@ -10,11 +10,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hierfusion import cli as cli_module
 from hierfusion import model as model_module
 from hierfusion import taxonomy as taxonomy_module
 from hierfusion.cli import experiment_config_from_dict, main
-from hierfusion.exceptions import CheckpointError, StructureError
-from hierfusion.features import load_feature_table, train_test_split
+from hierfusion.exceptions import (
+    CheckpointError,
+    InvalidConfig,
+    InvalidSpec,
+    StructureError,
+)
+from hierfusion.features import (
+    SyntheticSpec,
+    generate_synthetic,
+    load_feature_table,
+    train_test_split,
+)
 from hierfusion.metrics import PredictionBatch, evaluate, save_predictions
 from hierfusion.model import (
     CHECKPOINT_MAGIC,
@@ -942,6 +953,81 @@ def test_synthetic_and_model_fields_are_typed(tmp_path, capsys, command, flag,
     assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+HUGE = str(10**20)  # past np.intp's range: numpy cannot index the array
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("gen-synthetic", ["--synthetic.dim", HUGE],
+     f"2000 samples of dim {HUGE} over 4 superclasses are too many"),
+    ("gen-synthetic", ["--synthetic.samples_per_subclass", HUGE],
+     f"{20 * 10**20} samples of dim 16 over 4 superclasses are too many"),
+    ("gen-synthetic", ["--synthetic.superclass_count", HUGE],
+     f"{5 * 10**22} samples of dim 16 over {HUGE} superclasses are too many"),
+    ("train", ["--model.stage_dims", f"[4, {HUGE}]"],
+     f"stage_dims: a 4 x {HUGE} weight matrix is too large"),
+    ("train", ["--model.epochs", HUGE], f"epochs: {HUGE} epochs of history"),
+    ("sweep", ["--model.epochs", HUGE, "--seeds", "1"],
+     f"epochs: {HUGE} epochs of history"),
+    # one run's history fits np.intp's range, a stack of two does not
+    ("sweep", ["--model.epochs", str(10**18), "--seeds", "1,2"],
+     f"epochs: {10**18} epochs of history"),
+], ids=["synthetic-dim", "synthetic-samples", "synthetic-superclasses",
+        "train-stage-dims", "train-epochs", "sweep-epochs", "sweep-stack-epochs"])
+def test_an_oversized_size_is_one_error_line(tmp_path, capsys, command, flags,
+                                             message):
+    out = tmp_path / "out"
+    if command == "gen-synthetic":
+        argv = [command, "--out", str(out)]
+    else:
+        data = gen_dataset(tmp_path)
+        config = write_config(tmp_path / "c.json", sweep_base(tmp_path, data, out))
+        argv = [command, "--config", config]
+        if command == "sweep":
+            argv += ["--axis", "lambda", "--values", "0.2"]
+    capsys.readouterr()
+    assert run(*argv, *flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_an_oversized_size_is_the_error_of_its_value():
+    with pytest.raises(InvalidSpec, match="too many for a numpy array"):
+        SyntheticSpec(dim=10**20)
+    table = generate_synthetic(SyntheticSpec(**SYNTH))[0]
+    with pytest.raises(InvalidConfig, match="^stage_dims: a 6 x "):
+        train(FusionConfig(stage_dims=(10**20, 2)), table, StructureSet(()))
+    with pytest.raises(InvalidConfig, match="^epochs: "):
+        train(FusionConfig(epochs=10**20), table, StructureSet(()))
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 8.00 EiB for an array"),
+     "Unable to allocate 8.00 EiB for an array"),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("command, callee", [
+    ("gen-synthetic", "generate_synthetic"),
+    ("build-structure", "build_visual_structure"),
+    ("train", "train"),
+])
+def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, command,
+                                        callee, error, message):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli_module, callee, fail)
+    config = write_config(tmp_path / "c.json", {
+        "synthetic": SYNTH,
+        "builder": {"k": 2},
+        "model": MODEL,
+        "out": str(tmp_path / "out"),
+    })
+    assert run(command, "--config", config) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_integral_float_model_fields_keep_checkpoint_bytes(tmp_path):

@@ -27,6 +27,7 @@ from hierfusion.features import (
 from hierfusion.structure_builder import (
     AffinityMatrix,
     SpectralEmbedding,
+    _repair_empty,
     adjusted_rand_index,
     affinity_matrix,
     build_visual_structure,
@@ -404,6 +405,34 @@ def test_kmeans_every_cluster_nonempty():
     assign = kmeans(points, 6, seed=1)
     assert np.bincount(assign, minlength=6).min() >= 1
     assert assign.max() < 6 and assign.min() >= 0
+
+
+def _own_distances(assign, own, k):
+    """A (n, k) distance matrix whose entry for each point's own cluster is
+    `own`; every other entry is larger, so no test reads it."""
+    dist2 = np.full((len(assign), k), 100.0)
+    dist2[np.arange(len(assign)), assign] = own
+    return dist2
+
+
+@pytest.mark.parametrize("assign, own, k, repaired", [
+    # the empty cluster 2 takes point 1, the farthest from its own centre
+    ([0, 0, 0, 1, 1], [1.0, 5.0, 3.0, 2.0, 4.0], 3, [0, 2, 0, 1, 1]),
+    # points 0 and 2 tie: the lower index moves
+    ([0, 0, 0, 1, 1], [5.0, 1.0, 5.0, 2.0, 2.0], 3, [2, 0, 0, 1, 1]),
+    # point 2 is the farthest, but alone in cluster 1, so it stays
+    ([0, 0, 1], [1.0, 2.0, 9.0], 3, [0, 2, 1]),
+    # clusters 1 and 2 are both empty: each takes the farthest movable point
+    ([0, 0, 0, 0], [1.0, 4.0, 2.0, 3.0], 3, [0, 1, 0, 2]),
+], ids=["farthest", "tie-lower-index", "single-stays", "two-empty"])
+def test_repair_empty_gives_each_empty_cluster_its_farthest_movable_point(
+        assign, own, k, repaired):
+    assign = np.array(assign)
+    before = assign.copy()
+    result = _repair_empty(assign, _own_distances(assign, own, k), k)
+    assert result.tolist() == repaired
+    assert np.bincount(result, minlength=k).min() >= 1
+    assert np.array_equal(assign, before)
 
 
 def test_kmeans_degenerate_inputs():
