@@ -74,7 +74,7 @@ from .rng import (
     STREAM_SYNTHETIC,
     derive_seed,
 )
-from .serialization import atomic_text_writer, dump_json, format_float
+from .serialization import atomic_text_writer, dump_json, format_float, load_json
 from .structure_builder import build_visual_structure
 from .taxonomy import StructureSet, load_structure, load_structure_set, save_structure
 
@@ -517,8 +517,8 @@ def _parse_overrides(tokens: list) -> list:
 def _flag_value(text: str):
     """A flag's text as JSON, or the text itself when it is not JSON."""
     try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError):  # not JSON, or nested too deep
+        return load_json(text, InvalidConfig, "flag value")
+    except (ValueError, RecursionError):  # not JSON, too long a number, too deep
         return text
 
 
@@ -546,7 +546,7 @@ def _parse_value_list(text):
             continue
         try:
             values.append(json.loads(cell))
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise InvalidConfig(f"cannot parse list item {cell!r}") from exc
     if not values:
         raise InvalidConfig("empty value list")
@@ -560,7 +560,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             with open(args.config, "r", encoding="utf-8") as fh:
                 try:
-                    raw = json.load(fh)
+                    raw = load_json(fh.read(), InvalidConfig, args.config)
                 except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
                     raise InvalidConfig(f"{args.config}: {exc}") from exc
             if not isinstance(raw, dict):

@@ -24,32 +24,31 @@ at least _MIN_RANGE_VALUES values. The ranges run through the shared
 fork helper, workers.in_parts: range 0 in this process and each other
 range in a forked worker. With one range, or where workers.worker_count
 finds a fork unsafe, nothing is forked. The writer appends the ranges in
-order, so the split changes no byte written and no error raised. The
+order from nameless temporary files, so the split changes no byte written
+and no error raised, and a killed write leaves no part behind. The
 loader parses a file in one pass.
 
 Beside each feature file it writes, save_feature_table leaves a binary
-twin, the hidden ``.<name>.table``: the SHA-256 of the file's bytes,
-taken as they are written so the file is never read back, and its rows
-as raw float64 features and int64 label ids, with the names in
-first-appearance order, closed by the SHA-256 of the twin's own bytes.
-load_feature_table builds the table from the twin while the recorded hash
-is that of the file and the closing one that of the twin, and parses the
-text otherwise, as Python uses a hash-checked ``.pyc`` only while its
-source is unchanged. The twin's rows and width must first give exactly
-its size; its features and labels are then read straight into the
-table's own arrays and hashed as they arrive, so a load holds one copy
-of them. The table adopts them, as every table made here adopts the
-arrays it was built from (config.adopt): only a caller's array is
-copied. The twin changes no table and no error: a stale, damaged or
-missing twin is a cache miss, so deleting it is always safe, and a file
-from another extractor, which has none, is parsed.
+twin, the hidden ``.<name>.table``: a serialization.save_frame frame of
+the SHA-256 of the file's bytes, taken as they are written so the file
+is never read back, and its rows as raw float64 features and int64 label
+ids, with the names in first-appearance order. load_feature_table builds
+the table from the twin while the recorded hash is that of the file and
+serialization.load_frame accepts the twin, and parses the text
+otherwise, as Python uses a hash-checked ``.pyc`` only while its source
+is unchanged. The table adopts the arrays load_frame reads, as every
+table made here adopts the arrays it was built from (config.adopt): only
+a caller's array is copied. The twin changes no table and no error: a
+stale, damaged or missing twin is a cache miss, so deleting it is always
+safe, and a file from another extractor, which has none, is parsed.
 """
 
+import contextlib
 import hashlib
 import itertools
 import math
-import os
 import re
+import tempfile
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -83,8 +82,8 @@ from .serialization import (
     CELL_WORDS,
     atomic_text_writer,
     float_cells,
-    frame_head,
-    read_frame,
+    load_frame,
+    save_frame,
     text_reader,
 )
 from .taxonomy import LabelStructure
@@ -329,7 +328,7 @@ _NEWLINE_WORD = np.frombuffer(b"\n" + b"\xff" * 7, np.uint64)[0]
 # The first line of a feature file's binary twin (see save_feature_table).
 TABLE_MAGIC = b"hierfusion-table-v1\n"
 
-# A feature file is hashed, and a part file appended, in blocks of this
+# A feature file is hashed, and a range's part appended, in blocks of this
 # many bytes, below the C allocator's 128 kB mmap threshold: freeing 1 MB
 # blocks raised that threshold and with it the peak RSS of a later sweep
 # by about 1 MB.
@@ -352,8 +351,8 @@ def save_feature_table(table: FeatureTable, path) -> None:
     target directory that replaces `path` only once complete; on any
     error it is deleted and `path` is left as it was. Contiguous row
     ranges are formatted in parallel (see the module docstring); each
-    range after the first goes to a hidden part file beside `path`,
-    appended in order and deleted, so the bytes are those of one pass.
+    range after the first goes to a nameless temporary file, appended in
+    order, so the bytes are those of one pass.
     Every byte is hashed as it goes into the file, and the binary twin
     ``.<name>.table`` is then written the same way; should that fail, the
     error is raised with the new file in place and any older twin left
@@ -362,27 +361,25 @@ def save_feature_table(table: FeatureTable, path) -> None:
     path = Path(path)
     ranges = _range_count(table.count * table.dim)
     bounds = [table.count * i // ranges for i in range(ranges + 1)]
-    parts = [path.with_name(f".{path.name}.{i}.part") for i in range(1, ranges)]
 
     def convert(index):
-        if index == 0:
-            return _write_rows(out, table, bounds[0], bounds[1])
-        with open(parts[index - 1], "wb") as part:
-            _write_rows(part, table, bounds[index], bounds[index + 1])
+        _write_rows(files[index], table, bounds[index], bounds[index + 1])
+        if index:
+            files[index].flush()  # a worker leaves through os._exit
 
-    try:
+    with contextlib.ExitStack() as scratch:
+        parts = [scratch.enter_context(tempfile.TemporaryFile(dir=path.parent))
+                 for _ in range(1, ranges)]
         with atomic_text_writer(path, binary=True) as fh:
             out = _HashedWriter(fh)
+            files = [out, *parts]
             out.write(("label," + ",".join(f"f{j}" for j in range(table.dim))
                        + "\n").encode("ascii"))
             in_parts(ranges, convert)
             for part in parts:
-                with open(part, "rb") as src:
-                    while block := src.read(_HASH_BLOCK_BYTES):
-                        out.write(block)
-    finally:
-        for part in parts:
-            part.unlink(missing_ok=True)
+                part.seek(0)
+                while block := part.read(_HASH_BLOCK_BYTES):
+                    out.write(block)
     _save_twin(table, path, out.digest.hexdigest())
 
 
@@ -416,14 +413,10 @@ def _sha256(path) -> str:
 
 def _save_twin(table: FeatureTable, path: Path, source: str) -> None:
     """Write the twin of the feature file `path`, just written from `table`,
-    whose bytes have the hex SHA-256 `source`.
-
-    Layout: the binary frame of serialization.frame_head with the header
-    `source`, the file's SHA-256; `rows`; `dim`; `names`. Then the
-    features as ``<f8``, the labels as ``<i8`` and last the SHA-256 of
-    every byte before it. Names and labels are the file's own: its labels
-    in first-appearance order and ids into them, as load_feature_table(path)
-    with no names returns them.
+    whose bytes have the hex SHA-256 `source`: the save_frame frame of the
+    header `source`; `rows`; `dim`; `names` and the features and labels,
+    as load_feature_table(path) with no names returns them (its labels in
+    first-appearance order and ids into them).
     """
     used, first = np.unique(table.labels, return_index=True)
     order = used[np.argsort(first)]
@@ -431,59 +424,32 @@ def _save_twin(table: FeatureTable, path: Path, source: str) -> None:
     ids[order] = np.arange(order.size)
     header = {"source": source, "rows": table.count, "dim": table.dim,
               "names": [table.subclass_names[i] for i in order.tolist()]}
-    digest = hashlib.sha256()
-    with atomic_text_writer(_twin_path(path), binary=True) as fh:
-        for part in (frame_head(TABLE_MAGIC, header),
-                     np.ascontiguousarray(table.features, "<f8").data,
-                     np.ascontiguousarray(ids[table.labels], "<i8").data):
-            digest.update(part)
-            fh.write(part)
-        fh.write(digest.digest())
+    save_frame(_twin_path(path), TABLE_MAGIC, header, (table.features, ids[table.labels]))
 
 
-def _read_twin(path):
-    """The table load_feature_table(path) returns, built from the twin of
-    the feature file `path`, or None where there is none to trust: no
-    twin, an unreadable one, one whose last 32 bytes are not the SHA-256
-    of the rest (so not as _save_twin wrote it), one that records another
-    SHA-256 than that of the bytes of `path` now, or one whose header does
-    not describe a valid table of exactly its size.
-
-    The payload is read straight into the table's own arrays, hashed as
-    it arrives, so the table is the only copy of it.
-    """
-    try:
-        with open(_twin_path(path), "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            head = fh.read(len(TABLE_MAGIC) + 4)
-            # the header, as long as the frame says, but never past the file
-            head += fh.read(min(int.from_bytes(head[-4:], "little"), size))
-            header, start = read_frame(head, TABLE_MAGIC)
-            rows, dim = header["rows"], header["dim"]
-            # type() refuses bools; the size check comes before any allocation
-            if not (type(rows) is type(dim) is int and rows >= 0 and dim >= 1
-                    and start + 8 * rows * (dim + 1) + 32 == size):
-                return None
-            if header["source"] != _sha256(path):
-                return None
-            digest = hashlib.sha256(head)
-            features, labels = np.empty((rows, dim), "<f8"), np.empty(rows, "<i8")
-            for array in (features, labels):
-                if fh.readinto(array) != array.nbytes:
-                    return None
-                digest.update(array)
-            if fh.read() != digest.digest():
-                return None
-        return FeatureTable(adopt(features), adopt(labels), header["names"])
-    except (OSError, ValueError, KeyError, HierFusionError):
-        return None
+def _twin_layout(header) -> list:
+    """The (shape, dtype) of the features and labels of a twin."""
+    rows, dim = header["rows"], header["dim"]
+    if not (type(rows) is type(dim) is int and rows >= 0 and dim >= 1):  # no bools
+        raise ValueError("rows and dim must be sizes")
+    return [((rows, dim), np.float64), ((rows,), np.int64)]
 
 
 def _load_twin(path, names):
     """The table load_feature_table(path, names) returns, built from the
-    twin of `path`, or None where _read_twin finds none to trust."""
-    table = _read_twin(path)
-    if table is None or names is None:
+    twin of the feature file `path`, or None where there is none to trust:
+    no twin, one load_frame refuses, one that records another SHA-256 than
+    that of the bytes of `path` now, or one that describes no valid table.
+    """
+    try:
+        header, (features, labels) = load_frame(_twin_path(path), TABLE_MAGIC,
+                                                _twin_layout)
+        if header["source"] != _sha256(path):
+            return None
+        table = FeatureTable(adopt(features), adopt(labels), header["names"])
+    except (OSError, ValueError, KeyError, HierFusionError):
+        return None
+    if names is None:
         return table
     name_to_id = {n: i for i, n in enumerate(names)}
     found = table.subclass_names

@@ -55,6 +55,7 @@ import numpy as np
 
 from .config import (
     SUBCLASS_NAMES,
+    adopt,
     config_int,
     config_list,
     config_name,
@@ -78,11 +79,11 @@ from .exceptions import (
 )
 from .features import FeatureTable
 from .rng import derive_seed, rng_from_seed
-from .serialization import atomic_text_writer, frame_head, read_frame
+from .serialization import atomic_text_writer, load_frame, save_frame
 from .taxonomy import StructureSet
 from .workers import in_parts, worker_count
 
-CHECKPOINT_MAGIC = b"hierfusion-checkpoint-v1\n"
+CHECKPOINT_MAGIC = b"hierfusion-checkpoint-v2\n"
 
 # Sub-streams under config.seed. Keeping the shuffle stream separate from
 # init means adding or removing superclass heads never shifts the batch
@@ -872,60 +873,45 @@ def _checkpoint_header(model: FusionModel, config: FusionConfig) -> dict:
 
 
 def save_checkpoint(model: FusionModel, config: FusionConfig, path) -> None:
-    """Single-file checkpoint: JSON header plus raw little-endian float64.
-
-    Layout: the binary frame of serialization.frame_head (magic line,
-    uint32 header length, the header JSON: config, name tables, tensor
-    manifest), then each tensor's bytes in manifest order, which is the
-    canonical parameter order. Parameters round-trip bit-exactly.
+    """Single-file checkpoint: the serialization.save_frame frame of the
+    JSON header (config, name tables, tensor manifest) and each tensor in
+    manifest order, the canonical parameter order. Parameters round-trip
+    bit-exactly.
     """
-    with atomic_text_writer(path, binary=True) as fh:
-        fh.write(frame_head(CHECKPOINT_MAGIC, _checkpoint_header(model, config)))
-        for _, arr in _parameters(model):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    save_frame(path, CHECKPOINT_MAGIC, _checkpoint_header(model, config),
+               [arr for _, arr in _parameters(model)])
+
+
+def _tensor_layout(header) -> list:
+    """The (shape, float64) of each tensor the checkpoint `header` lists."""
+    manifest = header["tensors"]
+    if not (isinstance(manifest, list) and all(isinstance(e, dict) for e in manifest)):
+        raise ValueError("tensors must be a list of objects")
+    shapes = [config_list(config_int)(e["shape"], "tensor shape") for e in manifest]
+    if any(len(shape) not in (1, 2) or min(shape) < 0 for shape in shapes):
+        raise ValueError("tensor shapes must be 1 or 2 sizes >= 0")
+    return [(shape, np.float64) for shape in shapes]
 
 
 def load_checkpoint(path) -> tuple[FusionModel, FusionConfig]:
     """Read a checkpoint back; inverse of :func:`save_checkpoint`.
 
     A file save_checkpoint could not have written is a CheckpointError
-    naming `path`: a bad magic line or length, a header that is not the
-    JSON object it writes, holds a field of the wrong type or differs from
-    the header of the model and config it holds, tensors out of the
-    canonical order, or too few or too many tensor bytes. Tensors that do
-    not fit together are the model's own DimensionMismatch.
+    naming `path`: bytes serialization.load_frame refuses (any byte changed
+    since it was written), or a header holding a field of the wrong type,
+    tensors out of the canonical order, or fields that differ from the
+    header of the model and config it holds. Tensors that do not fit
+    together are the model's own DimensionMismatch.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
     try:
-        header, end = read_frame(blob, CHECKPOINT_MAGIC)
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc
-    try:
+        header, arrays = load_frame(path, CHECKPOINT_MAGIC, _tensor_layout)
         config = FusionConfig(**typed_section(header["config"], "model", FusionConfig))
         attach = config_list(config_int)(header["attach_stages"], "attach_stages")
-        manifest = header["tensors"]
-        if not isinstance(manifest, list) or not all(
-            isinstance(entry, dict) for entry in manifest
-        ):
-            raise CheckpointError(f"{path}: tensors must be a list of objects")
-        layout = _layout(len(manifest) // 2 - 1 - len(attach), len(attach))
-        if [entry["name"] for entry in manifest] != [name for name, _, _ in layout]:
+        layout = _layout(len(arrays) // 2 - 1 - len(attach), len(attach))
+        if [entry["name"] for entry in header["tensors"]] != [n for n, _, _ in layout]:
             raise CheckpointError(f"{path}: tensors are not in the canonical order")
-        shapes = [config_list(config_int)(e["shape"], "tensor shape") for e in manifest]
-        if any(len(shape) not in (1, 2) or min(shape) < 0 for shape in shapes):
-            raise CheckpointError(f"{path}: tensor shapes must be 1 or 2 sizes >= 0")
-        counts = [math.prod(shape) for shape in shapes]
-        if len(blob) - end != 8 * sum(counts):
-            raise CheckpointError(
-                f"{path}: {len(blob) - end} tensor bytes, header needs {8 * sum(counts)}"
-            )
-        arrays = []
-        for shape, count in zip(shapes, counts):
-            arrays.append(np.frombuffer(blob, "<f8", count, end).reshape(shape))
-            end += 8 * count
         model = FusionModel(
-            **_parameter_fields(layout, arrays),
+            **_parameter_fields(layout, map(adopt, arrays)),
             attach_stages=attach,
             subclass_names=header["subclass_names"],
             structure_names=header["structure_names"],
@@ -933,7 +919,7 @@ def load_checkpoint(path) -> tuple[FusionModel, FusionConfig]:
         rebuilt = _checkpoint_header(model, config)
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing header field {exc}") from exc
-    except (InvalidConfig, StructureError) as exc:
+    except (ValueError, InvalidConfig, StructureError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     wrong = sorted(k for k in {**header, **rebuilt} if header.get(k) != rebuilt.get(k))
     if wrong:

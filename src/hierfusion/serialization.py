@@ -3,14 +3,17 @@
 Reports and data files serialize every real number with 17 significant
 digits, which round-trips float64 exactly and makes files byte-identical
 across runs and comparable across implementations. Binary files (model
-checkpoints, the feature files' twins) share one frame: a magic line, the
-header's length as a little-endian uint32, the header as JSON, then the
-raw payload the header describes.
+checkpoints, the feature files' twins) are frames that save_frame and
+load_frame alone lay out: a JSON header, the raw arrays it describes,
+then a SHA-256 of every byte before it, so no damaged byte reads back as
+a value. load_json reads all JSON but reports, not keeps, a repeated key.
 """
 
 import contextlib
 import functools
+import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -196,37 +199,71 @@ def atomic_text_writer(path, *, binary: bool = False):
         raise
 
 
-def frame_head(magic: bytes, header) -> bytes:
-    """The bytes a binary frame starts with: `magic`, the length of the
-    header as a little-endian uint32, then `header` as :func:`dump_json`
-    text. The payload follows them."""
-    blob = dump_json(header).encode("utf-8")
-    return magic + struct.pack("<I", len(blob)) + blob
+def save_frame(path, magic: bytes, header, arrays) -> None:
+    """Write `magic`, the header's length as a little-endian uint32, the
+    :func:`dump_json` text of `header`, the little-endian bytes of each of
+    `arrays` and the SHA-256 of every byte before it to `path`, through
+    :func:`atomic_text_writer`."""
+    text = dump_json(header).encode("utf-8")
+    digest = hashlib.sha256()
+    with atomic_text_writer(path, binary=True) as fh:
+        for part in (magic + struct.pack("<I", len(text)) + text,
+                     *(np.ascontiguousarray(a, a.dtype.newbyteorder("<")).data
+                       for a in arrays)):
+            digest.update(part)
+            fh.write(part)
+        fh.write(digest.digest())
 
 
-def read_frame(blob: bytes, magic: bytes) -> tuple[dict, int]:
-    """(header, payload offset) of the frame `blob` starts with.
+def load_frame(path, magic: bytes, layout) -> tuple[dict, list]:
+    """(header, arrays) of the frame :func:`save_frame` wrote to `path`,
+    where layout(header) gives each array's (shape, dtype).
 
-    Bytes :func:`frame_head` could not have begun are ValueError: another
-    magic line, a cut length or header, or a header that is not a JSON
-    object.
+    The file must be exactly as long as the header says before any array
+    is made; each is then read straight into its own buffer and hashed as
+    it arrives. Bytes save_frame could not have written are ValueError:
+    another magic line, a header that is not a JSON object, another size,
+    or a wrong closing SHA-256.
     """
-    if not blob.startswith(magic):
-        raise ValueError(f"not a {magic.decode('ascii', 'replace').strip()} file")
     start = len(magic) + 4
-    if len(blob) < start:
-        raise ValueError("truncated header length")
-    (length,) = struct.unpack_from("<I", blob, len(magic))
-    end = start + length
-    if len(blob) < end:
-        raise ValueError("truncated header")
-    try:
-        header = json.loads(blob[start:end].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"malformed header: {exc}") from None
-    if not isinstance(header, dict):
-        raise ValueError("the header is not a JSON object")
-    return header, end
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(start)
+        if len(head) < start or not head.startswith(magic):
+            raise ValueError(f"not a {magic.decode('ascii', 'replace').strip()} file")
+        (length,) = struct.unpack_from("<I", head, len(magic))
+        head += fh.read(min(length, size))  # never more than the file holds
+        try:
+            header = load_json(head[start:].decode("utf-8"), ValueError, "header")
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"malformed header: {exc}") from None
+        if not isinstance(header, dict):
+            raise ValueError("the header is not a JSON object")
+        specs = [(shape, np.dtype(t).newbyteorder("<")) for shape, t in layout(header)]
+        need = start + length + sum(math.prod(s) * t.itemsize for s, t in specs) + 32
+        if size != need:
+            raise ValueError(f"{size} bytes, the header needs {need}")
+        digest = hashlib.sha256(head)
+        arrays = [np.empty(shape, dtype) for shape, dtype in specs]
+        for array in arrays:
+            fh.readinto(array)
+            digest.update(array)
+        if fh.read() != digest.digest():
+            raise ValueError("the closing SHA-256 is not that of the bytes before it")
+    return header, arrays
+
+
+def load_json(text: str, error, where: str):
+    """The JSON value of `text`, with a key repeated in one object (where
+    json.loads keeps the last value) raised as `error` naming `where`."""
+    def unique(pairs):
+        value = {}
+        for key, item in pairs:
+            if key in value:
+                raise error(f"{where}: duplicate key {key!r}")
+            value[key] = item
+        return value
+    return json.loads(text, object_pairs_hook=unique)
 
 
 @contextlib.contextmanager

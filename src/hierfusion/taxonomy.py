@@ -10,7 +10,6 @@ Each value here checks itself when built (a LabelStructure its names and
 its tree), and is then immutable and safe to share across workers.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import Annotated
 
@@ -33,7 +32,7 @@ from .exceptions import (
     UnknownSubclass,
     UnknownSuperclass,
 )
-from .serialization import atomic_text_writer, dump_json
+from .serialization import atomic_text_writer, dump_json, load_json
 
 
 @dataclass(frozen=True)
@@ -239,7 +238,7 @@ def save_structure(structure: LabelStructure, path) -> None:
 def load_structure(path) -> LabelStructure:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            raw = load_json(fh.read(), StructureError, path)
         except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
             raise StructureError(f"{path}: not valid JSON ({exc})") from exc
     return structure_from_dict(raw)

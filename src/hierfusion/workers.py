@@ -4,7 +4,10 @@ The feature writer formats its row ranges, and training descends its
 stack slices, through `in_parts`: part 0 runs in this process and each
 other part in a worker made by ``os.fork`` that leaves through
 ``os._exit``. A forked worker shares the parent's memory copy-on-write,
-so the tables it reads are not copied. Forking is safe only where
+so the tables it reads are not copied. ``os._exit`` flushes no buffer, so
+a part that writes a file flushes it itself: the feature writer's ranges
+go to nameless temporary files the parent makes before the fork, which
+SIGKILL cannot leave behind. Forking is safe only where
 ``os.fork`` exists and no second thread is alive (a fork copies the
 calling thread alone, so a lock another thread holds would stay held in
 the worker); elsewhere `worker_count` is 1 and callers make one part.

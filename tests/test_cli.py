@@ -12,6 +12,7 @@ import pytest
 
 from hierfusion import cli as cli_module
 from hierfusion import model as model_module
+from hierfusion import serialization as serialization_module
 from hierfusion import taxonomy as taxonomy_module
 from hierfusion.cli import experiment_config_from_dict, main
 from hierfusion.exceptions import (
@@ -532,10 +533,15 @@ def test_unexpected_positional_argument(tmp_path, capsys):
     ["sweep", "--axis", "k", "--values", "[" * 100_000],
     ["train", "--se", "3", "--o", "d"],
     ["sweep", "--ax", "lambda", "--val", "0.1"],
+    ["train", "--seed", "1" * 5000],
+    ["train", "--model.epochs", "1" * 5000],
+    ["sweep", "--axis", "k", "--values", "1" * 5000],
 ], ids=["seed-text", "seed-float", "seed-negative", "axis-unknown",
         "axis-unknown-with-values", "out-no-value", "bad-command", "no-command",
         "seed-deep-json", "override-deep-json", "values-deep-json",
-        "train-abbreviations", "sweep-abbreviations"])
+        "train-abbreviations", "sweep-abbreviations",
+        # past Python's 4300-digit limit on converting text to an int
+        "seed-long-number", "override-long-number", "values-long-number"])
 def test_bad_flags_are_one_error_line(tmp_path, capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -1087,13 +1093,16 @@ def test_a_header_only_csv_is_one_error_line(tmp_path, capsys, command, names_fr
 # -- malformed checkpoints and structure files are typed errors ---------------
 
 def _with_header(blob: bytes, edit) -> bytes:
-    """`blob`, a checkpoint, with its JSON header replaced by edit(header)."""
+    """`blob`, a checkpoint, with its JSON header replaced by edit(header)
+    and its closing SHA-256 that of the edited bytes, so that only the
+    header's own checks can refuse it."""
     start = len(CHECKPOINT_MAGIC) + 4
     (length,) = struct.unpack("<I", blob[len(CHECKPOINT_MAGIC):start])
     header = edit(json.loads(blob[start:start + length]))
     text = json.dumps(header).encode("utf-8")
-    return (CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text
-            + blob[start + length:])
+    body = (CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text
+            + blob[start + length:-32])
+    return body + hashlib.sha256(body).digest()
 
 
 def _set(path, value):
@@ -1112,6 +1121,7 @@ def _set(path, value):
     _set(("tensors", 0, "shape"), ["a", 2]),
     _set(("tensors", 0, "shape"), 5),
     _set(("tensors", 0, "shape"), [-6, -4]),
+    _set(("tensors", 0, "shape"), [10**12, 10**12]),
     _set(("tensors",), {"name": "trunk.0.weight"}),
     _set(("attach_stages",), 3),
     _set(("subclass_names",), "abcd"),
@@ -1125,7 +1135,7 @@ def _set(path, value):
     _set(("config", "attach_stages"), [1]),
     _set(("config", "stage_dims"), [5, 3]),
 ], ids=["list", "shape-strings", "shape-int", "shape-negative",
-        "tensors-object", "attach-int", "names-string", "epochs-string",
+        "shape-huge", "tensors-object", "attach-int", "names-string", "epochs-string",
         "stage-dims-int", "lambda-string", "config-list", "input-dim",
         "subclass-count", "superclass-counts", "config-attach-stages",
         "config-stage-dims"])
@@ -1208,6 +1218,43 @@ def test_malformed_structure_files_are_typed_errors(tmp_path, capsys, raw):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_STRUCTURE_TEXT = ('{"name": "s", "superclasses": ["u", "v"], '
+                   '"subclasses": ["a", "b", "c"], '
+                   '"parent_of": {"a": "u", "b": "v", "c": "u"}}')
+
+
+@pytest.mark.parametrize("source, key, repeat", [
+    ("structure", "a", ('"a": "u"', '"a": "u", "a": "v"')),
+    ("structure", "name", ('"name": "s"', '"name": "s", "name": "t"')),
+    ("config", "seed", None),
+    ("flag", "dim", None),
+], ids=["structure-parent", "structure-name", "config", "flag"])
+def test_a_duplicate_json_key_is_one_error_line_naming_it(tmp_path, capsys, source,
+                                                          key, repeat):
+    # json.loads would keep the last value of a repeated key
+    structure = tmp_path / "structure.json"
+    structure.write_text(_STRUCTURE_TEXT.replace(*repeat) if repeat else _STRUCTURE_TEXT)
+    argv = ["train", "--synthetic.superclass_count", "1",
+            "--synthetic.subclasses_per_superclass", "3",
+            "--structures", f'["{structure}"]', "--model.attach_stages", "[0]",
+            "--out", str(tmp_path / "out")]
+    if source == "structure":
+        with pytest.raises(StructureError, match=f"structure.json: duplicate key '{key}'"):
+            load_structure(structure)
+    elif source == "config":
+        config = tmp_path / "run.json"
+        config.write_text('{"seed": 1, "seed": 2}')
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--synthetic", '{"dim": 3, "dim": 4}']
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"duplicate key '{key}'" in err
+    assert not (tmp_path / "out" / "model.ckpt").exists()
+
+
 # -- every artifact is written atomically ---------------------------------------
 
 def _fail(*args, **kwargs):
@@ -1228,14 +1275,15 @@ class _OneWrite:
 def _write_checkpoint(path, monkeypatch):
     config = FusionConfig(stage_dims=(4, 3), epochs=1)
     model = init_model(config, StructureSet(()), 2, ("c0", "c1"))
-    real_writer = model_module.atomic_text_writer
+    real_writer = serialization_module.atomic_text_writer
 
     @contextlib.contextmanager
     def full_disk_writer(target, *, binary):
         with real_writer(target, binary=binary) as fh:
             yield _OneWrite(fh)
 
-    monkeypatch.setattr(model_module, "atomic_text_writer", full_disk_writer)
+    # save_frame writes the checkpoint
+    monkeypatch.setattr(serialization_module, "atomic_text_writer", full_disk_writer)
     save_checkpoint(model, config, path)
 
 
@@ -1329,6 +1377,29 @@ def _pipeline_digests(tmp_path, tag):
                for path in sorted(root.rglob("*")) if path.is_file()}
     digests[str(twin.relative_to(root))] = twin_digest
     return digests
+
+
+def test_a_rerun_over_a_killed_runs_leftovers_writes_a_clean_runs_bytes(tmp_path):
+    # a killed write leaves its hidden .partial file; the next run overwrites it
+    def gen_and_train(root, leftovers):
+        data, fit = root / "data", root / "fit"
+        for path in leftovers:
+            path = root / path
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(b"junk from a killed run")
+        assert run("gen-synthetic", "--seed", "2", "--out", str(data),
+                   "--synthetic", json.dumps(SYNTH)) == 0
+        assert run("train", "--seed", "2", "--features", str(data / "features.csv"),
+                   "--model", json.dumps(MODEL), "--out", str(fit)) == 0
+        return {str(path.relative_to(root)): path.read_bytes()
+                for path in sorted(root.rglob("*")) if path.is_file()}
+
+    clean = gen_and_train(tmp_path / "clean", [])
+    rerun = gen_and_train(tmp_path / "rerun", ["data/.features.csv.partial",
+                                               "data/..features.csv.table.partial",
+                                               "fit/.model.ckpt.partial"])
+    assert rerun == clean
+    assert not any(name.endswith(".partial") for name in rerun)
 
 
 def test_pipeline_artifacts_are_the_same_in_many_ranges_or_one(tmp_path):

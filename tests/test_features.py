@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hierfusion import features, workers
+from hierfusion import features, serialization, workers
 from hierfusion.exceptions import (
     ClassTooSmall,
     DimensionMismatch,
@@ -676,6 +676,26 @@ def parser_calls():
         yield calls
 
 
+def test_range_parts_have_no_names_a_kill_could_leave(tmp_path):
+    # SIGKILL runs no cleanup, so the writer's scratch must hold no name
+    path = tmp_path / "feats.csv"
+    listed = []
+    real_in_parts = features.in_parts
+
+    def listing(count, run):
+        results = real_in_parts(count, run)
+        listed.append(sorted(p.name for p in tmp_path.iterdir()))
+        return results
+
+    table = table_of(np.arange(24.0).reshape(12, 2), [0, 1, 2] * 4)
+    with many_ranges() as forks, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(features, "in_parts", listing)
+        save_feature_table(table, path)
+    assert forks
+    assert listed == [[".feats.csv.partial"]]
+    assert load_feature_table(path).features.tolist() == table.features.tolist()
+
+
 @settings(max_examples=30, deadline=None)
 @given(_tables())
 def test_csv_round_trip_is_bit_exact_in_many_ranges(table):
@@ -953,7 +973,7 @@ def test_the_twin_is_trusted_right_after_a_save(tmp_path, ranges):
         with many_ranges() as forks:
             save_feature_table(table, path)
         assert len(forks) == 3
-    twin = features._read_twin(path)
+    twin = features._load_twin(path, None)
     assert twin is not None
     assert twin.features.tobytes() == table.features.tobytes()
 
@@ -1092,15 +1112,15 @@ def test_a_twin_write_that_fails_partway_leaves_a_csv_that_is_parsed(tmp_path, o
     path = tmp_path / "feats.csv"
     if older:
         save_feature_table(table_of(np.arange(6.0).reshape(3, 2), [2, 2, 1], NAMES), path)
-    real_writer = features.atomic_text_writer
+    real_writer = serialization.atomic_text_writer
 
     @contextlib.contextmanager
     def full_disk_for_twin(target, *, binary=False):
         with real_writer(target, binary=binary) as fh:
             yield _FullDisk(fh) if target == features._twin_path(path) else fh
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(features, "atomic_text_writer", full_disk_for_twin)
+    with pytest.MonkeyPatch.context() as patch:  # save_frame writes the twin
+        patch.setattr(serialization, "atomic_text_writer", full_disk_for_twin)
         with pytest.raises(OSError, match="no space left on device"):
             save_feature_table(_SAVED, path)
     names = sorted(p.name for p in tmp_path.iterdir())

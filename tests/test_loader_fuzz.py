@@ -9,6 +9,7 @@ built."""
 
 import copy
 import functools
+import hashlib
 import json
 import struct
 import tempfile
@@ -103,21 +104,29 @@ def _checkpoint() -> tuple[dict, bytes]:
         blob = path.read_bytes()
     start = len(CHECKPOINT_MAGIC) + 4
     (length,) = struct.unpack("<I", blob[len(CHECKPOINT_MAGIC):start])
-    return json.loads(blob[start:start + length]), blob[start + length:]
+    return json.loads(blob[start:start + length]), blob[start + length:-32]
+
+
+def _sealed(body: bytes) -> bytes:
+    """`body` closed by its SHA-256, as save_checkpoint closes a checkpoint,
+    so that the closing hash does not refuse it before the other checks."""
+    return body + hashlib.sha256(body).digest()
 
 
 def _checkpoint_bytes(header, tensors: bytes) -> bytes:
     text = json.dumps(header).encode("utf-8")
-    return CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text + tensors
+    return _sealed(CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text + tensors)
 
 
 @st.composite
 def _spliced_checkpoints(draw):
-    """A valid checkpoint with one byte range replaced by random bytes."""
+    """A valid checkpoint with one byte range replaced by random bytes,
+    resealed or not."""
     blob = _checkpoint_bytes(*_checkpoint())
     start = draw(st.integers(0, len(blob)))
     stop = draw(st.integers(start, len(blob)))
-    return blob[:start] + draw(st.binary(max_size=16)) + blob[stop:]
+    spliced = blob[:start] + draw(st.binary(max_size=16)) + blob[stop:]
+    return _sealed(spliced[:-32]) if draw(st.booleans()) else spliced
 
 
 @st.composite

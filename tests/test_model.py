@@ -818,6 +818,24 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_checkpoint(trailing)
 
 
+@pytest.mark.parametrize("region", ["header", "tensor", "digest"])
+def test_a_checkpoint_with_any_byte_flipped_is_a_checkpoint_error(tmp_path, region):
+    # the closing SHA-256 covers every byte, so no flip loads as another model
+    config = FusionConfig(stage_dims=(4, 3), attach_stages=(0,), lambda_total=0.1)
+    model = init_model(config, ONE, 3, SUB_NAMES)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, config, path)
+    blob = path.read_bytes()
+    tensors = 8 * sum(arr.size for _, arr in model_module._parameters(model))
+    start = len(blob) - 32 - tensors
+    where = {"header": range(start), "tensor": range(start, len(blob) - 32),
+             "digest": range(len(blob) - 32, len(blob))}[region]
+    for at in where:
+        path.write_bytes(blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:])
+        with pytest.raises(CheckpointError, match=r"model\.ckpt: "):
+            load_checkpoint(path)
+
+
 def test_history_csv_format(tmp_path):
     rng = np.random.default_rng(70)
     table = toy_table(rng)

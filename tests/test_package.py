@@ -67,3 +67,24 @@ def _unused_imports(path: Path) -> list:
                          ids=lambda p: p.name)
 def test_every_module_uses_every_name_it_imports(path):
     assert _unused_imports(path) == []
+
+
+def _byte_layout_calls(path: Path) -> list:
+    """Each readinto or from_bytes attribute and struct import in `path`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in ("readinto", "from_bytes"):
+            found.append(f"{path.name}:{node.lineno}: {node.attr}")
+        imported = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                    else [node.module] if isinstance(node, ast.ImportFrom) else [])
+        if "struct" in imported:
+            found.append(f"{path.name}:{node.lineno}: import struct")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "serialization.py"),
+                         ids=lambda p: p.name)
+def test_only_serialization_lays_out_bytes(path):
+    # a binary file's layout is known to serialization.save_frame/load_frame alone
+    assert _byte_layout_calls(path) == []
