@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import functools
 import math
+import os
 import typing
 
 import numpy as np
@@ -126,12 +127,16 @@ def config_optional(convert):
 
 def config_path(kind: str):
     """The config type of a `kind` ("file", "directory") path: a string,
-    so that an integer is never opened as a file descriptor."""
+    so that an integer is never opened as a file descriptor, that the
+    operating system can take as a path (no NUL, no character its file
+    system encoding cannot encode, such as a lone surrogate)."""
 
     def typed(value, field: str) -> str:
-        if not isinstance(value, str):
-            raise InvalidConfig(f"'{field}' must be a {kind} path, got {value!r}")
-        return value
+        if isinstance(value, str) and "\0" not in value:
+            with contextlib.suppress(UnicodeEncodeError):
+                os.fsencode(value)
+                return value
+        raise InvalidConfig(f"'{field}' must be a {kind} path, got {value!r}")
 
     return typed
 

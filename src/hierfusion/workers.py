@@ -7,7 +7,9 @@ other part in a worker made by ``os.fork`` that leaves through
 so the tables it reads are not copied. ``os._exit`` flushes no buffer, so
 a part that writes a file flushes it itself: the feature writer's ranges
 go to nameless temporary files the parent makes before the fork, which
-SIGKILL cannot leave behind. Forking is safe only where
+SIGKILL cannot leave behind. A worker also ends, through ``os._exit``,
+as soon as its parent can no longer read its result (see `_fork`), so a
+killed parent leaves no worker running. Forking is safe only where
 ``os.fork`` exists and no second thread is alive (a fork copies the
 calling thread alone, so a lock another thread holds would stay held in
 the worker); elsewhere `worker_count` is 1 and callers make one part.
@@ -16,6 +18,7 @@ the worker); elsewhere `worker_count` is 1 and callers make one part.
 import contextlib
 import os
 import pickle
+import select
 import signal
 import threading
 
@@ -55,7 +58,8 @@ def in_parts(count: int, run) -> list:
     workers = []
     try:
         for index in range(1, count):
-            workers.append(_fork(run, index, allowed))
+            inherited = [worker[1] for worker in workers if worker is not None]
+            workers.append(_fork(run, index, allowed, inherited))
         _run_on({allowed[0]})
         results = [run(0)]
         for index in range(1, count):
@@ -79,9 +83,15 @@ def _run_on(allowed) -> None:
         os.sched_setaffinity(0, allowed)
 
 
-def _fork(run, index: int, allowed: list):
+def _fork(run, index: int, allowed: list, inherited: list):
     """(pid, read end of its pipe) of a worker running run(index) on CPU
-    `index` of `allowed`, or None when the fork fails."""
+    `index` of `allowed`, or None when the fork fails.
+
+    The worker closes the `inherited` read ends of earlier workers' pipes,
+    so only the parent holds each pipe's read end, and it leaves through
+    ``os._exit`` once no process holds the read end of its own pipe: its
+    parent died, or gave up on the result.
+    """
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -91,7 +101,9 @@ def _fork(run, index: int, allowed: list):
         return None
     if pid == 0:
         try:
-            os.close(read_end)
+            for fd in (read_end, *inherited):
+                os.close(fd)
+            _exit_without_reader(write_end)
             _run_on({allowed[index % len(allowed)]})
             try:
                 outcome = (True, run(index))
@@ -103,6 +115,19 @@ def _fork(run, index: int, allowed: list):
             os._exit(0)
     os.close(write_end)
     return pid, read_end
+
+
+def _exit_without_reader(write_end: int) -> None:
+    """Start a thread that ends this process once the pipe `write_end`
+    writes into has no reader left (POLLERR, or POLLHUP elsewhere)."""
+
+    def watch():
+        poller = select.poll()
+        poller.register(write_end, 0)  # errors and hang-ups only
+        poller.poll()
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def _join(pid: int, read_end: int):

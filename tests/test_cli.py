@@ -449,6 +449,24 @@ def test_config_file_must_be_a_json_object(tmp_path, capsys, text):
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--config", "a\x00.json"], "'config' must be a file path"),
+    (["--config", "\ud800.json"], "'config' must be a file path"),
+    (["--out", "o\x00"], "'out' must be a directory path"),
+    (["--features", '"\\ud800.csv"'], "'features' must be a file path"),
+    (["--structures", '["s\\u0000.json"]'], "'structures entry' must be a file path"),
+], ids=["config-nul", "config-surrogate", "out-nul", "features-surrogate",
+        "structures-nul"])
+def test_a_path_the_os_cannot_take_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                      argv, message):
+    # open() and mkdir() refuse these with ValueError, which is no OS error
+    monkeypatch.chdir(tmp_path)
+    assert run("train", *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}, got ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 SWEEP = {"axis": "lambda", "values": [0.1]}
 
 
