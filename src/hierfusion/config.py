@@ -129,10 +129,11 @@ def config_path(kind: str):
     """The config type of a `kind` ("file", "directory") path: a string,
     so that an integer is never opened as a file descriptor, that the
     operating system can take as a path (no NUL, no character its file
-    system encoding cannot encode, such as a lone surrogate)."""
+    system encoding cannot encode, such as a lone surrogate). The empty
+    string, which Path reads as the current directory, is none."""
 
     def typed(value, field: str) -> str:
-        if isinstance(value, str) and "\0" not in value:
+        if isinstance(value, str) and value and "\0" not in value:
             with contextlib.suppress(UnicodeEncodeError):
                 os.fsencode(value)
                 return value

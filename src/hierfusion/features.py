@@ -161,23 +161,47 @@ def class_statistics(table: FeatureTable) -> ClassStats:
 
     Every class of the table's name table needs at least 2 samples. Rows
     are reduced in a canonical (lexicographically sorted) order, so the
-    result is bit-for-bit invariant to sample order in the table.
+    result is bit-for-bit invariant to sample order in the table. The
+    rows are grouped by class once, by a stable sort of the labels, and
+    each class's rows are ordered by one stable sort of column 0; only a
+    class whose column 0 holds a tie under ``==`` (-0.0 ties 0.0) is
+    sorted on every column, so the order is always the lexicographic one.
+    A class whose mean or variance overflows to infinity is
+    NonFiniteValue.
     """
     class_count = len(table.subclass_names)
     if class_count == 0:
         raise ClassTooSmall(0, "empty table has no classes")
+    if table.dim == 0:
+        raise DimensionMismatch("class statistics need a feature column")
+    counts = np.bincount(table.labels, minlength=class_count)
+    if counts.min() < 2:
+        raise ClassTooSmall(int(np.argmin(counts >= 2)))
+    grouped = np.argsort(table.labels, kind="stable")
+    first_column = table.features[grouped, 0]
+    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
     means = np.empty((class_count, table.dim))
     variances = np.empty(class_count)
-    for c in range(class_count):
-        rows = table.features[table.labels == c]
-        if rows.shape[0] < 2:
-            raise ClassTooSmall(c)
-        order = np.lexsort(rows.T[::-1])
-        rows = rows[order]
-        mean = rows.mean(axis=0)
-        dev = rows - mean
-        variances[c] = (dev * dev).sum(axis=1).mean()
-        means[c] = mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(class_count):
+            members = grouped[bounds[c]:bounds[c + 1]]
+            key = first_column[bounds[c]:bounds[c + 1]]
+            order = np.argsort(key, kind="stable")
+            ranked = key[order]
+            if np.any(ranked[1:] == ranked[:-1]):
+                order = np.lexsort(table.features[members].T[::-1])
+            rows = table.features[members[order]]
+            mean = rows.mean(axis=0)
+            dev = rows - mean
+            variances[c] = (dev * dev).sum(axis=1).mean()
+            means[c] = mean
+    finite = np.isfinite(means).all(axis=1) & np.isfinite(variances)
+    if not finite.all():
+        c = int(np.argmin(finite))
+        raise NonFiniteValue(
+            f"class {c} ({table.subclass_names[c]!r}): mean or variance "
+            "overflows float64"
+        )
     return ClassStats(means=means, variances=variances)
 
 
@@ -283,7 +307,7 @@ def train_test_split(
         raise ClassTooSmall(0, "empty table has no rows to split")
     rng = rng_from_seed(seed)
     train_idx, test_idx = [], []
-    for c in np.unique(table.labels):
+    for c in np.flatnonzero(np.bincount(table.labels)):
         idx = np.flatnonzero(table.labels == c)
         n_train = int(math.floor(idx.size * fraction))
         n_test = idx.size - n_train
@@ -471,7 +495,7 @@ def _write_rows(fh, table: FeatureTable, start: int, stop: int) -> None:
     """
     names, dim = table.subclass_names, table.dim
     labels = table.labels[start:stop]
-    used = np.unique(labels).tolist()
+    used = np.flatnonzero(np.bincount(labels)).tolist()
     encoded = [names[label].encode("utf-8") for label in used]
     width = -(-max(map(len, encoded), default=0) // 8)  # words
     name_words = np.full((len(names), 8 * width), 0xFF, np.uint8)

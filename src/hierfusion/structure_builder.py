@@ -86,17 +86,19 @@ def class_distance_matrix(stats: ClassStats) -> np.ndarray:
 
     dis_ij = sqrt(||Q_i - Q_j||^2 + var_i + var_j). One batched step per
     row: each squared mean gap is a per-pair dot product, and only O(C * d)
-    memory is live.
+    memory is live. A distance past the float64 range is infinity, and so
+    an affinity of 0, without a warning.
     """
     n = stats.class_count
     means, variances = stats.means, stats.variances
     dist = np.zeros((n, n))
-    for i in range(n - 1):
-        diff = means[i + 1:] - means[i]
-        gap = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
-        dist[i, i + 1:] = dist[i + 1:, i] = np.sqrt(
-            gap + variances[i] + variances[i + 1:]
-        )
+    with np.errstate(over="ignore"):
+        for i in range(n - 1):
+            diff = means[i + 1:] - means[i]
+            gap = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+            dist[i, i + 1:] = dist[i + 1:, i] = np.sqrt(
+                gap + variances[i] + variances[i + 1:]
+            )
     return dist
 
 
@@ -110,7 +112,8 @@ def affinity_matrix(stats: ClassStats, delta: float = 1.0) -> AffinityMatrix:
     if delta <= 0:
         raise InvalidConfig(f"delta must be > 0, got {delta!r}")
     dist = class_distance_matrix(stats)
-    values = np.exp(-dist / delta)
+    with np.errstate(over="ignore"):  # a quotient past float64 is an affinity of 0
+        values = np.exp(-dist / delta)
     np.fill_diagonal(values, 0.0)
     return AffinityMatrix(values=values)
 
@@ -194,7 +197,7 @@ def kmeans(points, k: int, seed: int = 0) -> np.ndarray:
     n = pts.shape[0]
     if k < 1 or k > n:
         raise DegeneratePoints(f"need 1 <= k <= {n} points, got k={k}")
-    if np.unique(pts, axis=0).shape[0] < k:
+    if _distinct_count(pts) < k:
         raise DegeneratePoints(f"fewer than k={k} distinct points")
 
     best_assign, best_inertia = None, np.inf
@@ -226,19 +229,33 @@ def kmeans(points, k: int, seed: int = 0) -> np.ndarray:
     return best_assign
 
 
+def _distinct_count(pts: np.ndarray) -> int:
+    """How many distinct rows the finite (n, d) `pts` hold, n >= 1, equal
+    rows compared by ``==`` (-0.0 equals 0.0): 1 plus the rows that differ
+    from the row before them in lexicographic order, the count
+    ``np.unique(pts, axis=0)`` gives without importing numpy.ma."""
+    if pts.shape[1] == 0:
+        return 1
+    ranked = pts[np.lexsort(pts.T[::-1])]
+    return 1 + int(np.count_nonzero((ranked[1:] != ranked[:-1]).any(axis=1)))
+
+
 def _repair_empty(assign: np.ndarray, dist2: np.ndarray, k: int) -> np.ndarray:
     """Give each empty cluster the point farthest from its current center
     (the lower index on a tie) among the points whose cluster keeps another
     member. kmeans refuses k > n, so while a cluster is empty the n >= k
     points fill at most k - 1 clusters and one of them holds two or more."""
+    counts = np.bincount(assign, minlength=k)
+    empty = np.flatnonzero(counts == 0).tolist()
+    if not empty:
+        return assign
     assign = assign.copy()
-    for j in range(k):
-        if np.any(assign == j):
-            continue
-        counts = np.bincount(assign, minlength=k)
+    for j in empty:
         own = dist2[np.arange(assign.size), assign]
         movable = counts[assign] > 1
         candidate = int(np.argmax(np.where(movable, own, -np.inf)))
+        counts[assign[candidate]] -= 1
+        counts[j] += 1
         assign[candidate] = j
     return assign
 

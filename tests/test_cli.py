@@ -467,6 +467,44 @@ def test_a_path_the_os_cannot_take_is_one_error_line(tmp_path, capsys, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen-synthetic", "--out", "", "--synthetic", '{"dim": 2}'],
+     "'out' must be a directory path"),
+    (["train", "--config", ""], "'config' must be a file path"),
+    (["train", "--features", ""], "'features' must be a file path"),
+], ids=["gen-out", "train-config", "train-features"])
+def test_an_empty_path_is_one_error_line(tmp_path, capsys, monkeypatch, argv, message):
+    # Path("") is the current directory, so an empty --out would write here
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {message}, got ''\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+HUGE = np.array([1e299, 3e299, 1e300, 6e299])  # finite, but squares overflow
+
+
+@pytest.mark.parametrize("rows, message", [
+    # every class's variance overflows: the first class is named
+    ([("a", x, -x) for x in HUGE] + [("b", -x, x) for x in HUGE],
+     "class 0 ('a'): mean or variance overflows float64"),
+    # finite statistics, but no class pair is nearer than float64 can hold
+    ([("a", -1e200, 0.0), ("a", -1e200, 1.0), ("b", 0.0, 0.0), ("b", 0.0, 1.0),
+      ("c", 1e200, 0.0), ("c", 1e200, 1.0)],
+     "classes with zero affinity degree: [0, 1, 2]"),
+], ids=["variance", "distance"])
+def test_features_past_the_float64_range_are_one_error_line(tmp_path, capsys,
+                                                            rows, message):
+    # the warnings filter turns any RuntimeWarning of numpy into an error
+    path = tmp_path / "huge.csv"
+    path.write_text("label,f0,f1\n" + "".join(
+        f"{name},{float(x)!r},{float(y)!r}\n" for name, x, y in rows))
+    capsys.readouterr()
+    assert run("build-structure", "--features", str(path), "--builder.k", "2",
+               "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 SWEEP = {"axis": "lambda", "values": [0.1]}
 
 

@@ -192,6 +192,81 @@ def test_class_statistics_small_class_errors():
         class_statistics(table_of([[0.0], [1.0]], [0, 0], ("c0", "c1")))
 
 
+def test_class_statistics_needs_a_feature_column():
+    with pytest.raises(DimensionMismatch, match="need a feature column"):
+        class_statistics(table_of(np.zeros((4, 0)), [0, 0, 1, 1]))
+
+
+def lexsort_statistics(table):
+    """(means, variances) of `table` by a loop that sorts each class's rows
+    on every column with np.lexsort, the reference order."""
+    means, variances = [], []
+    for c in range(len(table.subclass_names)):
+        rows = table.features[table.labels == c]
+        if rows.shape[0] < 2:
+            raise ClassTooSmall(c)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        mean = rows.mean(axis=0)
+        dev = rows - mean
+        means.append(mean)
+        variances.append((dev * dev).sum(axis=1).mean())
+    return np.array(means), np.array(variances)
+
+
+def order_table(kind, seed):
+    """A table whose class sums depend on row order; column 0 per `kind`."""
+    rng = np.random.default_rng(seed)
+    n, dim = (12, 3) if kind == "two-row" else (80, 1 if kind == "one-dim" else 4)
+    feats = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4, size=(n, dim))
+    if kind in ("ties", "one-dim"):  # few values, zeros of both signs
+        feats[:, 0] = rng.integers(-2, 3, size=n) * 0.1
+        feats[:, 0] *= rng.choice([-1.0, 1.0], size=n)
+    elif kind == "constant":
+        feats[:, 0] = 1.5
+    labels = np.arange(n) % 6 if kind == "two-row" else rng.integers(0, 6, size=n)
+    labels[:12] = np.arange(12) % 6  # every class gets at least two rows
+    return table_of(feats, labels)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["no-tie", "ties", "constant", "one-dim", "two-row"])
+def test_class_statistics_order_is_lexicographic(kind, seed):
+    table = order_table(kind, seed)
+    first = table.features[:, 0]
+    if kind == "ties":
+        assert np.signbit(first[first == 0.0]).any() and (first == 0.0).sum() > 1
+    means, variances = lexsort_statistics(table)
+    stats = class_statistics(table)
+    assert stats.means.tobytes() == means.tobytes()
+    assert stats.variances.tobytes() == variances.tobytes()
+
+
+def test_class_statistics_breaks_a_signed_zero_tie_on_the_next_column():
+    # 0.0 and -0.0 tie in column 0, so column 1 orders them: -0.0's row,
+    # then 0.0's. In table order column 1 would sum 1 + 2**53 + 1 to 2**53
+    # (ties round to even); in this order it sums to 2**53 + 2.
+    big = 2.0 ** 53
+    table = table_of([[0.0, big], [-1.0, 1.0], [-0.0, 1.0], [1.0, 0.5]], [0] * 4)
+    stats = class_statistics(table)
+    assert stats.means[0, 1] == (big + 2.0) / 4
+    means, variances = lexsort_statistics(table)
+    assert stats.means.tobytes() == means.tobytes()
+    assert stats.variances.tobytes() == variances.tobytes()
+
+
+@pytest.mark.parametrize("labels, names, small", [
+    ([0, 0, 1, 2, 2], ("a", "b", "c"), 1),
+    ([0, 0, 2, 2], ("a", "b", "c", "d"), 1),
+    ([1, 1, 0], ("a", "b"), 0),
+], ids=["one-row", "no-row", "first-class"])
+def test_class_statistics_names_the_first_small_class(labels, names, small):
+    table = table_of(np.arange(len(labels), dtype=float)[:, None], labels, names)
+    for statistics in (class_statistics, lexsort_statistics):
+        with pytest.raises(ClassTooSmall) as raised:
+            statistics(table)
+        assert raised.value.class_id == small
+
+
 # -- synthetic generation -----------------------------------------------------
 
 def test_synthetic_shapes_and_planted_structure():

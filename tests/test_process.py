@@ -199,6 +199,24 @@ def test_a_killed_command_leaves_only_whole_artifacts(tmp_path, inputs, command)
             check_frames(out)
 
 
+MASKED = """\
+import sys
+from hierfusion.cli import main
+code = main(sys.argv[1:])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("command", ["gen-synthetic", "build-structure", "train",
+                                     "evaluate", "sweep"])
+def test_no_command_imports_numpy_ma(tmp_path, inputs, command):
+    # a flag-less np.unique calls np.ma.is_masked, a 10-14 ms import
+    proc = child(sys.executable, "-c", MASKED,
+                 *command_argv(command, inputs, tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 # -- forked workers -----------------------------------------------------------------
 
 WORKER = """\

@@ -27,6 +27,7 @@ from hierfusion.features import (
 from hierfusion.structure_builder import (
     AffinityMatrix,
     SpectralEmbedding,
+    _distinct_count,
     _repair_empty,
     adjusted_rand_index,
     affinity_matrix,
@@ -144,6 +145,16 @@ def test_affinity_monotone_in_distance_and_delta():
     assert wide.values[0, 1] > far.values[0, 1]
     with pytest.raises(InvalidConfig):
         affinity_matrix(stats_for([[0.0], [1.0]], [0.0, 0.0]), delta=0.0)
+
+
+@pytest.mark.parametrize("means, delta", [
+    ([[-1e200], [1e200]], 1.0),  # the squared gap overflows
+    ([[0.0], [1e10]], 1e-300),  # the distance over delta overflows
+], ids=["gap", "quotient"])
+def test_affinity_past_the_float64_range_is_zero_without_a_warning(means, delta):
+    # the warnings filter turns numpy's overflow RuntimeWarning into an error
+    affinity = affinity_matrix(stats_for(means, [0.0, 0.0]), delta=delta)
+    assert affinity.values.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_affinity_matrix_validation():
@@ -442,6 +453,22 @@ def test_kmeans_degenerate_inputs():
         kmeans(np.array([[0.0], [1.0]]), 3, seed=0)  # k > n
     with pytest.raises(DegeneratePoints):
         kmeans(np.array([[0.0], [1.0]]), 0, seed=0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("dim", [1, 3])
+def test_distinct_count_is_the_count_of_unique_rows(seed, dim):
+    rng = np.random.default_rng(seed)
+    points = rng.integers(-1, 2, size=(30, dim)) * rng.choice([-1.0, 1.0], (30, dim))
+    assert np.signbit(points[points == 0.0]).any()  # -0.0 counts as 0.0
+    assert _distinct_count(points) == np.unique(points, axis=0).shape[0]
+
+
+def test_kmeans_counts_signed_zeros_as_one_point():
+    with pytest.raises(DegeneratePoints, match="fewer than k=3 distinct points"):
+        kmeans(np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0]]), 3)
+    with pytest.raises(DegeneratePoints, match="fewer than k=2 distinct points"):
+        kmeans(np.zeros((3, 0)), 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
