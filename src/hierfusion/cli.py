@@ -19,6 +19,10 @@ deterministically from the master seed, one fixed stream per section, so a
 single ``--seed`` reseeds the whole pipeline coherently. A malformed
 command line is InvalidConfig too, one ``error:`` line like any bad input.
 
+Only ``train``, ``evaluate`` and ``sweep`` run the trainer, so only they
+import `hierfusion.model`, when they run; ``gen-synthetic`` and
+``build-structure`` never load it.
+
 Every command is deterministic given its config: rerunning writes
 byte-identical artifacts. Diagnostics go to stderr; files carry the data;
 the exit code is 0 exactly when no error occurred.
@@ -42,6 +46,7 @@ from pathlib import Path
 from typing import Annotated
 
 from .config import (
+    FusionConfig,
     config_choice,
     config_int,
     config_list,
@@ -66,16 +71,6 @@ from .features import (
     train_test_split,
 )
 from .metrics import PredictionBatch, evaluate, save_predictions
-from .model import (
-    FusionConfig,
-    load_checkpoint,
-    predict,
-    save_checkpoint,
-    save_history,
-    stack_key,
-    train,
-    train_stacked,
-)
 from .rng import (
     STREAM_BUILDER,
     STREAM_MODEL,
@@ -295,6 +290,8 @@ def cmd_build_structure(config: ExperimentConfig) -> None:
 
 def cmd_train(config: ExperimentConfig) -> None:
     """Train on the configured data and write model.ckpt and history.csv."""
+    from .model import save_checkpoint, save_history, train
+
     out = _out_dir(config)
     structures = load_structure_set(config.structures)
     names_hint = structures.subclass_names if len(structures) else None
@@ -316,6 +313,8 @@ def cmd_evaluate(config: ExperimentConfig) -> None:
     """
     if config.checkpoint is None:
         raise InvalidConfig("evaluate needs a 'checkpoint' path")
+    from .model import load_checkpoint
+
     out = _out_dir(config)
     model, _ = load_checkpoint(config.checkpoint)
     structures = load_structure_set(config.structures)
@@ -334,6 +333,8 @@ def cmd_evaluate(config: ExperimentConfig) -> None:
 
 def _score(model, structures: StructureSet, table):
     """Predict the table's subclasses; return (batch, evaluation report)."""
+    from .model import predict
+
     batch = PredictionBatch(
         predict(model, table.features), table.labels, model.subclass_names
     )
@@ -361,6 +362,8 @@ def cmd_sweep(config: ExperimentConfig, raw: dict) -> None:
     """
     if config.sweep is None:
         raise InvalidConfig("sweep needs an axis (a 'sweep' section or --axis)")
+    from .model import stack_key, train_stacked
+
     axis, values = config.sweep.axis, config.sweep.values
     seeds = config.sweep.seeds or (config.seed,)
     runs = [

@@ -10,6 +10,10 @@ adding the field-path prefix and the unknown and required field checks.
 A config converter returns the typed value or raises InvalidConfig
 naming the field; numpy scalars and 1-D arrays pass as numbers and lists.
 Names follow one rule, `config_name`, on every value that carries them.
+
+`FusionConfig`, the config document's `model` section, lives here rather
+than beside the trainer in model.py, so that parsing a config, which
+always types that section, does not load the trainer.
 """
 
 import contextlib
@@ -18,6 +22,8 @@ import functools
 import math
 import os
 import typing
+from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -177,40 +183,48 @@ def adopt(array: np.ndarray) -> _Adopted:
     return _Adopted(array)
 
 
+def number_array(value, field: str, dtype=np.float64, copy: bool = True) -> np.ndarray:
+    """`value` as a C-ordered `dtype` array; with `copy` False, an array that
+    already is one is returned as it is, not copied.
+
+    Entries that are not numbers (text, even numeric text such as "1.5",
+    bools, other objects), and for an integer `dtype` any number outside
+    that integer type's range or not integral (a fraction, NaN), are
+    InvalidValue."""
+    integral = np.issubdtype(dtype, np.integer)
+    try:
+        source = np.asarray(value)
+        with np.errstate(invalid="ignore", over="ignore"):
+            array = source.astype(dtype, order="C", copy=copy)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidValue(f"{field} must hold numbers") from None
+    if source.dtype.kind not in "iuf":
+        kind = "integers" if integral else "numbers"
+        raise InvalidValue(f"{field} must hold {kind}, got {source.dtype} entries")
+    if integral:
+        wrong = source[array != source]
+        if wrong.size:
+            raise InvalidValue(f"{field} must hold integers, got {wrong[0].item()!r}")
+    return array
+
+
 def frozen_array(dtype, ndim: int | None = None):
     """The type of an array field: a C-ordered, read-only `dtype` array,
-    which must have `ndim` axes if given (else DimensionMismatch).
+    which must have `ndim` axes if given (else DimensionMismatch), whose
+    entries pass `number_array`.
 
     A caller's array is copied, so changing it later leaves the value as
     it was. An array library code marks with `adopt` is held as it is and
     made read-only when it already has the field's native dtype and is
     C-ordered and aligned; any other is converted as a caller's would be,
-    so adopting saves a copy and never changes a value.
-    Entries that are not numbers (text, even numeric text such as "1.5",
-    bools, other objects), and in an integer field any number outside that
-    integer type's range or not integral (a fraction, NaN), are
-    InvalidValue."""
-    integral = np.issubdtype(dtype, np.integer)
-    kind = "integers" if integral else "numbers"
+    so adopting saves a copy and never changes a value."""
 
     def typed(value, field: str) -> np.ndarray:
         if isinstance(value, _Adopted):
             value = value.array
             if value.dtype == dtype and value.flags.c_contiguous and value.flags.aligned:
                 return frozen(value, field)
-        try:
-            source = np.asarray(value)
-            with np.errstate(invalid="ignore", over="ignore"):
-                array = source.astype(dtype, order="C")
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidValue(f"{field} must hold numbers") from None
-        if source.dtype.kind not in "iuf":
-            raise InvalidValue(f"{field} must hold {kind}, got {source.dtype} entries")
-        if integral:
-            wrong = source[array != source]
-            if wrong.size:
-                raise InvalidValue(f"{field} must hold integers, got {wrong[0].item()!r}")
-        return frozen(array, field)
+        return frozen(number_array(value, field, dtype), field)
 
     def frozen(array: np.ndarray, field: str) -> np.ndarray:
         if ndim is not None and array.ndim != ndim:
@@ -257,3 +271,76 @@ def typed_section(section, name: str, cls) -> dict:
         if key not in section:
             raise InvalidConfig(f"'{name}' is missing its '{key}' field")
     return {key: types[key](value, prefix + key) for key, value in section.items()}
+
+
+# -- the model section --------------------------------------------------------
+
+@dataclass(frozen=True)
+class FusionConfig:
+    """Architecture and training hyperparameters.
+
+    `attach_stages` lists, per structure, the 0-based trunk stage whose
+    activation feeds that structure's superclass head; its length is the
+    number of structures the model expects. `lambda_split` divides
+    `lambda_total` across structures; None means an equal split.
+    """
+
+    stage_dims: Annotated[tuple[int, ...], config_list(config_int)] = (32, 16)
+    attach_stages: Annotated[tuple[int, ...], config_list(config_int)] = ()
+    lambda_total: Annotated[float, config_real] = 0.0
+    lambda_split: Annotated[
+        tuple[float, ...] | None, config_optional(config_list(config_real))
+    ] = None
+    learning_rate: Annotated[float, config_real] = 0.1
+    epochs: Annotated[int, config_int] = 50
+    batch_size: Annotated[int, config_int] = 32
+    seed: Annotated[int, config_seed] = 0
+
+    def __post_init__(self):
+        type_fields(self)
+        stage_dims, attach_stages = self.stage_dims, self.attach_stages
+        if len(stage_dims) < 2:
+            raise InvalidConfig("the trunk needs at least 2 stages")
+        if min(stage_dims) < 1:
+            raise InvalidConfig("stage widths must be >= 1")
+        if not 0.0 <= self.lambda_total < 1.0:
+            raise InvalidConfig(
+                f"lambda_total must lie in [0, 1), got {self.lambda_total}"
+            )
+        for s in attach_stages:
+            if not 0 <= s < len(stage_dims):
+                raise InvalidConfig(
+                    f"attach stage {s} outside [0, {len(stage_dims)})"
+                )
+        split = self.lambda_split
+        if split is not None:
+            if len(split) != len(attach_stages):
+                raise InvalidConfig(
+                    f"{len(split)} lambda shares for {len(attach_stages)} heads"
+                )
+            if split and min(split) < 0.0:
+                raise InvalidConfig("lambda shares must be >= 0")
+            if abs(sum(split) - self.lambda_total) > 1e-12:
+                raise InvalidConfig("lambda shares must sum to lambda_total")
+        if not attach_stages and self.lambda_total != 0.0:
+            raise InvalidConfig("positive lambda_total needs at least one head")
+        if self.learning_rate <= 0.0:
+            raise InvalidConfig("learning_rate must be > 0")
+        if self.epochs < 1:
+            raise InvalidConfig("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise InvalidConfig("batch_size must be >= 1")
+
+    @property
+    def structure_count(self) -> int:
+        return len(self.attach_stages)
+
+    @property
+    def lambdas(self) -> tuple[float, ...]:
+        """Per-structure loss weights; an equal split unless overridden."""
+        if self.lambda_split is not None:
+            return self.lambda_split
+        m = len(self.attach_stages)
+        if m == 0:
+            return ()
+        return (self.lambda_total / m,) * m

@@ -45,6 +45,11 @@ is bit-equal to training it alone, the slicing changes no byte.
 A FusionModel carries the subclass name table of its output columns,
 typed by the one name rule like every value holding subclass ids:
 training takes it from the table, and checkpoints store it.
+
+The hyperparameters, FusionConfig, are the config document's `model`
+section and are defined in config.py, which parses configs without
+loading this module; imported here, `hierfusion.model.FusionConfig` is
+the same class.
 """
 
 import math
@@ -55,15 +60,14 @@ import numpy as np
 
 from .config import (
     SUBCLASS_NAMES,
+    FusionConfig,
     adopt,
     config_int,
     config_list,
     config_name,
-    config_optional,
-    config_real,
-    config_seed,
     fits_array,
     frozen_array,
+    number_array,
     type_fields,
     typed_section,
 )
@@ -109,77 +113,6 @@ _GRADIENT_SEED = 0
 # against 235 ms at 8. The fork, the pipe and the runs' shared per-batch
 # cost paid twice make up the difference.
 _MIN_SLICE_WORK = 50_000_000
-
-
-@dataclass(frozen=True)
-class FusionConfig:
-    """Architecture and training hyperparameters.
-
-    `attach_stages` lists, per structure, the 0-based trunk stage whose
-    activation feeds that structure's superclass head; its length is the
-    number of structures the model expects. `lambda_split` divides
-    `lambda_total` across structures; None means an equal split.
-    """
-
-    stage_dims: Annotated[tuple[int, ...], config_list(config_int)] = (32, 16)
-    attach_stages: Annotated[tuple[int, ...], config_list(config_int)] = ()
-    lambda_total: Annotated[float, config_real] = 0.0
-    lambda_split: Annotated[
-        tuple[float, ...] | None, config_optional(config_list(config_real))
-    ] = None
-    learning_rate: Annotated[float, config_real] = 0.1
-    epochs: Annotated[int, config_int] = 50
-    batch_size: Annotated[int, config_int] = 32
-    seed: Annotated[int, config_seed] = 0
-
-    def __post_init__(self):
-        type_fields(self)
-        stage_dims, attach_stages = self.stage_dims, self.attach_stages
-        if len(stage_dims) < 2:
-            raise InvalidConfig("the trunk needs at least 2 stages")
-        if min(stage_dims) < 1:
-            raise InvalidConfig("stage widths must be >= 1")
-        if not 0.0 <= self.lambda_total < 1.0:
-            raise InvalidConfig(
-                f"lambda_total must lie in [0, 1), got {self.lambda_total}"
-            )
-        for s in attach_stages:
-            if not 0 <= s < len(stage_dims):
-                raise InvalidConfig(
-                    f"attach stage {s} outside [0, {len(stage_dims)})"
-                )
-        split = self.lambda_split
-        if split is not None:
-            if len(split) != len(attach_stages):
-                raise InvalidConfig(
-                    f"{len(split)} lambda shares for {len(attach_stages)} heads"
-                )
-            if split and min(split) < 0.0:
-                raise InvalidConfig("lambda shares must be >= 0")
-            if abs(sum(split) - self.lambda_total) > 1e-12:
-                raise InvalidConfig("lambda shares must sum to lambda_total")
-        if not attach_stages and self.lambda_total != 0.0:
-            raise InvalidConfig("positive lambda_total needs at least one head")
-        if self.learning_rate <= 0.0:
-            raise InvalidConfig("learning_rate must be > 0")
-        if self.epochs < 1:
-            raise InvalidConfig("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise InvalidConfig("batch_size must be >= 1")
-
-    @property
-    def structure_count(self) -> int:
-        return len(self.attach_stages)
-
-    @property
-    def lambdas(self) -> tuple[float, ...]:
-        """Per-structure loss weights; an equal split unless overridden."""
-        if self.lambda_split is not None:
-            return self.lambda_split
-        m = len(self.attach_stages)
-        if m == 0:
-            return ()
-        return (self.lambda_total / m,) * m
 
 
 _VECTOR = frozen_array(np.float64, 1)
@@ -557,8 +490,13 @@ def forward(model: FusionModel, x):
     """(subclass logits, per-structure superclass logits).
 
     Accepts one d-vector or an (n, d) batch; output shapes follow suit.
+    Inputs are numbers by the rule of every array field (config.number_array,
+    else InvalidValue) and finite (else NonFiniteValue); a float64, C-ordered
+    array is read in place, not copied.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    arr = number_array(x, "inputs", copy=False)
+    if not np.isfinite(arr).all():
+        raise NonFiniteValue("inputs contain NaN or infinity")
     single = arr.ndim == 1
     arr = np.atleast_2d(arr)
     if arr.ndim != 2 or arr.shape[1] != model.input_dim:

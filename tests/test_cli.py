@@ -862,8 +862,6 @@ def per_run_sweep_csv(raw, axis, values, seeds):
 def test_sweep_csv_is_byte_identical_to_separate_runs(
     tmp_path, monkeypatch, axis, values, seeds, stage_dims, stacks
 ):
-    import hierfusion.cli as cli
-
     calls = {"stacked": [], "train": 0}
 
     def stacked(configs, *args, **kwargs):
@@ -874,9 +872,11 @@ def test_sweep_csv_is_byte_identical_to_separate_runs(
         calls["train"] += 1
         return train(*args, **kwargs)
 
-    train_stacked = cli.train_stacked
-    monkeypatch.setattr(cli, "train_stacked", stacked)
-    monkeypatch.setattr(cli, "train", lone)
+    # the sweep imports the trainer when it runs, so the model module's
+    # names are the ones it calls
+    train_stacked = model_module.train_stacked
+    monkeypatch.setattr(model_module, "train_stacked", stacked)
+    monkeypatch.setattr(model_module, "train", lone)
     data = gen_dataset(tmp_path)
     out = tmp_path / "stacked"
     raw = sweep_base(tmp_path, data, out)
@@ -1081,7 +1081,9 @@ def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, command,
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli_module, callee, fail)
+    # train imports the trainer when it runs, so its callee is model's
+    owner = model_module if command == "train" else cli_module
+    monkeypatch.setattr(owner, callee, fail)
     config = write_config(tmp_path / "c.json", {
         "synthetic": SYNTH,
         "builder": {"k": 2},

@@ -17,6 +17,8 @@ from hierfusion.exceptions import (
     DimensionMismatch,
     DivergedLoss,
     InvalidConfig,
+    InvalidValue,
+    NonFiniteValue,
     SubclassSpaceMismatch,
     UnknownLabel,
     UnknownSuperclass,
@@ -268,6 +270,37 @@ def test_forward_attach_stage_changes_head_input():
 def test_forward_checks_input_dim():
     with pytest.raises(DimensionMismatch):
         forward(zero_model(d=3), np.ones(5))
+
+
+@pytest.mark.parametrize("x, error", [
+    ([[0.5, 1.0, 2.0], [1.0, np.nan, 0.0]], NonFiniteValue),
+    (np.array([1.0, -np.inf, 0.0]), NonFiniteValue),
+    ([["1.5", "0", "0"]], InvalidValue),
+    ([[True, False, True]], InvalidValue),
+    ("abc", InvalidValue),
+    ([[1.0, 2.0, 3.0], [1.0, 2.0]], InvalidValue),
+], ids=["nan-row", "infinity", "numeric-text", "bools", "text", "ragged"])
+@pytest.mark.parametrize("apply", [forward, predict], ids=["forward", "predict"])
+def test_forward_and_predict_refuse_what_an_array_field_refuses(apply, x, error):
+    # a NaN row was predicted as subclass 0, and text such as "1.5" read
+    # as a number, where every array field refuses both
+    with pytest.raises(error):
+        apply(zero_model(d=3), x)
+
+
+def test_forward_reads_a_float64_c_ordered_input_in_place(monkeypatch):
+    seen = []
+    logits = model_module._logits
+    monkeypatch.setattr(model_module, "_logits",
+                        lambda params, x: seen.append(x) or logits(params, x))
+    model = zero_model(d=3)
+    batch, row = np.ones((4, 3)), np.ones(3)
+    forward(model, batch)
+    predict(model, row)
+    assert seen[0] is batch and np.shares_memory(seen[1], row)
+    assert batch.flags.writeable and row.flags.writeable
+    # integers are numbers: converted, and predicted like their floats
+    assert np.array_equal(predict(model, [[1, 2, 3]]), predict(model, [[1.0, 2.0, 3.0]]))
 
 
 # -- loss -----------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 import ast
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import hierfusion
+from hierfusion import model
 
 SRC = Path(hierfusion.__file__).parent
 
@@ -47,6 +50,44 @@ def test_a_star_import_binds_exactly_all():
     namespace = {}
     exec("from hierfusion import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == hierfusion.__all__
+
+
+def fresh(script: str) -> list:
+    """The stdout words of `script` run in a new interpreter."""
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_importing_the_package_does_not_load_the_trainer():
+    assert fresh("import sys, hierfusion; print('hierfusion.model' in sys.modules)") \
+        == ["False"]
+
+
+def test_a_trainer_name_loads_the_trainer_on_first_access():
+    assert fresh(
+        "import sys, hierfusion\n"
+        "from hierfusion import train_stacked\n"
+        "model = sys.modules['hierfusion.model']\n"
+        "print(train_stacked is model.train_stacked, hierfusion.train is model.train)\n"
+    ) == ["True", "True"]
+
+
+def test_the_model_section_class_is_the_trainers():
+    assert hierfusion.FusionConfig is model.FusionConfig
+
+
+def test_dir_lists_every_public_name():
+    assert set(hierfusion.__all__) <= set(dir(hierfusion))
+
+
+def test_an_unknown_name_is_still_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        hierfusion.no_such_name
+    with pytest.raises(ImportError):
+        exec("from hierfusion import no_such_name", {})
 
 
 def _unused_imports(path: Path) -> list:

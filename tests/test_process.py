@@ -199,22 +199,37 @@ def test_a_killed_command_leaves_only_whole_artifacts(tmp_path, inputs, command)
             check_frames(out)
 
 
-MASKED = """\
+LOADED = """\
 import sys
 from hierfusion.cli import main
-code = main(sys.argv[1:])
-print(code, "numpy.ma" in sys.modules)
+code = main(sys.argv[2:])
+print(code, sys.argv[1] in sys.modules)
 """
+
+
+def loaded(module: str, command: str, inputs: Path, out: Path) -> str:
+    """"<exit code> <whether `module` was imported>" of a child running `command`."""
+    proc = child(sys.executable, "-c", LOADED, module,
+                 *command_argv(command, inputs, out))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
 
 
 @pytest.mark.parametrize("command", ["gen-synthetic", "build-structure", "train",
                                      "evaluate", "sweep"])
 def test_no_command_imports_numpy_ma(tmp_path, inputs, command):
     # a flag-less np.unique calls np.ma.is_masked, a 10-14 ms import
-    proc = child(sys.executable, "-c", MASKED,
-                 *command_argv(command, inputs, tmp_path / "out"))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert loaded("numpy.ma", command, inputs, tmp_path / "out") == "0 False"
+
+
+@pytest.mark.parametrize("command", ["gen-synthetic", "build-structure", "train",
+                                     "evaluate", "sweep"])
+def test_only_the_commands_that_train_or_score_import_the_trainer(tmp_path, inputs,
+                                                                  command):
+    # model.py, the largest module, is compiled anew in every child that loads it
+    trains = command in ("train", "evaluate", "sweep")
+    assert loaded("hierfusion.model", command, inputs, tmp_path / "out") \
+        == f"0 {trains}"
 
 
 # -- forked workers -----------------------------------------------------------------
