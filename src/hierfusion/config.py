@@ -192,14 +192,16 @@ def number_array(value, field: str, dtype=np.float64, copy: bool = True) -> np.n
     that integer type's range or not integral (a fraction, NaN), are
     InvalidValue."""
     integral = np.issubdtype(dtype, np.integer)
+    kind = "integers" if integral else "numbers"
     try:
         source = np.asarray(value)
+        if source.dtype.kind == "c":  # refused before a cast could warn
+            raise InvalidValue(f"{field} must hold {kind}, got {source.dtype} entries")
         with np.errstate(invalid="ignore", over="ignore"):
             array = source.astype(dtype, order="C", copy=copy)
     except (TypeError, ValueError, OverflowError):
         raise InvalidValue(f"{field} must hold numbers") from None
     if source.dtype.kind not in "iuf":
-        kind = "integers" if integral else "numbers"
         raise InvalidValue(f"{field} must hold {kind}, got {source.dtype} entries")
     if integral:
         wrong = source[array != source]

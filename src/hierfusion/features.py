@@ -18,12 +18,12 @@ five words padded with 0xFF bytes, a block of rows is laid out as words
 uses, leaves the block's text. The few values printed with an exponent
 are formatted one by one.
 
-A large feature file is written on every core: its rows are cut into
-contiguous ranges, one per CPU the process may run on, while each keeps
-at least _MIN_RANGE_VALUES values. The ranges run through the shared
-fork helper, workers.in_parts: range 0 in this process and each other
-range in a forked worker. With one range, or where workers.worker_count
-finds a fork unsafe, nothing is forked. The writer appends the ranges in
+A large feature file is written on every core: workers.part_bounds cuts
+its rows into contiguous ranges, one per CPU the process may run on,
+while each keeps a row and at least _MIN_RANGE_VALUES values. The ranges
+run through the shared fork helper, workers.in_parts: range 0 in this
+process and each other range in a forked worker. With one range, or
+where a fork is unsafe, nothing is forked. The writer appends the ranges in
 order from nameless temporary files, so the split changes no byte written
 and no error raised, and a killed write leaves no part behind. The
 loader parses a file in one pass.
@@ -87,7 +87,7 @@ from .serialization import (
     text_reader,
 )
 from .taxonomy import LabelStructure
-from .workers import in_parts, worker_count
+from .workers import in_parts, part_bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,12 +359,6 @@ TABLE_MAGIC = b"hierfusion-table-v1\n"
 _HASH_BLOCK_BYTES = 1 << 16
 
 
-def _range_count(values: int) -> int:
-    """How many ranges to convert `values` values in: one per part
-    workers.worker_count allows, each of at least _MIN_RANGE_VALUES."""
-    return max(1, min(worker_count(), values // _MIN_RANGE_VALUES))
-
-
 def save_feature_table(table: FeatureTable, path) -> None:
     """Write the CSV feature format: header ``label,f0..``, one row each,
     labelled by the table's own subclass names.
@@ -383,8 +377,8 @@ def save_feature_table(table: FeatureTable, path) -> None:
     stale, so the next load parses.
     """
     path = Path(path)
-    ranges = _range_count(table.count * table.dim)
-    bounds = [table.count * i // ranges for i in range(ranges + 1)]
+    bounds = part_bounds(table.count, table.count * table.dim, _MIN_RANGE_VALUES)
+    ranges = len(bounds) - 1
 
     def convert(index):
         _write_rows(files[index], table, bounds[index], bounds[index + 1])

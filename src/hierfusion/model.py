@@ -26,21 +26,24 @@ subclass-head trajectory as one trained with no structures at all.
 
 Training steps a stack of R runs at once (train_stacked): the flat buffer
 gains a leading run axis, so weights are (R, a, b) views, biases (R, 1, k)
-views, a batch is (R, n, d), and lambda, the per-head lambda shares and
-the learning rate are per-run vectors. Each stacked matmul, softmax and
-bias sum does per run exactly the arithmetic of a lone run, so every run
-of a stack is bit-equal to training it alone; `train` is the R = 1 case.
-Runs stack when they share layout shapes, row count, batch size and
-epochs (stack_key); each keeps its own init and shuffle streams.
+views and a batch is (R, n, d). Each per-run quantity is one array: the
+(1 + M, R) loss-weight table (row 0 each run's 1 - lambda, row 1 + m its
+lambda for structure m), the (2 + M, R) losses of a batch (total,
+subclass, per structure) and the (R, 1) learning-rate column. Each
+stacked matmul, softmax and bias sum does per run exactly the arithmetic
+of a lone run, so every run of a stack is bit-equal to training it
+alone; `train` is the R = 1 case. Runs stack when they share layout
+shapes, row count, batch size and epochs (stack_key); each keeps its
+own init and shuffle streams.
 
-A stack with enough work trains on every core: its run axis is cut into
-contiguous slices, one per CPU while each holds _MIN_SLICE_WORK, that
-descend at the same time through the shared fork helper
-(workers.in_parts), slice 0 here and each other slice in a forked
+A stack with enough work trains on every core: workers.part_bounds cuts
+its run axis into contiguous slices, one per CPU while each holds
+_MIN_SLICE_WORK, that descend at the same time through the shared fork
+helper (workers.in_parts), slice 0 here and each other slice in a forked
 worker. `_descend` trains one slice and returns plain arrays, its rows
-of the (R, P) buffer and its history; train_stacked builds every
-FusionModel and TrainHistory from them in this process. Since every run
-is bit-equal to training it alone, the slicing changes no byte.
+of the (R, P) buffer, its losses and its accuracy; train_stacked builds
+every FusionModel and TrainHistory from them in this process. Since
+every run is bit-equal to training it alone, the slicing changes no byte.
 
 A FusionModel carries the subclass name table of its output columns,
 typed by the one name rule like every value holding subclass ids:
@@ -85,7 +88,7 @@ from .features import FeatureTable
 from .rng import derive_seed, rng_from_seed
 from .serialization import atomic_text_writer, load_frame, save_frame
 from .taxonomy import StructureSet
-from .workers import in_parts, worker_count
+from .workers import in_parts, part_bounds
 
 CHECKPOINT_MAGIC = b"hierfusion-checkpoint-v2\n"
 
@@ -409,14 +412,21 @@ def _cross_entropy_grad(logits, labels):
     return loss, exp
 
 
-def _weighted_loss(sub_logits, super_logits, y_sub, y_supers, lambdas, lam):
+def _loss_weights(configs) -> np.ndarray:
+    """The (1 + M, R) loss-weight table of the runs `configs`: row 0 holds
+    each run's 1 - lambda_total, row 1 + m its lambda for structure m."""
+    return np.array([(1.0 - c.lambda_total, *c.lambdas) for c in configs]).T
+
+
+def _weighted_loss(sub_logits, super_logits, y_sub, y_supers, weights):
     """The multi-task loss of a batch and the unweighted logit gradients.
 
-    Returns ((total, subclass loss, per-structure losses), subclass logit
-    gradient, superclass logit gradients), where total is
-    (1 - lam) * subclass + sum_m lambdas[m] * per-structure[m]. For a
-    stack of R runs, `lam`, each `lambdas[m]` and every loss are (R,)
-    vectors. Labels must be pre-validated (see _cross_entropy_grad).
+    Returns (losses, subclass logit gradient, superclass logit gradients).
+    `losses` is the (2 + M, R) array of each run's total, subclass and
+    per-structure losses, where total is weights[0] * subclass +
+    sum_m weights[1 + m] * per-structure[m] with `weights` the
+    _loss_weights table. Labels must be pre-validated (see
+    _cross_entropy_grad).
     """
     sub_loss, sub_grad = _cross_entropy_grad(sub_logits, y_sub)
     per, grads = [], []
@@ -424,34 +434,26 @@ def _weighted_loss(sub_logits, super_logits, y_sub, y_supers, lambdas, lam):
         loss_m, grad_m = _cross_entropy_grad(logits, labels)
         per.append(loss_m)
         grads.append(grad_m)
-    total = (1.0 - lam) * sub_loss + sum(w * v for w, v in zip(lambdas, per))
-    return (total, sub_loss, per), sub_grad, grads
+    total = weights[0] * sub_loss + sum(w * v for w, v in zip(weights[1:], per))
+    return np.array([total, sub_loss, *per]), sub_grad, grads
 
 
-def _gradient_scales(lambdas, lam):
-    """(1 - lam, [lambdas[m], ...]) shaped to scale (R, n, k) logit
-    gradients run by run, from numbers or (R,) vectors; made once per
-    stack rather than once per batch."""
-    return [np.reshape(w, np.shape(w) + (1, 1)) for w in (1.0 - lam, *lambdas)]
-
-
-def _loss_and_grads(params, x, y_sub, y_supers, lambdas, lam, scales):
+def _loss_and_grads(params, x, y_sub, y_supers, weights):
     """One forward/backward pass of a stack of runs; returns (losses, sub_logits).
 
     `params` is a _Params, `x` the (R, n, d) stack of batches, `y_sub`
-    (R, n) and each `y_supers[m]` (R, n); `lam` and each `lambdas[m]`
-    hold one weight per run, and `scales` is their _gradient_scales.
-    `losses` is (total, subclass, per-structure list), each an (R,)
-    vector; the gradient is written into params.grads. Head gradients
-    enter the trunk at their attach stage scaled by their loss weight, so
-    a zero-weight head contributes exactly zero. `lam` is the total weight
-    taken from the subclass term. Each stage's activation gradient starts
-    from its first contribution and adds the rest in the fixed order
-    subclass head, superclass heads, stage above.
+    (R, n) and each `y_supers[m]` (R, n); `weights` is the runs'
+    _loss_weights table and `losses` the (2 + M, R) array of
+    _weighted_loss. The gradient is written into params.grads. Head
+    gradients enter the trunk at their attach stage scaled by their loss
+    weight, so a zero-weight head contributes exactly zero, and the
+    subclass gradient by its weight, 1 - lambda_total. Each stage's
+    activation gradient starts from its first contribution and adds the
+    rest in the fixed order subclass head, superclass heads, stage above.
     """
     acts, sub_logits, super_logits = _logits(params, x)
     losses, sub_grad, super_grads = _weighted_loss(
-        sub_logits, super_logits, y_sub, y_supers, lambdas, lam
+        sub_logits, super_logits, y_sub, y_supers, weights
     )
 
     d_acts = [None] * len(acts)
@@ -463,13 +465,13 @@ def _loss_and_grads(params, x, y_sub, y_supers, lambdas, lam, scales):
             d_acts[stage] += back
 
     g = params.grads
-    sub_grad *= scales[0]
+    sub_grad *= weights[0, :, None, None]
     np.matmul(acts[-1].swapaxes(-1, -2), sub_grad, out=g.subclass_weight)
     np.add.reduce(sub_grad, axis=-2, keepdims=True, out=g.subclass_bias)
     d_acts[-1] = sub_grad @ params.subclass_weight.swapaxes(-1, -2)
     for m, stage in enumerate(params.attach_stages):
         scaled = super_grads[m]
-        scaled *= scales[1 + m]
+        scaled *= weights[1 + m, :, None, None]
         np.matmul(acts[stage].swapaxes(-1, -2), scaled, out=g.super_weights[m])
         np.add.reduce(scaled, axis=-2, keepdims=True, out=g.super_biases[m])
         add_back(stage, scaled @ params.super_weights[m].swapaxes(-1, -2))
@@ -563,16 +565,15 @@ def train_stacked(configs, tables, structures) -> list[tuple[FusionModel, TrainH
     names the first diverging run in stack order; floating-point warnings
     of a diverging run are not printed.
 
-    The runs are cut into contiguous slices, one per part that
-    workers.worker_count allows (one per CPU where a fork is safe) while
-    each holds _MIN_SLICE_WORK, and the slices descend at the same time
-    through workers.in_parts: slice 0 in this process, each other slice
-    in a forked worker that sends back its rows of the parameter buffer
-    and its history arrays. Every run does the arithmetic it does in any
-    stack, so the split changes no byte, and a lone run never forks. A
-    diverging slice raises the error of its first diverging run by its
-    index in the whole stack, and the earliest failing slice's error
-    wins, so the error is that of one stack.
+    The runs are cut into contiguous slices by workers.part_bounds, one
+    per CPU where a fork is safe while each holds _MIN_SLICE_WORK, and the
+    slices descend at the same time through workers.in_parts: slice 0 in
+    this process, each other slice in a forked worker that sends back its
+    rows of the parameter buffer and its history arrays. Every run does
+    the arithmetic it does in any stack, so the split changes no byte,
+    and a lone run never forks. A diverging slice raises the error of its
+    first diverging run by its index in the whole stack, and the earliest
+    failing slice's error wins, so the error is that of one stack.
     """
     runs = len(configs)
     if runs == 0 or not runs == len(tables) == len(structures):
@@ -584,33 +585,31 @@ def train_stacked(configs, tables, structures) -> list[tuple[FusionModel, TrainH
     if tables[0].count == 0:
         raise ClassTooSmall(0, "empty table has no rows to train on")
     epochs = configs[0].epochs
-    if not fits_array(runs, epochs, max(1, configs[0].structure_count)):
+    if not fits_array(runs, epochs, 2 + configs[0].structure_count):
         raise InvalidConfig(
             f"epochs: {epochs} epochs of history are too many for a numpy array"
         )
     models = [init_model(c, s, t.dim, t.subclass_names)
               for c, t, s in zip(configs, tables, structures)]
     size = sum(arr.size for _, arr in _parameters(models[0]))
-    work = runs * configs[0].epochs * tables[0].count * size
-    slices = max(1, min(runs, worker_count(), work // _MIN_SLICE_WORK))
-    bounds = [runs * i // slices for i in range(slices + 1)]
+    bounds = part_bounds(runs, runs * epochs * tables[0].count * size, _MIN_SLICE_WORK)
 
     def descend(index):
         part = slice(bounds[index], bounds[index + 1])
         return _descend(configs[part], tables[part], structures[part], models[part],
                         bounds[index], runs)
 
-    values, hist_total, hist_sub, hist_super, hist_acc = (
-        np.concatenate(arrays) for arrays in zip(*in_parts(slices, descend))
+    values, losses, accuracy = (
+        np.concatenate(arrays) for arrays in zip(*in_parts(len(bounds) - 1, descend))
     )
     return [
         (
             _with_values(model, values[r]),
             TrainHistory(
-                total_loss=hist_total[r],
-                subclass_loss=hist_sub[r],
-                super_losses=hist_super[r],
-                train_accuracy=hist_acc[r],
+                total_loss=losses[r, :, 0],
+                subclass_loss=losses[r, :, 1],
+                super_losses=losses[r, :, 2:],
+                train_accuracy=accuracy[r],
                 structure_names=model.structure_names,
             ),
         )
@@ -620,31 +619,29 @@ def train_stacked(configs, tables, structures) -> list[tuple[FusionModel, TrainH
 
 def _descend(configs, tables, structures, models, offset: int, stack: int):
     """Train the runs `models`, runs offset.. of a stack of `stack` runs;
-    (parameter rows, total, subclass, per-structure losses, accuracy).
+    (parameter rows, losses, accuracy).
 
     Row r of each array belongs to run r of the slice: its (P,) parameters
-    in the canonical layout and its per-epoch history. A run whose loss
-    turns non-finite is DivergedLoss named by its index in the whole stack.
+    in the canonical layout, its (epochs, 2 + M) per-epoch total,
+    subclass and per-structure losses, and its per-epoch accuracy. A run
+    whose loss turns non-finite is DivergedLoss named by its index in the
+    whole stack.
     """
     runs = len(configs)
     params = _Params(models)
     heads = configs[0].structure_count
     n = tables[0].count
     batch, epochs = configs[0].batch_size, configs[0].epochs
-    lam = np.array([c.lambda_total for c in configs])
-    lambdas = np.array([c.lambdas for c in configs]).reshape(runs, heads).T
-    scales = _gradient_scales(lambdas, lam)
-    steps = list(zip(params.grad, [c.learning_rate for c in configs]))
+    weights = _loss_weights(configs)
+    rates = np.array([[c.learning_rate] for c in configs])
     shuffles = [rng_from_seed(derive_seed(c.seed, _STREAM_SHUFFLE)) for c in configs]
     sides = {}  # each distinct table: its rows and the runs that read them
     for r, table in enumerate(tables):
         sides.setdefault(id(table), (table.features, []))[1].append(r)
     sides = [(features, np.array(members)) for features, members in sides.values()]
 
-    hist_total = np.zeros((runs, epochs))
-    hist_sub = np.zeros((runs, epochs))
-    hist_super = np.zeros((runs, epochs, heads))
-    hist_acc = np.zeros((runs, epochs))
+    history = np.zeros((runs, epochs, 2 + heads))
+    accuracy = np.zeros((runs, epochs))
     order = np.empty((runs, n), dtype=np.int64)
     # Each run's subclass ids, then its superclass ids per head, in batch order.
     ys = np.empty((1 + heads, runs, n), dtype=np.int64)
@@ -657,37 +654,28 @@ def _descend(configs, tables, structures, models, offset: int, stack: int):
                 ys[0, r] = table.labels[order[r]]
                 for m, structure in enumerate(structures[r]):
                     ys[1 + m, r] = structure.parent_index[ys[0, r]]
-            total_sum = np.zeros(runs)
-            sub_sum = np.zeros(runs)
-            super_sums = np.zeros((heads, runs))
+            sums = np.zeros((2 + heads, runs))
             for start in range(0, n, batch):
                 rows = order[:, start : start + batch]
                 size = rows.shape[1]
                 by = ys[:, :, start : start + batch]
-                (total, sub_loss, per), sub_logits = _loss_and_grads(
-                    params, _gather(sides, rows), by[0], by[1:], lambdas, lam, scales
+                losses, sub_logits = _loss_and_grads(
+                    params, _gather(sides, rows), by[0], by[1:], weights
                 )
-                if not math.isfinite(total.sum()):  # one test for every run
-                    finite = np.isfinite(total)
-                    for r in np.flatnonzero(~finite):
+                if not math.isfinite(losses[0].sum()):  # one test for every run
+                    for r in np.flatnonzero(~np.isfinite(losses[0])):
                         diverged.setdefault(int(r), (epoch, start))
                     if 0 in diverged:  # no earlier run is left to diverge
                         raise _diverged(diverged, offset, stack)
                 sub_logits.argmax(axis=-1, out=predicted[:, start : start + batch])
-                total_sum += total * size
-                sub_sum += sub_loss * size
-                for m, loss_m in enumerate(per):
-                    super_sums[m] += loss_m * size
-                for grad, rate in steps:
-                    grad *= rate
+                sums += losses * size
+                params.grad *= rates
                 params.values -= params.grad
-            hist_total[:, epoch] = total_sum / n
-            hist_sub[:, epoch] = sub_sum / n
-            hist_super[:, epoch] = (super_sums / n).T
-            hist_acc[:, epoch] = np.count_nonzero(predicted == ys[0], axis=1) / n
+            history[:, epoch] = (sums / n).T
+            accuracy[:, epoch] = np.count_nonzero(predicted == ys[0], axis=1) / n
     if diverged:
         raise _diverged(diverged, offset, stack)
-    return params.values, hist_total, hist_sub, hist_super, hist_acc
+    return params.values, history, accuracy
 
 
 def _gather(sides, rows) -> np.ndarray:
@@ -749,15 +737,14 @@ def gradient_check(
         raise DimensionMismatch("superclass counts differ from the model's heads")
     x, y_sub = table.features[None], table.labels[None]
     y_supers = [s.parent_index[y_sub] for s in structures]
-    lambdas, lam = config.lambdas, config.lambda_total
+    weights = _loss_weights([config])
     params = _Params([model])
-    _loss_and_grads(params, x, y_sub, y_supers, lambdas, lam,
-                    _gradient_scales(lambdas, lam))
+    _loss_and_grads(params, x, y_sub, y_supers, weights)
     values, grad = params.values[0], params.grad[0]
 
     def total_loss() -> float:
         _, sub, supers = _logits(params, x)
-        return float(_weighted_loss(sub, supers, y_sub, y_supers, lambdas, lam)[0][0][0])
+        return float(_weighted_loss(sub, supers, y_sub, y_supers, weights)[0][0, 0])
 
     total = values.size
     if total <= _GRADIENT_SAMPLE:

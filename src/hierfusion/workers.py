@@ -12,7 +12,8 @@ as soon as its parent can no longer read its result (see `_fork`), so a
 killed parent leaves no worker running. Forking is safe only where
 ``os.fork`` exists and no second thread is alive (a fork copies the
 calling thread alone, so a lock another thread holds would stay held in
-the worker); elsewhere `worker_count` is 1 and callers make one part.
+the worker); elsewhere `worker_count` is 1 and `part_bounds` makes one
+part. No other module forks, pins CPUs or counts workers.
 """
 
 import contextlib
@@ -29,6 +30,14 @@ def worker_count() -> int:
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     return len(cpus())
+
+
+def part_bounds(items: int, work: int, least: int) -> list:
+    """Where to cut `items` items into contiguous parts: one part per
+    worker_count while each holds at least `least` of the `work`, and no
+    more parts than items. Part i holds items bounds[i]..bounds[i + 1]."""
+    parts = max(1, min(items, worker_count(), work // least))
+    return [items * i // parts for i in range(parts + 1)]
 
 
 def cpus() -> list:

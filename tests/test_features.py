@@ -774,9 +774,9 @@ def test_range_parts_have_no_names_a_kill_could_leave(tmp_path):
 @settings(max_examples=30, deadline=None)
 @given(_tables())
 def test_csv_round_trip_is_bit_exact_in_many_ranges(table):
-    # a range per value up to 4, empty ones included; the load parses
-    # once and forks none
-    ranges = min(4, table.count * table.dim)
+    # a range per row up to 4, none of them empty; the load parses once
+    # and forks none
+    ranges = min(4, table.count)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "feats.csv"
         with many_ranges() as forks:
@@ -876,6 +876,17 @@ def test_a_parse_error_in_a_later_range_wins_over_a_non_finite_value(tmp_path):
     with pytest.raises(MalformedRow) as raised:
         load_feature_table(path, NAMES)
     assert f"bad.csv:{len(lines) - 2}: " in str(raised.value)
+
+
+def test_a_range_holds_a_row_at_least(tmp_path):
+    # 8 values would make 4 ranges, but one row is one range: no worker
+    # is forked for an empty range
+    table = table_of(np.arange(8.0)[None], [0])
+    path = tmp_path / "feats.csv"
+    with many_ranges() as forks:
+        save_feature_table(table, path)
+    assert forks == []
+    assert path.read_bytes() == _one_range_bytes(table, tmp_path / "one.csv")
 
 
 def test_first_appearance_names_stay_in_order_across_cuts(tmp_path):

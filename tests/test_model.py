@@ -505,30 +505,46 @@ def assert_same_run(stacked, alone):
         assert np.array_equal(getattr(history, field), getattr(ref_history, field)), field
 
 
-def eight_runs():
-    """Eight runs that share a stack key and differ in every other input."""
+def eight_runs(heads=2):
+    """Eight runs with `heads` superclass heads (0, 1 or 2) that share a
+    stack key and differ in every other input. Runs 1, 2 and 6 change
+    lambda_total, the lambda split and the structures; where the heads
+    leave no such change, they change the lambda or the learning rate."""
     rng = np.random.default_rng(80)
     table_a, table_b = toy_table(rng, n=45), toy_table(rng, n=45)
-    base = dict(stage_dims=(6, 4), attach_stages=(0, 1), epochs=4, batch_size=8)
-    pairs_skewed = TWO
-    crossed_skewed = StructureSet((structure_crossed(), structure_skewed()))
-    runs = [
-        (FusionConfig(**base, lambda_total=0.3, seed=1), table_a, pairs_skewed),
-        (FusionConfig(**base, lambda_total=0.0, seed=1), table_a, pairs_skewed),
-        (FusionConfig(**base, lambda_total=0.3, lambda_split=(0.25, 0.05), seed=1),
-         table_a, pairs_skewed),
-        (FusionConfig(**base, lambda_total=0.3, learning_rate=0.4, seed=1),
-         table_a, pairs_skewed),
-        (FusionConfig(**base, lambda_total=0.3, seed=2), table_a, pairs_skewed),
-        (FusionConfig(**base, lambda_total=0.3, seed=1), table_b, pairs_skewed),
-        (FusionConfig(**base, lambda_total=0.3, seed=1), table_a, crossed_skewed),
-        (FusionConfig(**base, lambda_total=0.1, seed=3), table_b, crossed_skewed),
+    base = dict(stage_dims=(6, 4), attach_stages=(0, 1)[:heads], epochs=4, batch_size=8,
+                lambda_total=0.3 if heads else 0.0, seed=1)
+    mine = StructureSet((structure_pairwise(), structure_skewed())[:heads])
+    other = StructureSet((structure_crossed(), structure_skewed())[:heads])
+    no_lambda, split, crossed = {
+        2: (dict(lambda_total=0.0), dict(lambda_split=(0.25, 0.05)), {}),
+        1: (dict(lambda_total=0.0), dict(lambda_total=0.2), {}),
+        0: (dict(learning_rate=0.2), dict(learning_rate=0.3), dict(learning_rate=0.05)),
+    }[heads]
+
+    def run(table=table_a, structures=mine, **changes):
+        return FusionConfig(**{**base, **changes}), table, structures
+
+    return [
+        run(),
+        run(**no_lambda),
+        run(**split),
+        run(learning_rate=0.4),
+        run(seed=2),
+        run(table_b),
+        run(structures=other, **crossed),
+        run(table_b, other, lambda_total=0.1 if heads else 0.0, seed=3),
     ]
-    return runs
 
 
-def test_stacked_runs_match_separate_training_bit_for_bit():
-    runs = eight_runs()
+# Stacks whose loss arrays hold 2, 3 and 4 rows.
+HEAD_COUNTS = pytest.mark.parametrize("heads", [0, 1, 2],
+                                      ids=["no-heads", "one-head", "two-heads"])
+
+
+@HEAD_COUNTS
+def test_stacked_runs_match_separate_training_bit_for_bit(heads):
+    runs = eight_runs(heads)
     stacked = train_stacked(*zip(*runs))
     assert len(stacked) == len(runs)
     for result, run in zip(stacked, runs):
@@ -668,9 +684,10 @@ def one_slice(call):
     return result
 
 
+@HEAD_COUNTS
 @pytest.mark.parametrize("slices", [2, 3, 8])
-def test_a_stack_in_slices_is_bit_equal_to_one_slice_and_to_lone_runs(slices):
-    runs = eight_runs()
+def test_a_stack_in_slices_is_bit_equal_to_one_slice_and_to_lone_runs(slices, heads):
+    runs = eight_runs(heads)
     whole = one_slice(lambda: train_stacked(*zip(*runs)))
     with many_slices(slices) as forks:
         split = train_stacked(*zip(*runs))

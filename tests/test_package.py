@@ -129,3 +129,24 @@ def _byte_layout_calls(path: Path) -> list:
 def test_only_serialization_lays_out_bytes(path):
     # a binary file's layout is known to serialization.save_frame/load_frame alone
     assert _byte_layout_calls(path) == []
+
+
+def _worker_calls(path: Path) -> list:
+    """Each use of os.fork, os.sched_setaffinity or worker_count in `path`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name) else None)
+        names = ([alias.name for alias in node.names]
+                 if isinstance(node, ast.ImportFrom) else [])
+        for used in {name, *names} & {"fork", "sched_setaffinity", "worker_count"}:
+            found.append(f"{path.name}:{node.lineno}: {used}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "workers.py"),
+                         ids=lambda p: p.name)
+def test_only_workers_forks_or_counts_workers(path):
+    # how work is cut into parts and run on CPUs is known to workers.py alone
+    assert _worker_calls(path) == []

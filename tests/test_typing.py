@@ -20,7 +20,7 @@ from hierfusion.cli import (
 )
 from hierfusion.exceptions import DimensionMismatch, InvalidConfig, InvalidValue
 from hierfusion.features import ClassStats, FeatureTable, SyntheticSpec, train_test_split
-from hierfusion.model import FusionConfig, init_model, save_checkpoint
+from hierfusion.model import FusionConfig, forward, init_model, save_checkpoint
 from hierfusion.structure_builder import (
     affinity_matrix,
     kmeans,
@@ -109,6 +109,7 @@ _STATS = ClassStats(means=[[0.0], [1.0], [3.0]], variances=[0.0, 0.0, 0.0])
 _POINTS = np.array([[0.0], [1.0], [3.0]])
 _TABLE = FeatureTable(np.arange(8.0).reshape(4, 2), [0, 0, 1, 1], ("a", "b"))
 _STRUCTURE = LabelStructure("a", ("s0", "s1"), ("c0", "c1"), [0, 1])
+_MODEL = init_model(FusionConfig(stage_dims=(4, 2)), StructureSet(()), 2, ("c0", "c1"))
 
 
 @pytest.mark.parametrize("call, argument", [
@@ -149,10 +150,26 @@ def test_library_scalar_arguments_are_typed(call, argument):
     (lambda: FeatureTable([["1.5"]], [0], ("a",)), r"^features must hold numbers, got <U3"),
     (lambda: symmetric_eigen([["2"]]), r"^matrix must hold numbers, got <U1 entries$"),
     (lambda: kmeans(["0", "1"], 2), r"^k-means points must hold numbers, got <U1"),
+    # complex entries, even with no imaginary part, are refused before a
+    # cast that would warn and drop the imaginary part
+    (lambda: FeatureTable([[1 + 0j]], [0], ("a",)),
+     r"^features must hold numbers, got complex128 entries$"),
+    (lambda: FeatureTable(np.zeros((1, 1)), np.array([0j], np.complex64), ("a",)),
+     r"^labels must hold integers, got complex64 entries$"),
+    (lambda: LabelStructure("a", ("s0", "s1"), ("c0", "c1"), [0, 1j]),
+     r"^parent_index must hold integers, got complex128 entries$"),
+    (lambda: symmetric_eigen(np.eye(2, dtype=complex)),
+     r"^matrix must hold numbers, got complex128 entries$"),
+    (lambda: kmeans(_POINTS + 2j, 1), r"^k-means points must hold numbers, got complex128"),
+    (lambda: lca_heights(_STRUCTURE, [0j], [0]),
+     r"^subclass ids must hold integers, got complex128 entries$"),
+    (lambda: forward(_MODEL, [1 + 2j, 0]), r"^inputs must hold numbers, got complex128"),
 ], ids=["fraction-parent", "fraction-labels", "text", "digit-text", "bool", "nan",
         "past-int64-float", "past-int64-uint", "ragged", "text-features", "eigen-text",
         "kmeans-text", "kmeans-ragged", "lca-fraction", "lca-text", "numeric-text-features",
-        "eigen-numeric-text", "kmeans-numeric-text"])
+        "eigen-numeric-text", "kmeans-numeric-text", "complex-features", "complex-labels",
+        "complex-parent", "complex-eigen", "complex-kmeans", "complex-lca",
+        "complex-inputs"])
 def test_array_fields_refuse_entries_that_are_not_their_numbers(make, message):
     with pytest.raises(InvalidValue, match=message):
         make()
