@@ -49,7 +49,7 @@ print(f"\nrecovered structure {built.name!r}:")
 for j, super_name in enumerate(built.superclasses):
     members = [name for name, parent in
                zip(built.subclass_names, built.parent_index) if parent == j]
-    print(f"  {built.superclass_id(j)}: {members}")
+    print(f"  {built.name}/{super_name}: {members}")
 
 ari = adjusted_rand_index(built.parent_index, planted.parent_index)
 print(f"\nadjusted Rand index vs planted grouping: {ari}")

@@ -73,7 +73,6 @@ _MODEL_NAMES = (
     "predict",
     "save_checkpoint",
     "save_history",
-    "stack_key",
     "train",
     "train_stacked",
 )

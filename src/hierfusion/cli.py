@@ -353,16 +353,16 @@ def cmd_sweep(config: ExperimentConfig, raw: dict) -> None:
     fails is InvalidConfig and no file. Each distinct data source (the
     resolved synthetic spec, or the feature file with its name table) is
     parsed or generated once per sweep, and split once per distinct split
-    (fraction, seed). Runs that share layout shapes, training rows, batch
-    size and epochs (model.stack_key) train together in one
-    train_stacked pass, which gives each the parameters a separate run
-    would. Rows appear sorted by (value, seed), each value closing with a
-    seed="mean" row averaging its runs; the CSV is written atomically
-    after the last run, so a failed sweep leaves no CSV behind.
+    (fraction, seed). Every run trains in one train_stacked call, which
+    stacks the runs that share a shape into one pass and gives each run
+    the parameters a separate run would. Rows appear sorted by (value,
+    seed), each value closing with a seed="mean" row averaging its runs;
+    the CSV is written atomically after the last run, so a failed sweep
+    leaves no CSV behind.
     """
     if config.sweep is None:
         raise InvalidConfig("sweep needs an axis (a 'sweep' section or --axis)")
-    from .model import stack_key, train_stacked
+    from .model import train_stacked
 
     axis, values = config.sweep.axis, config.sweep.values
     seeds = config.sweep.seeds or (config.seed,)
@@ -378,9 +378,8 @@ def cmd_sweep(config: ExperimentConfig, raw: dict) -> None:
     # their name table; a data source is then keyed by its resolved spec.
     structures = load_structure_set(config.structures)
     names_hint = structures.subclass_names if len(structures) else None
-    sources, splits, held_out = {}, {}, []
-    stacks = {}  # stack key -> [(run, model config, training side, structures)]
-    for run, (_, _, cfg) in enumerate(runs):
+    sources, splits, held_out, trainings = {}, {}, [], []
+    for _, _, cfg in runs:
         source = (cfg.synthetic, cfg.features, cfg.names_from)
         if source not in sources:
             sources[source] = _load_table(cfg, names_hint)
@@ -393,21 +392,17 @@ def cmd_sweep(config: ExperimentConfig, raw: dict) -> None:
         else:
             run_structures = structures
         held_out.append((run_structures, test_side))
-        key = stack_key(cfg.model, train_side, run_structures)
-        stacks.setdefault(key, []).append((run, cfg.model, train_side, run_structures))
+        trainings.append((cfg.model, train_side, run_structures))
     del sources, table  # the splits hold all that training and scoring read
 
-    reports = [None] * len(runs)
-    for stack in stacks.values():
-        members, configs, tables, structure_sets = zip(*stack)
-        try:
-            trained = train_stacked(configs, tables, structure_sets)
-        except DivergedLoss as exc:
-            value, seed, _ = runs[members[exc.run or 0]]
-            label = f"{axis} {_sweep_value_str(value)}, seed {seed}"
-            raise DivergedLoss(exc.epoch, exc.sample, label) from exc
-        for run, (model, _) in zip(members, trained):
-            reports[run] = _score(model, *held_out[run])[1].to_dict()
+    try:
+        trained = train_stacked(*zip(*trainings))
+    except DivergedLoss as exc:
+        value, seed, _ = runs[exc.run or 0]
+        label = f"{axis} {_sweep_value_str(value)}, seed {seed}"
+        raise DivergedLoss(exc.epoch, exc.sample, label) from exc
+    reports = [_score(model, *scoring)[1].to_dict()
+               for (model, _), scoring in zip(trained, held_out)]
 
     mean_by_value = []
     with atomic_text_writer(path) as fh:

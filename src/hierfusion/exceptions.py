@@ -119,8 +119,8 @@ class DivergedLoss(HierFusionError):
     """Training produced a non-finite loss.
 
     `epoch` and `sample` locate the first batch whose loss was not finite.
-    `run` names the run it belongs to (its index in a stack of runs, or a
-    caller's label), or is None for a lone run.
+    `run` names the run it belongs to (its index among the runs of one
+    `train_stacked` call, or a caller's label), or is None for a lone run.
     """
 
     def __init__(self, epoch: int, sample: int, run=None):

@@ -32,18 +32,20 @@ lambda for structure m), the (2 + M, R) losses of a batch (total,
 subclass, per structure) and the (R, 1) learning-rate column. Each
 stacked matmul, softmax and bias sum does per run exactly the arithmetic
 of a lone run, so every run of a stack is bit-equal to training it
-alone; `train` is the R = 1 case. Runs stack when they share layout
-shapes, row count, batch size and epochs (stack_key); each keeps its
+alone; `train` is the R = 1 case. train_stacked takes runs of any
+shapes and stacks those that share layout shapes, row count, batch size
+and epochs (_stack_key), a decision made here alone; each run keeps its
 own init and shuffle streams.
 
 A stack with enough work trains on every core: workers.part_bounds cuts
 its run axis into contiguous slices, one per CPU while each holds
 _MIN_SLICE_WORK, that descend at the same time through the shared fork
 helper (workers.in_parts), slice 0 here and each other slice in a forked
-worker. `_descend` trains one slice and returns plain arrays, its rows
-of the (R, P) buffer, its losses and its accuracy; train_stacked builds
-every FusionModel and TrainHistory from them in this process. Since
-every run is bit-equal to training it alone, the slicing changes no byte.
+worker. `_descend` trains one slice and returns two plain arrays, its
+rows of the (R, P) buffer and its runs' history tables; train_stacked
+builds every FusionModel and TrainHistory from them in this process.
+Since every run is bit-equal to training it alone, the slicing changes
+no byte.
 
 A FusionModel carries the subclass name table of its output columns,
 typed by the one name rule like every value holding subclass ids:
@@ -181,26 +183,25 @@ class FusionModel:
 
 @dataclass(frozen=True, eq=False)
 class TrainHistory:
-    """Per-epoch loss components and training accuracy."""
+    """Per-epoch losses and training accuracy: row e of `rows` holds epoch
+    e's total loss, subclass loss, one loss per structure and accuracy,
+    history.csv's columns after the epoch."""
 
-    total_loss: Annotated[np.ndarray, _VECTOR]
-    subclass_loss: Annotated[np.ndarray, _VECTOR]
-    super_losses: Annotated[np.ndarray, _MATRIX]
-    train_accuracy: Annotated[np.ndarray, _VECTOR]
+    rows: Annotated[np.ndarray, _MATRIX]
     structure_names: Annotated[tuple[str, ...], config_list(config_name)]
 
     def __post_init__(self):
         type_fields(self)
-        epochs = {len(a) for a in (self.total_loss, self.subclass_loss,
-                                   self.super_losses, self.train_accuracy)}
-        if len(epochs) != 1:
-            raise DimensionMismatch("history arrays must share the epoch count")
-        if self.super_losses.shape[1] != len(self.structure_names):
-            raise DimensionMismatch("one loss column per structure")
+        if self.rows.shape[1] != 3 + len(self.structure_names):
+            raise DimensionMismatch(f"history rows need {3 + len(self.structure_names)} "
+                                    "columns: total, subclass, per structure, accuracy")
 
-    @property
-    def epochs(self) -> int:
-        return self.total_loss.shape[0]
+    # Read-only views of single columns; super_losses is (epochs, M).
+    epochs = property(lambda self: self.rows.shape[0])
+    total_loss = property(lambda self: self.rows[:, 0])
+    subclass_loss = property(lambda self: self.rows[:, 1])
+    super_losses = property(lambda self: self.rows[:, 2:-1])
+    train_accuracy = property(lambda self: self.rows[:, -1])
 
 
 def init_model(
@@ -526,8 +527,8 @@ def train(
     return train_stacked([config], [table], [structures])[0]
 
 
-def stack_key(config: FusionConfig, table: FeatureTable, structures: StructureSet):
-    """What runs must share to train in one train_stacked pass.
+def _stack_key(config: FusionConfig, table: FeatureTable, structures: StructureSet):
+    """What runs must share to train in one stack.
 
     The input width, subclass count, stage widths, attach stages and
     superclass counts fix the parameter shapes; the row count, batch size
@@ -546,46 +547,61 @@ def stack_key(config: FusionConfig, table: FeatureTable, structures: StructureSe
 
 
 def train_stacked(configs, tables, structures) -> list[tuple[FusionModel, TrainHistory]]:
-    """Train R runs in one pass; one (model, history) per run, in order.
+    """Train R runs of any shapes; one (model, history) per run, in order.
 
     Run r is `configs[r]` trained on `tables[r]` with `structures[r]`, and
     comes out bit-equal to ``train(configs[r], tables[r], structures[r])``:
     its own init, its own shuffle stream, its own lambda, lambda shares,
-    learning rate and its table's subclass names. The runs must share
-    stack_key, else InvalidConfig; an empty table is ClassTooSmall. Each
-    batch gathers its (R, batch, d) rows from the distinct tables (by
+    learning rate and its table's subclass names. Runs that share layout
+    shapes, training rows, batch size and epochs (_stack_key) form one
+    stack, trained in one pass; the stacks train one after another in
+    order of their first run. An empty table is ClassTooSmall. Each batch
+    gathers its (R, batch, d) rows from the stack's distinct tables (by
     identity) through a per-run row order, so no epoch copy of the rows is
     made. Labels need no check: each table's ids lie inside its name
     table, which init_model matches to the run's structures, and each
     structure's parents lie inside its head's columns.
 
     A run whose loss turns non-finite is DivergedLoss naming its epoch and
-    first sample, and its index when R > 1. The other runs keep training
-    until no run earlier in the stack can still diverge, so the error
-    names the first diverging run in stack order; floating-point warnings
-    of a diverging run are not printed.
+    first sample, and its index in the call when R > 1. The other runs of
+    its stack keep training until no run earlier in the stack can still
+    diverge, so the error names the first diverging run of the first
+    stack that diverges; floating-point warnings of a diverging run are
+    not printed.
 
-    The runs are cut into contiguous slices by workers.part_bounds, one
-    per CPU where a fork is safe while each holds _MIN_SLICE_WORK, and the
-    slices descend at the same time through workers.in_parts: slice 0 in
-    this process, each other slice in a forked worker that sends back its
-    rows of the parameter buffer and its history arrays. Every run does
-    the arithmetic it does in any stack, so the split changes no byte,
-    and a lone run never forks. A diverging slice raises the error of its
-    first diverging run by its index in the whole stack, and the earliest
+    Each stack's runs are cut into contiguous slices by
+    workers.part_bounds, one per CPU where a fork is safe while each holds
+    _MIN_SLICE_WORK, and the slices descend at the same time through
+    workers.in_parts: slice 0 in this process, each other slice in a
+    forked worker that sends back its rows of the parameter buffer and its
+    history tables. Every run does the arithmetic it does in any stack,
+    so the split changes no byte, and a lone run never forks. A diverging
+    slice raises the error of its first diverging run, and the earliest
     failing slice's error wins, so the error is that of one stack.
     """
     runs = len(configs)
     if runs == 0 or not runs == len(tables) == len(structures):
-        raise InvalidConfig("a stack needs one config, table and structure set per run")
-    if len({stack_key(c, t, s) for c, t, s in zip(configs, tables, structures)}) > 1:
-        raise InvalidConfig(
-            "stacked runs must share layout shapes, training rows, batch size and epochs"
-        )
+        raise InvalidConfig("train_stacked needs one config, table and structure set per run")
+    stacks = {}  # stack key -> the indices of its runs, in call order
+    for r, run in enumerate(zip(configs, tables, structures)):
+        stacks.setdefault(_stack_key(*run), []).append(r)
+    results = {}
+    for members in stacks.values():
+        results.update(zip(members, _train_stack(
+            *([seq[r] for r in members] for seq in (configs, tables, structures)),
+            members if runs > 1 else [None],
+        )))
+    return [results[r] for r in range(runs)]
+
+
+def _train_stack(configs, tables, structures, indices):
+    """train_stacked for runs of one _stack_key; `indices` name them in a
+    DivergedLoss: their indices in the call, or [None] for a lone run."""
+    runs = len(configs)
     if tables[0].count == 0:
         raise ClassTooSmall(0, "empty table has no rows to train on")
     epochs = configs[0].epochs
-    if not fits_array(runs, epochs, 2 + configs[0].structure_count):
+    if not fits_array(runs, epochs, 3 + configs[0].structure_count):
         raise InvalidConfig(
             f"epochs: {epochs} epochs of history are too many for a numpy array"
         )
@@ -597,35 +613,26 @@ def train_stacked(configs, tables, structures) -> list[tuple[FusionModel, TrainH
     def descend(index):
         part = slice(bounds[index], bounds[index + 1])
         return _descend(configs[part], tables[part], structures[part], models[part],
-                        bounds[index], runs)
+                        indices[part])
 
-    values, losses, accuracy = (
+    values, rows = (
         np.concatenate(arrays) for arrays in zip(*in_parts(len(bounds) - 1, descend))
     )
     return [
-        (
-            _with_values(model, values[r]),
-            TrainHistory(
-                total_loss=losses[r, :, 0],
-                subclass_loss=losses[r, :, 1],
-                super_losses=losses[r, :, 2:],
-                train_accuracy=accuracy[r],
-                structure_names=model.structure_names,
-            ),
-        )
+        (_with_values(model, values[r]),
+         TrainHistory(rows=rows[r], structure_names=model.structure_names))
         for r, model in enumerate(models)
     ]
 
 
-def _descend(configs, tables, structures, models, offset: int, stack: int):
-    """Train the runs `models`, runs offset.. of a stack of `stack` runs;
-    (parameter rows, losses, accuracy).
+def _descend(configs, tables, structures, models, indices):
+    """Train the runs `models`, a slice of one stack; (parameter rows,
+    history tables).
 
     Row r of each array belongs to run r of the slice: its (P,) parameters
-    in the canonical layout, its (epochs, 2 + M) per-epoch total,
-    subclass and per-structure losses, and its per-epoch accuracy. A run
-    whose loss turns non-finite is DivergedLoss named by its index in the
-    whole stack.
+    in the canonical layout and its (epochs, 3 + M) TrainHistory rows. A
+    run whose loss turns non-finite is DivergedLoss named by its entry in
+    `indices` (see _train_stack).
     """
     runs = len(configs)
     params = _Params(models)
@@ -640,8 +647,7 @@ def _descend(configs, tables, structures, models, offset: int, stack: int):
         sides.setdefault(id(table), (table.features, []))[1].append(r)
     sides = [(features, np.array(members)) for features, members in sides.values()]
 
-    history = np.zeros((runs, epochs, 2 + heads))
-    accuracy = np.zeros((runs, epochs))
+    history = np.zeros((runs, epochs, 3 + heads))
     order = np.empty((runs, n), dtype=np.int64)
     # Each run's subclass ids, then its superclass ids per head, in batch order.
     ys = np.empty((1 + heads, runs, n), dtype=np.int64)
@@ -666,16 +672,16 @@ def _descend(configs, tables, structures, models, offset: int, stack: int):
                     for r in np.flatnonzero(~np.isfinite(losses[0])):
                         diverged.setdefault(int(r), (epoch, start))
                     if 0 in diverged:  # no earlier run is left to diverge
-                        raise _diverged(diverged, offset, stack)
+                        raise _diverged(diverged, indices)
                 sub_logits.argmax(axis=-1, out=predicted[:, start : start + batch])
                 sums += losses * size
                 params.grad *= rates
                 params.values -= params.grad
-            history[:, epoch] = (sums / n).T
-            accuracy[:, epoch] = np.count_nonzero(predicted == ys[0], axis=1) / n
+            history[:, epoch, :-1] = (sums / n).T
+            history[:, epoch, -1] = np.count_nonzero(predicted == ys[0], axis=1) / n
     if diverged:
-        raise _diverged(diverged, offset, stack)
-    return params.values, history, accuracy
+        raise _diverged(diverged, indices)
+    return params.values, history
 
 
 def _gather(sides, rows) -> np.ndarray:
@@ -689,11 +695,11 @@ def _gather(sides, rows) -> np.ndarray:
     return batch
 
 
-def _diverged(diverged: dict, offset: int, stack: int) -> DivergedLoss:
-    """The error of the first run in stack order among `diverged`, the
-    runs of a slice starting at run `offset` of a `stack`-run stack."""
+def _diverged(diverged: dict, indices) -> DivergedLoss:
+    """The error of the first run in stack order among `diverged`, runs
+    of a slice named by `indices`."""
     run = min(diverged)
-    return DivergedLoss(*diverged[run], offset + run if stack > 1 else None)
+    return DivergedLoss(*diverged[run], indices[run])
 
 
 def predict(model: FusionModel, x):
@@ -853,14 +859,14 @@ def load_checkpoint(path) -> tuple[FusionModel, FusionConfig]:
 
 
 def save_history(history: TrainHistory, path) -> None:
-    """Per-epoch CSV: losses (total, subclass, one column per structure)
-    and train accuracy, floats at 17 significant digits."""
+    """Per-epoch CSV: the epoch, then `history.rows` (losses: total,
+    subclass, one column per structure; train accuracy), floats at 17
+    significant digits."""
     columns = ["epoch", "total_loss", "subclass_loss"]
     columns += [f"super_loss_{name}" for name in history.structure_names]
     columns += ["train_accuracy"]
-    rows = np.column_stack((history.total_loss, history.subclass_loss,
-                            history.super_losses, history.train_accuracy))
-    row_format = "%d" + ",%.17g" * rows.shape[1] + "\n"
+    row_format = "%d" + ",%.17g" * history.rows.shape[1] + "\n"
     with atomic_text_writer(path) as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(row_format % (e, *row) for e, row in enumerate(rows.tolist()))
+        fh.writelines(row_format % (e, *row)
+                      for e, row in enumerate(history.rows.tolist()))

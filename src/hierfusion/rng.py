@@ -10,6 +10,8 @@ reimplementation can reproduce or diverge from it deliberately.
 
 import numpy as np
 
+from .config import config_seed
+
 # Fixed sub-stream indices for experiment sections (see cli module).
 STREAM_SYNTHETIC = 1
 STREAM_BUILDER = 2
@@ -18,11 +20,14 @@ STREAM_SPLIT = 4
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
-    """Philox generator keyed by an explicit integer seed."""
+    """Philox generator keyed by an explicit seed, typed by config_seed."""
+    seed = config_seed(seed, "seed")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def derive_seed(master: int, index: int) -> int:
-    """Deterministic 64-bit sub-seed for stream `index` under `master`."""
-    seq = np.random.SeedSequence([int(master), int(index)])
+    """Deterministic 64-bit sub-seed for stream `index` under `master`,
+    each typed by config_seed."""
+    seq = np.random.SeedSequence([config_seed(master, "seed"),
+                                  config_seed(index, "stream index")])
     return int(seq.generate_state(1, dtype=np.uint64)[0])

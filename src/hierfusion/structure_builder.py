@@ -282,15 +282,17 @@ def build_visual_structure(
 
 
 def adjusted_rand_index(labels_a, labels_b) -> float:
-    """Chance-corrected partition agreement; 1.0 iff identical partitions."""
-    a = np.asarray(labels_a).ravel()
-    b = np.asarray(labels_b).ravel()
-    if a.shape != b.shape or a.size == 0:
+    """Chance-corrected partition agreement; 1.0 iff identical partitions.
+    Labels that are not an array of comparable values are InvalidValue."""
+    try:
+        a_ids, b_ids = (np.unique(np.asarray(labels).ravel(), return_inverse=True)[1]
+                        for labels in (labels_a, labels_b))
+    except (TypeError, ValueError):
+        raise InvalidValue("labels must be an array of comparable values") from None
+    if a_ids.shape != b_ids.shape or a_ids.size == 0:
         raise DimensionMismatch("label vectors must be non-empty and equal length")
-    if a.size == 1:
+    if a_ids.size == 1:
         return 1.0
-    _, a_ids = np.unique(a, return_inverse=True)
-    _, b_ids = np.unique(b, return_inverse=True)
     contingency = np.zeros((a_ids.max() + 1, b_ids.max() + 1), dtype=np.int64)
     np.add.at(contingency, (a_ids, b_ids), 1)
 
@@ -300,7 +302,7 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     sum_cells = comb2(contingency.astype(np.float64)).sum()
     sum_rows = comb2(contingency.sum(axis=1).astype(np.float64)).sum()
     sum_cols = comb2(contingency.sum(axis=0).astype(np.float64)).sum()
-    total = comb2(float(a.size))
+    total = comb2(float(a_ids.size))
     expected = sum_rows * sum_cols / total
     max_index = (sum_rows + sum_cols) / 2.0
     if max_index == expected:

@@ -3,8 +3,7 @@
 A label structure is a tree of depth exactly 3: an implicit root, a layer
 of named superclasses, and a shared layer of subclasses. Subclasses are
 integer ids; the id space is defined by an ordered name table that every
-structure over the same data must share. Superclass identifiers are
-namespaced by structure name so heterogeneous groupings never collide.
+structure over the same data must share.
 
 Each value here checks itself when built (a LabelStructure its names and
 its tree), and is then immutable and safe to share across workers.
@@ -77,10 +76,6 @@ class LabelStructure:
     @property
     def superclass_count(self) -> int:
         return len(self.superclasses)
-
-    def superclass_id(self, index: int) -> str:
-        """Namespaced identifier of superclass `index`."""
-        return f"{self.name}/{self.superclasses[index]}"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelStructure):

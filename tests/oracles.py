@@ -130,11 +130,6 @@ def _leaf(structure, subclass: int) -> int:
     return int(subclass)
 
 
-def superclass_of(structure, subclass: int) -> int:
-    """Index (within `structure.superclasses`) of the subclass's parent."""
-    return int(structure.parent_index[_leaf(structure, subclass)])
-
-
 def tie_distance(structure, c: int, c_hat: int) -> int:
     """Edge count between two leaves: 0 same, 2 same parent, 4 otherwise.
 
@@ -162,9 +157,10 @@ def augmented_set(structure, c: int) -> frozenset:
     """Nodes on the root-to-leaf path: {root, parent superclass, leaf id}.
 
     The parent is read from the structure file representation and
-    namespaced by the structure name, as `LabelStructure.superclass_id`
-    names it. With the root included every path set has exactly 3 members,
-    so two leaves share 3 - (height of their lowest common ancestor) nodes.
+    namespaced by the structure name, so that superclasses of different
+    structures never collide. With the root included every path set has
+    exactly 3 members, so two leaves share 3 - (height of their lowest
+    common ancestor) nodes.
     """
     raw = structure_to_dict(structure)
     sub = raw["subclasses"][_leaf(structure, c)]

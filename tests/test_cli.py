@@ -862,7 +862,7 @@ def per_run_sweep_csv(raw, axis, values, seeds):
 def test_sweep_csv_is_byte_identical_to_separate_runs(
     tmp_path, monkeypatch, axis, values, seeds, stage_dims, stacks
 ):
-    calls = {"stacked": [], "train": 0}
+    calls = {"stacked": [], "train": 0, "passes": []}
 
     def stacked(configs, *args, **kwargs):
         calls["stacked"].append(len(configs))
@@ -872,11 +872,16 @@ def test_sweep_csv_is_byte_identical_to_separate_runs(
         calls["train"] += 1
         return train(*args, **kwargs)
 
+    def one_pass(configs, *args, **kwargs):
+        calls["passes"].append(len(configs))
+        return train_stack(configs, *args, **kwargs)
+
     # the sweep imports the trainer when it runs, so the model module's
     # names are the ones it calls
-    train_stacked = model_module.train_stacked
+    train_stacked, train_stack = model_module.train_stacked, model_module._train_stack
     monkeypatch.setattr(model_module, "train_stacked", stacked)
     monkeypatch.setattr(model_module, "train", lone)
+    monkeypatch.setattr(model_module, "_train_stack", one_pass)
     data = gen_dataset(tmp_path)
     out = tmp_path / "stacked"
     raw = sweep_base(tmp_path, data, out)
@@ -887,8 +892,8 @@ def test_sweep_csv_is_byte_identical_to_separate_runs(
     assert run("sweep", "--config", config, "--axis", axis,
                "--values", ",".join(map(str, values)),
                "--seeds", ",".join(map(str, seeds))) == 0
-    assert calls == {"stacked": [len(seeds) * len(values) // stacks] * stacks,
-                     "train": 0}
+    runs = len(seeds) * len(values)
+    assert calls == {"stacked": [runs], "train": 0, "passes": [runs // stacks] * stacks}
     expected = per_run_sweep_csv(raw, axis, values, seeds)
     assert (out / f"sweep_{axis}.csv").read_text() == expected
 
@@ -1357,9 +1362,7 @@ class _FullDisk:
 
 def _write_history(path, monkeypatch):
     # the header is written inside the atomic writer; the rows fail
-    history = TrainHistory(total_loss=[1.0], subclass_loss=[1.0],
-                           super_losses=np.zeros((1, 0)), train_accuracy=[0.5],
-                           structure_names=())
+    history = TrainHistory(rows=[[1.0, 1.0, 0.5]], structure_names=())
     real_writer = model_module.atomic_text_writer
 
     @contextlib.contextmanager

@@ -28,6 +28,7 @@ from hierfusion.features import FeatureTable
 from hierfusion.model import (
     FusionConfig,
     FusionModel,
+    TrainHistory,
     forward,
     gradient_check,
     init_model,
@@ -35,7 +36,6 @@ from hierfusion.model import (
     predict,
     save_checkpoint,
     save_history,
-    stack_key,
     train,
     train_stacked,
 )
@@ -436,6 +436,24 @@ def test_train_history_shapes_and_determinism():
     assert np.array_equal(model_a.subclass_weight, model_b.subclass_weight)
 
 
+def test_history_rows_are_total_subclass_per_structure_and_accuracy_columns():
+    rows = np.arange(10.0).reshape(2, 5)
+    history = TrainHistory(rows=rows, structure_names=("a", "b"))
+    assert history.epochs == 2
+    assert np.array_equal(history.total_loss, rows[:, 0])
+    assert np.array_equal(history.subclass_loss, rows[:, 1])
+    assert np.array_equal(history.super_losses, rows[:, 2:4])
+    assert np.array_equal(history.train_accuracy, rows[:, 4])
+    for width in (4, 6):
+        with pytest.raises(DimensionMismatch, match="need 5 columns"):
+            TrainHistory(rows=np.zeros((2, width)), structure_names=("a", "b"))
+    for column in ("total_loss", "subclass_loss", "super_losses", "train_accuracy"):
+        with pytest.raises(AttributeError):
+            setattr(history, column, rows[:, 0])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(history, column)[0] = 1.0
+
+
 def test_train_lambda_zero_matches_headless_run():
     rng = np.random.default_rng(30)
     table = toy_table(rng)
@@ -501,8 +519,8 @@ def assert_same_run(stacked, alone):
     assert np.array_equal(model.subclass_weight, ref.subclass_weight)
     assert np.array_equal(model.subclass_bias, ref.subclass_bias)
     assert model.structure_names == ref.structure_names
-    for field in ("total_loss", "subclass_loss", "super_losses", "train_accuracy"):
-        assert np.array_equal(getattr(history, field), getattr(ref_history, field)), field
+    assert history.structure_names == ref_history.structure_names
+    assert np.array_equal(history.rows, ref_history.rows)
 
 
 def eight_runs(heads=2):
@@ -600,12 +618,32 @@ def mixed_stacks():
     }
 
 
+def counted_passes(monkeypatch) -> list:
+    """The run count of each stack trained from now on, one entry per
+    parameter buffer made."""
+    passes = []
+
+    class Counted(model_module._Params):
+        def __init__(self, models):
+            passes.append(len(models))
+            super().__init__(models)
+
+    monkeypatch.setattr(model_module, "_Params", Counted)
+    return passes
+
+
 @pytest.mark.parametrize("change", list(mixed_stacks()))
-def test_mixed_shape_stack_is_invalid_config(change):
-    runs = mixed_stacks()[change]
-    assert stack_key(*runs[0]) != stack_key(*runs[1])
-    with pytest.raises(InvalidConfig, match="stacked runs must share"):
-        train_stacked(*zip(*runs))
+def test_mixed_shape_runs_train_in_one_pass_per_shape(monkeypatch, change):
+    first, other = mixed_stacks()[change]
+    reseeded = [(replace(config, seed=7), table, structures)
+                for config, table, structures in (first, other)]
+    runs = [first, other, *reseeded]  # shapes a, b, a, b
+    alone = [train(*run) for run in runs]
+    passes = counted_passes(monkeypatch)
+    stacked = train_stacked(*zip(*runs))
+    assert passes == [2, 2]
+    for result, lone in zip(stacked, alone):
+        assert_same_run(result, lone)
 
 
 def test_stack_needs_one_table_and_structure_set_per_config():
@@ -663,6 +701,30 @@ def assert_names_first_diverging_run(capfd, order, first):
     assert stacked.value.run == first
     assert (stacked.value.epoch, stacked.value.sample) == (alone.epoch, alone.sample)
     assert str(stacked.value) == f"run {first}: {alone}"
+
+
+@pytest.mark.parametrize("order, first", [
+    # the batch-8 stack (runs 0, 2) trains first and diverges late, at run
+    # 2, though run 1 of the batch-16 stack would diverge at once
+    (("fine", "early16", "late", "fine16"), 2),
+    # the batch-8 stack trains to the end; the batch-16 stack diverges at run 3
+    (("fine", "fine16", "fine", "early16"), 3),
+])
+def test_a_call_names_the_first_diverging_run_of_the_first_stack_to_diverge(
+    capfd, order, first
+):
+    table, fine, late, early = diverging_stack_runs()
+    by_name = {"fine": fine, "late": late, "fine16": replace(fine, batch_size=16),
+               "early16": replace(early, batch_size=16)}
+    runs = [by_name[name] for name in order]
+    alone = lone_error(runs[first], table)
+    capfd.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergedLoss) as call:
+            train_stacked(runs, [table] * 4, [NONE] * 4)
+    assert capfd.readouterr().err == ""
+    assert str(call.value) == f"run {first}: {alone}"
 
 
 # -- a stack in slices ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The package root's public surface, and import hygiene in its modules."""
 
 import ast
+import importlib
 import inspect
 import os
 import subprocess
@@ -29,7 +30,7 @@ PUBLIC = """
     lca_heights load_checkpoint load_feature_table load_predictions
     load_structure load_structure_set predict rng_from_seed save_checkpoint
     save_feature_table save_history save_predictions save_structure
-    spectral_embedding stack_key symmetric_eigen train train_stacked
+    spectral_embedding symmetric_eigen train train_stacked
     train_test_split validate_structure
 """.split()
 
@@ -73,6 +74,21 @@ def test_a_trainer_name_loads_the_trainer_on_first_access():
         "model = sys.modules['hierfusion.model']\n"
         "print(train_stacked is model.train_stacked, hierfusion.train is model.train)\n"
     ) == ["True", "True"]
+
+
+def test_each_layer_function_the_benchmark_traces_is_a_function_of_its_module():
+    # bench/tracing.py wraps these by name for the --trace pass, so a
+    # rename here would break that pass alone
+    tree = ast.parse((SRC.parents[1] / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    (traced,) = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["LAYER_FUNCTIONS"]]
+    for module, names in traced.items():
+        namespace = importlib.import_module(f"hierfusion.{module}")
+        for name in names:
+            value = getattr(namespace, name, None)
+            assert inspect.isfunction(value), f"hierfusion.{module}.{name}"
+            assert value.__module__ == namespace.__name__, f"hierfusion.{module}.{name}"
 
 
 def test_the_model_section_class_is_the_trainers():

@@ -598,3 +598,9 @@ def test_ari_shape_errors():
         adjusted_rand_index([0, 1], [0, 1, 2])
     with pytest.raises(DimensionMismatch):
         adjusted_rand_index([], [])
+
+
+@pytest.mark.parametrize("labels", [[None, 1], [[1, 2], [3]]], ids=["none", "ragged"])
+def test_ari_labels_must_be_an_array_of_comparable_values(labels):
+    with pytest.raises(InvalidValue, match="comparable"):
+        adjusted_rand_index(labels, [1, 2])

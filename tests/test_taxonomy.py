@@ -35,7 +35,6 @@ from oracles import (
     augmented_set,
     lca_height,
     random_structure,
-    superclass_of,
     tie_distance,
 )
 
@@ -56,14 +55,6 @@ def test_validate_happy_path():
     assert list(s.parent_index) == [0, 0, 1]
     assert s.subclass_names == ("cat", "dog", "car")
     assert s.superclasses == ("animal", "vehicle")
-
-
-def test_superclass_ids_are_namespaced():
-    s = small_structure(name="wordnet")
-    assert s.superclass_id(0) == "wordnet/animal"
-    assert s.superclass_id(s.parent_index[2]) == "wordnet/vehicle"
-    assert superclass_of(s, 0) == 0
-    assert superclass_of(s, 2) == 1
 
 
 def test_validate_unknown_superclass():

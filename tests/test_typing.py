@@ -21,6 +21,7 @@ from hierfusion.cli import (
 from hierfusion.exceptions import DimensionMismatch, InvalidConfig, InvalidValue
 from hierfusion.features import ClassStats, FeatureTable, SyntheticSpec, train_test_split
 from hierfusion.model import FusionConfig, forward, init_model, save_checkpoint
+from hierfusion.rng import derive_seed, rng_from_seed
 from hierfusion.structure_builder import (
     affinity_matrix,
     kmeans,
@@ -121,8 +122,13 @@ _MODEL = init_model(FusionConfig(stage_dims=(4, 2)), StructureSet(()), 2, ("c0",
     (lambda: kmeans(_POINTS, 2, seed=1.5), "seed"),
     (lambda: train_test_split(_TABLE, fraction="0.5", seed=0), "fraction"),
     (lambda: train_test_split(_TABLE, 0.5, seed=None), "seed"),
+    (lambda: derive_seed(1.5, 0), "seed"),
+    (lambda: derive_seed(1, -1), "stream index"),
+    (lambda: rng_from_seed(-1), "seed"),
+    (lambda: rng_from_seed(True), "seed"),
 ], ids=["delta-str", "delta-nan", "embedding-k", "kmeans-k", "kmeans-seed-negative",
-        "kmeans-seed-fractional", "split-fraction", "split-seed"])
+        "kmeans-seed-fractional", "split-fraction", "split-seed", "derive-seed-fractional",
+        "derive-seed-negative-stream", "rng-seed-negative", "rng-seed-bool"])
 def test_library_scalar_arguments_are_typed(call, argument):
     with pytest.raises(InvalidConfig, match=f"^{argument} "):
         call()
