@@ -70,7 +70,7 @@ from .features import (
     save_feature_table,
     train_test_split,
 )
-from .metrics import PredictionBatch, evaluate, save_predictions
+from .metrics import EvalReport, PredictionBatch, evaluate, save_predictions
 from .rng import (
     STREAM_BUILDER,
     STREAM_MODEL,
@@ -78,7 +78,13 @@ from .rng import (
     STREAM_SYNTHETIC,
     derive_seed,
 )
-from .serialization import atomic_text_writer, dump_json, format_float, load_json
+from .serialization import (
+    atomic_text_writer,
+    dump_json,
+    format_float,
+    load_json,
+    load_json_file,
+)
 from .structure_builder import build_visual_structure
 from .taxonomy import StructureSet, load_structure, load_structure_set, save_structure
 
@@ -86,8 +92,19 @@ _AXIS_COLUMNS = {"lambda": "lambda", "attach_stage": "stage", "k": "k"}
 
 
 def _untyped(value, field: str):
-    """A value typed later: a section by its own class, sweep values by axis."""
+    """A value typed later: sweep values, by their axis."""
     return value
+
+
+def _section(cls):
+    """The type of a config section field: an instance of `cls`."""
+
+    def typed(value, field: str):
+        if not isinstance(value, cls):
+            raise InvalidConfig(f"{field} must be a {cls.__name__}, got {value!r}")
+        return value
+
+    return typed
 
 
 @dataclass(frozen=True)
@@ -149,21 +166,24 @@ _FILE_PATH = config_optional(config_path("file"))
 class ExperimentConfig:
     """A fully resolved experiment: all section seeds are concrete.
 
-    Sections are typed by their own classes once the master seed is known.
+    Each section is an instance of its class, or None where it is off;
+    sections are built from a config document once the seed is known.
     """
 
     seed: Annotated[int, config_seed] = 0
-    builder: Annotated[BuilderParams, _untyped] = BuilderParams()
-    model: Annotated[FusionConfig, _untyped] = FusionConfig()
-    synthetic: Annotated[SyntheticSpec | None, _untyped] = None
+    builder: Annotated[BuilderParams, _section(BuilderParams)] = BuilderParams()
+    model: Annotated[FusionConfig, _section(FusionConfig)] = FusionConfig()
+    synthetic: Annotated[
+        SyntheticSpec | None, config_optional(_section(SyntheticSpec))
+    ] = None
     features: Annotated[str | None, _FILE_PATH] = None
     structures: Annotated[
         tuple[str, ...], config_optional(config_list(config_path("file")))
     ] = ()
     names_from: Annotated[str | None, _FILE_PATH] = None
     checkpoint: Annotated[str | None, _FILE_PATH] = None
-    split: Annotated[SplitParams | None, _untyped] = None
-    sweep: Annotated[SweepParams | None, _untyped] = None
+    split: Annotated[SplitParams | None, config_optional(_section(SplitParams))] = None
+    sweep: Annotated[SweepParams | None, config_optional(_section(SweepParams))] = None
     out: Annotated[str | None, config_optional(config_path("directory"))] = None
 
     def __post_init__(self):
@@ -192,7 +212,8 @@ def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise InvalidConfig("the config must be a JSON object")
     fields = {"builder": {}, "model": {}}
-    for key, value in typed_section(raw, "", ExperimentConfig).items():
+    rest = {key: value for key, value in raw.items() if key not in _SECTIONS}
+    for key, value in {**raw, **typed_section(rest, "", ExperimentConfig)}.items():
         if value is not None:
             fields[key] = value
     master = fields.setdefault("seed", 0)
@@ -317,9 +338,7 @@ def cmd_evaluate(config: ExperimentConfig) -> None:
 
     out = _out_dir(config)
     model, _ = load_checkpoint(config.checkpoint)
-    structures = load_structure_set(config.structures)
-    if len(structures) == 0:
-        raise InvalidConfig("evaluate needs at least one structure file")
+    structures = _structures(config, "evaluate")
     table = _split(config, _load_table(config, model.subclass_names))[1]
     batch, report = _score(model, structures, table)
     report_path = out / "report.json"
@@ -329,6 +348,15 @@ def cmd_evaluate(config: ExperimentConfig) -> None:
     save_predictions(batch, predictions_path)
     _note(f"wrote {report_path}")
     _note(f"wrote {predictions_path}")
+
+
+def _structures(config: ExperimentConfig, scoring: str | None) -> StructureSet:
+    """The configured structure files; a score averages over them, so the
+    command `scoring` against them needs at least one (else InvalidConfig)."""
+    structures = load_structure_set(config.structures)
+    if scoring and len(structures) == 0:
+        raise InvalidConfig(f"{scoring} needs at least one structure file")
+    return structures
 
 
 def _score(model, structures: StructureSet, table):
@@ -341,7 +369,7 @@ def _score(model, structures: StructureSet, table):
     return batch, evaluate(structures, batch)
 
 
-_METRIC_COLUMNS = ("accuracy", "p_ha", "r_ha", "f_ha", "tie_a", "lca_a")
+_METRIC_COLUMNS = tuple(k for k, kind in EvalReport.__annotations__.items() if kind is float)
 
 
 def cmd_sweep(config: ExperimentConfig, raw: dict) -> None:
@@ -353,12 +381,14 @@ def cmd_sweep(config: ExperimentConfig, raw: dict) -> None:
     fails is InvalidConfig and no file. Each distinct data source (the
     resolved synthetic spec, or the feature file with its name table) is
     parsed or generated once per sweep, and split once per distinct split
-    (fraction, seed). Every run trains in one train_stacked call, which
-    stacks the runs that share a shape into one pass and gives each run
-    the parameters a separate run would. Rows appear sorted by (value,
-    seed), each value closing with a seed="mean" row averaging its runs;
-    the CSV is written atomically after the last run, so a failed sweep
-    leaves no CSV behind.
+    (fraction, seed). Runs score against the structure files, except on
+    the k axis, where each scores against the structure it induces; a
+    sweep with nothing to score against is refused before any run trains.
+    Every run trains in one train_stacked call, which stacks the runs that
+    share a shape into one pass and gives each run the parameters a
+    separate run would. Rows appear sorted by (value, seed), each value
+    closing with a seed="mean" row averaging its runs; the CSV is written
+    atomically after the last run, so a failed sweep leaves no CSV behind.
     """
     if config.sweep is None:
         raise InvalidConfig("sweep needs an axis (a 'sweep' section or --axis)")
@@ -376,7 +406,7 @@ def cmd_sweep(config: ExperimentConfig, raw: dict) -> None:
     header = [_AXIS_COLUMNS[axis], "seed"] + list(_METRIC_COLUMNS)
     # Axes never touch the structure files, so every run shares them and
     # their name table; a data source is then keyed by its resolved spec.
-    structures = load_structure_set(config.structures)
+    structures = _structures(config, None if axis == "k" else "sweep")
     names_hint = structures.subclass_names if len(structures) else None
     sources, splits, held_out, trainings = {}, {}, [], []
     for _, _, cfg in runs:
@@ -424,9 +454,7 @@ def cmd_sweep(config: ExperimentConfig, raw: dict) -> None:
 
 
 def _sweep_value_str(value) -> str:
-    if isinstance(value, float):
-        return format_float(value)
-    return str(value)
+    return format_float(value) if isinstance(value, float) else str(value)
 
 
 def _sweep_row(value, seed: str, metrics: dict) -> str:
@@ -564,17 +592,8 @@ def main(argv=None) -> int:
     try:
         args, extra = build_parser().parse_known_args(argv)
         overrides = _parse_overrides(extra)
-        if args.config is not None:
-            config_path("file")(args.config, "config")
-            with open(args.config, "r", encoding="utf-8") as fh:
-                try:
-                    raw = load_json(fh.read(), InvalidConfig, args.config)
-                except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
-                    raise InvalidConfig(f"{args.config}: {exc}") from exc
-            if not isinstance(raw, dict):
-                raise InvalidConfig(f"{args.config}: the config must be a JSON object")
-        else:
-            raw = {}
+        raw = {} if args.config is None else load_json_file(
+            config_path("file")(args.config, "config"), InvalidConfig)
         flags = {"seed": args.seed, "out": args.out}
         if args.command == "sweep":
             flags["sweep.axis"] = args.axis

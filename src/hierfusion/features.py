@@ -61,6 +61,7 @@ from .config import (
     adopt,
     config_int,
     config_name,
+    config_optional,
     config_real,
     config_seed,
     fits_array,
@@ -96,7 +97,8 @@ class FeatureTable:
 
     `subclass_names` is the name table of the id space: every label is an
     id in [0, len(subclass_names)). Immutable after construction; all
-    arrays are float64/int64 and finite.
+    arrays are float64/int64 and finite, and there is at least one feature
+    column, since a file with none would not read back.
     """
 
     features: Annotated[np.ndarray, frozen_array(np.float64, 2)]
@@ -107,6 +109,8 @@ class FeatureTable:
         type_fields(self)
         if self.labels.shape[0] != self.features.shape[0]:
             raise DimensionMismatch("labels must be a length-n vector")
+        if self.features.shape[1] == 0:
+            raise DimensionMismatch("feature tables need a feature column")
         if not np.all(np.isfinite(self.features)):
             raise NonFiniteValue("feature table contains NaN or infinity")
         if self.labels.size and self.labels.min() < 0:
@@ -162,30 +166,26 @@ def class_statistics(table: FeatureTable) -> ClassStats:
     Every class of the table's name table needs at least 2 samples. Rows
     are reduced in a canonical (lexicographically sorted) order, so the
     result is bit-for-bit invariant to sample order in the table. The
-    rows are grouped by class once, by a stable sort of the labels, and
-    each class's rows are ordered by one stable sort of column 0; only a
-    class whose column 0 holds a tie under ``==`` (-0.0 ties 0.0) is
-    sorted on every column, so the order is always the lexicographic one.
+    rows are grouped by class once (_class_rows), and each class's rows
+    are ordered by one stable sort of column 0; only a class whose column
+    0 holds a tie under ``==`` (-0.0 ties 0.0) is sorted on every column,
+    so the order is always the lexicographic one.
     A class whose mean or variance overflows to infinity is
     NonFiniteValue.
     """
     class_count = len(table.subclass_names)
     if class_count == 0:
         raise ClassTooSmall(0, "empty table has no classes")
-    if table.dim == 0:
-        raise DimensionMismatch("class statistics need a feature column")
-    counts = np.bincount(table.labels, minlength=class_count)
+    grouped, bounds = _class_rows(table)
+    counts = np.diff(bounds)
     if counts.min() < 2:
         raise ClassTooSmall(int(np.argmin(counts >= 2)))
-    grouped = np.argsort(table.labels, kind="stable")
-    first_column = table.features[grouped, 0]
-    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
     means = np.empty((class_count, table.dim))
     variances = np.empty(class_count)
     with np.errstate(over="ignore", invalid="ignore"):
         for c in range(class_count):
             members = grouped[bounds[c]:bounds[c + 1]]
-            key = first_column[bounds[c]:bounds[c + 1]]
+            key = table.features[members, 0]
             order = np.argsort(key, kind="stable")
             ranked = key[order]
             if np.any(ranked[1:] == ranked[:-1]):
@@ -203,6 +203,13 @@ def class_statistics(table: FeatureTable) -> ClassStats:
             "overflows float64"
         )
     return ClassStats(means=means, variances=variances)
+
+
+def _class_rows(table: FeatureTable) -> tuple[np.ndarray, list]:
+    """(rows, bounds): the stable argsort of the labels, so the rows of
+    class c are rows[bounds[c]:bounds[c + 1]], in ascending order."""
+    counts = np.bincount(table.labels, minlength=len(table.subclass_names))
+    return np.argsort(table.labels, kind="stable"), [0, *np.cumsum(counts).tolist()]
 
 
 @dataclass(frozen=True)
@@ -307,8 +314,9 @@ def train_test_split(
         raise ClassTooSmall(0, "empty table has no rows to split")
     rng = rng_from_seed(seed)
     train_idx, test_idx = [], []
-    for c in np.flatnonzero(np.bincount(table.labels)):
-        idx = np.flatnonzero(table.labels == c)
+    grouped, bounds = _class_rows(table)
+    for c in np.flatnonzero(np.diff(bounds)):
+        idx = grouped[bounds[c]:bounds[c + 1]]
         n_train = int(math.floor(idx.size * fraction))
         n_test = idx.size - n_train
         if n_train == 0 or n_test == 0:
@@ -510,8 +518,9 @@ def _write_rows(fh, table: FeatureTable, start: int, stop: int) -> None:
 def load_feature_table(path, subclass_names=None) -> FeatureTable:
     """Parse a feature file into a table that owns its name table.
 
-    Labels resolve against `subclass_names` (UnknownLabel for any other
-    name); with None, the table's names are the file's labels in
+    Labels resolve against `subclass_names`, typed on entry as every name
+    table is (config.SUBCLASS_NAMES), and any other name is UnknownLabel;
+    with None, the table's names are the file's labels in
     first-appearance order, and a label that breaks the name rule is
     StructureError. Each non-blank line has its label and cell count
     checked, and its cells go on to ``np.loadtxt``. A cell is an ASCII
@@ -531,7 +540,7 @@ def load_feature_table(path, subclass_names=None) -> FeatureTable:
     unreadable or not byte for byte as written (its closing SHA-256
     checks every other byte) is ignored and the file is parsed.
     """
-    names = None if subclass_names is None else tuple(subclass_names)
+    names = config_optional(SUBCLASS_NAMES)(subclass_names, "subclass_names")
     table = _load_twin(path, names)
     if table is not None:
         return table
@@ -539,9 +548,7 @@ def load_feature_table(path, subclass_names=None) -> FeatureTable:
         header = fh.readline()
         if not header.startswith("label,"):
             raise MalformedRow(f"{path}: missing 'label,f0,...' header")
-        dim = len(header.rstrip("\n").split(",")) - 1
-        if dim < 1:
-            raise MalformedRow(f"{path}: header declares no feature columns")
+        dim = len(header.rstrip("\n").split(",")) - 1  # >= 1: the header has a comma
         return _parse_rows(fh, path, dim, names)
 
 

@@ -171,7 +171,9 @@ def save_predictions(batch: PredictionBatch, path) -> None:
 
 def load_predictions(path, subclass_names) -> PredictionBatch:
     """Parse a prediction CSV into a batch over the name table
-    `subclass_names`, resolving each name against it."""
+    `subclass_names`, typed on entry (config.SUBCLASS_NAMES), resolving
+    each name against it."""
+    subclass_names = SUBCLASS_NAMES(subclass_names, "subclass_names")
     name_to_id = {n: i for i, n in enumerate(subclass_names)}
     predicted, truth = [], []
     with text_reader(path) as fh:

@@ -16,7 +16,8 @@ gradient_check, on a FusionModel or on its mutable training copy with the
 same field names. One function, `_weighted_loss`, composes the loss above
 for training and gradient_check. One canonical parameter
 order, `_layout` (trunk stages, the subclass head, then superclass heads),
-fixes checkpoint tensors, the flat training buffer and its gradients.
+fixes checkpoint tensors, the flat training buffer and its gradients;
+`_shapes` walks it for the shape init_model draws and a model checks.
 
 All parameters are float64 arrays; backpropagation is written out by
 hand and validated against central finite differences (gradient_check).
@@ -88,7 +89,7 @@ from .exceptions import (
 )
 from .features import FeatureTable
 from .rng import derive_seed, rng_from_seed
-from .serialization import atomic_text_writer, load_frame, save_frame
+from .serialization import atomic_text_writer, format_float, load_frame, save_frame
 from .taxonomy import StructureSet
 from .workers import in_parts, part_bounds
 
@@ -140,27 +141,20 @@ class FusionModel:
 
     def __post_init__(self):
         type_fields(self)
-        trunk_w, trunk_b = self.trunk_weights, self.trunk_biases
-        if not trunk_w or len(trunk_w) != len(trunk_b):
+        trunk_w, attach = self.trunk_weights, self.attach_stages
+        if not trunk_w or len(trunk_w) != len(self.trunk_biases):
             raise DimensionMismatch("trunk weights and biases must pair up")
-        for i, (w, b) in enumerate(zip(trunk_w, trunk_b)):
-            if w.shape[1] != b.shape[0]:
-                raise DimensionMismatch(f"stage {i} bias width mismatch")
-            if i and trunk_w[i - 1].shape[1] != w.shape[0]:
-                raise DimensionMismatch(f"stage {i} input width mismatch")
-        sub_w, sub_b = self.subclass_weight, self.subclass_bias
-        if sub_w.shape[0] != trunk_w[-1].shape[1] or sub_w.shape[1] != sub_b.shape[0]:
-            raise DimensionMismatch("subclass head dimensions mismatch")
-        sup_w, sup_b, attach = self.super_weights, self.super_biases, self.attach_stages
-        if not len(sup_w) == len(sup_b) == len(attach) == len(self.structure_names):
+        heads = (self.super_weights, self.super_biases, attach, self.structure_names)
+        if len(set(map(len, heads))) > 1:
             raise DimensionMismatch("one head, stage, and name per structure")
-        for m, (w, b, s) in enumerate(zip(sup_w, sup_b, attach)):
+        for m, s in enumerate(attach):
             if not 0 <= s < len(trunk_w):
                 raise DimensionMismatch(f"head {m} attach stage {s} out of range")
-            if w.shape[0] != trunk_w[s].shape[1] or w.shape[1] != b.shape[0]:
-                raise DimensionMismatch(f"head {m} dimensions mismatch")
-        if sub_w.shape[1] != len(self.subclass_names):
-            raise DimensionMismatch("one subclass name per output column")
+        shapes = _shapes(trunk_w[0].shape[0], tuple(w.shape[1] for w in trunk_w),
+                         len(self.subclass_names), attach, self.superclass_counts)
+        for (name, arr), shape in zip(_parameters(self), shapes):
+            if arr.shape != shape:
+                raise DimensionMismatch(f"{name} has shape {arr.shape}, the layout needs {shape}")
         if not all(np.isfinite(arr).all() for _, arr in _parameters(self)):
             raise NonFiniteValue("model parameters must be finite")
 
@@ -211,9 +205,10 @@ def init_model(
 
     The subclass head has one output per entry of `subclass_names`, which
     must be the structures' name table when there are structures.
-    Deterministic for a fixed config.seed. Draw order is trunk stages in
-    order, then the subclass head, then superclass heads in structure
-    order, so models that share a prefix of that list share those draws.
+    Deterministic for a fixed config.seed. The weights are drawn in the
+    _layout order (trunk stages, the subclass head, then superclass heads
+    in structure order; biases draw nothing), so models that share a
+    prefix of that list share those draws.
     """
     if len(structures) != config.structure_count:
         raise InvalidConfig(
@@ -227,32 +222,20 @@ def init_model(
 
     rng = rng_from_seed(derive_seed(config.seed, _STREAM_INIT))
 
-    def draw(fan_in, fan_out):
-        if not fits_array(fan_in, fan_out):
-            raise InvalidConfig(
-                f"stage_dims: a {fan_in} x {fan_out} weight matrix is too large "
-                "for a numpy array"
-            )
-        scale = 1.0 / math.sqrt(fan_in)
-        return rng.uniform(-scale, scale, size=(fan_in, fan_out))
+    def draw(shape):
+        if len(shape) == 1:
+            return np.zeros(shape)
+        if not fits_array(*shape):
+            raise InvalidConfig(f"stage_dims: a {shape[0]} x {shape[1]} weight matrix "
+                                "is too large for a numpy array")
+        scale = 1.0 / math.sqrt(shape[0])
+        return rng.uniform(-scale, scale, size=shape)
 
-    dims = (int(input_dim),) + config.stage_dims
-    trunk_w = [draw(dims[i], dims[i + 1]) for i in range(len(config.stage_dims))]
-    trunk_b = [np.zeros(d) for d in config.stage_dims]
-    sub_w = draw(config.stage_dims[-1], subclass_count)
-    sub_b = np.zeros(subclass_count)
-    sup_w = [
-        draw(config.stage_dims[stage], structures[m].superclass_count)
-        for m, stage in enumerate(config.attach_stages)
-    ]
-    sup_b = [np.zeros(structures[m].superclass_count) for m in range(len(structures))]
+    shapes = _shapes(int(input_dim), config.stage_dims, subclass_count, config.attach_stages,
+                     tuple(s.superclass_count for s in structures))
     model = FusionModel(
-        trunk_weights=tuple(trunk_w),
-        trunk_biases=tuple(trunk_b),
-        subclass_weight=sub_w,
-        subclass_bias=sub_b,
-        super_weights=tuple(sup_w),
-        super_biases=tuple(sup_b),
+        **_parameter_fields(_layout(len(config.stage_dims), len(structures)),
+                            map(draw, shapes)),
         attach_stages=config.attach_stages,
         subclass_names=subclass_names,
         structure_names=tuple(s.name for s in structures),
@@ -267,7 +250,8 @@ def _layout(stage_count: int, head_count: int) -> list[tuple[str, str, int | Non
 
     Trunk (weight, bias) pairs by stage, the subclass head, then the
     superclass heads by structure. Each slot is (checkpoint tensor name,
-    FusionModel field, index into that field or None for a single tensor).
+    FusionModel field, index into that field or None for a single tensor);
+    _shapes gives each slot's shape.
     """
     slots = []
     for i in range(stage_count):
@@ -281,6 +265,22 @@ def _layout(stage_count: int, head_count: int) -> list[tuple[str, str, int | Non
     return slots
 
 
+def _shapes(input_dim, stage_dims, subclass_count, attach_stages, superclass_counts):
+    """Each _layout slot's shape in a model of these widths: (fan_in,
+    fan_out) for a weight, (fan_out,) for a bias."""
+    dims = (input_dim, *stage_dims)
+    shape_of = {
+        "trunk_weights": lambda i: (dims[i], dims[i + 1]),
+        "trunk_biases": lambda i: (dims[i + 1],),
+        "subclass_weight": lambda _: (dims[-1], subclass_count),
+        "subclass_bias": lambda _: (subclass_count,),
+        "super_weights": lambda m: (dims[attach_stages[m] + 1], superclass_counts[m]),
+        "super_biases": lambda m: (superclass_counts[m],),
+    }
+    return [shape_of[field](i)
+            for _, field, i in _layout(len(stage_dims), len(attach_stages))]
+
+
 def _parameters(model: FusionModel) -> list[tuple[str, np.ndarray]]:
     """(tensor name, array) for every parameter, in the canonical order."""
     return [
@@ -291,11 +291,9 @@ def _parameters(model: FusionModel) -> list[tuple[str, np.ndarray]]:
 
 def _parameter_fields(layout, arrays) -> dict:
     """The FusionModel parameter fields holding `arrays`, given in `layout` order."""
-    fields = dict.fromkeys(
-        ("trunk_weights", "trunk_biases", "super_weights", "super_biases"), ()
-    )
+    fields = {"super_weights": (), "super_biases": ()}  # a model may have no heads
     for (_, field, i), arr in zip(layout, arrays):
-        fields[field] = arr if i is None else fields[field] + (arr,)
+        fields[field] = arr if i is None else fields.get(field, ()) + (arr,)
     return fields
 
 
@@ -865,8 +863,7 @@ def save_history(history: TrainHistory, path) -> None:
     columns = ["epoch", "total_loss", "subclass_loss"]
     columns += [f"super_loss_{name}" for name in history.structure_names]
     columns += ["train_accuracy"]
-    row_format = "%d" + ",%.17g" * history.rows.shape[1] + "\n"
     with atomic_text_writer(path) as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(row_format % (e, *row)
+        fh.writelines(",".join([str(e), *map(format_float, row)]) + "\n"
                       for e, row in enumerate(history.rows.tolist()))

@@ -6,7 +6,8 @@ across runs and comparable across implementations. Binary files (model
 checkpoints, the feature files' twins) are frames that save_frame and
 load_frame alone lay out: a JSON header, the raw arrays it describes,
 then a SHA-256 of every byte before it, so no damaged byte reads back as
-a value. load_json reads all JSON but reports, not keeps, a repeated key.
+a value. load_json reads all JSON but reports, not keeps, a repeated key;
+load_json_object reads every JSON object, and format_float every float.
 """
 
 import contextlib
@@ -233,12 +234,7 @@ def load_frame(path, magic: bytes, layout) -> tuple[dict, list]:
             raise ValueError(f"not a {magic.decode('ascii', 'replace').strip()} file")
         (length,) = struct.unpack_from("<I", head, len(magic))
         head += fh.read(min(length, size))  # never more than the file holds
-        try:
-            header = load_json(head[start:].decode("utf-8"), ValueError, "header")
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"malformed header: {exc}") from None
-        if not isinstance(header, dict):
-            raise ValueError("the header is not a JSON object")
+        header = load_json_object(head[start:], ValueError, "header")
         specs = [(shape, np.dtype(t).newbyteorder("<")) for shape, t in layout(header)]
         need = start + length + sum(math.prod(s) * t.itemsize for s, t in specs) + 32
         if size != need:
@@ -264,6 +260,24 @@ def load_json(text: str, error, where: str):
             value[key] = item
         return value
     return json.loads(text, object_pairs_hook=unique)
+
+
+def load_json_object(data: bytes, error, where: str) -> dict:
+    """The JSON object in the UTF-8 bytes `data`; any other bytes (not UTF-8
+    or JSON, too deep, a repeated key, no object) are `error` naming `where`."""
+    try:
+        value = load_json(data.decode("utf-8"), error, where)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep
+        raise error(f"{where}: not valid JSON ({exc})") from exc
+    if not isinstance(value, dict):
+        raise error(f"{where}: not a JSON object")
+    return value
+
+
+def load_json_file(path, error) -> dict:
+    """The JSON object in the file `path`, by :func:`load_json_object`."""
+    with open(path, "rb") as fh:
+        return load_json_object(fh.read(), error, path)
 
 
 @contextlib.contextmanager

@@ -31,7 +31,7 @@ from .exceptions import (
     UnknownSubclass,
     UnknownSuperclass,
 )
-from .serialization import atomic_text_writer, dump_json, load_json
+from .serialization import atomic_text_writer, dump_json, load_json_file
 
 
 @dataclass(frozen=True)
@@ -231,12 +231,7 @@ def save_structure(structure: LabelStructure, path) -> None:
 
 
 def load_structure(path) -> LabelStructure:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = load_json(fh.read(), StructureError, path)
-        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
-            raise StructureError(f"{path}: not valid JSON ({exc})") from exc
-    return structure_from_dict(raw)
+    return structure_from_dict(load_json_file(path, StructureError))
 
 
 def load_structure_set(paths) -> StructureSet:

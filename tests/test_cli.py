@@ -364,6 +364,23 @@ def test_sweep_k_reports_best(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 2  # one seed per value plus its mean row
 
 
+def test_a_sweep_with_nothing_to_score_against_trains_no_run(tmp_path, capsys,
+                                                               monkeypatch):
+    # refused before any run trains, not once every run has
+    calls = []
+    monkeypatch.setattr(model_module, "train_stacked", lambda *a: calls.append(a))
+    data = gen_dataset(tmp_path)
+    raw = sweep_base(tmp_path, data, tmp_path / "sweep")
+    del raw["structures"]
+    raw["model"] = dict(raw["model"], attach_stages=[], lambda_total=0.0)
+    config = write_config(tmp_path / "sweep.json", raw)
+    capsys.readouterr()
+    assert run("sweep", "--config", config, "--axis", "lambda", "--values", "0") == 1
+    assert capsys.readouterr().err == "error: sweep needs at least one structure file\n"
+    assert calls == []
+    assert not (tmp_path / "sweep" / "sweep_lambda.csv").exists()
+
+
 def test_sweep_attach_stage_column_name(tmp_path):
     data = gen_dataset(tmp_path)
     out = tmp_path / "sweeps"

@@ -197,6 +197,12 @@ def test_class_statistics_needs_a_feature_column():
         class_statistics(table_of(np.zeros((4, 0)), [0, 0, 1, 1]))
 
 
+def test_a_table_with_no_feature_column_is_refused_when_built():
+    # saved, it would be "label,\na\na\n", which does not read back
+    with pytest.raises(DimensionMismatch, match="need a feature column"):
+        FeatureTable(np.zeros((2, 0)), [0, 0], ("a",))
+
+
 def lexsort_statistics(table):
     """(means, variances) of `table` by a loop that sorts each class's rows
     on every column with np.lexsort, the reference order."""

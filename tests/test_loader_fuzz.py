@@ -5,7 +5,7 @@ itself.
 
 Every legal name table reads back as itself through each file that
 holds one, and an illegal one is refused when a value holding it is
-built."""
+built, and by each loader that takes one."""
 
 import copy
 import functools
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hierfusion.exceptions import HierFusionError, StructureError
@@ -328,12 +328,16 @@ _HOLDERS = {
         "s", ("u",), names, np.zeros(len(names), dtype=np.int64)),
     "FusionModel": lambda names: init_model(FusionConfig(stage_dims=(2, 2)),
                                             StructureSet(()), 1, names),
+    # refused on entry, before the file is opened
+    "load_feature_table": lambda names: load_feature_table("features.csv", names),
+    "load_predictions": lambda names: load_predictions("predictions.csv", names),
 }
 
 
 @pytest.mark.parametrize("holder", _HOLDERS.values(), ids=_HOLDERS.keys())
 @settings(max_examples=30, deadline=None)
 @given(names=_illegal_name_tables())
+@example(names=(["a"], "b"))  # an entry that is not even hashable
 def test_every_illegal_name_table_is_refused_when_built(holder, names):
     with pytest.raises(StructureError):
         holder(names)

@@ -267,6 +267,19 @@ def test_forward_attach_stage_changes_head_input():
     assert not np.allclose(sup_early, sup_late)
 
 
+@pytest.mark.parametrize("field, value, name", [
+    ("trunk_weights", (np.zeros((3, 4)), np.zeros((5, 3))), "trunk.1.weight"),
+    ("trunk_biases", (np.zeros(4), np.zeros(4)), "trunk.1.bias"),
+    ("subclass_weight", np.zeros((3, N_SUB + 1)), "subclass_head.weight"),
+    ("super_weights", (np.zeros((3, 2)),), "super_head.0.weight"),
+    ("super_biases", (np.zeros(3),), "super_head.0.bias"),
+])
+def test_a_model_names_its_first_tensor_that_does_not_fit(field, value, name):
+    model = zero_model()  # input 3, stages (4, 3), a 2-way head at stage 0
+    with pytest.raises(DimensionMismatch, match=rf"^{name} has shape"):
+        replace(model, **{field: value})
+
+
 def test_forward_checks_input_dim():
     with pytest.raises(DimensionMismatch):
         forward(zero_model(d=3), np.ones(5))

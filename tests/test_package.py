@@ -147,6 +147,25 @@ def test_only_serialization_lays_out_bytes(path):
     assert _byte_layout_calls(path) == []
 
 
+def _float_formats(path: Path) -> list:
+    """Each string in the code of `path`, docstrings aside, that holds a
+    ``.17g`` format."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)}
+    return [f"{path.name}:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and ".17g" in node.value and id(node) not in docstrings]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "serialization.py"),
+                         ids=lambda p: p.name)
+def test_only_serialization_formats_float_text(path):
+    # every float the toolkit writes is serialization.format_float's text
+    assert _float_formats(path) == []
+
+
 def _worker_calls(path: Path) -> list:
     """Each use of os.fork, os.sched_setaffinity or worker_count in `path`."""
     found = []

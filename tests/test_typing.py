@@ -19,7 +19,14 @@ from hierfusion.cli import (
     experiment_config_from_dict,
 )
 from hierfusion.exceptions import DimensionMismatch, InvalidConfig, InvalidValue
-from hierfusion.features import ClassStats, FeatureTable, SyntheticSpec, train_test_split
+from hierfusion.features import (
+    ClassStats,
+    FeatureTable,
+    SyntheticSpec,
+    load_feature_table,
+    train_test_split,
+)
+from hierfusion.metrics import load_predictions
 from hierfusion.model import FusionConfig, forward, init_model, save_checkpoint
 from hierfusion.rng import derive_seed, rng_from_seed
 from hierfusion.structure_builder import (
@@ -48,11 +55,19 @@ from hierfusion.taxonomy import LabelStructure, StructureSet, lca_heights
     lambda: SweepParams(axis="lambda", values=(0.1,), seeds=(1.5,)),
     lambda: ExperimentConfig(seed="x"),
     lambda: ExperimentConfig(structures="a.json"),
+    lambda: ExperimentConfig(builder={"k": "x"}),
+    lambda: ExperimentConfig(model={"epochs": 2.5}),
+    lambda: ExperimentConfig(builder={"k": 2}),
+    lambda: ExperimentConfig(model=None),
+    lambda: ExperimentConfig(split=0.5),
+    lambda: ExperimentConfig(sweep=BuilderParams()),
 ], ids=["epochs-float", "rate-string", "seed-negative", "epochs-bool",
         "batch-numpy-bool", "stage-dims-matrix", "stage-dims-range", "dim-float",
         "noise-nan", "split-fraction-text", "split-seed-negative", "builder-k-text",
         "builder-delta-bool", "sweep-seed-float", "experiment-seed-text",
-        "experiment-structures-string"])
+        "experiment-structures-string", "experiment-builder-dict-text",
+        "experiment-model-dict-float", "experiment-builder-dict", "experiment-model-none",
+        "experiment-split-number", "experiment-sweep-other-section"])
 def test_python_built_configs_are_typed(make):
     with pytest.raises(InvalidConfig):
         make()
@@ -126,9 +141,12 @@ _MODEL = init_model(FusionConfig(stage_dims=(4, 2)), StructureSet(()), 2, ("c0",
     (lambda: derive_seed(1, -1), "stream index"),
     (lambda: rng_from_seed(-1), "seed"),
     (lambda: rng_from_seed(True), "seed"),
+    (lambda: load_feature_table("features.csv", "ab"), "subclass_names"),
+    (lambda: load_predictions("predictions.csv", "ab"), "subclass_names"),
 ], ids=["delta-str", "delta-nan", "embedding-k", "kmeans-k", "kmeans-seed-negative",
         "kmeans-seed-fractional", "split-fraction", "split-seed", "derive-seed-fractional",
-        "derive-seed-negative-stream", "rng-seed-negative", "rng-seed-bool"])
+        "derive-seed-negative-stream", "rng-seed-negative", "rng-seed-bool",
+        "feature-loader-names-string", "prediction-loader-names-string"])
 def test_library_scalar_arguments_are_typed(call, argument):
     with pytest.raises(InvalidConfig, match=f"^{argument} "):
         call()
