@@ -39,7 +39,6 @@ called any number of times in one interpreter.
 import argparse
 import copy
 import gc
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -242,13 +241,11 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return path
 
 
-def _load_table(config: ExperimentConfig, names_hint=None):
+def _load_table(config: ExperimentConfig, names_hint):
     """Materialize the configured data source as a table, which owns its
-    subclass name table.
-
-    The name table comes from, in order: the hint (usually the training
-    structures), the planted structure for synthetic data, `names_from`,
-    or the feature file's own first-appearance order.
+    subclass name table: the hint, else the planted structure's for
+    synthetic data, else `names_from`'s, else the feature file's own
+    first-appearance order.
     """
     if config.synthetic is not None:
         table = generate_synthetic(config.synthetic)[0]
@@ -264,17 +261,42 @@ def _load_table(config: ExperimentConfig, names_hint=None):
     return load_feature_table(config.features, names_hint)
 
 
-def _split(config: ExperimentConfig, table):
-    """(training side, held-out side); the whole table twice without a split."""
-    if config.split is None:
-        return table, table
-    return train_test_split(table, config.split.fraction, config.split.seed)
+def _runs(configs, structures: StructureSet | None, names_hint=None) -> list:
+    """Each run's (training side, held-out side, structure set), in order:
+    the one plan of every command that reads data.
 
-
-def _induce(config: ExperimentConfig, table):
-    """The visual structure the builder section induces from `table`."""
-    builder = config.builder
-    return build_visual_structure(table, builder.k, builder.delta, builder.seed)
+    The name table is `names_hint`, else that of `structures` when there
+    are any, else the data source's own (see _load_table). Without a
+    split both sides are the whole table. Each distinct data source (the
+    resolved synthetic spec, or the feature file with its name table) is
+    parsed or generated once, and split once per distinct split (fraction,
+    seed). With `structures` None, each run's one structure is the one
+    its builder section induces from its training side, once the whole
+    tables are released.
+    """
+    if names_hint is None and structures:
+        names_hint = structures.subclass_names
+    tables, sides, keys = {}, {}, []
+    for config in configs:
+        source = (config.synthetic, config.features, config.names_from)
+        keys.append((source, config.split))
+        if source not in tables:
+            tables[source] = _load_table(config, names_hint)
+        if keys[-1] not in sides:
+            table, split = tables[source], config.split
+            sides[keys[-1]] = ((table, table) if split is None
+                               else train_test_split(table, split.fraction, split.seed))
+    del tables, table
+    runs = []
+    for config, key in zip(configs, keys):
+        train_side, test_side = sides[key]
+        run_structures = structures
+        if structures is None:
+            builder = config.builder
+            run_structures = StructureSet((build_visual_structure(
+                train_side, builder.k, builder.delta, builder.seed),))
+        runs.append((train_side, test_side, run_structures))
+    return runs
 
 
 # -- commands ----------------------------------------------------------------
@@ -302,8 +324,7 @@ def cmd_build_structure(config: ExperimentConfig) -> None:
     if config.builder.k is None:
         raise InvalidConfig("build-structure needs 'builder.k'")
     out = _out_dir(config)
-    table = _split(config, _load_table(config))[0]  # only the training side stays
-    structure = _induce(config, table)
+    [(_, _, (structure,))] = _runs([config], None)
     path = out / f"{structure.name}.json"
     save_structure(structure, path)
     _note(f"wrote {path}")
@@ -315,8 +336,7 @@ def cmd_train(config: ExperimentConfig) -> None:
 
     out = _out_dir(config)
     structures = load_structure_set(config.structures)
-    names_hint = structures.subclass_names if len(structures) else None
-    table = _split(config, _load_table(config, names_hint))[0]
+    table = _runs([config], structures)[0][0]  # only the training side stays
     model, history = train(config.model, table, structures)
     checkpoint_path = out / "model.ckpt"
     save_checkpoint(model, config.model, checkpoint_path)
@@ -339,7 +359,7 @@ def cmd_evaluate(config: ExperimentConfig) -> None:
     out = _out_dir(config)
     model, _ = load_checkpoint(config.checkpoint)
     structures = _structures(config, "evaluate")
-    table = _split(config, _load_table(config, model.subclass_names))[1]
+    table = _runs([config], structures, model.subclass_names)[0][1]  # held out
     batch, report = _score(model, structures, table)
     report_path = out / "report.json"
     with atomic_text_writer(report_path) as fh:
@@ -350,11 +370,11 @@ def cmd_evaluate(config: ExperimentConfig) -> None:
     _note(f"wrote {predictions_path}")
 
 
-def _structures(config: ExperimentConfig, scoring: str | None) -> StructureSet:
+def _structures(config: ExperimentConfig, scoring: str) -> StructureSet:
     """The configured structure files; a score averages over them, so the
     command `scoring` against them needs at least one (else InvalidConfig)."""
     structures = load_structure_set(config.structures)
-    if scoring and len(structures) == 0:
+    if len(structures) == 0:
         raise InvalidConfig(f"{scoring} needs at least one structure file")
     return structures
 
@@ -378,17 +398,16 @@ def cmd_sweep(config: ExperimentConfig, raw: dict) -> None:
     Each run re-resolves the whole config under its own master seed, so
     null section seeds vary across runs while pinned ones stay put. All
     runs are resolved before the first one starts, so a run config that
-    fails is InvalidConfig and no file. Each distinct data source (the
-    resolved synthetic spec, or the feature file with its name table) is
-    parsed or generated once per sweep, and split once per distinct split
-    (fraction, seed). Runs score against the structure files, except on
-    the k axis, where each scores against the structure it induces; a
-    sweep with nothing to score against is refused before any run trains.
-    Every run trains in one train_stacked call, which stacks the runs that
-    share a shape into one pass and gives each run the parameters a
-    separate run would. Rows appear sorted by (value, seed), each value
-    closing with a seed="mean" row averaging its runs; the CSV is written
-    atomically after the last run, so a failed sweep leaves no CSV behind.
+    fails is InvalidConfig and no file. Runs score against the structure
+    files, except on the k axis, which reads none: each run scores
+    against the structure it induces, the one build-structure writes
+    under that run's config. A sweep with nothing to score against is
+    refused before any run trains. Every run trains in one train_stacked
+    call, which stacks the runs that share a shape into one pass and
+    gives each run the parameters a separate run would. Rows appear
+    sorted by (value, seed), each value closing with a seed="mean" row
+    averaging its runs; the CSV is written atomically after the last run,
+    so a failed sweep leaves no CSV behind.
     """
     if config.sweep is None:
         raise InvalidConfig("sweep needs an axis (a 'sweep' section or --axis)")
@@ -396,43 +415,21 @@ def cmd_sweep(config: ExperimentConfig, raw: dict) -> None:
 
     axis, values = config.sweep.axis, config.sweep.values
     seeds = config.sweep.seeds or (config.seed,)
-    runs = [
-        (value, seed, _sweep_config(raw, axis, value, seed))
-        for value in values
-        for seed in seeds
-    ]
+    keys = [(value, seed) for value in values for seed in seeds]
+    configs = [_sweep_config(raw, axis, value, seed) for value, seed in keys]
 
     path = _out_dir(config) / f"sweep_{axis}.csv"
     header = [_AXIS_COLUMNS[axis], "seed"] + list(_METRIC_COLUMNS)
-    # Axes never touch the structure files, so every run shares them and
-    # their name table; a data source is then keyed by its resolved spec.
-    structures = _structures(config, None if axis == "k" else "sweep")
-    names_hint = structures.subclass_names if len(structures) else None
-    sources, splits, held_out, trainings = {}, {}, [], []
-    for _, _, cfg in runs:
-        source = (cfg.synthetic, cfg.features, cfg.names_from)
-        if source not in sources:
-            sources[source] = _load_table(cfg, names_hint)
-        table = sources[source]
-        if (source, cfg.split) not in splits:
-            splits[source, cfg.split] = _split(cfg, table)
-        train_side, test_side = splits[source, cfg.split]
-        if axis == "k":
-            run_structures = StructureSet((_induce(cfg, train_side),))
-        else:
-            run_structures = structures
-        held_out.append((run_structures, test_side))
-        trainings.append((cfg.model, train_side, run_structures))
-    del sources, table  # the splits hold all that training and scoring read
-
+    structures = None if axis == "k" else _structures(config, "sweep")
+    train_sides, test_sides, structure_sets = zip(*_runs(configs, structures))
     try:
-        trained = train_stacked(*zip(*trainings))
+        trained = train_stacked([c.model for c in configs], train_sides, structure_sets)
     except DivergedLoss as exc:
-        value, seed, _ = runs[exc.run or 0]
+        value, seed = keys[exc.run or 0]
         label = f"{axis} {_sweep_value_str(value)}, seed {seed}"
         raise DivergedLoss(exc.epoch, exc.sample, label) from exc
-    reports = [_score(model, *scoring)[1].to_dict()
-               for (model, _), scoring in zip(trained, held_out)]
+    reports = [_score(model, *scored)[1].to_dict()
+               for (model, _), scored in zip(trained, zip(structure_sets, test_sides))]
 
     mean_by_value = []
     with atomic_text_writer(path) as fh:
@@ -478,7 +475,11 @@ def _sweep_config(raw: dict, axis, value, seed: int) -> ExperimentConfig:
     else:
         fields["builder.k"] = value
     _apply_overrides(run_raw, fields.items())
-    return experiment_config_from_dict(run_raw)
+    config = experiment_config_from_dict(run_raw)
+    heads = len(config.model.attach_stages)
+    if axis == "k" and heads != 1:  # a k run's one head is its induced structure
+        raise InvalidConfig(f"k sweep needs one model.attach_stages entry, got {heads}")
+    return config
 
 
 # -- argument handling --------------------------------------------------------
@@ -572,17 +573,10 @@ def _apply_overrides(raw: dict, overrides) -> None:
 
 
 def _parse_value_list(text):
+    """A comma-separated list flag: each non-empty cell read as a flag value."""
     if text is None:
         return None
-    values = []
-    for cell in text.split(","):
-        cell = cell.strip()
-        if not cell:
-            continue
-        try:
-            values.append(json.loads(cell))
-        except (ValueError, RecursionError) as exc:
-            raise InvalidConfig(f"cannot parse list item {cell!r}") from exc
+    values = [_flag_value(cell) for cell in map(str.strip, text.split(",")) if cell]
     if not values:
         raise InvalidConfig("empty value list")
     return values

@@ -22,9 +22,11 @@ from hierfusion.exceptions import (
     StructureError,
 )
 from hierfusion.features import (
+    FeatureTable,
     SyntheticSpec,
     generate_synthetic,
     load_feature_table,
+    save_feature_table,
     train_test_split,
 )
 from hierfusion.metrics import PredictionBatch, evaluate, save_predictions
@@ -704,6 +706,8 @@ def test_section_seed_derivation():
     ("lambda", "0.2", "1.7"),
     ("lambda", "0.2", "false"),
     ("lambda", "0.2", "-1"),
+    ("lambda", "abc", "1"),  # a cell that is not JSON is typed as its text
+    ("lambda", "0.2", "abc"),
     ("k", "2.5", "1"),
     ("attach_stage", "0.5", "1"),
 ])
@@ -725,17 +729,25 @@ def test_sweep_rejects_bad_values_and_seeds(tmp_path, capsys, axis, values, seed
     assert not out.exists()
 
 
-def test_failed_sweep_leaves_no_csv(tmp_path, capsys):
+def test_failed_sweep_leaves_no_csv(tmp_path, capsys, monkeypatch):
+    # a k run trains one head, on the structure it induces, so any other
+    # head count is refused while the runs resolve, before any induction
+    built = []
+    monkeypatch.setattr(cli_module, "build_visual_structure",
+                        lambda *a: built.append(a))
     data = gen_dataset(tmp_path)
     out = tmp_path / "failed"
     raw = sweep_base(tmp_path, data, out)
     del raw["structures"]
-    raw["model"] = dict(MODEL, attach_stages=[], epochs=1)
-    config = write_config(tmp_path / "failed.json", raw)
-    capsys.readouterr()
-    assert run("sweep", "--config", config, "--axis", "k", "--values", "2") == 1
-    assert "config expects 0 structures, got 1" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    for stages in ([], [0, 1]):
+        raw["model"] = dict(MODEL, attach_stages=stages, epochs=1)
+        config = write_config(tmp_path / "failed.json", raw)
+        capsys.readouterr()
+        assert run("sweep", "--config", config, "--axis", "k", "--values", "2") == 1
+        assert capsys.readouterr().err == (
+            f"error: k sweep needs one model.attach_stages entry, got {len(stages)}\n")
+    assert built == []
+    assert not out.exists()
 
 
 def test_sweep_failing_after_written_rows_leaves_no_file(tmp_path, capsys):
@@ -803,9 +815,63 @@ def test_sweep_rows_match_train_then_evaluate(tmp_path, source):
         assert rows[("0", "1")] != rows[("0", "2")]
 
 
-def test_features_sweep_parses_the_file_once(tmp_path, monkeypatch):
-    import hierfusion.cli as cli
+def shuffled_dataset(tmp_path):
+    """A 4 x 5 class feature file with its rows shuffled, so its
+    first-appearance name table is not the planted structure's; returns
+    (features path, planted structure path)."""
+    spec = SyntheticSpec(samples_per_subclass=40, superclass_separation=3.0,
+                         subclass_separation=1.0, noise_scale=1.5, seed=3)
+    table, planted = generate_synthetic(spec)
+    order = np.random.default_rng(0).permutation(table.count)
+    features, structure = tmp_path / "shuffled.csv", tmp_path / "planted.json"
+    save_feature_table(FeatureTable(table.features[order], table.labels[order],
+                                    table.subclass_names), features)
+    save_structure(planted, structure)
+    assert load_feature_table(features).subclass_names != planted.subclass_names
+    return str(features), str(structure)
 
+
+def test_k_sweep_rows_match_build_structure_then_train_then_evaluate(tmp_path):
+    # no names_from: a k run's table, like build-structure's, takes the
+    # file's own name table, not that of the structure files it never reads
+    features, planted = shuffled_dataset(tmp_path)
+    raw = {"seed": 1, "features": features, "structures": [planted],
+           "split": {"fraction": 0.8},
+           "model": dict(MODEL, attach_stages=[0], lambda_total=0.2, epochs=2)}
+    config = write_config(tmp_path / "sweep.json", raw)
+    out = tmp_path / "swept"
+    assert run("sweep", "--config", config, "--out", str(out), "--axis", "k",
+               "--values", "2,3", "--seeds", "1,2") == 0
+    rows = sweep_rows(out / "sweep_k.csv")
+    for k in (2, 3):
+        for seed in (1, 2):
+            built = tmp_path / f"built_{k}_{seed}"
+            assert run("build-structure", "--config", config, "--seed", str(seed),
+                       "--builder.k", str(k), "--out", str(built)) == 0
+            fit, scored = tmp_path / f"fit_{k}_{seed}", tmp_path / f"scored_{k}_{seed}"
+            run_config = write_config(tmp_path / f"run_{k}_{seed}.json", dict(
+                raw, seed=seed, structures=[str(built / f"H_A_k{k}.json")],
+                checkpoint=str(fit / "model.ckpt")))
+            assert run("train", "--config", run_config, "--out", str(fit)) == 0
+            assert run("evaluate", "--config", run_config, "--out", str(scored)) == 0
+            report = json.loads((scored / "report.json").read_text())
+            row = rows[(str(k), str(seed))]
+            assert row == {column: report[column] for column in row}
+
+
+def test_a_k_sweep_reads_no_structure_file(tmp_path):
+    # README's exp.json lists built/H_A_k3.json before build-structure writes it
+    data = gen_dataset(tmp_path)
+    out = tmp_path / "swept"
+    raw = sweep_base(tmp_path, data, out)
+    raw["structures"].append(str(tmp_path / "built" / "H_A_k3.json"))
+    config = write_config(tmp_path / "sweep.json", raw)
+    assert run("sweep", "--config", config, "--axis", "k", "--values", "2,3") == 0
+    assert len((out / "sweep_k.csv").read_text().splitlines()) == 1 + 2 * 2
+
+
+def count_loads_and_splits(monkeypatch) -> dict:
+    """The live count of the feature-file loads and splits the commands make."""
     calls = {"load": 0, "split": 0}
 
     def counted(name, fn):
@@ -814,11 +880,16 @@ def test_features_sweep_parses_the_file_once(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(cli, "load_feature_table",
-                        counted("load", cli.load_feature_table))
-    monkeypatch.setattr(cli, "train_test_split",
-                        counted("split", cli.train_test_split))
+    monkeypatch.setattr(cli_module, "load_feature_table",
+                        counted("load", cli_module.load_feature_table))
+    monkeypatch.setattr(cli_module, "train_test_split",
+                        counted("split", cli_module.train_test_split))
+    return calls
+
+
+def test_features_sweep_parses_the_file_once(tmp_path, monkeypatch):
     data = gen_dataset(tmp_path)
+    calls = count_loads_and_splits(monkeypatch)
     out = tmp_path / "once"
     config = write_config(tmp_path / "once.json", sweep_base(tmp_path, data, out))
     assert run("sweep", "--config", config, "--axis", "lambda",
@@ -826,6 +897,20 @@ def test_features_sweep_parses_the_file_once(tmp_path, monkeypatch):
     # one split per seed: the three lambda runs of a seed share it
     assert calls == {"load": 1, "split": 2}
     assert len((out / "sweep_lambda.csv").read_text().splitlines()) == 1 + 3 * 3
+
+
+@pytest.mark.parametrize("command", ["build-structure", "train", "evaluate"])
+def test_each_single_command_parses_the_file_once(tmp_path, monkeypatch, command):
+    data = gen_dataset(tmp_path)
+    fit = tmp_path / "fit"
+    config = write_config(tmp_path / "once.json", dict(
+        sweep_base(tmp_path, data, tmp_path / "once"),
+        builder={"k": 2}, checkpoint=str(fit / "model.ckpt")))
+    if command == "evaluate":
+        assert run("train", "--config", config, "--out", str(fit)) == 0
+    calls = count_loads_and_splits(monkeypatch)
+    assert run(command, "--config", config) == 0
+    assert calls == {"load": 1, "split": 1}
 
 
 def per_run_sweep_csv(raw, axis, values, seeds):

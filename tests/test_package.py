@@ -185,3 +185,26 @@ def _worker_calls(path: Path) -> list:
 def test_only_workers_forks_or_counts_workers(path):
     # how work is cut into parts and run on CPUs is known to workers.py alone
     assert _worker_calls(path) == []
+
+
+_PLAN_STEPS = ("_load_table", "build_visual_structure", "train_test_split")
+
+
+def _plan_step_calls(path: Path) -> list:
+    """Each call in `path` of a step that makes a run's sides or structures,
+    as "<innermost enclosing function>: <step>"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owner = {}
+    for function in ast.walk(tree):  # outer functions first, so inner ones win
+        if isinstance(function, ast.FunctionDef):
+            owner.update((id(node), function.name) for node in ast.walk(function))
+    return sorted(f"{owner.get(id(node), '<module>')}: {node.func.id}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in _PLAN_STEPS)
+
+
+def test_only_the_run_plan_makes_sides_and_structures():
+    # every command gets its sides and structures from cli._runs, so a k
+    # sweep scores what build-structure would write under the same config
+    assert _plan_step_calls(SRC / "cli.py") == [f"_runs: {step}" for step in _PLAN_STEPS]
