@@ -27,6 +27,8 @@ from .features import (
     generate_synthetic,
     load_feature_table,
     save_feature_table,
+    select_rows,
+    split_rows,
     train_test_split,
 )
 from .metrics import (

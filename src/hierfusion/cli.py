@@ -67,7 +67,8 @@ from .features import (
     generate_synthetic,
     load_feature_table,
     save_feature_table,
-    train_test_split,
+    select_rows,
+    split_rows,
 )
 from .metrics import EvalReport, PredictionBatch, evaluate, save_predictions
 from .rng import (
@@ -262,17 +263,20 @@ def _load_table(config: ExperimentConfig, names_hint):
 
 
 def _runs(configs, structures: StructureSet | None, names_hint=None) -> list:
-    """Each run's (training side, held-out side, structure set), in order:
-    the one plan of every command that reads data.
+    """Each run's (table, training rows, held-out rows, structure set), in
+    order: the one plan of every command that reads data.
 
     The name table is `names_hint`, else that of `structures` when there
-    are any, else the data source's own (see _load_table). Without a
-    split both sides are the whole table. Each distinct data source (the
-    resolved synthetic spec, or the feature file with its name table) is
-    parsed or generated once, and split once per distinct split (fraction,
-    seed). With `structures` None, each run's one structure is the one
-    its builder section induces from its training side, once the whole
-    tables are released.
+    are any, else the data source's own (see _load_table). Each distinct
+    data source (the resolved synthetic spec, or the feature file with its
+    name table) is parsed or generated once, and its rows split once per
+    distinct split (fraction, seed) by features.split_rows; without a
+    split both sides are all of its rows, None. Runs keep the table
+    itself, so the runs of one source read one copy of its features:
+    a command gathers only a side it scores (features.select_rows), and
+    trains and induces on the rows in place. With `structures` None, each
+    run's one structure is the one its builder section induces from its
+    training rows.
     """
     if names_hint is None and structures:
         names_hint = structures.subclass_names
@@ -284,18 +288,17 @@ def _runs(configs, structures: StructureSet | None, names_hint=None) -> list:
             tables[source] = _load_table(config, names_hint)
         if keys[-1] not in sides:
             table, split = tables[source], config.split
-            sides[keys[-1]] = ((table, table) if split is None
-                               else train_test_split(table, split.fraction, split.seed))
-    del tables, table
+            sides[keys[-1]] = (table, *((None, None) if split is None
+                                        else split_rows(table, split.fraction, split.seed)))
     runs = []
     for config, key in zip(configs, keys):
-        train_side, test_side = sides[key]
+        table, train_rows, test_rows = sides[key]
         run_structures = structures
         if structures is None:
             builder = config.builder
             run_structures = StructureSet((build_visual_structure(
-                train_side, builder.k, builder.delta, builder.seed),))
-        runs.append((train_side, test_side, run_structures))
+                table, builder.k, builder.delta, builder.seed, train_rows),))
+        runs.append((table, train_rows, test_rows, run_structures))
     return runs
 
 
@@ -324,7 +327,7 @@ def cmd_build_structure(config: ExperimentConfig) -> None:
     if config.builder.k is None:
         raise InvalidConfig("build-structure needs 'builder.k'")
     out = _out_dir(config)
-    [(_, _, (structure,))] = _runs([config], None)
+    [(_, _, _, (structure,))] = _runs([config], None)
     path = out / f"{structure.name}.json"
     save_structure(structure, path)
     _note(f"wrote {path}")
@@ -336,8 +339,8 @@ def cmd_train(config: ExperimentConfig) -> None:
 
     out = _out_dir(config)
     structures = load_structure_set(config.structures)
-    table = _runs([config], structures)[0][0]  # only the training side stays
-    model, history = train(config.model, table, structures)
+    [(table, rows, _, _)] = _runs([config], structures)
+    model, history = train(config.model, table, structures, rows)
     checkpoint_path = out / "model.ckpt"
     save_checkpoint(model, config.model, checkpoint_path)
     history_path = out / "history.csv"
@@ -359,8 +362,10 @@ def cmd_evaluate(config: ExperimentConfig) -> None:
     out = _out_dir(config)
     model, _ = load_checkpoint(config.checkpoint)
     structures = _structures(config, "evaluate")
-    table = _runs([config], structures, model.subclass_names)[0][1]  # held out
-    batch, report = _score(model, structures, table)
+    [(table, _, rows, _)] = _runs([config], structures, model.subclass_names)
+    held_out = select_rows(table, rows)
+    del table  # released before the forward pass allocates its activations
+    batch, report = _score(model, structures, held_out)
     report_path = out / "report.json"
     with atomic_text_writer(report_path) as fh:
         fh.write(dump_json(report.to_dict()))
@@ -421,15 +426,18 @@ def cmd_sweep(config: ExperimentConfig, raw: dict) -> None:
     path = _out_dir(config) / f"sweep_{axis}.csv"
     header = [_AXIS_COLUMNS[axis], "seed"] + list(_METRIC_COLUMNS)
     structures = None if axis == "k" else _structures(config, "sweep")
-    train_sides, test_sides, structure_sets = zip(*_runs(configs, structures))
+    tables, train_rows, test_rows, structure_sets = zip(*_runs(configs, structures))
     try:
-        trained = train_stacked([c.model for c in configs], train_sides, structure_sets)
+        trained = train_stacked([c.model for c in configs], tables, structure_sets,
+                                train_rows)
     except DivergedLoss as exc:
         value, seed = keys[exc.run or 0]
         label = f"{axis} {_sweep_value_str(value)}, seed {seed}"
         raise DivergedLoss(exc.epoch, exc.sample, label) from exc
-    reports = [_score(model, *scored)[1].to_dict()
-               for (model, _), scored in zip(trained, zip(structure_sets, test_sides))]
+    # each held-out side is gathered as it is scored, and released after
+    reports = [_score(model, run_structures, select_rows(table, rows))[1].to_dict()
+               for (model, _), table, rows, run_structures
+               in zip(trained, tables, test_rows, structure_sets)]
 
     mean_by_value = []
     with atomic_text_writer(path) as fh:

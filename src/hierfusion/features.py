@@ -11,6 +11,13 @@ reads back as the same table.
 Per-class statistics feed the affinity construction; the synthetic
 generator plants a known 3-level hierarchy for desk-scale experiments.
 
+A split is two read-only row indices (split_rows), not two tables. The
+class statistics, and through them the structure builder, and the
+trainer read a table through such an index (row_index) in place, so the
+sides of every split of a table share its one copy of the features;
+select_rows gathers a side where a caller needs it as a table of its
+own, as train_test_split does for both.
+
 Rows are written by array arithmetic rather than one Python format per
 value: serialization.float_cells lays each value's ``%.17g`` text out in
 five words padded with 0xFF bytes, a block of rows is laid out as words
@@ -66,6 +73,7 @@ from .config import (
     config_seed,
     fits_array,
     frozen_array,
+    number_array,
     type_fields,
 )
 from .exceptions import (
@@ -160,12 +168,15 @@ class ClassStats:
         return self.means.shape[1]
 
 
-def class_statistics(table: FeatureTable) -> ClassStats:
+def class_statistics(table: FeatureTable, rows=None) -> ClassStats:
     """Mean vector and trace-of-covariance variance for every class.
 
-    Every class of the table's name table needs at least 2 samples. Rows
-    are reduced in a canonical (lexicographically sorted) order, so the
-    result is bit-for-bit invariant to sample order in the table. The
+    With `rows` (see row_index), only those rows of the table are read,
+    and the result is bit for bit that of select_rows(table, rows); None
+    reads every row. Every class of the table's name table needs at least
+    2 samples. Rows are reduced in a canonical (lexicographically sorted)
+    order, so the result is bit-for-bit invariant to sample order in the
+    table. The
     rows are grouped by class once (_class_rows), and each class's rows
     are ordered by one stable sort of column 0; only a class whose column
     0 holds a tie under ``==`` (-0.0 ties 0.0) is sorted on every column,
@@ -176,7 +187,7 @@ def class_statistics(table: FeatureTable) -> ClassStats:
     class_count = len(table.subclass_names)
     if class_count == 0:
         raise ClassTooSmall(0, "empty table has no classes")
-    grouped, bounds = _class_rows(table)
+    grouped, bounds = _class_rows(table, row_index(table, rows))
     counts = np.diff(bounds)
     if counts.min() < 2:
         raise ClassTooSmall(int(np.argmin(counts >= 2)))
@@ -190,9 +201,9 @@ def class_statistics(table: FeatureTable) -> ClassStats:
             ranked = key[order]
             if np.any(ranked[1:] == ranked[:-1]):
                 order = np.lexsort(table.features[members].T[::-1])
-            rows = table.features[members[order]]
-            mean = rows.mean(axis=0)
-            dev = rows - mean
+            ordered = table.features[members[order]]
+            mean = ordered.mean(axis=0)
+            dev = ordered - mean
             variances[c] = (dev * dev).sum(axis=1).mean()
             means[c] = mean
     finite = np.isfinite(means).all(axis=1) & np.isfinite(variances)
@@ -205,11 +216,44 @@ def class_statistics(table: FeatureTable) -> ClassStats:
     return ClassStats(means=means, variances=variances)
 
 
-def _class_rows(table: FeatureTable) -> tuple[np.ndarray, list]:
-    """(rows, bounds): the stable argsort of the labels, so the rows of
-    class c are rows[bounds[c]:bounds[c + 1]], in ascending order."""
-    counts = np.bincount(table.labels, minlength=len(table.subclass_names))
-    return np.argsort(table.labels, kind="stable"), [0, *np.cumsum(counts).tolist()]
+def _class_rows(table: FeatureTable, rows=None) -> tuple[np.ndarray, list]:
+    """(members, bounds): the rows of class c are members[bounds[c]:bounds[c
+    + 1]], in the order they hold in `rows` (a row_index), or ascending
+    with None. So each class lists its rows as it does in select_rows(table,
+    rows), and one stable argsort of the labels groups them."""
+    labels = table.labels if rows is None else table.labels[rows]
+    counts = np.bincount(labels, minlength=len(table.subclass_names))
+    grouped = np.argsort(labels, kind="stable")
+    return (grouped if rows is None else rows[grouped]), [0, *np.cumsum(counts).tolist()]
+
+
+def row_index(table: FeatureTable, rows) -> np.ndarray | None:
+    """`rows` as an int64 index of `table`'s rows; None stays None, which
+    stands for every row in order.
+
+    Rows may repeat and come in any order. Entries that are not integers
+    are InvalidValue, an index that is not 1-D is DimensionMismatch, and
+    a row the table lacks is InvalidValue. An int64 array is read in
+    place, not copied.
+    """
+    if rows is None:
+        return None
+    index = number_array(rows, "rows", np.int64, copy=False)
+    if index.ndim != 1:
+        raise DimensionMismatch(f"rows must be 1-D, got {index.ndim}-D")
+    if index.size and not (0 <= index.min() and index.max() < table.count):
+        raise InvalidValue(f"rows must lie in [0, {table.count})")
+    return index
+
+
+def select_rows(table: FeatureTable, rows) -> FeatureTable:
+    """The table of `table`'s rows `rows` (see row_index), in that order,
+    with its name table: a gathered copy, or `table` itself for None."""
+    rows = row_index(table, rows)
+    if rows is None:
+        return table
+    return FeatureTable(adopt(table.features[rows]), adopt(table.labels[rows]),
+                        table.subclass_names)
 
 
 @dataclass(frozen=True)
@@ -297,15 +341,16 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[FeatureTable, LabelStructur
     return table, structure
 
 
-def train_test_split(
+def split_rows(
     table: FeatureTable, fraction: float, seed: int
-) -> tuple[FeatureTable, FeatureTable]:
-    """Stratified exact split; `fraction` is the train share per class.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified exact split of the table's rows; `fraction` is the train
+    share per class. Returns (train rows, test rows), read-only int64
+    indices in ascending order, for row_index's readers to read in place.
 
     Each class contributes floor(n_c * fraction) training samples and the
     remainder to test; a class that would land on 0 either side raises
-    ClassTooSmall. Deterministic for a fixed seed; row order within each
-    side follows the original table, and both sides keep its name table.
+    ClassTooSmall. Deterministic for a fixed seed.
     """
     fraction, seed = config_real(fraction, "fraction"), config_seed(seed, "seed")
     if not 0.0 < fraction < 1.0:
@@ -326,13 +371,19 @@ def train_test_split(
         perm = rng.permutation(idx)
         train_idx.append(perm[:n_train])
         test_idx.append(perm[n_train:])
-    train_idx = np.sort(np.concatenate(train_idx))
-    test_idx = np.sort(np.concatenate(test_idx))
-    return tuple(
-        FeatureTable(adopt(table.features[idx]), adopt(table.labels[idx]),
-                     table.subclass_names)
-        for idx in (train_idx, test_idx)
-    )
+    sides = np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
+    for side in sides:
+        side.setflags(write=False)
+    return sides
+
+
+def train_test_split(
+    table: FeatureTable, fraction: float, seed: int
+) -> tuple[FeatureTable, FeatureTable]:
+    """The two sides of split_rows(table, fraction, seed), each gathered
+    by select_rows: row order within each side follows the original
+    table, and both sides keep its name table."""
+    return tuple(select_rows(table, rows) for rows in split_rows(table, fraction, seed))
 
 
 # -- feature files ----------------------------------------------------------

@@ -13,8 +13,9 @@ Inference reads the subclass head only.
 
 One forward pass, `_logits`, serves forward(), training and
 gradient_check, on a FusionModel or on its mutable training copy with the
-same field names. One function, `_weighted_loss`, composes the loss above
-for training and gradient_check. One canonical parameter
+same field names. One pair of functions composes the loss above for
+training and gradient_check: `_head_losses` gives each head's loss and
+`_total_loss` weights and adds them. One canonical parameter
 order, `_layout` (trunk stages, the subclass head, then superclass heads),
 fixes checkpoint tensors, the flat training buffer and its gradients;
 `_shapes` walks it for the shape init_model draws and a model checks.
@@ -29,14 +30,18 @@ Training steps a stack of R runs at once (train_stacked): the flat buffer
 gains a leading run axis, so weights are (R, a, b) views, biases (R, 1, k)
 views and a batch is (R, n, d). Each per-run quantity is one array: the
 (1 + M, R) loss-weight table (row 0 each run's 1 - lambda, row 1 + m its
-lambda for structure m), the (2 + M, R) losses of a batch (total,
-subclass, per structure) and the (R, 1) learning-rate column. Each
-stacked matmul, softmax and bias sum does per run exactly the arithmetic
-of a lone run, so every run of a stack is bit-equal to training it
-alone; `train` is the R = 1 case. train_stacked takes runs of any
-shapes and stacks those that share layout shapes, row count, batch size
-and epochs (_stack_key), a decision made here alone; each run keeps its
-own init and shuffle streams.
+lambda for structure m), the (1 + M, R) head losses of a batch
+(subclass, per structure) and the (R, 1) learning-rate column. A step
+only stores its head losses; the epoch totals them, tests them for
+divergence and sums them, in batch order, once. Each stacked matmul,
+softmax and bias sum does per run exactly the arithmetic of a lone run,
+so every run of a stack is bit-equal to training it alone; `train` is
+the R = 1 case. train_stacked takes runs of any shapes and stacks those
+that share layout shapes, training row count, batch size and epochs
+(_stack_key), a decision made here alone; each run keeps its own init
+and shuffle streams. A run trains on rows of its table given as a row
+index (features.row_index), so the runs of a split table read its one
+copy of the features and a batch of a stack on one table is one gather.
 
 A stack with enough work trains on every core: workers.part_bounds cuts
 its run axis into contiguous slices, one per CPU while each holds
@@ -87,7 +92,7 @@ from .exceptions import (
     StructureError,
     SubclassSpaceMismatch,
 )
-from .features import FeatureTable
+from .features import FeatureTable, row_index
 from .rng import derive_seed, rng_from_seed
 from .serialization import atomic_text_writer, format_float, load_frame, save_frame
 from .taxonomy import StructureSet
@@ -383,67 +388,92 @@ def _logits(params, x):
     return acts, sub, supers
 
 
-def _cross_entropy_grad(logits, labels):
-    """Mean cross-entropy of the softmax and its gradient in the logits.
+def _cross_entropy_grad(logits, labels, offsets, loss):
+    """Mean cross-entropy of the softmax, written into `loss`, and its
+    gradient in the logits, returned.
 
     `logits` is (R, n, k) with (R, n) labels; the loss is one number per
-    run. Uses the max-shift log-sum-exp form row by row, so adding a
-    constant to all logits of a sample changes nothing (up to rounding).
-    Labels must lie in [0, k), as the ids of a FeatureTable and the
-    parents of a LabelStructure do: they are gathered by flat index, so an
-    out-of-range label would silently read a logit of another sample
+    run, so `loss` is an (R,) array. `offsets` holds at least R * n
+    multiples of k from 0 (see _Step), where each sample's logits start in
+    the flat array. Uses the max-shift log-sum-exp form row by row, so
+    adding a constant to all logits of a sample changes nothing (up to
+    rounding). Labels must lie in [0, k), as the ids of a FeatureTable and
+    the parents of a LabelStructure do: they are gathered by flat index,
+    so an out-of-range label would silently read a logit of another sample
     instead of failing.
     """
-    _, n, k = logits.shape
+    n = logits.shape[1]
     # max over a class-major copy: k whole-array maxima, not R * n short rows
     shift = logits.transpose(2, 0, 1).copy().max(axis=0)[..., None]
     exp = logits - shift
     np.exp(exp, out=exp)
     denom = exp.sum(axis=-1, keepdims=True)
-    picked = np.arange(0, logits.size, k) + labels.ravel()
+    picked = offsets[:labels.size] + labels.ravel()
     lse = np.log(denom).reshape(labels.shape)
     lse += shift.reshape(labels.shape)
     lse -= logits.ravel()[picked].reshape(labels.shape)
-    loss = lse.sum(axis=-1) / n
+    lse.sum(axis=-1, out=loss)
+    loss /= n
     exp /= denom
     exp.ravel()[picked] -= 1.0
     exp /= n
-    return loss, exp
+    return exp
 
 
-def _loss_weights(configs) -> np.ndarray:
-    """The (1 + M, R) loss-weight table of the runs `configs`: row 0 holds
-    each run's 1 - lambda_total, row 1 + m its lambda for structure m."""
-    return np.array([(1.0 - c.lambda_total, *c.lambdas) for c in configs]).T
+class _Step:
+    """What every training step of the runs `configs` shares, worked out
+    once per stack slice.
 
-
-def _weighted_loss(sub_logits, super_logits, y_sub, y_supers, weights):
-    """The multi-task loss of a batch and the unweighted logit gradients.
-
-    Returns (losses, subclass logit gradient, superclass logit gradients).
-    `losses` is the (2 + M, R) array of each run's total, subclass and
-    per-structure losses, where total is weights[0] * subclass +
-    sum_m weights[1 + m] * per-structure[m] with `weights` the
-    _loss_weights table. Labels must be pre-validated (see
-    _cross_entropy_grad).
+    `weights` is their (1 + M, R) loss-weight table: row 0 holds each
+    run's 1 - lambda_total, row 1 + m its lambda for structure m.
+    `scales` are its rows as (R, 1, 1) columns that scale an (R, n, k)
+    logit gradient. `offsets`
+    holds, for the subclass head and then each superclass head, the flat
+    index of each sample's first logit in an (R, batch, k) logit array:
+    the multiples of that head's k, of which a smaller last batch uses a
+    prefix.
     """
-    sub_loss, sub_grad = _cross_entropy_grad(sub_logits, y_sub)
-    per, grads = [], []
-    for logits, labels in zip(super_logits, y_supers):
-        loss_m, grad_m = _cross_entropy_grad(logits, labels)
-        per.append(loss_m)
-        grads.append(grad_m)
-    total = weights[0] * sub_loss + sum(w * v for w, v in zip(weights[1:], per))
-    return np.array([total, sub_loss, *per]), sub_grad, grads
+
+    def __init__(self, configs, model: FusionModel, batch: int):
+        self.weights = np.array([(1.0 - c.lambda_total, *c.lambdas) for c in configs]).T
+        self.scales = [row[:, None, None] for row in self.weights]
+        heads = (model.subclass_count, *model.superclass_counts)
+        self.offsets = [np.arange(0, len(configs) * batch * k, k) for k in heads]
 
 
-def _loss_and_grads(params, x, y_sub, y_supers, weights):
-    """One forward/backward pass of a stack of runs; returns (losses, sub_logits).
+def _head_losses(sub_logits, super_logits, y_sub, y_supers, step, losses):
+    """Each head's loss of a batch, written into `losses`, and the
+    unweighted logit gradients.
+
+    Row 0 of the (1 + M, R) array `losses` gets each run's subclass loss
+    and row 1 + m its loss for structure m; returns (subclass logit
+    gradient, superclass logit gradients). `step` is the slice's _Step.
+    Labels must be pre-validated (see _cross_entropy_grad).
+    """
+    sub_grad = _cross_entropy_grad(sub_logits, y_sub, step.offsets[0], losses[0])
+    grads = [_cross_entropy_grad(logits, labels, offsets, loss)
+             for logits, labels, offsets, loss
+             in zip(super_logits, y_supers, step.offsets[1:], losses[1:])]
+    return sub_grad, grads
+
+
+def _total_loss(weights, losses):
+    """The multi-task loss of head losses `losses` (..., 1 + M, R), laid
+    out as _head_losses writes them: weights[0] * subclass + sum_m
+    weights[1 + m] * per-structure[m], the terms added in that order, with
+    `weights` a _Step's table."""
+    return weights[0] * losses[..., 0, :] + sum(
+        w * losses[..., 1 + m, :] for m, w in enumerate(weights[1:]))
+
+
+def _loss_and_grads(params, x, y_sub, y_supers, step, losses):
+    """One forward/backward pass of a stack of runs; returns the subclass
+    logits.
 
     `params` is a _Params, `x` the (R, n, d) stack of batches, `y_sub`
-    (R, n) and each `y_supers[m]` (R, n); `weights` is the runs'
-    _loss_weights table and `losses` the (2 + M, R) array of
-    _weighted_loss. The gradient is written into params.grads. Head
+    (R, n) and each `y_supers[m]` (R, n); `step` is the runs' _Step, and
+    each head's loss goes into `losses` as _head_losses writes it. The
+    gradient is written into params.grads. Head
     gradients enter the trunk at their attach stage scaled by their loss
     weight, so a zero-weight head contributes exactly zero, and the
     subclass gradient by its weight, 1 - lambda_total. Each stage's
@@ -451,8 +481,8 @@ def _loss_and_grads(params, x, y_sub, y_supers, weights):
     rest in the fixed order subclass head, superclass heads, stage above.
     """
     acts, sub_logits, super_logits = _logits(params, x)
-    losses, sub_grad, super_grads = _weighted_loss(
-        sub_logits, super_logits, y_sub, y_supers, weights
+    sub_grad, super_grads = _head_losses(
+        sub_logits, super_logits, y_sub, y_supers, step, losses
     )
 
     d_acts = [None] * len(acts)
@@ -464,13 +494,13 @@ def _loss_and_grads(params, x, y_sub, y_supers, weights):
             d_acts[stage] += back
 
     g = params.grads
-    sub_grad *= weights[0, :, None, None]
+    sub_grad *= step.scales[0]
     np.matmul(acts[-1].swapaxes(-1, -2), sub_grad, out=g.subclass_weight)
     np.add.reduce(sub_grad, axis=-2, keepdims=True, out=g.subclass_bias)
     d_acts[-1] = sub_grad @ params.subclass_weight.swapaxes(-1, -2)
     for m, stage in enumerate(params.attach_stages):
         scaled = super_grads[m]
-        scaled *= weights[1 + m, :, None, None]
+        scaled *= step.scales[1 + m]
         np.matmul(acts[stage].swapaxes(-1, -2), scaled, out=g.super_weights[m])
         np.add.reduce(scaled, axis=-2, keepdims=True, out=g.super_biases[m])
         add_back(stage, scaled @ params.super_weights[m].swapaxes(-1, -2))
@@ -484,7 +514,7 @@ def _loss_and_grads(params, x, y_sub, y_supers, weights):
         np.add.reduce(d_pre, axis=-2, keepdims=True, out=g.trunk_biases[s])
         if s > 0:
             add_back(s - 1, d_pre @ params.trunk_weights[s].swapaxes(-1, -2))
-    return losses, sub_logits
+    return sub_logits
 
 
 def forward(model: FusionModel, x):
@@ -511,7 +541,7 @@ def forward(model: FusionModel, x):
 
 
 def train(
-    config: FusionConfig, table: FeatureTable, structures: StructureSet
+    config: FusionConfig, table: FeatureTable, structures: StructureSet, rows=None
 ) -> tuple[FusionModel, TrainHistory]:
     """Mini-batch gradient descent on the multi-task loss.
 
@@ -519,21 +549,24 @@ def train(
     comes from a dedicated shuffle stream, updates apply in a fixed
     parameter order. History rows are per-epoch sample means of the batch
     losses (measured before each update) and the running train accuracy.
-    The model's subclass head covers the table's name table. The one-run
-    case of train_stacked, which does the work.
+    With `rows` (see features.row_index), only the table's rows `rows`
+    train, bit-equal to training on select_rows(table, rows); None trains
+    on every row. The model's subclass head covers the table's name
+    table. The one-run case of train_stacked, which does the work.
     """
-    return train_stacked([config], [table], [structures])[0]
+    return train_stacked([config], [table], [structures], [rows])[0]
 
 
-def _stack_key(config: FusionConfig, table: FeatureTable, structures: StructureSet):
+def _stack_key(config: FusionConfig, table: FeatureTable, structures: StructureSet,
+               rows: np.ndarray):
     """What runs must share to train in one stack.
 
     The input width, subclass count, stage widths, attach stages and
-    superclass counts fix the parameter shapes; the row count, batch size
-    and epochs fix the batch grid.
+    superclass counts fix the parameter shapes; the training row count,
+    batch size and epochs fix the batch grid.
     """
     return (
-        table.count,
+        len(rows),
         table.dim,
         len(table.subclass_names),
         config.stage_dims,
@@ -544,28 +577,35 @@ def _stack_key(config: FusionConfig, table: FeatureTable, structures: StructureS
     )
 
 
-def train_stacked(configs, tables, structures) -> list[tuple[FusionModel, TrainHistory]]:
+def train_stacked(
+    configs, tables, structures, rows=None
+) -> list[tuple[FusionModel, TrainHistory]]:
     """Train R runs of any shapes; one (model, history) per run, in order.
 
-    Run r is `configs[r]` trained on `tables[r]` with `structures[r]`, and
-    comes out bit-equal to ``train(configs[r], tables[r], structures[r])``:
-    its own init, its own shuffle stream, its own lambda, lambda shares,
-    learning rate and its table's subclass names. Runs that share layout
-    shapes, training rows, batch size and epochs (_stack_key) form one
-    stack, trained in one pass; the stacks train one after another in
-    order of their first run. An empty table is ClassTooSmall. Each batch
-    gathers its (R, batch, d) rows from the stack's distinct tables (by
-    identity) through a per-run row order, so no epoch copy of the rows is
-    made. Labels need no check: each table's ids lie inside its name
-    table, which init_model matches to the run's structures, and each
-    structure's parents lie inside its head's columns.
+    Run r is `configs[r]` trained on rows `rows[r]` of `tables[r]` with
+    `structures[r]`, and comes out bit-equal to ``train(configs[r],
+    tables[r], structures[r], rows[r])``: its own init, its own shuffle
+    stream, its own lambda, lambda shares, learning rate and its table's
+    subclass names. A run's rows are a features.row_index, None (or no
+    `rows` at all) training on every row, so runs that split one table
+    read it in place. Runs that share layout shapes, training row count,
+    batch size and epochs (_stack_key) form one stack, trained in one
+    pass; the stacks train one after another in order of their first run.
+    No training rows is ClassTooSmall. Each batch gathers its (R, batch,
+    d) rows from the stack's distinct tables (by identity) through a
+    per-run order of table rows, so neither an epoch copy nor a training
+    side of the rows is made, and a stack that reads one table gathers
+    its batch in one call. Labels need no check: each table's ids lie
+    inside its name table, which init_model matches to the run's
+    structures, and each structure's parents lie inside its head's
+    columns.
 
     A run whose loss turns non-finite is DivergedLoss naming its epoch and
-    first sample, and its index in the call when R > 1. The other runs of
-    its stack keep training until no run earlier in the stack can still
-    diverge, so the error names the first diverging run of the first
-    stack that diverges; floating-point warnings of a diverging run are
-    not printed.
+    first sample, and its index in the call when R > 1. Losses are tested
+    once an epoch ends, and the other runs of its stack keep training
+    until no run earlier in the stack can still diverge, so the error
+    names the first diverging run of the first stack that diverges;
+    floating-point warnings of a diverging run are not printed.
 
     Each stack's runs are cut into contiguous slices by
     workers.part_bounds, one per CPU where a fork is safe while each holds
@@ -578,25 +618,29 @@ def train_stacked(configs, tables, structures) -> list[tuple[FusionModel, TrainH
     failing slice's error wins, so the error is that of one stack.
     """
     runs = len(configs)
-    if runs == 0 or not runs == len(tables) == len(structures):
-        raise InvalidConfig("train_stacked needs one config, table and structure set per run")
+    rows = [None] * runs if rows is None else list(rows)
+    if runs == 0 or not runs == len(tables) == len(structures) == len(rows):
+        raise InvalidConfig("train_stacked needs one config, table, structure set "
+                            "and row index per run")
+    rows = [np.arange(table.count) if index is None else index
+            for table, index in zip(tables, map(row_index, tables, rows))]
     stacks = {}  # stack key -> the indices of its runs, in call order
-    for r, run in enumerate(zip(configs, tables, structures)):
+    for r, run in enumerate(zip(configs, tables, structures, rows)):
         stacks.setdefault(_stack_key(*run), []).append(r)
     results = {}
     for members in stacks.values():
         results.update(zip(members, _train_stack(
-            *([seq[r] for r in members] for seq in (configs, tables, structures)),
+            *([seq[r] for r in members] for seq in (configs, tables, structures, rows)),
             members if runs > 1 else [None],
         )))
     return [results[r] for r in range(runs)]
 
 
-def _train_stack(configs, tables, structures, indices):
+def _train_stack(configs, tables, structures, rows, indices):
     """train_stacked for runs of one _stack_key; `indices` name them in a
     DivergedLoss: their indices in the call, or [None] for a lone run."""
     runs = len(configs)
-    if tables[0].count == 0:
+    if len(rows[0]) == 0:
         raise ClassTooSmall(0, "empty table has no rows to train on")
     epochs = configs[0].epochs
     if not fits_array(runs, epochs, 3 + configs[0].structure_count):
@@ -606,76 +650,85 @@ def _train_stack(configs, tables, structures, indices):
     models = [init_model(c, s, t.dim, t.subclass_names)
               for c, t, s in zip(configs, tables, structures)]
     size = sum(arr.size for _, arr in _parameters(models[0]))
-    bounds = part_bounds(runs, runs * epochs * tables[0].count * size, _MIN_SLICE_WORK)
+    bounds = part_bounds(runs, runs * epochs * len(rows[0]) * size, _MIN_SLICE_WORK)
 
     def descend(index):
         part = slice(bounds[index], bounds[index + 1])
-        return _descend(configs[part], tables[part], structures[part], models[part],
-                        indices[part])
+        return _descend(configs[part], tables[part], structures[part], rows[part],
+                        models[part], indices[part])
 
-    values, rows = (
+    values, history = (
         np.concatenate(arrays) for arrays in zip(*in_parts(len(bounds) - 1, descend))
     )
     return [
         (_with_values(model, values[r]),
-         TrainHistory(rows=rows[r], structure_names=model.structure_names))
+         TrainHistory(rows=history[r], structure_names=model.structure_names))
         for r, model in enumerate(models)
     ]
 
 
-def _descend(configs, tables, structures, models, indices):
-    """Train the runs `models`, a slice of one stack; (parameter rows,
-    history tables).
+def _descend(configs, tables, structures, rows, models, indices):
+    """Train the runs `models`, a slice of one stack, each on its `rows`
+    of its table; (parameter rows, history tables).
 
     Row r of each array belongs to run r of the slice: its (P,) parameters
     in the canonical layout and its (epochs, 3 + M) TrainHistory rows. A
     run whose loss turns non-finite is DivergedLoss named by its entry in
     `indices` (see _train_stack).
+
+    A batch's steps only store each head's loss (_head_losses); the epoch
+    then totals them, tests the totals and sums every column over its
+    batches in batch order, as a running sum would.
     """
     runs = len(configs)
     params = _Params(models)
     heads = configs[0].structure_count
-    n = tables[0].count
+    n = len(rows[0])
     batch, epochs = configs[0].batch_size, configs[0].epochs
-    weights = _loss_weights(configs)
+    step = _Step(configs, models[0], batch)
     rates = np.array([[c.learning_rate] for c in configs])
     shuffles = [rng_from_seed(derive_seed(c.seed, _STREAM_SHUFFLE)) for c in configs]
     sides = {}  # each distinct table: its rows and the runs that read them
     for r, table in enumerate(tables):
         sides.setdefault(id(table), (table.features, []))[1].append(r)
     sides = [(features, np.array(members)) for features, members in sides.values()]
+    starts = range(0, n, batch)
+    sizes = np.array([min(batch, n - start) for start in starts], np.float64)
 
     history = np.zeros((runs, epochs, 3 + heads))
+    # Each run's table rows, then its subclass ids and its superclass ids
+    # per head, in batch order.
     order = np.empty((runs, n), dtype=np.int64)
-    # Each run's subclass ids, then its superclass ids per head, in batch order.
     ys = np.empty((1 + heads, runs, n), dtype=np.int64)
     predicted = np.empty((runs, n), dtype=np.int64)
+    losses = np.empty((len(starts), 1 + heads, runs))  # per batch, as _head_losses
     diverged = {}  # run -> (epoch, sample) of its first non-finite loss
     with np.errstate(all="ignore"):
         for epoch in range(epochs):
             for r, (shuffle, table) in enumerate(zip(shuffles, tables)):
-                order[r] = shuffle.permutation(n)
+                order[r] = rows[r][shuffle.permutation(n)]
                 ys[0, r] = table.labels[order[r]]
                 for m, structure in enumerate(structures[r]):
                     ys[1 + m, r] = structure.parent_index[ys[0, r]]
-            sums = np.zeros((2 + heads, runs))
-            for start in range(0, n, batch):
-                rows = order[:, start : start + batch]
-                size = rows.shape[1]
+            for b, start in enumerate(starts):
                 by = ys[:, :, start : start + batch]
-                losses, sub_logits = _loss_and_grads(
-                    params, _gather(sides, rows), by[0], by[1:], weights
+                sub_logits = _loss_and_grads(
+                    params, _gather(sides, order[:, start : start + batch]), by[0],
+                    by[1:], step, losses[b],
                 )
-                if not math.isfinite(losses[0].sum()):  # one test for every run
-                    for r in np.flatnonzero(~np.isfinite(losses[0])):
-                        diverged.setdefault(int(r), (epoch, start))
-                    if 0 in diverged:  # no earlier run is left to diverge
-                        raise _diverged(diverged, indices)
                 sub_logits.argmax(axis=-1, out=predicted[:, start : start + batch])
-                sums += losses * size
                 params.grad *= rates
                 params.values -= params.grad
-            history[:, epoch, :-1] = (sums / n).T
+            total = _total_loss(step.weights, losses)
+            failed = ~np.isfinite(total)
+            if failed.any():
+                for r in np.flatnonzero(failed.any(axis=0)):
+                    diverged.setdefault(int(r), (epoch, starts[failed[:, r].argmax()]))
+                if 0 in diverged:  # no earlier run is left to diverge
+                    raise _diverged(diverged, indices)
+            scaled = np.concatenate([total[:, None], losses], axis=1)
+            scaled *= sizes[:, None, None]
+            history[:, epoch, :-1] = (np.add.accumulate(scaled)[-1] / n).T
             history[:, epoch, -1] = np.count_nonzero(predicted == ys[0], axis=1) / n
     if diverged:
         raise _diverged(diverged, indices)
@@ -684,7 +737,9 @@ def _descend(configs, tables, structures, models, indices):
 
 def _gather(sides, rows) -> np.ndarray:
     """The (R, b, d) batch where run r reads rows[r] of its table; `sides`
-    pairs each distinct table's features with the runs that read it."""
+    pairs each distinct table's features with the runs that read it. Runs
+    that all read one table, as every stack the CLI trains does, take
+    one gather."""
     if len(sides) == 1:
         return sides[0][0][rows]
     batch = np.empty(rows.shape + sides[0][0].shape[1:])
@@ -741,14 +796,16 @@ def gradient_check(
         raise DimensionMismatch("superclass counts differ from the model's heads")
     x, y_sub = table.features[None], table.labels[None]
     y_supers = [s.parent_index[y_sub] for s in structures]
-    weights = _loss_weights([config])
     params = _Params([model])
-    _loss_and_grads(params, x, y_sub, y_supers, weights)
+    step = _Step([config], model, table.count)
+    losses = np.empty((1 + len(structures), 1))
+    _loss_and_grads(params, x, y_sub, y_supers, step, losses)
     values, grad = params.values[0], params.grad[0]
 
     def total_loss() -> float:
         _, sub, supers = _logits(params, x)
-        return float(_weighted_loss(sub, supers, y_sub, y_supers, weights)[0][0, 0])
+        _head_losses(sub, supers, y_sub, y_supers, step, losses)
+        return float(_total_loss(step.weights, losses)[0])
 
     total = values.size
     if total <= _GRADIENT_SAMPLE:

@@ -261,15 +261,16 @@ def _repair_empty(assign: np.ndarray, dist2: np.ndarray, k: int) -> np.ndarray:
 
 
 def build_visual_structure(
-    table: FeatureTable, k: int, delta: float = 1.0, seed: int = 0
+    table: FeatureTable, k: int, delta: float = 1.0, seed: int = 0, rows=None
 ) -> LabelStructure:
     """Cluster classes by feature affinity into the structure "H_A_k{k}".
 
     Composes class_statistics -> affinity_matrix -> spectral_embedding ->
     kmeans over the table's subclass name table; superclass m (named
-    "s{m}") holds exactly the classes of cluster m.
+    "s{m}") holds exactly the classes of cluster m. Only the table's rows
+    `rows` are read, or all of them with None (see class_statistics).
     """
-    stats = class_statistics(table)
+    stats = class_statistics(table, rows)
     affinity = affinity_matrix(stats, delta)
     embedding = spectral_embedding(affinity, k)
     assign = kmeans(embedding.coords, k, seed=seed)

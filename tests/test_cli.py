@@ -52,7 +52,7 @@ from hierfusion.taxonomy import (
     save_structure,
     validate_structure,
 )
-from test_features import many_ranges, one_range, parser_calls
+from test_features import _WIDE, _nbytes, _traced_peak, many_ranges, one_range, parser_calls
 from test_model import many_slices, one_slice
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -882,8 +882,8 @@ def count_loads_and_splits(monkeypatch) -> dict:
 
     monkeypatch.setattr(cli_module, "load_feature_table",
                         counted("load", cli_module.load_feature_table))
-    monkeypatch.setattr(cli_module, "train_test_split",
-                        counted("split", cli_module.train_test_split))
+    monkeypatch.setattr(cli_module, "split_rows",
+                        counted("split", cli_module.split_rows))
     return calls
 
 
@@ -911,6 +911,52 @@ def test_each_single_command_parses_the_file_once(tmp_path, monkeypatch, command
     calls = count_loads_and_splits(monkeypatch)
     assert run(command, "--config", config) == 0
     assert calls == {"load": 1, "split": 1}
+
+
+def wide_config(tmp_path) -> dict:
+    """A split config over a 256-d table file of 2000 rows (4 MB), with a
+    small model, so the table is most of what a command holds."""
+    data = tmp_path / "wide"
+    data.mkdir()
+    table, planted = generate_synthetic(_WIDE)
+    save_feature_table(table, data / "features.csv")
+    save_structure(planted, data / "structure_planted.json")
+    return dict(
+        sweep_base(tmp_path, data, tmp_path / "out"),
+        model=dict(MODEL, attach_stages=[0], lambda_total=0.2, epochs=1, batch_size=64),
+        checkpoint=str(tmp_path / "fit" / "model.ckpt"))
+
+
+@pytest.mark.parametrize("command, scored", [
+    ("build-structure", False), ("train", False), ("evaluate", True), ("sweep", True),
+])
+def test_a_command_holds_its_table_once_and_gathers_one_scored_side(tmp_path, command,
+                                                                    scored):
+    raw = wide_config(tmp_path)
+    config = write_config(tmp_path / "wide.json", raw)
+    assert run("train", "--config", config, "--out", str(tmp_path / "fit")) == 0
+    flags = {"build-structure": ["--builder.k", "4"],
+             "sweep": ["--axis", "lambda", "--values", "0.2", "--seeds", "1,2,3"]}
+    argv = [command, "--config", config, *flags.get(command, [])]
+    table = load_feature_table(raw["features"])
+    held_out = train_test_split(table, 0.8, seed=1)[1]
+    code, peak = _traced_peak(lambda: run(*argv))
+    assert code == 0
+    # the sweep's three seeds split three ways: three sides each, were they gathered
+    assert peak <= _nbytes(table) + scored * _nbytes(held_out) + 0.25 * _nbytes(table)
+
+
+def test_the_run_plan_reads_one_table_through_read_only_rows(tmp_path):
+    raw = wide_config(tmp_path)
+    configs = [cli_module._sweep_config(raw, "lambda", 0.2, seed) for seed in (1, 2, 3)]
+    structures = load_structure_set(raw["structures"])
+    runs, peak = _traced_peak(lambda: cli_module._runs(configs, structures))
+    (table,) = {id(run[0]): run[0] for run in runs}.values()
+    assert peak <= 1.25 * _nbytes(table)
+    assert len({run[1].tobytes() for run in runs}) == 3  # three splits
+    for _, train_rows, test_rows, _ in runs:
+        assert not (train_rows.flags.writeable or test_rows.flags.writeable)
+    assert not (table.features.flags.writeable or table.labels.flags.writeable)
 
 
 def per_run_sweep_csv(raw, axis, values, seeds):

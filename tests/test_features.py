@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 import tempfile
 import threading
@@ -24,6 +25,7 @@ from hierfusion.exceptions import (
     DuplicateSubclass,
     HierFusionError,
     InvalidSpec,
+    InvalidValue,
     MalformedRow,
     NonFiniteValue,
     StructureError,
@@ -36,6 +38,8 @@ from hierfusion.features import (
     generate_synthetic,
     load_feature_table,
     save_feature_table,
+    select_rows,
+    split_rows,
     train_test_split,
 )
 from hierfusion.serialization import (
@@ -273,6 +277,58 @@ def test_class_statistics_names_the_first_small_class(labels, names, small):
         assert raised.value.class_id == small
 
 
+# Column-0 values with ties of both signed zeros, so classes take lexsort's path.
+_STAT_VALUES = st.sampled_from([0.0, -0.0, 1.5, -1.5, 0.1, 1e300, -2.0 ** 53, 3.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.data())
+def test_class_statistics_of_rows_equals_them_on_the_gathered_side(classes, dim, data):
+    n = data.draw(st.integers(2 * classes, 12))
+    cells = data.draw(st.lists(_STAT_VALUES | st.floats(-1e3, 1e3), min_size=n * dim,
+                               max_size=n * dim))
+    labels = np.arange(n) % classes
+    table = table_of(np.array(cells).reshape(n, dim), labels)
+    # rows in any order, repeats allowed, each class kept at two rows or more
+    picked = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    rows = np.array([*range(2 * classes), *picked], np.int64)
+    rows = rows[data.draw(st.permutations(range(rows.size)))]
+    side = select_rows(table, rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            expected = class_statistics(side)
+        except NonFiniteValue as exc:
+            with pytest.raises(NonFiniteValue, match=re.escape(str(exc))):
+                class_statistics(table, rows)
+            return
+    got = class_statistics(table, rows)
+    assert got.means.tobytes() == expected.means.tobytes()
+    assert got.variances.tobytes() == expected.variances.tobytes()
+
+
+def test_class_statistics_of_split_rows_equal_them_on_train_test_split():
+    table = order_table("ties", 2)
+    train_rows, test_rows = split_rows(table, 0.6, seed=3)
+    for rows, side in zip((train_rows, test_rows), train_test_split(table, 0.6, seed=3)):
+        for got, expected in zip(vars(class_statistics(table, rows)).values(),
+                                 vars(class_statistics(side)).values()):
+            assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([[0, 1]], DimensionMismatch),
+    ([0, 12], InvalidValue),
+    ([-1, 0], InvalidValue),
+    ([0.5, 1], InvalidValue),
+    (["0", "1"], InvalidValue),
+], ids=["2-d", "past-the-end", "negative", "fraction", "text"])
+def test_a_row_index_outside_the_table_is_refused(rows, error):
+    table = order_table("two-row", 0)
+    for read in (class_statistics, select_rows):
+        with pytest.raises(error, match="rows"):
+            read(table, rows)
+
+
 # -- synthetic generation -----------------------------------------------------
 
 def test_synthetic_shapes_and_planted_structure():
@@ -393,6 +449,30 @@ def test_split_rejects_empty_sides():
 def test_split_rejects_an_empty_table():
     with pytest.raises(ClassTooSmall, match="empty table"):
         train_test_split(table_of(np.zeros((0, 3)), []), 0.5, seed=0)
+
+
+def test_split_rows_are_read_only_and_train_test_split_gathers_them():
+    rng = np.random.default_rng(6)
+    table = table_of(rng.normal(size=(30, 3)), np.arange(30) % 3)
+    rows = split_rows(table, 0.7, seed=4)
+    for side, index in zip(train_test_split(table, 0.7, seed=4), rows):
+        assert index.dtype == np.int64 and np.all(np.diff(index) > 0)
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0] = 1
+        assert side.features.tobytes() == table.features[index].tobytes()
+        assert side.labels.tobytes() == table.labels[index].tobytes()
+        assert side.subclass_names == table.subclass_names
+    assert sorted(np.concatenate(rows).tolist()) == list(range(30))
+    # the table the rows index stays unwritable
+    assert not (table.features.flags.writeable or table.labels.flags.writeable)
+    with pytest.raises(ValueError):
+        table.features[rows[0][0], 0] = 0.0
+
+
+def test_selecting_every_row_is_the_table_itself():
+    table = order_table("no-tie", 0)
+    assert select_rows(table, None) is table
 
 
 # -- CSV round trip -----------------------------------------------------------

@@ -24,7 +24,7 @@ from hierfusion.exceptions import (
     UnknownSuperclass,
 )
 from hierfusion.cli import experiment_config_from_dict
-from hierfusion.features import FeatureTable
+from hierfusion.features import FeatureTable, select_rows
 from hierfusion.model import (
     FusionConfig,
     FusionModel,
@@ -805,6 +805,81 @@ def test_a_lone_run_never_forks():
     with many_slices(4) as forks:
         train(*run)
     assert forks == []
+
+
+# -- runs on row indices ----------------------------------------------------------
+
+def runs_on_rows(tables):
+    """eight_runs(2), every run reading 36 rows of its table in an order of
+    its own, some rows twice; with tables "one", every run reads one table."""
+    rng = np.random.default_rng(84)
+    runs = eight_runs()
+    if tables == "one":
+        runs = [(config, runs[0][1], structures) for config, _, structures in runs]
+    rows = [rng.choice(table.count, size=36, replace=r % 2 == 0)
+            for r, (_, table, _) in enumerate(runs)]
+    return runs, rows
+
+
+@pytest.mark.parametrize("tables", ["one", "two"])
+@pytest.mark.parametrize("slices", [1, 3])
+def test_training_on_rows_is_bit_equal_to_training_on_the_gathered_tables(slices, tables):
+    runs, rows = runs_on_rows(tables)
+    configs, sources, structures = zip(*runs)
+    assert len({id(t) for t in sources}) == {"one": 1, "two": 2}[tables]
+    gathered = [select_rows(table, index) for table, index in zip(sources, rows)]
+    whole = one_slice(lambda: train_stacked(configs, gathered, structures))
+    with many_slices(slices) as forks:
+        on_rows = train_stacked(configs, sources, structures, rows)
+    assert len(forks) == slices - 1
+    for result, expected, run, index in zip(on_rows, whole, runs, rows):
+        assert_same_run(result, expected)
+        assert_same_run(result, train(*run, index))
+
+
+def test_training_on_every_row_is_training_on_the_table():
+    config, table, structures = eight_runs()[0]
+    for rows in (None, np.arange(table.count), list(range(table.count))):
+        assert_same_run(train(config, table, structures, rows), train(config, table, structures))
+    (on_rows,) = train_stacked([config], [table], [structures], [None])
+    assert_same_run(on_rows, train(config, table, structures))
+
+
+@pytest.mark.parametrize("slices", [1, 2])
+def test_a_run_on_rows_that_diverges_mid_epoch_keeps_its_epoch_and_sample(capfd, slices):
+    table, fine, late, _ = diverging_stack_runs()
+    rows = np.arange(table.count)[::-1]
+    alone = lone_error(late, select_rows(table, rows))
+    assert (alone.epoch, alone.sample) == (6, 8)  # the epoch's second batch
+    capfd.readouterr()
+    with many_slices(slices), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergedLoss) as stacked:
+            train_stacked([fine, late, fine], [table] * 3, [NONE] * 3, [rows] * 3)
+    assert capfd.readouterr().err == ""
+    assert (stacked.value.run, stacked.value.epoch, stacked.value.sample) == \
+        (1, alone.epoch, alone.sample)
+
+
+def test_runs_on_one_table_stack_by_their_row_count(monkeypatch):
+    config, table, structures = eight_runs()[0]
+    rows = [np.arange(40), np.arange(30), np.arange(5, 45), np.arange(15, 45)]
+    alone = [train(config, table, structures, index) for index in rows]
+    passes = counted_passes(monkeypatch)
+    stacked = train_stacked([config] * 4, [table] * 4, [structures] * 4, rows)
+    assert passes == [2, 2]
+    for result, lone in zip(stacked, alone):
+        assert_same_run(result, lone)
+
+
+def test_a_stack_needs_one_row_index_per_run_inside_its_table():
+    config, table, structures = eight_runs()[0]
+    with pytest.raises(InvalidConfig, match="row index per run"):
+        train_stacked([config] * 2, [table] * 2, [structures] * 2, [None])
+    with pytest.raises(InvalidValue, match="rows"):
+        train(config, table, structures, [0, table.count])
+    with pytest.raises(ClassTooSmall, match="no rows to train on"):
+        train(config, table, structures, [])
 
 
 # -- prediction -------------------------------------------------------------------

@@ -30,7 +30,7 @@ PUBLIC = """
     lca_heights load_checkpoint load_feature_table load_predictions
     load_structure load_structure_set predict rng_from_seed save_checkpoint
     save_feature_table save_history save_predictions save_structure
-    spectral_embedding symmetric_eigen train train_stacked
+    select_rows spectral_embedding split_rows symmetric_eigen train train_stacked
     train_test_split validate_structure
 """.split()
 
@@ -187,24 +187,31 @@ def test_only_workers_forks_or_counts_workers(path):
     assert _worker_calls(path) == []
 
 
-_PLAN_STEPS = ("_load_table", "build_visual_structure", "train_test_split")
+_PLAN_STEPS = ("_load_table", "build_visual_structure", "split_rows")
 
 
-def _plan_step_calls(path: Path) -> list:
-    """Each call in `path` of a step that makes a run's sides or structures,
-    as "<innermost enclosing function>: <step>"."""
+def _plan_step_calls(path: Path, steps=_PLAN_STEPS) -> list:
+    """Each call in `path` of one of `steps`, by default those that make a
+    run's sides or structures, as "<innermost enclosing function>: <step>";
+    a step called as an attribute (``features.step(...)``) counts too."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     owner = {}
     for function in ast.walk(tree):  # outer functions first, so inner ones win
         if isinstance(function, ast.FunctionDef):
             owner.update((id(node), function.name) for node in ast.walk(function))
-    return sorted(f"{owner.get(id(node), '<module>')}: {node.func.id}"
-                  for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                  and node.func.id in _PLAN_STEPS)
+    called = ((node, getattr(node.func, "id", getattr(node.func, "attr", None)))
+              for node in ast.walk(tree) if isinstance(node, ast.Call))
+    return sorted(f"{owner.get(id(node), '<module>')}: {name}"
+                  for node, name in called if name in steps)
 
 
 def test_only_the_run_plan_makes_sides_and_structures():
     # every command gets its sides and structures from cli._runs, so a k
     # sweep scores what build-structure would write under the same config
     assert _plan_step_calls(SRC / "cli.py") == [f"_runs: {step}" for step in _PLAN_STEPS]
+
+
+def test_the_cli_gathers_no_training_side():
+    # a run trains and induces on its table's rows in place; train_test_split
+    # would gather both sides of every split
+    assert _plan_step_calls(SRC / "cli.py", ("train_test_split",)) == []
