@@ -40,7 +40,7 @@ import argparse
 import copy
 import gc
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Annotated
 
@@ -368,7 +368,7 @@ def cmd_evaluate(config: ExperimentConfig) -> None:
     batch, report = _score(model, structures, held_out)
     report_path = out / "report.json"
     with atomic_text_writer(report_path) as fh:
-        fh.write(dump_json(report.to_dict()))
+        fh.write(dump_json(asdict(report)))
     predictions_path = out / "predictions.csv"
     save_predictions(batch, predictions_path)
     _note(f"wrote {report_path}")
@@ -435,7 +435,7 @@ def cmd_sweep(config: ExperimentConfig, raw: dict) -> None:
         label = f"{axis} {_sweep_value_str(value)}, seed {seed}"
         raise DivergedLoss(exc.epoch, exc.sample, label) from exc
     # each held-out side is gathered as it is scored, and released after
-    reports = [_score(model, run_structures, select_rows(table, rows))[1].to_dict()
+    reports = [asdict(_score(model, run_structures, select_rows(table, rows))[1])
                for (model, _), table, rows, run_structures
                in zip(trained, tables, test_rows, structure_sets)]
 

@@ -17,7 +17,7 @@ All sample reductions are exact integer sums followed by one division,
 so results do not depend on accumulation order.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
@@ -77,9 +77,6 @@ class StructureScores:
     tie: float
     lca: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -92,10 +89,6 @@ class EvalReport:
     tie_a: float
     lca_a: float
     per_structure: tuple[StructureScores, ...]
-
-    def to_dict(self) -> dict:
-        per_structure = [s.to_dict() for s in self.per_structure]
-        return dict(asdict(self), per_structure=per_structure)
 
 
 def structure_scores(structure: LabelStructure, batch: PredictionBatch) -> StructureScores:

@@ -18,7 +18,8 @@ training and gradient_check: `_head_losses` gives each head's loss and
 `_total_loss` weights and adds them. One canonical parameter
 order, `_layout` (trunk stages, the subclass head, then superclass heads),
 fixes checkpoint tensors, the flat training buffer and its gradients;
-`_shapes` walks it for the shape init_model draws and a model checks.
+`_shapes` walks it for the shape init_model draws and a model checks,
+and gradient_check fits a model by comparing it with a drawn one.
 
 All parameters are float64 arrays; backpropagation is written out by
 hand and validated against central finite differences (gradient_check).
@@ -65,6 +66,7 @@ the same class.
 
 import math
 from dataclasses import asdict, dataclass, replace
+from types import SimpleNamespace
 from typing import Annotated
 
 import numpy as np
@@ -302,29 +304,16 @@ def _parameter_fields(layout, arrays) -> dict:
     return fields
 
 
-class _Fields:
-    """A dict of FusionModel parameter fields as plain attributes.
-
-    They are set one at a time rather than through vars(), which keeps
-    CPython's fast attribute reads; the training step makes some twenty
-    of them per batch.
-    """
-
-    def __init__(self, fields: dict):
-        for name, value in fields.items():
-            setattr(self, name, value)
-
-
-class _Params(_Fields):
+class _Params:
     """Mutable parameters of R same-shaped models, in one (R, P) buffer.
 
     Row r of `values` holds model r's parameters back to back in the
-    canonical layout. The fields (`trunk_weights`, ..., `super_biases`)
-    are views into it with the run axis first: weights (R, a, b), biases
-    (R, 1, k) so they broadcast over a batch's rows; `fields` maps their
-    names to those views. `grads` carries the same fields as views into a
-    second buffer, `grad`, so one gradient step for every run is one array
-    update and gradient_check indexes both buffers alike.
+    canonical layout. Its FusionModel parameter fields (`trunk_weights`,
+    ..., `super_biases`) are views into it with the run axis first:
+    weights (R, a, b), biases (R, 1, k) so they broadcast over a batch's
+    rows. `grads` is a namespace of the same fields as views into a
+    second buffer, `grad`, so one gradient step for every run is one
+    array update and gradient_check indexes both buffers alike.
     """
 
     def __init__(self, models):
@@ -337,10 +326,10 @@ class _Params(_Fields):
         self.grad = np.empty_like(self.values)
         stacked = [(1,) + arr.shape if arr.ndim == 1 else arr.shape
                    for _, arr in _parameters(first)]
-        self.fields = _parameter_fields(layout, _views(self.values, stacked))
-        self.grads = _Fields(_parameter_fields(layout, _views(self.grad, stacked)))
+        for field, views in _parameter_fields(layout, _views(self.values, stacked)).items():
+            setattr(self, field, views)
+        self.grads = SimpleNamespace(**_parameter_fields(layout, _views(self.grad, stacked)))
         self.attach_stages = first.attach_stages
-        super().__init__(self.fields)
 
 
 def _with_values(model: FusionModel, row) -> FusionModel:
@@ -591,7 +580,8 @@ def train_stacked(
     read it in place. Runs that share layout shapes, training row count,
     batch size and epochs (_stack_key) form one stack, trained in one
     pass; the stacks train one after another in order of their first run.
-    No training rows is ClassTooSmall. Each batch gathers its (R, batch,
+    No training rows is ClassTooSmall, and a batch size at or above the
+    training row count trains full batch. Each batch gathers its (R, batch,
     d) rows from the stack's distinct tables (by identity) through a
     per-run order of table rows, so neither an epoch copy nor a training
     side of the rows is made, and a stack that reads one table gathers
@@ -684,7 +674,7 @@ def _descend(configs, tables, structures, rows, models, indices):
     params = _Params(models)
     heads = configs[0].structure_count
     n = len(rows[0])
-    batch, epochs = configs[0].batch_size, configs[0].epochs
+    batch, epochs = min(configs[0].batch_size, n), configs[0].epochs
     step = _Step(configs, models[0], batch)
     rates = np.array([[c.learning_rate] for c in configs])
     shuffles = [rng_from_seed(derive_seed(c.seed, _STREAM_SHUFFLE)) for c in configs]
@@ -738,8 +728,7 @@ def _descend(configs, tables, structures, rows, models, indices):
 def _gather(sides, rows) -> np.ndarray:
     """The (R, b, d) batch where run r reads rows[r] of its table; `sides`
     pairs each distinct table's features with the runs that read it. Runs
-    that all read one table, as every stack the CLI trains does, take
-    one gather."""
+    that all read one table take one gather."""
     if len(sides) == 1:
         return sides[0][0][rows]
     batch = np.empty(rows.shape + sides[0][0].shape[1:])
@@ -776,24 +765,20 @@ def gradient_check(
     them, otherwise a random subset of that size drawn from
     `_GRADIENT_SEED`. The relative error is |g_a - g_n| / max(1, |g_a| +
     |g_n|), so parameters with a true zero gradient are compared on an
-    absolute scale. The loss is taken on `table`, which, like the
-    structures, must match the model's input width, names and heads.
+    absolute scale. The loss is taken on `table` for a model that
+    init_model(config, structures, table.dim, table.subclass_names) could
+    draw, else the error of init_model or of the first field that differs.
     """
-    if len(structures) != config.structure_count:
-        raise InvalidConfig(
-            f"config expects {config.structure_count} structures, got {len(structures)}"
-        )
-    if model.attach_stages != config.attach_stages:
-        raise InvalidConfig("model and config disagree on attach stages")
     if table.count == 0:
         raise ClassTooSmall(0, "empty table has no rows to check")
-    if table.dim != model.input_dim:
-        raise DimensionMismatch(f"table dimension {table.dim}, model {model.input_dim}")
-    if {table.subclass_names, *(s.subclass_names for s in structures)} != {
-            model.subclass_names}:
+    fitted = init_model(config, structures, table.dim, table.subclass_names)
+    if model.attach_stages != fitted.attach_stages:
+        raise InvalidConfig("model and config disagree on attach stages")
+    if model.subclass_names != fitted.subclass_names:
         raise SubclassSpaceMismatch("the subclass name table is not the model's")
-    if tuple(s.superclass_count for s in structures) != model.superclass_counts:
-        raise DimensionMismatch("superclass counts differ from the model's heads")
+    for (name, arr), (need, fit) in zip(_parameters(model), _parameters(fitted)):
+        if (name, arr.shape) != (need, fit.shape):
+            raise DimensionMismatch(f"{name} {arr.shape} is not init_model's {need} {fit.shape}")
     x, y_sub = table.features[None], table.labels[None]
     y_supers = [s.parent_index[y_sub] for s in structures]
     params = _Params([model])

@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -959,6 +960,38 @@ def test_the_run_plan_reads_one_table_through_read_only_rows(tmp_path):
     assert not (table.features.flags.writeable or table.labels.flags.writeable)
 
 
+def full_batch_config(tmp_path) -> tuple[str, int]:
+    """An unsplit train config over the small dataset, and its row count."""
+    data = gen_dataset(tmp_path)
+    raw = sweep_base(tmp_path, data, tmp_path / "out")
+    del raw["split"]
+    rows = load_feature_table(raw["features"]).count
+    return write_config(tmp_path / "full.json", raw), rows
+
+
+def test_a_batch_size_past_the_row_count_trains_full_batch(tmp_path):
+    config, rows = full_batch_config(tmp_path)
+    trained = {}
+    for batch in (str(rows), "1e24"):
+        out = tmp_path / f"batch{batch}"
+        assert run("train", "--config", config, "--out", str(out),
+                   "--model.batch_size", batch) == 0
+        model, _ = load_checkpoint(out / "model.ckpt")
+        trained[batch] = ((out / "history.csv").read_bytes(),
+                          [arr.tobytes() for _, arr in model_module._parameters(model)])
+    assert trained["1e24"] == trained[str(rows)]
+
+
+def test_a_batch_size_past_the_row_count_costs_no_more_memory(tmp_path):
+    config, rows = full_batch_config(tmp_path)
+    peaks = {}
+    for batch in (rows, 10**6):
+        argv = ["train", "--config", config, "--model.batch_size", str(batch)]
+        code, peaks[batch] = _traced_peak(lambda: run(*argv))
+        assert code == 0
+    assert peaks[10**6] <= 1.25 * peaks[rows]
+
+
 def per_run_sweep_csv(raw, axis, values, seeds):
     """The sweep CSV built run by run from model.train and metrics.evaluate."""
     column = {"lambda": "lambda", "attach_stage": "stage", "k": "k"}[axis]
@@ -991,7 +1024,7 @@ def per_run_sweep_csv(raw, axis, values, seeds):
             batch = PredictionBatch(predicted=predict(model, test_side.features),
                                     truth=test_side.labels,
                                     subclass_names=test_side.subclass_names)
-            reports.append(evaluate(structures, batch).to_dict())
+            reports.append(asdict(evaluate(structures, batch)))
         cell = format_float(value) if isinstance(value, float) else str(value)
         for seed, report in zip(seeds, reports):
             lines.append(",".join([cell, str(seed)]

@@ -1,5 +1,7 @@
 """Structure-averaged evaluation measures and the prediction file format."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -227,7 +229,7 @@ def test_out_of_range_ids_raise():
 
 def test_report_to_dict_shape():
     report = evaluate(StructureSet((pair_structure(),)), WORKED)
-    raw = report.to_dict()
+    raw = asdict(report)
     assert list(raw) == [
         "accuracy", "p_ha", "r_ha", "f_ha", "tie_a", "lca_a", "per_structure",
     ]

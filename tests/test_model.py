@@ -971,6 +971,26 @@ def test_gradient_check_guards():
         gradient_check(model, table, skewed, headed)
 
 
+def test_gradient_check_fits_the_model_that_init_model_draws():
+    square = FusionConfig(stage_dims=(4, 4), attach_stages=(0,), seed=1)
+    model = init_model(square, ONE, 4, SUB_NAMES)
+    table = FeatureTable(np.zeros((2, 4)), [0, 1], SUB_NAMES)
+    # attach stages that differ while every shape agrees
+    with pytest.raises(InvalidConfig, match="attach stages"):
+        gradient_check(model, table, ONE, replace(square, attach_stages=(1,)))
+    with pytest.raises(DimensionMismatch, match=r"^trunk\.0\.weight \(4, 4\) .* \(4, 5\)"):
+        gradient_check(model, table, ONE, replace(square, stage_dims=(5, 4)))
+    # a stage more whose tensors repeat the model's shapes
+    with pytest.raises(DimensionMismatch, match=r"^subclass_head\.weight .* trunk\.2\.weight"):
+        gradient_check(model, table, ONE, replace(square, stage_dims=(4, 4, 4)))
+    lone = FeatureTable(np.zeros((2, 4)), [0, 0], ("c0",))
+    one_class = replace(model, subclass_weight=np.zeros((4, 1)), subclass_bias=np.zeros(1),
+                        super_weights=(), super_biases=(), attach_stages=(),
+                        structure_names=(), subclass_names=("c0",))
+    with pytest.raises(InvalidConfig, match="at least 2 subclasses"):
+        gradient_check(one_class, lone, NONE, FusionConfig(stage_dims=(4, 4), seed=1))
+
+
 # -- checkpoints --------------------------------------------------------------------
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
