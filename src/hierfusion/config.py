@@ -148,6 +148,14 @@ def config_path(kind: str):
     return typed
 
 
+def file_path(value, field: str) -> str:
+    """The path of a file a library function opens or replaces: a str, or
+    an os.PathLike whose os.fspath is one, by config_path's rule."""
+    with contextlib.suppress(TypeError):
+        value = os.fspath(value)
+    return config_path("file")(value, field)
+
+
 def config_choice(options):
     """The config type of a string that is one of `options`."""
 

@@ -71,6 +71,7 @@ from .config import (
     config_optional,
     config_real,
     config_seed,
+    file_path,
     fits_array,
     frozen_array,
     number_array,
@@ -435,7 +436,7 @@ def save_feature_table(table: FeatureTable, path) -> None:
     error is raised with the new file in place and any older twin left
     stale, so the next load parses.
     """
-    path = Path(path)
+    twin = _twin_path(path)
     bounds = part_bounds(table.count, table.count * table.dim, _MIN_RANGE_VALUES)
     ranges = len(bounds) - 1
 
@@ -445,7 +446,7 @@ def save_feature_table(table: FeatureTable, path) -> None:
             files[index].flush()  # a worker leaves through os._exit
 
     with contextlib.ExitStack() as scratch:
-        parts = [scratch.enter_context(tempfile.TemporaryFile(dir=path.parent))
+        parts = [scratch.enter_context(tempfile.TemporaryFile(dir=twin.parent))
                  for _ in range(1, ranges)]
         with atomic_text_writer(path, binary=True) as fh:
             out = _HashedWriter(fh)
@@ -457,7 +458,7 @@ def save_feature_table(table: FeatureTable, path) -> None:
                 part.seek(0)
                 while block := part.read(_HASH_BLOCK_BYTES):
                     out.write(block)
-    _save_twin(table, path, out.digest.hexdigest())
+    _save_twin(table, twin, out.digest.hexdigest())
 
 
 class _HashedWriter:
@@ -474,8 +475,9 @@ class _HashedWriter:
 
 
 def _twin_path(path) -> Path:
-    """The binary twin of the feature file `path`: ``.<name>.table``."""
-    path = Path(path)
+    """The binary twin of the feature file `path`: ``.<name>.table``; a
+    `path` that is no file path (config.file_path) is InvalidConfig."""
+    path = Path(file_path(path, "path"))
     return path.with_name(f".{path.name}.table")
 
 
@@ -488,11 +490,11 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _save_twin(table: FeatureTable, path: Path, source: str) -> None:
-    """Write the twin of the feature file `path`, just written from `table`,
+def _save_twin(table: FeatureTable, twin: Path, source: str) -> None:
+    """Write `twin`, the twin of a feature file just written from `table`,
     whose bytes have the hex SHA-256 `source`: the save_frame frame of the
     header `source`; `rows`; `dim`; `names` and the features and labels,
-    as load_feature_table(path) with no names returns them (its labels in
+    as load_feature_table with no names returns them (its labels in
     first-appearance order and ids into them).
     """
     used, first = np.unique(table.labels, return_index=True)
@@ -501,7 +503,7 @@ def _save_twin(table: FeatureTable, path: Path, source: str) -> None:
     ids[order] = np.arange(order.size)
     header = {"source": source, "rows": table.count, "dim": table.dim,
               "names": [table.subclass_names[i] for i in order.tolist()]}
-    save_frame(_twin_path(path), TABLE_MAGIC, header, (table.features, ids[table.labels]))
+    save_frame(twin, TABLE_MAGIC, header, (table.features, ids[table.labels]))
 
 
 def _twin_layout(header) -> list:

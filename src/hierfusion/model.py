@@ -12,10 +12,10 @@ structure on the fly, never stored, so they can't drift out of sync.
 Inference reads the subclass head only.
 
 One forward pass, `_logits`, serves forward(), training and
-gradient_check, on a FusionModel or on its mutable training copy with the
-same field names. One pair of functions composes the loss above for
-training and gradient_check: `_head_losses` gives each head's loss and
-`_total_loss` weights and adds them. One canonical parameter
+gradient_check on a FusionModel or its mutable training copy; `_heads`
+alone names the heads' fields, the subclass head first. The training
+step `_loss_and_grads` writes each head's loss and the gradient, and
+gradient_check differences that same step. One canonical parameter
 order, `_layout` (trunk stages, the subclass head, then superclass heads),
 fixes checkpoint tensors, the flat training buffer and its gradients;
 `_shapes` walks it for the shape init_model draws and a model checks,
@@ -78,6 +78,7 @@ from .config import (
     config_int,
     config_list,
     config_name,
+    file_path,
     fits_array,
     frozen_array,
     number_array,
@@ -217,6 +218,8 @@ def init_model(
     in structure order; biases draw nothing), so models that share a
     prefix of that list share those draws.
     """
+    input_dim = config_int(input_dim, "input_dim")
+    subclass_names = SUBCLASS_NAMES(subclass_names, "subclass_names")
     if len(structures) != config.structure_count:
         raise InvalidConfig(
             f"config expects {config.structure_count} structures, got {len(structures)}"
@@ -238,7 +241,7 @@ def init_model(
         scale = 1.0 / math.sqrt(shape[0])
         return rng.uniform(-scale, scale, size=shape)
 
-    shapes = _shapes(int(input_dim), config.stage_dims, subclass_count, config.attach_stages,
+    shapes = _shapes(input_dim, config.stage_dims, subclass_count, config.attach_stages,
                      tuple(s.superclass_count for s in structures))
     model = FusionModel(
         **_parameter_fields(_layout(len(config.stage_dims), len(structures)),
@@ -328,8 +331,9 @@ class _Params:
                    for _, arr in _parameters(first)]
         for field, views in _parameter_fields(layout, _views(self.values, stacked)).items():
             setattr(self, field, views)
-        self.grads = SimpleNamespace(**_parameter_fields(layout, _views(self.grad, stacked)))
         self.attach_stages = first.attach_stages
+        self.grads = SimpleNamespace(**_parameter_fields(layout, _views(self.grad, stacked)),
+                                     attach_stages=self.attach_stages)
 
 
 def _with_values(model: FusionModel, row) -> FusionModel:
@@ -351,13 +355,20 @@ def _views(buffer, shapes) -> list[np.ndarray]:
     return views
 
 
+def _heads(params) -> list:
+    """(trunk stage, weight, bias) of the subclass head on the last stage,
+    then of each superclass head on its attach stage, in a FusionModel, a
+    _Params or its `grads`."""
+    return [(len(params.trunk_weights) - 1, params.subclass_weight, params.subclass_bias),
+            *zip(params.attach_stages, params.super_weights, params.super_biases)]
+
+
 def _logits(params, x):
-    """(trunk activations, subclass logits, list of superclass logits) of
-    the batch `x`; the one forward pass.
+    """(trunk activations, the logits of each head in _heads order) of the
+    batch `x`; the one forward pass.
 
     `params` is a FusionModel with an (n, d) batch, or a _Params with an
-    (R, n, d) stack of batches, one per run: both carry the parameter
-    fields and `attach_stages`.
+    (R, n, d) stack of batches, one per run.
     """
     acts = []
     h = x
@@ -366,15 +377,7 @@ def _logits(params, x):
         h += b
         np.tanh(h, out=h)
         acts.append(h)
-    sub = acts[-1] @ params.subclass_weight
-    sub += params.subclass_bias
-    supers = []
-    for stage, w, b in zip(params.attach_stages, params.super_weights,
-                           params.super_biases):
-        logits = acts[stage] @ w
-        logits += b
-        supers.append(logits)
-    return acts, sub, supers
+    return acts, [acts[stage] @ w + b for stage, w, b in _heads(params)]
 
 
 def _cross_entropy_grad(logits, labels, offsets, loss):
@@ -416,11 +419,10 @@ class _Step:
     `weights` is their (1 + M, R) loss-weight table: row 0 holds each
     run's 1 - lambda_total, row 1 + m its lambda for structure m.
     `scales` are its rows as (R, 1, 1) columns that scale an (R, n, k)
-    logit gradient. `offsets`
-    holds, for the subclass head and then each superclass head, the flat
-    index of each sample's first logit in an (R, batch, k) logit array:
-    the multiples of that head's k, of which a smaller last batch uses a
-    prefix.
+    logit gradient. `offsets` holds, for each head in _heads order, the
+    flat index of each sample's first logit in an (R, batch, k) logit
+    array: the multiples of that head's k, of which a smaller last batch
+    uses a prefix.
     """
 
     def __init__(self, configs, model: FusionModel, batch: int):
@@ -430,49 +432,31 @@ class _Step:
         self.offsets = [np.arange(0, len(configs) * batch * k, k) for k in heads]
 
 
-def _head_losses(sub_logits, super_logits, y_sub, y_supers, step, losses):
-    """Each head's loss of a batch, written into `losses`, and the
-    unweighted logit gradients.
-
-    Row 0 of the (1 + M, R) array `losses` gets each run's subclass loss
-    and row 1 + m its loss for structure m; returns (subclass logit
-    gradient, superclass logit gradients). `step` is the slice's _Step.
-    Labels must be pre-validated (see _cross_entropy_grad).
-    """
-    sub_grad = _cross_entropy_grad(sub_logits, y_sub, step.offsets[0], losses[0])
-    grads = [_cross_entropy_grad(logits, labels, offsets, loss)
-             for logits, labels, offsets, loss
-             in zip(super_logits, y_supers, step.offsets[1:], losses[1:])]
-    return sub_grad, grads
-
-
 def _total_loss(weights, losses):
     """The multi-task loss of head losses `losses` (..., 1 + M, R), laid
-    out as _head_losses writes them: weights[0] * subclass + sum_m
+    out as _loss_and_grads writes them: weights[0] * subclass + sum_m
     weights[1 + m] * per-structure[m], the terms added in that order, with
     `weights` a _Step's table."""
     return weights[0] * losses[..., 0, :] + sum(
         w * losses[..., 1 + m, :] for m, w in enumerate(weights[1:]))
 
 
-def _loss_and_grads(params, x, y_sub, y_supers, step, losses):
-    """One forward/backward pass of a stack of runs; returns the subclass
-    logits.
+def _loss_and_grads(params, x, labels, step, losses):
+    """The training step of a stack of runs, one forward/backward pass;
+    returns the subclass logits.
 
-    `params` is a _Params, `x` the (R, n, d) stack of batches, `y_sub`
-    (R, n) and each `y_supers[m]` (R, n); `step` is the runs' _Step, and
-    each head's loss goes into `losses` as _head_losses writes it. The
-    gradient is written into params.grads. Head
-    gradients enter the trunk at their attach stage scaled by their loss
-    weight, so a zero-weight head contributes exactly zero, and the
-    subclass gradient by its weight, 1 - lambda_total. Each stage's
+    `params` is a _Params, `x` the (R, n, d) stack of batches, `labels`
+    the (1 + M, R, n) ids of each head in _heads order, pre-validated (see
+    _cross_entropy_grad), and `step` the runs' _Step. Row h of `losses`,
+    (1 + M, R), gets head h's loss and params.grads the gradient. Each
+    head's logit gradient enters the trunk at its stage scaled by its loss
+    weight, so a zero-weight head contributes exactly zero. Each stage's
     activation gradient starts from its first contribution and adds the
-    rest in the fixed order subclass head, superclass heads, stage above.
+    rest in head order, then the stage above.
     """
-    acts, sub_logits, super_logits = _logits(params, x)
-    sub_grad, super_grads = _head_losses(
-        sub_logits, super_logits, y_sub, y_supers, step, losses
-    )
+    acts, logits = _logits(params, x)
+    head_grads = [_cross_entropy_grad(*head)
+                  for head in zip(logits, labels, step.offsets, losses)]
 
     d_acts = [None] * len(acts)
 
@@ -483,16 +467,13 @@ def _loss_and_grads(params, x, y_sub, y_supers, step, losses):
             d_acts[stage] += back
 
     g = params.grads
-    sub_grad *= step.scales[0]
-    np.matmul(acts[-1].swapaxes(-1, -2), sub_grad, out=g.subclass_weight)
-    np.add.reduce(sub_grad, axis=-2, keepdims=True, out=g.subclass_bias)
-    d_acts[-1] = sub_grad @ params.subclass_weight.swapaxes(-1, -2)
-    for m, stage in enumerate(params.attach_stages):
-        scaled = super_grads[m]
-        scaled *= step.scales[1 + m]
-        np.matmul(acts[stage].swapaxes(-1, -2), scaled, out=g.super_weights[m])
-        np.add.reduce(scaled, axis=-2, keepdims=True, out=g.super_biases[m])
-        add_back(stage, scaled @ params.super_weights[m].swapaxes(-1, -2))
+    for (stage, w, _), (_, g_w, g_b), d_z, scale in zip(
+        _heads(params), _heads(g), head_grads, step.scales
+    ):
+        d_z *= scale
+        np.matmul(acts[stage].swapaxes(-1, -2), d_z, out=g_w)
+        np.add.reduce(d_z, axis=-2, keepdims=True, out=g_b)
+        add_back(stage, d_z @ w.swapaxes(-1, -2))
 
     for s in range(len(acts) - 1, -1, -1):
         d_pre = acts[s] * acts[s]
@@ -503,7 +484,7 @@ def _loss_and_grads(params, x, y_sub, y_supers, step, losses):
         np.add.reduce(d_pre, axis=-2, keepdims=True, out=g.trunk_biases[s])
         if s > 0:
             add_back(s - 1, d_pre @ params.trunk_weights[s].swapaxes(-1, -2))
-    return sub_logits
+    return logits[0]
 
 
 def forward(model: FusionModel, x):
@@ -523,7 +504,7 @@ def forward(model: FusionModel, x):
         raise DimensionMismatch(
             f"expected inputs of dimension {model.input_dim}"
         )
-    _, sub, supers = _logits(model, arr)
+    _, (sub, *supers) = _logits(model, arr)
     if single:
         return sub[0], tuple(s[0] for s in supers)
     return sub, tuple(supers)
@@ -666,8 +647,8 @@ def _descend(configs, tables, structures, rows, models, indices):
     run whose loss turns non-finite is DivergedLoss named by its entry in
     `indices` (see _train_stack).
 
-    A batch's steps only store each head's loss (_head_losses); the epoch
-    then totals them, tests the totals and sums every column over its
+    A batch's steps only store each head's loss (_loss_and_grads); the
+    epoch then totals them, tests the totals and sums every column over its
     batches in batch order, as a running sum would.
     """
     runs = len(configs)
@@ -691,7 +672,7 @@ def _descend(configs, tables, structures, rows, models, indices):
     order = np.empty((runs, n), dtype=np.int64)
     ys = np.empty((1 + heads, runs, n), dtype=np.int64)
     predicted = np.empty((runs, n), dtype=np.int64)
-    losses = np.empty((len(starts), 1 + heads, runs))  # per batch, as _head_losses
+    losses = np.empty((len(starts), 1 + heads, runs))  # per batch, by head
     diverged = {}  # run -> (epoch, sample) of its first non-finite loss
     with np.errstate(all="ignore"):
         for epoch in range(epochs):
@@ -701,10 +682,9 @@ def _descend(configs, tables, structures, rows, models, indices):
                 for m, structure in enumerate(structures[r]):
                     ys[1 + m, r] = structure.parent_index[ys[0, r]]
             for b, start in enumerate(starts):
-                by = ys[:, :, start : start + batch]
                 sub_logits = _loss_and_grads(
-                    params, _gather(sides, order[:, start : start + batch]), by[0],
-                    by[1:], step, losses[b],
+                    params, _gather(sides, order[:, start : start + batch]),
+                    ys[:, :, start : start + batch], step, losses[b],
                 )
                 sub_logits.argmax(axis=-1, out=predicted[:, start : start + batch])
                 params.grad *= rates
@@ -768,6 +748,8 @@ def gradient_check(
     absolute scale. The loss is taken on `table` for a model that
     init_model(config, structures, table.dim, table.subclass_names) could
     draw, else the error of init_model or of the first field that differs.
+    The analytic gradient and each differenced loss come from a call of
+    the training step, _loss_and_grads, so the check is of what trains.
     """
     if table.count == 0:
         raise ClassTooSmall(0, "empty table has no rows to check")
@@ -779,18 +761,18 @@ def gradient_check(
     for (name, arr), (need, fit) in zip(_parameters(model), _parameters(fitted)):
         if (name, arr.shape) != (need, fit.shape):
             raise DimensionMismatch(f"{name} {arr.shape} is not init_model's {need} {fit.shape}")
-    x, y_sub = table.features[None], table.labels[None]
-    y_supers = [s.parent_index[y_sub] for s in structures]
+    x, y = table.features[None], table.labels[None]
+    labels = np.stack([y, *(s.parent_index[y] for s in structures)])
     params = _Params([model])
     step = _Step([config], model, table.count)
     losses = np.empty((1 + len(structures), 1))
-    _loss_and_grads(params, x, y_sub, y_supers, step, losses)
-    values, grad = params.values[0], params.grad[0]
 
     def total_loss() -> float:
-        _, sub, supers = _logits(params, x)
-        _head_losses(sub, supers, y_sub, y_supers, step, losses)
+        _loss_and_grads(params, x, labels, step, losses)
         return float(_total_loss(step.weights, losses)[0])
+
+    total_loss()
+    values, grad = params.values[0], params.grad[0].copy()
 
     total = values.size
     if total <= _GRADIENT_SAMPLE:
@@ -874,6 +856,7 @@ def load_checkpoint(path) -> tuple[FusionModel, FusionConfig]:
     header of the model and config it holds. Tensors that do not fit
     together are the model's own DimensionMismatch.
     """
+    path = file_path(path, "path")  # typed outside the try: not a CheckpointError
     try:
         header, arrays = load_frame(path, CHECKPOINT_MAGIC, _tensor_layout)
         config = FusionConfig(**typed_section(header["config"], "model", FusionConfig))

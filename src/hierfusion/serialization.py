@@ -8,6 +8,8 @@ load_frame alone lay out: a JSON header, the raw arrays it describes,
 then a SHA-256 of every byte before it, so no damaged byte reads back as
 a value. load_json reads all JSON but reports, not keeps, a repeated key;
 load_json_object reads every JSON object, and format_float every float.
+Where a file is opened or replaced, its path is typed by config.file_path,
+so an integer is never taken as a file descriptor.
 """
 
 import contextlib
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import file_path
 from .exceptions import MalformedRow
 
 
@@ -188,7 +191,7 @@ def atomic_text_writer(path, *, binary: bool = False):
     truncated file under the final name. Every artifact the toolkit
     writes goes through here.
     """
-    path = Path(path)
+    path = Path(file_path(path, "path"))
     partial = path.with_name(f".{path.name}.partial")
     text = {} if binary else {"encoding": "utf-8", "newline": "\n"}
     try:
@@ -227,7 +230,7 @@ def load_frame(path, magic: bytes, layout) -> tuple[dict, list]:
     or a wrong closing SHA-256.
     """
     start = len(magic) + 4
-    with open(path, "rb") as fh:
+    with open(file_path(path, "path"), "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(start)
         if len(head) < start or not head.startswith(magic):
@@ -276,7 +279,7 @@ def load_json_object(data: bytes, error, where: str) -> dict:
 
 def load_json_file(path, error) -> dict:
     """The JSON object in the file `path`, by :func:`load_json_object`."""
-    with open(path, "rb") as fh:
+    with open(file_path(path, "path"), "rb") as fh:
         return load_json_object(fh.read(), error, path)
 
 
@@ -288,7 +291,7 @@ def text_reader(path):
     text is decoded in chunks, ahead of the line being read.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(file_path(path, "path"), encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise MalformedRow(f"{path}: not UTF-8 text ({exc.reason})") from exc

@@ -102,7 +102,11 @@ class StructureSet:
     structures: tuple[LabelStructure, ...]
 
     def __post_init__(self):
-        structures = tuple(self.structures)
+        try:
+            structures = tuple(self.structures)
+        except TypeError:  # not iterable, such as None
+            raise StructureError("a structure set holds LabelStructure members only, "
+                                 f"got {self.structures!r}") from None
         object.__setattr__(self, "structures", structures)
         if not all(isinstance(s, LabelStructure) for s in structures):
             raise StructureError("a structure set holds LabelStructure members only")

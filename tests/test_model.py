@@ -991,6 +991,24 @@ def test_gradient_check_fits_the_model_that_init_model_draws():
         gradient_check(one_class, lone, NONE, FusionConfig(stage_dims=(4, 4), seed=1))
 
 
+@pytest.mark.parametrize("stage_dims, checked", [((5, 4), 91), ((20, 10), 200)],
+                         ids=["every-parameter", "sampled"])
+def test_gradient_check_differences_the_training_step(monkeypatch, stage_dims, checked):
+    # the analytic gradient is one training step, and each of the two losses
+    # per checked parameter is another, so the check is of what trains
+    calls = []
+    step = model_module._loss_and_grads
+    monkeypatch.setattr(model_module, "_loss_and_grads",
+                        lambda *args: calls.append(args) or step(*args))
+    config = FusionConfig(stage_dims=stage_dims, attach_stages=(0, 1),
+                          lambda_total=0.2, seed=50)
+    model = init_model(config, TWO, 3, SUB_NAMES)
+    table = FeatureTable(np.random.default_rng(50).normal(size=(12, 3)),
+                         np.arange(12) % N_SUB, SUB_NAMES)
+    assert gradient_check(model, table, TWO, config) < 1e-6
+    assert len(calls) == 1 + 2 * checked
+
+
 # -- checkpoints --------------------------------------------------------------------
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

@@ -215,3 +215,16 @@ def test_the_cli_gathers_no_training_side():
     # a run trains and induces on its table's rows in place; train_test_split
     # would gather both sides of every split
     assert _plan_step_calls(SRC / "cli.py", ("train_test_split",)) == []
+
+
+_HEAD_FIELDS = {"subclass_weight", "subclass_bias", "super_weights", "super_biases"}
+
+
+def test_only_the_model_class_and_the_head_list_read_head_fields():
+    # the subclass head is head 0 of model._heads, so the forward pass, the
+    # training step and gradient_check treat every head alike
+    tree = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
+    readers = {getattr(top, "name", "<module>") for top in tree.body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Attribute) and node.attr in _HEAD_FIELDS}
+    assert sorted(readers) == ["FusionModel", "_heads"]

@@ -306,7 +306,7 @@ def test_structure_set_rejects_mismatched_name_tables():
         StructureSet((a, b))
 
 
-@pytest.mark.parametrize("members", [("a", "b"), (None,), "ab"])
+@pytest.mark.parametrize("members", [("a", "b"), (None,), "ab", 5, None])
 def test_structure_set_refuses_members_that_are_not_structures(members):
     with pytest.raises(StructureError, match="LabelStructure"):
         StructureSet(members)

@@ -7,6 +7,7 @@ numbers and lists they stand for.
 """
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -24,10 +25,17 @@ from hierfusion.features import (
     FeatureTable,
     SyntheticSpec,
     load_feature_table,
+    save_feature_table,
     train_test_split,
 )
 from hierfusion.metrics import load_predictions
-from hierfusion.model import FusionConfig, forward, init_model, save_checkpoint
+from hierfusion.model import (
+    FusionConfig,
+    forward,
+    init_model,
+    load_checkpoint,
+    save_checkpoint,
+)
 from hierfusion.rng import derive_seed, rng_from_seed
 from hierfusion.structure_builder import (
     affinity_matrix,
@@ -35,7 +43,13 @@ from hierfusion.structure_builder import (
     spectral_embedding,
     symmetric_eigen,
 )
-from hierfusion.taxonomy import LabelStructure, StructureSet, lca_heights
+from hierfusion.taxonomy import (
+    LabelStructure,
+    StructureSet,
+    lca_heights,
+    load_structure,
+    save_structure,
+)
 
 
 @pytest.mark.parametrize("make", [
@@ -125,7 +139,8 @@ _STATS = ClassStats(means=[[0.0], [1.0], [3.0]], variances=[0.0, 0.0, 0.0])
 _POINTS = np.array([[0.0], [1.0], [3.0]])
 _TABLE = FeatureTable(np.arange(8.0).reshape(4, 2), [0, 0, 1, 1], ("a", "b"))
 _STRUCTURE = LabelStructure("a", ("s0", "s1"), ("c0", "c1"), [0, 1])
-_MODEL = init_model(FusionConfig(stage_dims=(4, 2)), StructureSet(()), 2, ("c0", "c1"))
+_CONFIG = FusionConfig(stage_dims=(4, 2))
+_MODEL = init_model(_CONFIG, StructureSet(()), 2, ("c0", "c1"))
 
 
 @pytest.mark.parametrize("call, argument", [
@@ -143,13 +158,41 @@ _MODEL = init_model(FusionConfig(stage_dims=(4, 2)), StructureSet(()), 2, ("c0",
     (lambda: rng_from_seed(True), "seed"),
     (lambda: load_feature_table("features.csv", "ab"), "subclass_names"),
     (lambda: load_predictions("predictions.csv", "ab"), "subclass_names"),
+    (lambda: init_model(_CONFIG, StructureSet(()), 3.9, ("c0", "c1")), "input_dim"),
+    (lambda: init_model(_CONFIG, StructureSet(()), True, ("c0", "c1")), "input_dim"),
+    (lambda: init_model(_CONFIG, StructureSet(()), "3", ("c0", "c1")), "input_dim"),
+    (lambda: init_model(_CONFIG, StructureSet(()), 3, 5), "subclass_names"),
 ], ids=["delta-str", "delta-nan", "embedding-k", "kmeans-k", "kmeans-seed-negative",
         "kmeans-seed-fractional", "split-fraction", "split-seed", "derive-seed-fractional",
         "derive-seed-negative-stream", "rng-seed-negative", "rng-seed-bool",
-        "feature-loader-names-string", "prediction-loader-names-string"])
+        "feature-loader-names-string", "prediction-loader-names-string",
+        "init-input-dim-fractional", "init-input-dim-bool", "init-input-dim-text",
+        "init-names-number"])
 def test_library_scalar_arguments_are_typed(call, argument):
     with pytest.raises(InvalidConfig, match=f"^{argument} "):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda path: load_structure(path),
+    lambda path: load_checkpoint(path),
+    lambda path: load_predictions(path, ("a", "b")),
+    lambda path: load_feature_table(path),
+    lambda path: save_structure(_STRUCTURE, path),
+    lambda path: save_checkpoint(_MODEL, _CONFIG, path),
+    lambda path: save_feature_table(_TABLE, path),
+], ids=["load-structure", "load-checkpoint", "load-predictions", "load-features",
+        "save-structure", "save-checkpoint", "save-features"])
+def test_library_file_paths_are_typed(tmp_path, call):
+    # open() takes an integer as a file descriptor, which a loader would read
+    # and close; a path follows the config's path rule instead
+    with open(tmp_path / "open.bin", "wb") as fh:
+        with pytest.raises(InvalidConfig, match="^'path' must be a file path, got"):
+            call(fh.fileno())
+        os.fstat(fh.fileno())  # the caller's descriptor is still open
+    for other in (b"file.json", None, ""):
+        with pytest.raises(InvalidConfig, match="^'path' must be a file path, got"):
+            call(other)
 
 
 @pytest.mark.parametrize("make, message", [
