@@ -10,14 +10,20 @@ One JSON config document drives everything. Its top-level fields and each
 of its sections (``synthetic``, ``split``, ``builder``, ``model``,
 ``sweep``) are typed by the converters their dataclasses declare on each
 field (see config.py), so an unknown field or a value of the wrong type
-anywhere is InvalidConfig naming the field. Any
-field can be overridden on the command line by a flag of the same dotted
-name, e.g. ``--model.lambda_total 0.3`` or ``--builder.k 5``; ``--seed``,
-``--out`` and the sweep's ``--axis``, ``--values`` and ``--seeds`` set
-their fields the same way. Section seeds left null derive
+anywhere is InvalidConfig naming the field. Section seeds left null derive
 deterministically from the master seed, one fixed stream per section, so a
-single ``--seed`` reseeds the whole pipeline coherently. A malformed
-command line is InvalidConfig too, one ``error:`` line like any bad input.
+single ``--seed`` reseeds the whole pipeline coherently.
+
+The command line has one grammar, ``hierfusion COMMAND [FLAG ...]``: each
+flag is ``--<dotted.field> VALUE`` or ``--<dotted.field>=VALUE`` and sets
+that config field (``--seed 3``, ``--builder.k=5``), its VALUE read as
+JSON, else as text, so ``--out 2024`` is a number and InvalidConfig.
+Flags apply in argv order, so the last one to set a field wins.
+``--config PATH`` names the JSON document, read first wherever the flag
+stands; ``--axis``, ``--values`` and ``--seeds`` are short for the sweep
+fields, the lists comma-separated. ``-h`` or ``--help`` anywhere prints
+the usage to stdout and main returns 0. A malformed command line is
+InvalidConfig, one ``error:`` line like any bad input.
 
 Only ``train``, ``evaluate`` and ``sweep`` run the trainer, so only they
 import `hierfusion.model`, when they run; ``gen-synthetic`` and
@@ -36,7 +42,6 @@ itself has no process-level effect: it returns the exit code and may be
 called any number of times in one interpreter.
 """
 
-import argparse
 import copy
 import gc
 import sys
@@ -304,7 +309,7 @@ def _runs(configs, structures: StructureSet | None, names_hint=None) -> list:
 
 # -- commands ----------------------------------------------------------------
 
-def cmd_gen_synthetic(config: ExperimentConfig) -> None:
+def cmd_gen_synthetic(config: ExperimentConfig, raw: dict) -> None:
     """Write features.csv and structure_planted.json to the out directory."""
     if config.synthetic is None:
         raise InvalidConfig("gen-synthetic needs a 'synthetic' section")
@@ -318,7 +323,7 @@ def cmd_gen_synthetic(config: ExperimentConfig) -> None:
     _note(f"wrote {structure_path}")
 
 
-def cmd_build_structure(config: ExperimentConfig) -> None:
+def cmd_build_structure(config: ExperimentConfig, raw: dict) -> None:
     """Induce a visual structure from the data and write H_A_k{k}.json.
 
     When a split is configured, only the training side feeds the builder,
@@ -333,7 +338,7 @@ def cmd_build_structure(config: ExperimentConfig) -> None:
     _note(f"wrote {path}")
 
 
-def cmd_train(config: ExperimentConfig) -> None:
+def cmd_train(config: ExperimentConfig, raw: dict) -> None:
     """Train on the configured data and write model.ckpt and history.csv."""
     from .model import save_checkpoint, save_history, train
 
@@ -349,7 +354,7 @@ def cmd_train(config: ExperimentConfig) -> None:
     _note(f"wrote {history_path}")
 
 
-def cmd_evaluate(config: ExperimentConfig) -> None:
+def cmd_evaluate(config: ExperimentConfig, raw: dict) -> None:
     """Score a checkpoint and write report.json and predictions.csv.
 
     When a split is configured, the held-out side is scored, mirroring
@@ -490,55 +495,51 @@ def _sweep_config(raw: dict, axis, value, seed: int) -> ExperimentConfig:
     return config
 
 
-# -- argument handling --------------------------------------------------------
+# -- the command line ---------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are InvalidConfig, so a bad
-    flag ends in one `error:` line and exit code 1 like any bad input."""
+# Each command with its one-line help, in usage order. A command takes the
+# resolved config and the document it was resolved from, which the sweep
+# re-resolves once per run.
+_COMMANDS = {
+    "gen-synthetic": (cmd_gen_synthetic,
+                      "write a synthetic feature file and its planted structure"),
+    "build-structure": (cmd_build_structure,
+                        "induce a visual label structure from features"),
+    "train": (cmd_train, "train the multi-task model, write checkpoint and history"),
+    "evaluate": (cmd_evaluate, "score a checkpoint, write the evaluation report"),
+    "sweep": (cmd_sweep, "train and evaluate across one axis of values and seeds"),
+}
+_USAGE = """usage: hierfusion COMMAND [--config PATH] [--FIELD VALUE | --FIELD=VALUE] ...
 
-    def error(self, message):
-        raise InvalidConfig(message)
+commands:
+{}
+
+--config PATH, the JSON experiment config, is read first wherever it stands.
+Every other flag sets the config field of its dotted name (--seed N, --out
+DIR, --model.lambda_total 0.3) in argv order, so the last one wins; VALUE
+reads as JSON, else as text. --axis {{{}}}, --values LIST
+and --seeds LIST set sweep.axis, sweep.values and sweep.seeds, each LIST
+comma-separated. -h, --help prints this text.""".format(
+    "\n".join(f"  {name:<17}{text}" for name, (_, text) in _COMMANDS.items()),
+    ",".join(sorted(_AXIS_COLUMNS)))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="hierfusion",
-        allow_abbrev=False,
-        description="Hierarchical classification pipeline: synthesize data, "
-        "build label structures, train, evaluate, sweep.",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "gen-synthetic": "write a synthetic feature file and its planted structure",
-        "build-structure": "induce a visual label structure from features",
-        "train": "train the multi-task model, write checkpoint and history",
-        "evaluate": "score a checkpoint, write the evaluation report",
-        "sweep": "train and evaluate across one axis of values and seeds",
-    }
-    for name, help_text in commands.items():
-        sub = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
-        sub.add_argument("--config", metavar="PATH", help="JSON experiment config")
-        sub.add_argument(
-            "--seed", type=_flag_value, metavar="N", help="override the master seed"
-        )
-        sub.add_argument("--out", metavar="DIR", help="override the output directory")
-        if name == "sweep":
-            sub.add_argument(
-                "--axis",
-                metavar="{" + ",".join(sorted(_AXIS_COLUMNS)) + "}",
-                help="which config field the sweep varies",
-            )
-            sub.add_argument(
-                "--values", metavar="LIST", help="comma-separated axis values"
-            )
-            sub.add_argument(
-                "--seeds", metavar="LIST", help="comma-separated run seeds"
-            )
-    return parser
+def _parse_argv(argv: list) -> tuple[str, dict]:
+    """The command and its config document with every flag applied."""
+    if not argv or argv[0] not in _COMMANDS:
+        what = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise InvalidConfig(f"{what} (choose from {', '.join(_COMMANDS)})")
+    flags = _parse_overrides(argv[1:])
+    paths = [value for key, value in flags if key == "config"]
+    raw = {} if not paths else load_json_file(
+        config_path("file")(paths[-1], "config"), InvalidConfig)
+    _apply_overrides(raw, [flag for flag in flags if flag[0] != "config"])
+    return argv[0], raw
 
 
 def _parse_overrides(tokens: list) -> list:
-    """``--dotted.name value`` (or ``--name=value``) pairs into (key, value)."""
+    """``--name value`` (or ``--name=value``) tokens as (field, value) pairs
+    in order, each value read by its flag."""
     overrides = []
     i = 0
     while i < len(tokens):
@@ -554,7 +555,8 @@ def _parse_overrides(tokens: list) -> list:
                 raise InvalidConfig(f"flag --{key} needs a value")
             text = tokens[i + 1]
             i += 2
-        overrides.append((key, _flag_value(text)))
+        field, read = _FLAGS.get(key, (key, _flag_value))
+        overrides.append((field, read(text)))
     return overrides
 
 
@@ -580,40 +582,30 @@ def _apply_overrides(raw: dict, overrides) -> None:
         node[parts[-1]] = value
 
 
-def _parse_value_list(text):
+def _parse_value_list(text: str) -> list:
     """A comma-separated list flag: each non-empty cell read as a flag value."""
-    if text is None:
-        return None
     values = [_flag_value(cell) for cell in map(str.strip, text.split(",")) if cell]
     if not values:
         raise InvalidConfig("empty value list")
     return values
 
 
+# The flags that are not a dotted field's own: the field each sets (the
+# config file is no field) and how its text reads.
+_FLAGS = {"config": ("config", str),
+          "axis": ("sweep.axis", _flag_value),
+          "values": ("sweep.values", _parse_value_list),
+          "seeds": ("sweep.seeds", _parse_value_list)}
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args, extra = build_parser().parse_known_args(argv)
-        overrides = _parse_overrides(extra)
-        raw = {} if args.config is None else load_json_file(
-            config_path("file")(args.config, "config"), InvalidConfig)
-        flags = {"seed": args.seed, "out": args.out}
-        if args.command == "sweep":
-            flags["sweep.axis"] = args.axis
-            flags["sweep.values"] = _parse_value_list(args.values)
-            flags["sweep.seeds"] = _parse_value_list(args.seeds)
-        flags = [(key, value) for key, value in flags.items() if value is not None]
-        _apply_overrides(raw, flags + overrides)
-        config = experiment_config_from_dict(raw)
-        if args.command == "sweep":
-            cmd_sweep(config, raw)
-        elif args.command == "gen-synthetic":
-            cmd_gen_synthetic(config)
-        elif args.command == "build-structure":
-            cmd_build_structure(config)
-        elif args.command == "train":
-            cmd_train(config)
-        else:
-            cmd_evaluate(config)
+        if any(token in ("-h", "--help") for token in argv):
+            print(_USAGE)
+            return 0
+        command, raw = _parse_argv(argv)
+        _COMMANDS[command][0](experiment_config_from_dict(raw), raw)
     except (HierFusionError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

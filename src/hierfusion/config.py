@@ -23,6 +23,7 @@ import math
 import os
 import typing
 from dataclasses import dataclass
+from pathlib import PurePath
 from typing import Annotated
 
 import numpy as np
@@ -136,10 +137,12 @@ def config_path(kind: str):
     so that an integer is never opened as a file descriptor, that the
     operating system can take as a path (no NUL, no character its file
     system encoding cannot encode, such as a lone surrogate). The empty
-    string, which Path reads as the current directory, is none."""
+    string, which Path reads as the current directory, is none, and a file
+    path needs a final name, so "/" or "." is no file path."""
 
     def typed(value, field: str) -> str:
-        if isinstance(value, str) and value and "\0" not in value:
+        if isinstance(value, str) and value and "\0" not in value and (
+                kind != "file" or PurePath(value).name):
             with contextlib.suppress(UnicodeEncodeError):
                 os.fsencode(value)
                 return value

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import json
 import re
+import shlex
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -638,10 +639,56 @@ def test_abbreviated_flags_are_unknown_fields(tmp_path, capsys, monkeypatch,
 
 
 def test_help_exits_zero_and_names_the_seed_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--help"])
-    assert exc.value.code == 0
-    assert "--seed" in capsys.readouterr().out
+    for argv in (["train", "--help"], ["--help"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "--seed" in out
+        for command in ("gen-synthetic", "build-structure", "train", "evaluate", "sweep"):
+            assert command in out
+
+
+def _resolved(monkeypatch, argv):
+    """The config main(argv) hands its command, which is not run."""
+    seen = []
+    monkeypatch.setitem(cli_module._COMMANDS, argv[0],
+                        (lambda config, raw: seen.append(config), ""))
+    assert main(argv) == 0
+    return seen[0]
+
+
+@pytest.mark.parametrize("argv, same", [
+    (["train", "--seed", "3"], ["train", "--seed=3"]),
+    (["sweep", "--axis", "lambda", "--values", "0.0,0.2", "--seeds", "0,1"],
+     ["sweep", "--sweep.axis", "lambda", "--sweep.values", "[0.0,0.2]",
+      "--sweep.seeds", "[0,1]"]),
+    (["train", "--seed", "3", "--model.epochs", "2", "--seed", "5",
+      "--model.epochs=4"], ["train", "--seed", "5", "--model.epochs", "4"]),
+    (["sweep", "--sweep.axis", "k", "--axis", "lambda", "--values", "[0.1]",
+      "--values", "0.3"], ["sweep", "--axis", "lambda", "--values", "0.3"]),
+    (["train", "--seed", "4", "--out", "o", "--config", "exp.json"],
+     ["train", "--config", "exp.json", "--seed", "4", "--out", "o"]),
+], ids=["joined", "short-sweep-names", "last-wins", "last-wins-short", "config-last"])
+def test_flag_forms_resolve_alike(tmp_path, monkeypatch, argv, same):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "exp.json", {"seed": 9, "out": "x", "builder": {"k": 2}})
+    assert _resolved(monkeypatch, argv) == _resolved(monkeypatch, same)
+
+
+def test_readme_command_lines_resolve_to_their_configs(tmp_path, monkeypatch):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```sh\n(hierfusion gen-synthetic.*?)```", readme, re.S)[1]
+    lines = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()]
+    exp = json.loads(re.search(r"```json\n(.*?)```", readme, re.S)[1])
+    gen = {"seed": 1, "synthetic": SYNTH}
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "exp.json", exp)
+    write_config(tmp_path / "gen.json", gen)
+    sweep = {"axis": "lambda", "values": [0.0, 0.1, 0.3], "seeds": [0, 1, 2]}
+    expected = [dict(gen, out="data/"), dict(exp, out="built/"), dict(exp, out="fit/"),
+                dict(exp, out="scored/"), dict(exp, out="swept/", sweep=sweep)]
+    assert [argv[0] for argv in lines] == list(cli_module._COMMANDS)
+    for argv, raw in zip(lines, expected):
+        assert _resolved(monkeypatch, argv) == experiment_config_from_dict(raw), argv
 
 
 @pytest.mark.parametrize("names_from", [False, True], ids=["inferred", "names-from"])

@@ -67,6 +67,19 @@ def test_importing_the_package_does_not_load_the_trainer():
         == ["False"]
 
 
+def test_the_cli_loads_no_argument_parser_and_no_other_package_module():
+    # the command line is parsed by hand; bench/tracing.py needs every layer
+    # module the commands call loaded with the CLI
+    assert fresh(
+        "import sys, hierfusion.cli\n"
+        "print('argparse' in sys.modules, *sorted(\n"
+        "    m for m in sys.modules if m.split('.')[0] == 'hierfusion'))\n"
+    ) == ["False", "hierfusion", "hierfusion.cli", "hierfusion.config",
+          "hierfusion.exceptions", "hierfusion.features", "hierfusion.metrics",
+          "hierfusion.rng", "hierfusion.serialization",
+          "hierfusion.structure_builder", "hierfusion.taxonomy", "hierfusion.workers"]
+
+
 def test_a_trainer_name_loads_the_trainer_on_first_access():
     assert fresh(
         "import sys, hierfusion\n"

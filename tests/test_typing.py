@@ -8,6 +8,7 @@ numbers and lists they stand for.
 
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -28,13 +29,15 @@ from hierfusion.features import (
     save_feature_table,
     train_test_split,
 )
-from hierfusion.metrics import load_predictions
+from hierfusion.metrics import PredictionBatch, load_predictions, save_predictions
 from hierfusion.model import (
     FusionConfig,
     forward,
     init_model,
+    TrainHistory,
     load_checkpoint,
     save_checkpoint,
+    save_history,
 )
 from hierfusion.rng import derive_seed, rng_from_seed
 from hierfusion.structure_builder import (
@@ -193,6 +196,23 @@ def test_library_file_paths_are_typed(tmp_path, call):
     for other in (b"file.json", None, ""):
         with pytest.raises(InvalidConfig, match="^'path' must be a file path, got"):
             call(other)
+
+
+@pytest.mark.parametrize("save", [
+    lambda path: save_structure(_STRUCTURE, path),
+    lambda path: save_feature_table(_TABLE, path),
+    lambda path: save_checkpoint(_MODEL, _CONFIG, path),
+    lambda path: save_history(TrainHistory(np.zeros((1, 3)), ()), path),
+    lambda path: save_predictions(PredictionBatch([0], [1], ("a", "b")), path),
+], ids=["structure", "features", "checkpoint", "history", "predictions"])
+@pytest.mark.parametrize("path", ["/", ".", "./"])
+def test_writers_refuse_a_path_with_no_final_name(tmp_path, monkeypatch, save, path):
+    # a file is replaced through a sibling of its name, which such a path lacks
+    monkeypatch.chdir(tmp_path)
+    message = f"'path' must be a file path, got '{path}'"
+    with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
+        save(path)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("make, message", [
